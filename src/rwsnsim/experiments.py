@@ -5,7 +5,9 @@ deterministically per scenario, so every seed of a scenario sees the same
 network); each (scenario, strategy, seed) run appends one raw row, and
 aggregation reduces seeds to mean and standard error. The emitted manifest
 captures every resolved scenario so a rerun reproduces the CSVs byte for
-byte.
+byte; it also records how each ehmdp solve went (mode, and for an exact
+solve its sweep count and final residual). A scenario whose parameters
+fail `core.validate` is reported once, as one failure, and skipped.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .core import NetworkParams, draw_channel_gains
+from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import DEFAULT_STATE_BUDGET, build_model, value_iteration
 from .simulator import STRATEGY_NAMES, SlotTrace, simulate_run
@@ -88,12 +90,17 @@ class ExperimentSpec:
         return v
 
     def resolve_params(self, n: int, t_hat: int) -> NetworkParams:
+        """The scenario's parameters; raises ValueError listing every violated invariant."""
         overrides = dict(self.network)
         overrides["n_nodes"] = n
         overrides["slot_len"] = t_hat * self.minislot_len
         if "channel_gain" not in overrides:
             overrides["channel_gain"] = draw_channel_gains(n, **self.channel)
-        return NetworkParams(**overrides)
+        params = NetworkParams(**overrides)
+        problems = validate(params)
+        if problems:
+            raise ValueError("; ".join(problems))
+        return params
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -231,6 +238,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 "n_nodes": n,
                 "t_hat": t_hat,
                 "ehmdp_mode": ehmdp_mode,
+                "ehmdp_sweeps": vi_result.sweeps if vi_result is not None else None,
+                "ehmdp_residual": vi_result.residual if vi_result is not None else None,
                 "params": params_dict(params),
             })
             for strategy in spec.strategies:

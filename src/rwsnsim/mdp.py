@@ -1,9 +1,32 @@
-"""Centralized scheduling MDP: transition laws, sparse model, value iteration.
+"""Centralized scheduling MDP: transition laws, per-node kernels, value iteration.
 
 States are joint (battery, queue) tuples over all nodes; the action set is
 the selected node (modulation is pre-folded, see the energy module). The
 cost of a transition is the expected number of packets dropped to buffer
 overflow, so the solved value function reads as discounted packet loss.
+
+Product form. Under action k, node k moves by its selected kernel S_k and
+every other node by the shared arrival-only kernel U, independently, and
+the cost is a sum over nodes. So the joint law is never enumerated:
+`build_model` stores the N+1 per-node kernels U, S_0, ..., S_{N-1} as
+sparse rows over the m = (K+1)(Q+1) local states (row = kernel * m + local
+state), and `value_iteration` applies them as mode products on v viewed
+as an (m,)*N tensor, node 0 on the slowest axis:
+
+    Q(., k) = base_k + omega * (U x ... x S_k x ... x U) v
+    base_k  = sum over n != k of rU(s_n), plus rS_k(s_k)
+
+where rU and rS_k are the kernels' expected one-slot costs per local
+state. The U products along the axes after k are shared between actions.
+A sweep costs O(N^2 m^(N+1)) flops; the joint-sized storage is v and the
+(N, m^N) array Q.
+
+Ties. The policy takes the lowest node index among the actions whose Q
+lies within TIE_RTOL * max(1, |min Q|) of the minimum, so actions equal up
+to rounding do not get ordered by summation order.
+
+Budget. `build_model` refuses a joint state count m^N above its budget
+(200,000 states by default: N=3 has 74,088 at the defaults, N=4 has 3.1 M).
 
 Boundary conventions (the interior cases follow the standard law; the
 boundaries need explicit choices):
@@ -26,6 +49,8 @@ from .core import Action, JointState, NetworkParams, NodeState, check_node_state
 from .energy import NodeEnergyProfile, energy_profiles, node_energy_profile, packet_success_prob
 
 DEFAULT_STATE_BUDGET = 200_000
+# actions whose Q values differ by less than this, relative, count as tied
+TIE_RTOL = 1e-12
 
 Dist = list[tuple[NodeState, float]]
 
@@ -116,140 +141,83 @@ def node_reward(
     return params.arrival_prob
 
 
-def transition_reward(
-    s_alpha: JointState, s_beta: JointState, action: Action | int, params: NetworkParams,
-    profiles: list[NodeEnergyProfile] | None = None,
-) -> float:
-    """Expected dropped packets over all nodes for one joint transition."""
-    k = action.selected if isinstance(action, Action) else action
-    if profiles is None:
-        profiles = energy_profiles(params)
-    total = 0.0
-    for n, (a, b) in enumerate(zip(s_alpha, s_beta)):
-        total += node_reward(a, b, params, selected=(n == k), profile=profiles[n])
-    return total
-
-
-def joint_transition(
-    s_alpha: JointState, action: Action | int, params: NetworkParams,
-    profiles: list[NodeEnergyProfile] | None = None,
-) -> list[tuple[JointState, float]]:
-    """Product of the selected node's law with every other node's arrival law."""
-    k = action.selected if isinstance(action, Action) else action
-    if profiles is None:
-        profiles = energy_profiles(params)
-    acc: list[tuple[tuple[NodeState, ...], float]] = [((), 1.0)]
-    for n, s in enumerate(s_alpha):
-        dist = (
-            selected_transition(s, params, node=n, profile=profiles[n])
-            if n == k
-            else unselected_transition(s, params)
-        )
-        acc = [(prefix + (ns,), p * pn) for prefix, p in acc for ns, pn in dist]
-    return [(joint, p) for joint, p in acc]
-
-
 @dataclass
 class TransitionModel:
-    """Sparse rows of (next state, probability, reward) per (state, action).
+    """The N+1 per-node kernels whose products make up the joint law.
 
-    Row r = state * n_actions + action spans entries
-    [row_ptr[r], row_ptr[r+1]).
+    Kernel 0 is the arrival-only kernel U shared by every unselected node;
+    kernel 1 + k is node k's selected kernel S_k. Each spans the n_local
+    per-node states, and row r = kernel * n_local + local state spans
+    entries [row_ptr[r], row_ptr[r+1]) of (local next state, probability,
+    reward).
     """
 
     params: NetworkParams
-    n_states: int
     n_actions: int
+    n_local: int
     row_ptr: np.ndarray
     next_state: np.ndarray
     prob: np.ndarray
     reward: np.ndarray
     profiles: list[NodeEnergyProfile] = field(default_factory=list)
 
-    def row(self, state: int, action: int):
-        r = state * self.n_actions + action
-        lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
-        return self.next_state[lo:hi], self.prob[lo:hi], self.reward[lo:hi]
+    @property
+    def n_states(self) -> int:
+        return self.n_local**self.n_actions
+
+    def kernel(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel j as a dense n_local x n_local matrix, with its expected cost per row."""
+        m = self.n_local
+        ptr = self.row_ptr[j * m:(j + 1) * m + 1]
+        lo, hi = ptr[0], ptr[-1]
+        rows = np.repeat(np.arange(m), np.diff(ptr))
+        matrix = np.zeros((m, m))
+        np.add.at(matrix, (rows, self.next_state[lo:hi]), self.prob[lo:hi])
+        cost = np.bincount(rows, weights=self.prob[lo:hi] * self.reward[lo:hi], minlength=m)
+        return matrix, cost
 
 
-def _per_node_tables(params: NetworkParams, profiles: list[NodeEnergyProfile]):
-    """Per-node-state transition entries, as (next_idx, prob, reward) triples."""
-    K, Q = params.battery_levels, params.queue_cap
-    width = Q + 1
-    states = [NodeState(b, q) for b in range(K + 1) for q in range(Q + 1)]
-
-    unsel = []
-    for s in states:
-        entries = []
-        for ns, p in unselected_transition(s, params):
-            r = node_reward(s, ns, params, selected=False)
-            entries.append((ns.battery * width + ns.queue, p, r))
-        unsel.append(entries)
-
-    sel = []
+def _kernel_rows(params: NetworkParams, profiles: list[NodeEnergyProfile]):
+    """(next local index, prob, reward) entries per row, kernel by kernel: U, then each S_k."""
+    width = params.queue_cap + 1
+    states = [NodeState(b, q) for b in range(params.battery_levels + 1) for q in range(width)]
+    rows = [
+        [(ns.battery * width + ns.queue, p, node_reward(s, ns, params, selected=False))
+         for ns, p in unselected_transition(s, params)]
+        for s in states
+    ]
     for prof in profiles:
-        rows = []
-        for s in states:
-            entries = []
-            for ns, p in selected_transition(s, params, profile=prof):
-                r = node_reward(s, ns, params, selected=True, profile=prof)
-                entries.append((ns.battery * width + ns.queue, p, r))
-            rows.append(entries)
-        sel.append(rows)
-    return sel, unsel
+        rows += [
+            [(ns.battery * width + ns.queue, p,
+              node_reward(s, ns, params, selected=True, profile=prof))
+             for ns, p in selected_transition(s, params, profile=prof)]
+            for s in states
+        ]
+    return rows
 
 
 def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> TransitionModel:
-    """Enumerate the full joint model; O(states * actions * row width)."""
+    """The kernels U, S_0, ..., S_{N-1}; O(N * per-node states)."""
     n_states = params.joint_state_count
     if n_states > budget:
         raise StateSpaceBudgetError(n_states, budget)
-    n = params.n_nodes
-    m = params.per_node_states
     profiles = energy_profiles(params)
-    sel, unsel = _per_node_tables(params, profiles)
-
-    row_ptr = [0]
-    next_out: list[int] = []
-    prob_out: list[float] = []
-    rew_out: list[float] = []
-
-    for s in range(n_states):
-        # decode to per-node state indices, node 0 most significant
-        digits = []
-        rem = s
-        for _ in range(n):
-            digits.append(rem % m)
-            rem //= m
-        digits.reverse()
-
-        for k in range(n):
-            acc = [(0, 1.0, 0.0)]
-            for node, d in enumerate(digits):
-                table = sel[k][d] if node == k else unsel[d]
-                acc = [
-                    (base * m + nxt, p * pe, r + re)
-                    for base, p, r in acc
-                    for nxt, pe, re in table
-                ]
-            total = 0.0
-            for nxt, p, r in acc:
-                next_out.append(nxt)
-                prob_out.append(p)
-                rew_out.append(r)
-                total += p
-            if abs(total - 1.0) > 1e-12:
-                raise AssertionError(f"row ({s},{k}) sums to {total!r}")
-            row_ptr.append(len(next_out))
-
+    rows = _kernel_rows(params, profiles)
+    row_ptr = np.cumsum([0] + [len(entries) for entries in rows])
+    nxt, prob, reward = zip(*(e for entries in rows for e in entries))
+    prob = np.asarray(prob, dtype=np.float64)
+    sums = np.add.reduceat(prob, row_ptr[:-1])
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
+    if bad.size:
+        raise AssertionError(f"kernel row {bad[0]} sums to {sums[bad[0]]!r}")
     return TransitionModel(
         params=params,
-        n_states=n_states,
-        n_actions=n,
-        row_ptr=np.asarray(row_ptr, dtype=np.int64),
-        next_state=np.asarray(next_out, dtype=np.int64),
-        prob=np.asarray(prob_out, dtype=np.float64),
-        reward=np.asarray(rew_out, dtype=np.float64),
+        n_actions=params.n_nodes,
+        n_local=params.per_node_states,
+        row_ptr=row_ptr.astype(np.int64),
+        next_state=np.asarray(nxt, dtype=np.int64),
+        prob=prob,
+        reward=np.asarray(reward, dtype=np.float64),
         profiles=profiles,
     )
 
@@ -267,6 +235,23 @@ class ValueIterationResult:
     def action_for(self, s: JointState) -> Action:
         k = int(self.policy[state_index(s, self.params)])
         return Action(selected=k, modulation=self.profiles[k].order)
+
+
+def _apply_last_axis(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Apply an m x m kernel along the last axis of x and rotate that axis to the front.
+
+    x is a flat (m,)*N tensor; out receives the result, flat, with axis order
+    (last, first, ..., second to last). N such steps restore the order.
+    """
+    m = kernel.shape[0]
+    np.matmul(kernel, x.reshape(-1, m).T, out=out.reshape(m, -1))
+    return out
+
+
+def greedy_policy(q: np.ndarray) -> np.ndarray:
+    """Per state (column of q), the lowest action within the tie tolerance of the minimum."""
+    best = q.min(axis=0)
+    return np.argmax(q <= best + TIE_RTOL * np.maximum(1.0, np.abs(best)), axis=0)
 
 
 def value_iteration(
@@ -288,23 +273,46 @@ def value_iteration(
         raise ValueError(f"discount {w} outside [0, 1)")
     threshold = eps * (1.0 - w) / (2.0 * w) if w > 0 else np.inf
 
-    S, A = model.n_states, model.n_actions
-    starts = model.row_ptr[:-1]
-    base_cost = np.add.reduceat(model.prob * model.reward, starts).reshape(S, A)
+    n = model.n_actions
+    kernels = [model.kernel(j) for j in range(n + 1)]
+    arrival, arrival_cost = kernels[0]
+    # base[k] = sum over nodes of the expected one-slot cost, node k selected
+    base = np.empty((n, model.n_states))
+    for k in range(n):
+        acc = np.zeros(1)
+        for node in range(n):
+            cost = kernels[1 + k][1] if node == k else arrival_cost
+            acc = np.add.outer(acc, cost).reshape(-1)
+        base[k] = acc
 
-    v = np.zeros(S)
+    # sweeps write into these: allocating fresh joint-sized arrays each sweep
+    # costs about as much as the kernel products themselves
+    v, v_next = np.zeros(model.n_states), np.empty(model.n_states)
+    q = np.empty_like(base)
+    work = np.empty((2, model.n_states))
+    suffixes = np.empty((2, model.n_states))
     history: list[float] = []
     for sweep in range(1, max_sweeps + 1):
-        cont = np.add.reduceat(model.prob * v[model.next_state], starts).reshape(S, A)
-        q = base_cost + w * cont
-        v_new = q.min(axis=1)
-        residual = float(np.max(np.abs(v_new - v)))
+        # suffix: v with U applied along every axis after k, those axes rotated
+        # to the front, so axis k is last
+        suffix = v
+        for k in reversed(range(n)):
+            x = suffix
+            steps = [kernels[1 + k][0]] + [arrival] * k
+            for i, kernel in enumerate(steps):
+                x = _apply_last_axis(kernel, x, q[k] if i == k else work[i % 2])
+            if k:
+                suffix = _apply_last_axis(arrival, suffix, suffixes[k % 2])
+        q *= w
+        q += base
+        np.min(q, axis=0, out=v_next)
+        diff = np.subtract(v_next, v, out=work[0])
+        residual = float(np.abs(diff, out=diff).max())
         history.append(residual)
-        v = v_new
+        v, v_next = v_next, v
         if residual < threshold:
-            policy = q.argmin(axis=1)
             return ValueIterationResult(
-                values=v, policy=policy, sweeps=sweep, residual=residual,
+                values=v, policy=greedy_policy(q), sweeps=sweep, residual=residual,
                 residual_history=history, params=p, profiles=model.profiles,
             )
     raise ValueIterationError(

@@ -68,14 +68,29 @@ class TestRunExperiment:
         assert any("myopic" in m for m in caplog.messages)
 
     def test_infeasible_point_reported_run_continues(self):
-        # second grid point cannot fit a packet in the slot at any order
-        spec = tiny_spec(t_hat=[10, 1], strategies=["fq"],
+        # 256-bit packets at order 1 and 30 kHz: t_hat=10 gives 10 ms * 30 kHz
+        # = 300 bits per slot and fits; t_hat=1 gives 30 bits and cannot fit
+        spec = tiny_spec(t_hat=[10, 1], strategies=["fq"], seeds=[0, 1],
                          network={"battery_levels": 2, "queue_cap": 2,
-                                  "bandwidth": 20e3, "max_modulation": 1})
+                                  "bandwidth": 30e3, "max_modulation": 1})
         res = run_experiment(spec)
-        assert len(res.failures) == 1
+        assert len(res.failures) == 1  # once for the scenario, not once per seed
         assert "t_hat" in res.failures[0] and res.failures[0]["t_hat"] == 1
-        assert len(res.raw_rows) == 1  # the feasible point still ran
+        assert len(res.raw_rows) == 2  # the feasible point still ran, both seeds
+
+    def test_manifest_records_the_solve(self):
+        # 9 local states: N=2 has 81 joint states, inside the budget; N=3 has 729
+        spec = tiny_spec(strategies=["ehmdp", "rs"], n_nodes=[2, 3], budget=100)
+        res = run_experiment(spec)
+        exact, myopic = res.manifest["scenarios"]
+        assert exact["ehmdp_mode"] == "exact"
+        assert isinstance(exact["ehmdp_sweeps"], int) and exact["ehmdp_sweeps"] > 0
+        p = exact["params"]
+        assert 0.0 < exact["ehmdp_residual"] < p["vi_tol"] * (1 - p["discount"]) / (2 * p["discount"])
+        assert myopic["ehmdp_mode"] == "myopic"
+        assert myopic["ehmdp_sweeps"] is None and myopic["ehmdp_residual"] is None
+        # deterministic: a rerun reproduces the manifest
+        assert run_experiment(spec).manifest == res.manifest
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

@@ -3,17 +3,33 @@
 import numpy as np
 import pytest
 
-from rwsnsim.core import NetworkParams, NodeState, iter_joint_states, state_index, state_unindex
+from joint_oracle import (
+    backward_induction,
+    bellman_q,
+    build_joint_model,
+    joint_transition,
+    joint_value_iteration,
+    tie_policy,
+    transition_reward,
+)
+from rwsnsim.core import (
+    NetworkParams,
+    NodeState,
+    draw_channel_gains,
+    iter_joint_states,
+    state_index,
+    state_unindex,
+)
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import (
+    TIE_RTOL,
     StateSpaceBudgetError,
     TransitionModel,
     build_model,
-    joint_transition,
+    greedy_policy,
     myopic_chooser,
     policy_chooser,
     selected_transition,
-    transition_reward,
     unselected_transition,
     value_iteration,
 )
@@ -27,6 +43,14 @@ def make_params(**kw):
 # params with float-exact sure success: (1 - 1e-300)**256 == 1.0, and a strong
 # channel so transmission is affordable from battery level 1 upward
 SURE_SUCCESS = dict(ber_target=1e-300, channel_gain=None)
+
+
+def desk_params(n, k, q):
+    """Small hand-checkable instances with distinct per-node channels."""
+    return make_params(
+        n_nodes=n, battery_levels=k, queue_cap=q, arrival_prob=0.3,
+        channel_gain=tuple(1.0 - 0.15 * i for i in range(n)),
+    )
 
 
 def sure_success_params(n_nodes=1, **kw):
@@ -194,14 +218,49 @@ class TestJointTransition:
         assert sum(got.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def kernel_rows(model: TransitionModel, kernel: int):
+    """Per local state, the (next local state, probability, reward) entries of one kernel."""
+    m = model.n_local
+    out = []
+    for r in range(kernel * m, (kernel + 1) * m):
+        lo, hi = model.row_ptr[r], model.row_ptr[r + 1]
+        out.append(list(zip(model.next_state[lo:hi].tolist(), model.prob[lo:hi].tolist(),
+                            model.reward[lo:hi].tolist())))
+    return out
+
+
+def assert_kernel_rows_stochastic(model: TransitionModel):
+    for j in range(model.n_actions + 1):
+        for entries in kernel_rows(model, j):
+            probs = np.array([p for _, p, _ in entries])
+            assert abs(probs.sum() - 1.0) <= 1e-12
+            assert (probs >= 0).all()
+            assert all(r >= 0 for _, _, r in entries)
+
+
+def product_row(model: TransitionModel, state: int, action: int) -> dict[int, tuple[float, float]]:
+    """Joint row of (state, action) composed from the kernels: next -> (prob, reward)."""
+    m, n = model.n_local, model.n_actions
+    digits = [(state // m ** (n - 1 - i)) % m for i in range(n)]
+    acc = [(0, 1.0, 0.0)]
+    for i, d in enumerate(digits):
+        table = kernel_rows(model, 1 + action if i == action else 0)[d]
+        acc = [(base * m + nxt, p * pe, r + re)
+               for base, p, r in acc for nxt, pe, re in table]
+    return {nxt: (p, r) for nxt, p, r in acc}
+
+
 class TestBuildModel:
     def test_minimal_space(self):
         p = make_params(n_nodes=1, battery_levels=1, queue_cap=1)
         m = build_model(p)
         assert m.n_states == 4
         assert m.n_actions == 1
+        assert m.row_ptr.size == 2 * 4 + 1  # kernels U and S_0, four local states each
+        assert_kernel_rows_stochastic(m)
+        joint = build_joint_model(p)
         for s in range(4):
-            _, probs, _ = m.row(s, 0)
+            _, probs, _ = joint.row(s, 0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -209,15 +268,15 @@ class TestBuildModel:
         [(2, 2, 2, 81), (3, 2, 2, 729), (2, 5, 6, 1764)],
     )
     def test_row_sums_on_desk_instances(self, n, k, q, expected):
-        p = make_params(
-            n_nodes=n, battery_levels=k, queue_cap=q, arrival_prob=0.3,
-            channel_gain=tuple(1.0 - 0.15 * i for i in range(n)),
-        )
+        p = desk_params(n, k, q)
         m = build_model(p)
         assert m.n_states == expected
-        for s in range(m.n_states):
-            for a in range(m.n_actions):
-                _, probs, rewards = m.row(s, a)
+        assert_kernel_rows_stochastic(m)
+        joint = build_joint_model(p)
+        assert joint.n_states == expected
+        for s in range(joint.n_states):
+            for a in range(joint.n_actions):
+                _, probs, rewards = joint.row(s, a)
                 assert abs(probs.sum() - 1.0) <= 1e-12
                 assert (probs >= 0).all()
                 assert (rewards >= 0).all()
@@ -229,47 +288,34 @@ class TestBuildModel:
         assert str(p.joint_state_count) in str(ei.value)
 
     def test_rewards_match_transition_reward(self):
+        # the kernel products reproduce each joint row: next states,
+        # probabilities, and the summed per-node rewards
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.3)
         m = build_model(p)
         rng = np.random.default_rng(5)
         for _ in range(50):
             s = int(rng.integers(m.n_states))
             a = int(rng.integers(m.n_actions))
-            nxt, _, rew = m.row(s, a)
+            row = product_row(m, s, a)
             sa = state_unindex(s, p)
-            for j in range(len(nxt)):
-                sb = state_unindex(int(nxt[j]), p)
-                assert rew[j] == pytest.approx(transition_reward(sa, sb, a, p), abs=1e-15)
+            expect = {state_index(sb, p): pr for sb, pr in joint_transition(sa, a, p)}
+            assert set(row) == set(expect)
+            for nxt, (pr, rew) in row.items():
+                assert pr == pytest.approx(expect[nxt], abs=1e-15)
+                sb = state_unindex(nxt, p)
+                assert rew == pytest.approx(transition_reward(sa, sb, a, p), abs=1e-15)
 
-
-def backward_induction(model: TransitionModel, omega: float, horizon: int):
-    """Finite-horizon dynamic program, plain python loops (oracle)."""
-    S, A = model.n_states, model.n_actions
-    rows = {}
-    for s in range(S):
-        for a in range(A):
-            nxt, pr, rw = model.row(s, a)
-            rows[s, a] = list(zip(nxt.tolist(), pr.tolist(), rw.tolist()))
-    v = [0.0] * S
-    for _ in range(horizon):
-        v_new = [0.0] * S
-        for s in range(S):
-            best = None
-            for a in range(A):
-                q = sum(p * (r + omega * v[n]) for n, p, r in rows[s, a])
-                if best is None or q < best:
-                    best = q
-            v_new[s] = best
-        v = v_new
-    policy = [0] * S
-    for s in range(S):
-        best, best_a = None, 0
-        for a in range(A):
-            q = sum(p * (r + omega * v[n]) for n, p, r in rows[s, a])
-            if best is None or q < best - 1e-15:
-                best, best_a = q, a
-        policy[s] = best_a
-    return v, policy
+    def test_stores_one_kernel_per_node_plus_the_arrival_kernel(self):
+        p = make_params(n_nodes=3)
+        m = build_model(p)
+        assert m.n_local == p.per_node_states == 42
+        assert m.row_ptr.size == 4 * 42 + 1
+        assert m.prob.size <= 4 * 42 * 3  # at most three outcomes per local state
+        width = p.queue_cap + 1
+        for idx, entries in enumerate(kernel_rows(m, 0)):
+            law = unselected_transition(NodeState(idx // width, idx % width), p)
+            assert {nxt: pr for nxt, pr, _ in entries} == {
+                ns.battery * width + ns.queue: pr for ns, pr in law}
 
 
 class TestValueIteration:
@@ -280,11 +326,12 @@ class TestValueIteration:
         assert np.allclose(res.values, 0.0)
 
     def test_self_loop_geometric_series(self):
+        # one node with one local state: U costs nothing, S_0 costs 2.5 a slot
         p = make_params(n_nodes=1)
         m = TransitionModel(
-            params=p, n_states=1, n_actions=1,
-            row_ptr=np.array([0, 1]), next_state=np.array([0]),
-            prob=np.array([1.0]), reward=np.array([2.5]),
+            params=p, n_actions=1, n_local=1,
+            row_ptr=np.array([0, 1, 2]), next_state=np.array([0, 0]),
+            prob=np.array([1.0, 1.0]), reward=np.array([0.0, 2.5]),
             profiles=[],
         )
         res = value_iteration(m, omega=0.9, tol=1e-10)
@@ -295,9 +342,8 @@ class TestValueIteration:
             n_nodes=2, battery_levels=2, queue_cap=2, max_modulation=2,
             arrival_prob=0.3, channel_gain=(1.0, 0.7), discount=0.9,
         )
-        m = build_model(p)
-        res = value_iteration(m, omega=0.9, tol=1e-9)
-        v_ref, pol_ref = backward_induction(m, omega=0.9, horizon=400)
+        res = value_iteration(build_model(p), omega=0.9, tol=1e-9)
+        v_ref, pol_ref = backward_induction(build_joint_model(p), omega=0.9, horizon=400)
         assert np.allclose(res.values, v_ref, atol=1e-6)
         assert list(res.policy) == pol_ref
 
@@ -365,3 +411,73 @@ class TestChoosers:
             total += 1
         print(f"\nmyopic/exact agreement: {agree}/{total} = {agree / total:.1%}")
         assert agree > 0
+
+
+def pipeline_n3_params():
+    """N=3 with every default, channel gains from the default path-loss draw."""
+    return make_params(n_nodes=3, channel_gain=draw_channel_gains(3))
+
+
+@pytest.fixture(scope="module")
+def n3_oracle():
+    """The enumerated N=3 joint model (about 1.9 M entries) and its solve."""
+    p = pipeline_n3_params()
+    joint = build_joint_model(p)
+    return p, joint, joint_value_iteration(joint, p.discount, p.vi_tol)
+
+
+class TestTieRule:
+    def test_greedy_policy_takes_lowest_index_within_tolerance(self):
+        # rows are actions, columns states
+        q = np.array([
+            [1.0, 2.0, 5.0, 1e-14],
+            [1.0, 1.0, 5.0 - 1e-13, 0.0],
+            [1.0 - 4e-16, 3.0, 5.0 - 1e-10, 0.0],
+        ])
+        # a rounding tie, a clear winner, a real 1e-10 gap, and the absolute
+        # floor of the tolerance near zero
+        assert greedy_policy(q).tolist() == [0, 1, 2, 0]
+
+    def test_tolerance_is_relative_above_one(self):
+        big = 1e6
+        q = np.array([[big], [big * (1 - 0.5 * TIE_RTOL)], [big * (1 - 2 * TIE_RTOL)]])
+        assert greedy_policy(q).tolist() == [2]
+        assert greedy_policy(q[:2]).tolist() == [0]
+
+    def test_n3_policy_is_lowest_index_among_oracle_ties(self, n3_oracle):
+        # one Bellman backup of the returned values over the enumerated joint
+        # rows: the solver's choice must be the first action within the tie
+        # tolerance of that backup's minimum, whatever the summation order
+        p, joint, _ = n3_oracle
+        res = value_iteration(build_model(p))
+        q = bellman_q(joint, res.values, p.discount)
+        assert (res.policy == tie_policy(q)).all()
+        # and the tolerance only merges rounding ties: real gaps are far above it
+        top2 = np.sort(q, axis=1)[:, :2]
+        gap = (top2[:, 1] - top2[:, 0]) / np.maximum(1.0, np.abs(top2[:, 0]))
+        assert gap[gap > TIE_RTOL].min() > 1e3 * TIE_RTOL
+        assert gap[gap <= TIE_RTOL].max(initial=0.0) < 1e-3 * TIE_RTOL
+
+
+class TestOracleParity:
+    """The product-form solve against value iteration over the enumerated joint rows."""
+
+    @staticmethod
+    def assert_same_solve(res, oracle):
+        v_ref, pol_ref, sweeps_ref, _ = oracle
+        assert np.max(np.abs(res.values - v_ref)) <= 1e-12
+        assert res.sweeps == sweeps_ref
+        assert (res.policy == pol_ref).all()
+
+    @pytest.mark.parametrize("n,k,q", [(2, 2, 2), (3, 2, 2), (2, 5, 6)])
+    def test_desk_instances(self, n, k, q):
+        p = desk_params(n, k, q)
+        res = value_iteration(build_model(p))
+        self.assert_same_solve(res, joint_value_iteration(build_joint_model(p), p.discount,
+                                                          p.vi_tol))
+
+    def test_n3_defaults(self, n3_oracle):
+        p, _, oracle = n3_oracle
+        res = value_iteration(build_model(p))
+        self.assert_same_solve(res, oracle)
+        assert res.residual == pytest.approx(oracle[3][-1], rel=1e-6)
