@@ -250,8 +250,8 @@ def params_from_config(path: str, n_nodes: int | None = None) -> NetworkParams:
 
     Keys live in a ``[network]`` section; ``channel_gain`` is a
     comma-separated list, or omitted to defer to the path-loss draw
-    controlled by the ``[channel]`` section (see the CLI docs for the
-    full schema).
+    controlled by the ``[channel]`` section (both sections' keys are
+    listed in ``rwsnsim --help``).
     """
     cp = configparser.ConfigParser()
     read = cp.read(path)

@@ -119,7 +119,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def spec_from_config(path: str) -> ExperimentSpec:
-    """Load an ExperimentSpec from an INI config (schema in the CLI docs)."""
+    """Load an ExperimentSpec from an INI config (schema in ``rwsnsim --help``)."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise FileNotFoundError(path)

@@ -346,7 +346,10 @@ def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile] | No
     that node over this slot plus a discount-weighted look at the next
     slot, holding every other node to the arrival-only law (their terms
     cancel out of the argmin). Documented heuristic stand-in for the exact
-    policy; ties go to the longest queue, then the lowest battery.
+    policy; ties go to the longest queue, then the lowest battery, then the
+    lowest index. A score depends only on the node and its own (battery,
+    queue), so the sort keys are tabulated once and a choice is a min over
+    N lookups.
     """
     if profiles is None:
         profiles = energy_profiles(params)
@@ -356,28 +359,28 @@ def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile] | No
     Q = params.queue_cap
     w = params.discount
 
+    def key(n: int, e: int, q: int) -> tuple[float, int, int, int]:
+        if q >= 1 and e >= profiles[n].min_tx_level:
+            imm_sel = (1.0 - ps) * lam if q == Q else 0.0
+            next_full_sel = (
+                ps * lam + (1.0 - ps) if q == Q
+                else (1.0 - ps) * lam if q == Q - 1
+                else 0.0
+            )
+        else:  # charge-only slot: queue behaves as if unselected
+            imm_sel = lam if q == Q else 0.0
+            next_full_sel = 1.0 if q == Q else lam if q == Q - 1 else 0.0
+        imm_uns = lam if q == Q else 0.0
+        next_full_uns = 1.0 if q == Q else lam if q == Q - 1 else 0.0
+        delta = (imm_sel - imm_uns) + w * lam * (next_full_sel - next_full_uns)
+        return (delta, -q, e, n)
+
+    keys = [
+        [[key(n, e, q) for q in range(Q + 1)] for e in range(params.battery_levels + 1)]
+        for n in range(params.n_nodes)
+    ]
+
     def choose(batteries: list[int], queues: list[int]) -> int:
-        best_key = None
-        best = 0
-        for n, (e, q) in enumerate(zip(batteries, queues)):
-            prof = profiles[n]
-            if q >= 1 and e >= prof.min_tx_level:
-                imm_sel = (1.0 - ps) * lam if q == Q else 0.0
-                next_full_sel = (
-                    ps * lam + (1.0 - ps) if q == Q
-                    else (1.0 - ps) * lam if q == Q - 1
-                    else 0.0
-                )
-            else:  # charge-only slot: queue behaves as if unselected
-                imm_sel = lam if q == Q else 0.0
-                next_full_sel = 1.0 if q == Q else lam if q == Q - 1 else 0.0
-            imm_uns = lam if q == Q else 0.0
-            next_full_uns = 1.0 if q == Q else lam if q == Q - 1 else 0.0
-            delta = (imm_sel - imm_uns) + w * lam * (next_full_sel - next_full_uns)
-            key = (delta, -q, e, n)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = n
-        return best
+        return min([table[e][q] for table, e, q in zip(keys, batteries, queues)])[3]
 
     return choose

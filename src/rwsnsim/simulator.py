@@ -8,20 +8,31 @@ next beacon is computed. A run is strictly sequential and deterministic
 given its seed: arrivals, strategy choices, error draws, and backoff draws
 each consume their own substream, so runs that differ only in strategy see
 identical arrival processes.
+
+Random draws are fetched BLOCK at a time and handed out one by one in the
+order a per-slot draw would have consumed them, so the numbers are those of
+drawing each value when it is needed (PCG64 gives the same uniforms whether
+drawn singly or in an array). Which form each substream is consumed in is
+listed on `Streams`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable
 
 import numpy as np
 
 from .core import NetworkParams
-from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
-from .eqat import Decision, EqatController, TxProbDesign, eqat_decide, escalate, tx_prob
+from .energy import energy_profiles, packet_success_prob
+from .eqat import EqatController, TxProbDesign, escalate, tx_prob
 from .mdp import myopic_chooser, policy_chooser
 
 STRATEGY_NAMES = ("ehmdp", "fq", "rs", "eqat", "dfq", "rc")
+# draws fetched per refill of a block-fetched stream (per arrival
+# opportunity for the arrival stream); bounds the memory a stream holds
+BLOCK = 1024
 
 
 @dataclass
@@ -30,14 +41,12 @@ class RunMetrics:
 
     Conservation: generated == delivered + dropped_overflow + in_queue_final
     (nothing is in flight at the end of a slot; collided and corrupted
-    packets stay queued, so the retries-exhausted counter stays zero under
-    pure backoff and exists for audit only).
+    packets stay queued and are retried).
     """
 
     generated: int = 0
     delivered: int = 0
     dropped_overflow: int = 0
-    dropped_collision_retries_exhausted: int = 0
     in_queue_final: int = 0
     slots: int = 0
     duration: float = 0.0  # seconds simulated
@@ -69,13 +78,54 @@ class SlotTrace:
 
 
 class Streams:
-    """Named rng substreams so different random purposes never interleave."""
+    """Named rng substreams so different random purposes never interleave.
+
+    Each substream is consumed in exactly one form during a run:
+
+      * ``arrival``: `arrival_hits`, BLOCK opportunities of N uniforms each;
+      * ``ber``: `uniforms`, BLOCK scalar uniforms at a time;
+      * ``strategy``: `uniforms` for ``rc`` and ``eqat``; direct
+        ``integers(len(eligible))`` calls for ``rs``;
+      * ``backoff``: direct ``integers(1, W + 1)`` calls.
+
+    Bounded ``integers`` consumes a data-dependent number of raw draws, so
+    those streams are not fetched ahead. A block form reads up to BLOCK
+    draws past the last value it handed out, so no stream may be consumed
+    in two forms: a direct call after a block fetch would see different
+    values from the ones a per-slot draw would have seen.
+    """
 
     def __init__(self, seed: int):
         self.arrival = np.random.default_rng([seed, 0])
         self.strategy = np.random.default_rng([seed, 1])
         self.ber = np.random.default_rng([seed, 2])
         self.backoff = np.random.default_rng([seed, 3])
+
+
+def uniforms(rng: np.random.Generator) -> Callable[[], float]:
+    """A function returning the next uniform of `rng` on each call.
+
+    Same values, in the same order, as repeated ``rng.random()``; they are
+    fetched BLOCK at a time, the first block on the first call.
+    """
+    return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None)).__next__
+
+
+def arrival_hits(rng: np.random.Generator, n_nodes: int,
+                 prob: float) -> Callable[[], list[int]]:
+    """A function returning, per arrival opportunity, the nodes with an arrival.
+
+    Node n has an arrival when its uniform is below `prob`, with the
+    uniforms of ``rng.random(n_nodes)`` per opportunity; BLOCK
+    opportunities are drawn at a time.
+    """
+    def block() -> list[list[int]]:
+        rows, nodes = np.nonzero(rng.random((BLOCK, n_nodes)) < prob)
+        ends = np.cumsum(np.bincount(rows, minlength=BLOCK)).tolist()
+        nodes = nodes.tolist()
+        return [nodes[start:end] for start, end in zip([0, *ends], ends)]
+
+    return chain.from_iterable(iter(block, None)).__next__
 
 
 class Simulation:
@@ -85,7 +135,11 @@ class Simulation:
         self.strategy = strategy
         self.rng = Streams(seed)
         self.profiles = energy_profiles(params)
+        self.min_tx = [prof.min_tx_level for prof in self.profiles]
         self.ps = packet_success_prob(params)
+        self._ber = uniforms(self.rng.ber)
+        self._arrivals = arrival_hits(self.rng.arrival, params.n_nodes, params.arrival_prob)
+        self._arrivals_per_slot = params.arrivals_per_slot
         n = params.n_nodes
         self.batteries = [params.initial_battery] * n
         self.queues = [0] * n
@@ -95,8 +149,12 @@ class Simulation:
         strategy.bind(self)
 
     def can_transmit(self, node: int) -> bool:
-        return (self.queues[node] >= 1
-                and self.batteries[node] >= self.profiles[node].min_tx_level)
+        return self.queues[node] >= 1 and self.batteries[node] >= self.min_tx[node]
+
+    def transmit_ready(self) -> list[int]:
+        """Every node that `can_transmit`, in index order."""
+        return [i for i, (q, e, need) in enumerate(zip(self.queues, self.batteries, self.min_tx))
+                if q >= 1 and e >= need]
 
     def _apply_levels(self, node: int, delta: int) -> int:
         before = self.batteries[node]
@@ -105,7 +163,6 @@ class Simulation:
         return after - before
 
     def step(self):
-        p = self.params
         transmitters = self.strategy.select(self)
         outcome = "idle"
         energy = 0
@@ -113,7 +170,7 @@ class Simulation:
         if len(transmitters) == 1:
             (t,) = transmitters
             if self.can_transmit(t):
-                if self.rng.ber.random() < self.ps:
+                if self._ber() < self.ps:
                     outcome = "success"
                     self.queues[t] -= 1
                     self.metrics.delivered += 1
@@ -128,20 +185,19 @@ class Simulation:
         elif len(transmitters) >= 2:
             outcome = "collision"
             for t in transmitters:
-                self._apply_levels(t, -self.profiles[t].min_tx_level)
+                self._apply_levels(t, -self.min_tx[t])
 
         self.strategy.on_outcome(self, transmitters, outcome)
 
-        lam = p.arrival_prob
-        for _ in range(p.arrivals_per_slot):
-            draws = self.rng.arrival.random(p.n_nodes)
-            for n in range(p.n_nodes):
-                if draws[n] < lam:
-                    self.metrics.generated += 1
-                    if self.queues[n] >= p.queue_cap:
-                        self.metrics.dropped_overflow += 1
-                    else:
-                        self.queues[n] += 1
+        queues, cap, m = self.queues, self.params.queue_cap, self.metrics
+        for _ in range(self._arrivals_per_slot):
+            hits = self._arrivals()
+            m.generated += len(hits)
+            for n in hits:
+                if queues[n] >= cap:
+                    m.dropped_overflow += 1
+                else:
+                    queues[n] += 1
 
         self.strategy.end_of_slot(self)
 
@@ -160,8 +216,8 @@ class Simulation:
         for _ in range(slots):
             self.step()
         m = self.metrics
-        m.slots = slots
-        m.duration = slots * self.params.slot_len
+        m.slots = self.slot
+        m.duration = self.slot * self.params.slot_len
         m.in_queue_final = sum(self.queues)
         return m
 
@@ -194,8 +250,9 @@ class FullQueueStrategy(Strategy):
     name = "fq"
 
     def select(self, sim):
-        # max() keeps the first maximal element, i.e. the lowest index
-        return [max(range(sim.params.n_nodes), key=lambda i: sim.queues[i])]
+        # index() finds the first maximal element, i.e. the lowest index
+        queues = sim.queues
+        return [queues.index(max(queues))]
 
 
 class RandomSelectionStrategy(Strategy):
@@ -204,7 +261,7 @@ class RandomSelectionStrategy(Strategy):
     name = "rs"
 
     def select(self, sim):
-        eligible = [i for i in range(sim.params.n_nodes) if sim.queues[i] >= 1]
+        eligible = [i for i, q in enumerate(sim.queues) if q >= 1]
         if not eligible:
             return []
         return [eligible[int(sim.rng.strategy.integers(len(eligible)))]]
@@ -234,9 +291,8 @@ class DecentralizedFullQueueStrategy(Strategy):
     centralized = False
 
     def select(self, sim):
-        cap = sim.params.queue_cap
-        return [i for i in range(sim.params.n_nodes)
-                if sim.queues[i] >= cap and sim.can_transmit(i)]
+        cap, queues = sim.params.queue_cap, sim.queues
+        return [i for i in sim.transmit_ready() if queues[i] >= cap]
 
 
 class RandomContentionStrategy(Strategy):
@@ -248,13 +304,12 @@ class RandomContentionStrategy(Strategy):
     def __init__(self, contention_prob: float = 0.75):
         self.contention_prob = contention_prob
 
+    def bind(self, sim: Simulation):
+        self._uniform = uniforms(sim.rng.strategy)
+
     def select(self, sim):
-        out = []
-        for i in range(sim.params.n_nodes):
-            if sim.can_transmit(i):
-                if sim.rng.strategy.random() < self.contention_prob:
-                    out.append(i)
-        return out
+        uniform, p = self._uniform, self.contention_prob
+        return [i for i in sim.transmit_ready() if uniform() < p]
 
 
 class EqatStrategy(Strategy):
@@ -277,6 +332,7 @@ class EqatStrategy(Strategy):
 
     def bind(self, sim: Simulation):
         p = sim.params
+        self._uniform = uniforms(sim.rng.strategy)
         self.controllers = [
             EqatController(design=self.design, alpha=self.alpha, threshold=self.threshold,
                            backoff_window=self.backoff_window)
@@ -297,12 +353,11 @@ class EqatStrategy(Strategy):
     def _beacon(self, sim: Simulation) -> list[float]:
         # a node that will not contend (backoff, no packet, or battery below
         # one transmission) honestly advertises zero
-        return [
-            0.0
-            if self.controllers[i].backoff_remaining > 0 or not sim.can_transmit(i)
-            else self._effective(sim, i)
-            for i in range(sim.params.n_nodes)
-        ]
+        beacon = [0.0] * sim.params.n_nodes
+        for i in sim.transmit_ready():
+            if self.controllers[i].backoff_remaining <= 0:
+                beacon[i] = self._effective(sim, i)
+        return beacon
 
     def select(self, sim):
         n = sim.params.n_nodes
@@ -316,11 +371,11 @@ class EqatStrategy(Strategy):
             suf[i] = suf[i + 1] * (1.0 - self.beacon[i])
 
         out = []
-        for i in range(n):
+        for i in sim.transmit_ready():
             ctl = self.controllers[i]
-            if ctl.backoff_remaining > 0 or not sim.can_transmit(i):
+            if ctl.backoff_remaining > 0:
                 continue
-            if sim.rng.strategy.random() >= self._effective(sim, i):
+            if self._uniform() >= self._effective(sim, i):
                 continue
             if ps_clean * pre[i] * suf[i + 1] < ctl.threshold:
                 continue
