@@ -21,7 +21,7 @@ from pathlib import Path
 from .experiments import read_agg_csv, report, run_experiment, spec_from_config, write_outputs
 
 CONFIG_SCHEMA = """\
-config file (INI; every section and key is optional):
+config file (INI; every section and key is optional, any other is an error):
   [experiment]  n_nodes, t_hat, seeds   comma lists or dash ranges ("0-4, 7")
                 designs                 comma list: sigmoid | exp:RATE |
                                         exp:RQ:RE | gamma:SHAPE:SCALE

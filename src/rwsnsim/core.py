@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, fields
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -223,7 +223,15 @@ def draw_channel_gains(
 
 # -- configuration file loading ---------------------------------------------
 
-_NETWORK_KEYS = {
+
+def _float_list(text: str) -> tuple[float, ...]:
+    """A comma-separated list of floats."""
+    return tuple(float(x) for x in text.split(",") if x.strip())
+
+
+# converters of the [network] keys (NetworkParams fields) and of the
+# [channel] keys (draw_channel_gains arguments)
+NETWORK_KEYS = {
     "n_nodes": int,
     "packet_bits": int,
     "ber_target": float,
@@ -242,57 +250,62 @@ _NETWORK_KEYS = {
     "discount": float,
     "vi_tol": float,
     "initial_battery": int,
+    "channel_gain": _float_list,
+}
+CHANNEL_KEYS = {
+    "seed": int,
+    "reference_gain": float,
+    "reference_dist": float,
+    "min_dist": float,
+    "max_dist": float,
+    "pathloss_exp": float,
 }
 
 
-def params_from_config(path: str, n_nodes: int | None = None) -> NetworkParams:
-    """Load NetworkParams from a flat key=value config file.
+def read_config(path: str, schema: dict[str, dict[str, Callable]]) -> dict[str, dict]:
+    """The converted values of an INI file, by section: {section: {key: value}}.
 
-    Keys live in a ``[network]`` section; ``channel_gain`` is a
-    comma-separated list, or omitted to defer to the path-loss draw
-    controlled by the ``[channel]`` section (both sections' keys are
-    listed in ``rwsnsim --help``).
+    `schema` maps every allowed section to its keys' converters; each of its
+    sections is in the result, empty when the file leaves it out. Raises
+    FileNotFoundError for a missing file, and one ValueError naming every
+    section and key the schema does not know, or else the first value that
+    does not convert.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise FileNotFoundError(path)
-    kwargs = {}
-    if cp.has_section("network"):
-        sec = cp["network"]
-        for key, conv in _NETWORK_KEYS.items():
-            if key in sec:
-                kwargs[key] = conv(sec[key])
-        if "channel_gain" in sec:
-            kwargs["channel_gain"] = tuple(
-                float(x) for x in sec["channel_gain"].split(",") if x.strip()
-            )
+    unknown = ["[DEFAULT]"] if cp.defaults() else []
+    for name in cp.sections():
+        if name not in schema:
+            unknown.append(f"[{name}]")
+        else:
+            unknown += [f"[{name}] {key}" for key in cp.options(name) if key not in schema[name]]
+    if unknown:
+        raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
+    out: dict[str, dict] = {name: {} for name in schema}
+    for name in cp.sections():
+        for key, text in cp.items(name):
+            try:
+                out[name][key] = schema[name][key](text)
+            except ValueError as e:
+                raise ValueError(f"{path}: [{name}] {key} = {text!r}: {e}") from None
+    return out
+
+
+def params_from_config(path: str, n_nodes: int | None = None) -> NetworkParams:
+    """Load NetworkParams from a config file's [network] and [channel] sections.
+
+    ``channel_gain`` is a comma-separated list, or omitted to defer to the
+    path-loss draw controlled by the ``[channel]`` section (both sections'
+    keys are listed in ``rwsnsim --help``). Any other section or key is an
+    error.
+    """
+    cfg = read_config(path, {"network": NETWORK_KEYS, "channel": CHANNEL_KEYS})
+    kwargs = cfg["network"]
     if n_nodes is not None:
         kwargs["n_nodes"] = n_nodes
     if "n_nodes" not in kwargs:
         raise ValueError(f"{path}: [network] n_nodes is required")
     if "channel_gain" not in kwargs:
-        kwargs["channel_gain"] = draw_channel_gains(
-            kwargs["n_nodes"], **channel_model_from_config(path)
-        )
+        kwargs["channel_gain"] = draw_channel_gains(kwargs["n_nodes"], **cfg["channel"])
     return NetworkParams(**kwargs)
-
-
-def channel_model_from_config(path: str) -> dict:
-    """Read the [channel] path-loss model knobs from a config file."""
-    cp = configparser.ConfigParser()
-    cp.read(path)
-    out: dict = {}
-    if cp.has_section("channel"):
-        sec = cp["channel"]
-        for key, conv in (
-            ("seed", int),
-            ("reference_gain", float),
-            ("reference_dist", float),
-            ("min_dist", float),
-            ("max_dist", float),
-            ("pathloss_exp", float),
-        ):
-            if key in sec:
-                out[key] = conv(sec[key])
-    return out

@@ -13,8 +13,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainc
-
 from .core import NetworkParams, NodeState, check_node_state
 from .energy import NodeEnergyProfile, node_energy_profile, packet_success_prob
 from .mdp import Dist, _clamp, _merge, can_transmit, selected_transition
@@ -104,6 +102,9 @@ def tx_prob(design: TxProbDesign, battery: int, queue: int, params: NetworkParam
     # regularized gamma saturates at 1
     if battery == 0:
         return 1.0
+    # imported here: scipy costs more to import than the rest of the package
+    from scipy.special import gammainc
+
     return float(gammainc(design.shape, queue / (design.scale * battery)))
 
 

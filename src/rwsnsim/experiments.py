@@ -20,7 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .core import NetworkParams, draw_channel_gains, validate
+from .core import (CHANNEL_KEYS, NETWORK_KEYS, NetworkParams, draw_channel_gains, read_config,
+                   validate)
 from .eqat import TxProbDesign
 from .mdp import DEFAULT_STATE_BUDGET, build_model, value_iteration
 from .simulator import STRATEGY_NAMES, SlotTrace, simulate_run
@@ -118,56 +119,51 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+def _words(text: str) -> list[str]:
+    return [w.strip() for w in text.split(",") if w.strip()]
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+# the config file's schema (documented in ``rwsnsim --help``): each section's
+# keys with their converters; n_nodes and slot_len come from [experiment]
+_SPEC_SCHEMA = {
+    "experiment": {
+        "n_nodes": _parse_int_list,
+        "t_hat": _parse_int_list,
+        "designs": _words,
+        "strategies": lambda text: _words(text.lower()),
+        "slots": int,
+        "seeds": _parse_int_list,
+        "minislot_len": float,
+        "budget": int,
+        "workers": int,
+        "trace": _boolean,
+    },
+    "network": {k: conv for k, conv in NETWORK_KEYS.items() if k not in ("n_nodes", "slot_len")},
+    "channel": CHANNEL_KEYS,
+    "eqat": {"alpha": float, "threshold": float, "backoff_window": int},
+    "rc": {"contention_prob": float},
+}
+
+
 def spec_from_config(path: str) -> ExperimentSpec:
-    """Load an ExperimentSpec from an INI config (schema in ``rwsnsim --help``)."""
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise FileNotFoundError(path)
-    spec = ExperimentSpec()
-    if cp.has_section("experiment"):
-        sec = cp["experiment"]
-        if "n_nodes" in sec:
-            spec.n_nodes = _parse_int_list(sec["n_nodes"])
-        if "t_hat" in sec:
-            spec.t_hat = _parse_int_list(sec["t_hat"])
-        if "designs" in sec:
-            spec.designs = [d.strip() for d in sec["designs"].split(",") if d.strip()]
-        if "strategies" in sec:
-            spec.strategies = [s.strip().lower() for s in sec["strategies"].split(",") if s.strip()]
-        if "slots" in sec:
-            spec.slots = sec.getint("slots")
-        if "seeds" in sec:
-            spec.seeds = _parse_int_list(sec["seeds"])
-        if "minislot_len" in sec:
-            spec.minislot_len = sec.getfloat("minislot_len")
-        if "budget" in sec:
-            spec.budget = sec.getint("budget")
-        if "workers" in sec:
-            spec.workers = sec.getint("workers")
-        if "trace" in sec:
-            spec.trace = sec.getboolean("trace")
-    if cp.has_section("network"):
-        from .core import _NETWORK_KEYS
+    """Load an ExperimentSpec from an INI config (schema in ``rwsnsim --help``).
 
-        sec = cp["network"]
-        for key, conv in _NETWORK_KEYS.items():
-            if key in sec and key != "n_nodes":
-                spec.network[key] = conv(sec[key])
-        if "channel_gain" in sec:
-            spec.network["channel_gain"] = tuple(
-                float(x) for x in sec["channel_gain"].split(",") if x.strip()
-            )
-    if cp.has_section("channel"):
-        from .core import channel_model_from_config
-
-        spec.channel = channel_model_from_config(path)
-    if cp.has_section("eqat"):
-        sec = cp["eqat"]
-        spec.eqat_alpha = sec.getfloat("alpha", spec.eqat_alpha)
-        spec.eqat_threshold = sec.getfloat("threshold", spec.eqat_threshold)
-        spec.backoff_window = sec.getint("backoff_window", spec.backoff_window)
-    if cp.has_section("rc"):
-        spec.rc_contention = cp["rc"].getfloat("contention_prob", spec.rc_contention)
+    An unknown section or key is an error (see `core.read_config`).
+    """
+    cfg = read_config(path, _SPEC_SCHEMA)
+    eqat, rc = cfg["eqat"], cfg["rc"]
+    spec = ExperimentSpec(**cfg["experiment"], network=cfg["network"], channel=cfg["channel"])
+    spec.eqat_alpha = eqat.get("alpha", spec.eqat_alpha)
+    spec.eqat_threshold = eqat.get("threshold", spec.eqat_threshold)
+    spec.backoff_window = eqat.get("backoff_window", spec.backoff_window)
+    spec.rc_contention = rc.get("contention_prob", spec.rc_contention)
     return spec
 
 

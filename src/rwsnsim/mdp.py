@@ -348,8 +348,9 @@ def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile] | No
     cancel out of the argmin). Documented heuristic stand-in for the exact
     policy; ties go to the longest queue, then the lowest battery, then the
     lowest index. A score depends only on the node and its own (battery,
-    queue), so the sort keys are tabulated once and a choice is a min over
-    N lookups.
+    queue), so the sort keys are tabulated once. They are distinct (each
+    carries its node), so one sort turns them into integer ranks, and a
+    choice is the node of the least rank among N lookups.
     """
     if profiles is None:
         profiles = energy_profiles(params)
@@ -379,8 +380,12 @@ def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile] | No
         [[key(n, e, q) for q in range(Q + 1)] for e in range(params.battery_levels + 1)]
         for n in range(params.n_nodes)
     ]
+    order = sorted(k for table in keys for row in table for k in row)
+    rank = {k: r for r, k in enumerate(order)}
+    node_of = [k[3] for k in order]
+    ranks = [[[rank[k] for k in row] for row in table] for table in keys]
 
     def choose(batteries: list[int], queues: list[int]) -> int:
-        return min([table[e][q] for table, e, q in zip(keys, batteries, queues)])[3]
+        return node_of[min([table[e][q] for table, e, q in zip(ranks, batteries, queues)])]
 
     return choose

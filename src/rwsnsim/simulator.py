@@ -9,6 +9,14 @@ given its seed: arrivals, strategy choices, error draws, and backoff draws
 each consume their own substream, so runs that differ only in strategy see
 identical arrival processes.
 
+Per-slot work scales with the nodes that can act, not with N. Batteries
+change only through `Simulation._apply_levels`, which keeps
+`Simulation.powered`, the nodes whose battery affords one transmission, in
+index order; `transmit_ready` filters that list by the live queues, so
+code may assign `queues` freely but must not write `batteries` directly.
+`EqatStrategy` caches its contenders and their beacon probabilities at the
+end of each slot (see its docstring).
+
 Random draws are fetched BLOCK at a time and handed out one by one in the
 order a per-slot draw would have consumed them, so the numbers are those of
 drawing each value when it is needed (PCG64 gives the same uniforms whether
@@ -18,6 +26,7 @@ listed on `Streams`.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -143,6 +152,7 @@ class Simulation:
         n = params.n_nodes
         self.batteries = [params.initial_battery] * n
         self.queues = [0] * n
+        self.powered = [i for i, need in enumerate(self.min_tx) if self.batteries[i] >= need]
         self.metrics = RunMetrics()
         self.traces: list[SlotTrace] | None = [] if trace else None
         self.slot = 0
@@ -153,13 +163,25 @@ class Simulation:
 
     def transmit_ready(self) -> list[int]:
         """Every node that `can_transmit`, in index order."""
-        return [i for i, (q, e, need) in enumerate(zip(self.queues, self.batteries, self.min_tx))
-                if q >= 1 and e >= need]
+        queues = self.queues
+        return [i for i in self.powered if queues[i] >= 1]
 
     def _apply_levels(self, node: int, delta: int) -> int:
+        """Add `delta` levels to a battery, clamped; the only battery write."""
         before = self.batteries[node]
-        after = max(0, min(self.params.battery_levels, before + delta))
+        after = before + delta
+        # comparisons, not max/min: this runs once per transmitter per slot
+        if after > self.params.battery_levels:
+            after = self.params.battery_levels
+        elif after < 0:
+            after = 0
         self.batteries[node] = after
+        need = self.min_tx[node]
+        if (before >= need) != (after >= need):
+            if after >= need:
+                insort(self.powered, node)
+            else:
+                self.powered.remove(node)
         return after - before
 
     def step(self):
@@ -270,15 +292,17 @@ class RandomSelectionStrategy(Strategy):
 class EhmdpStrategy(Strategy):
     """Scheduler driven by the solved policy, or its myopic stand-in."""
 
-    def __init__(self, params: NetworkParams, vi_result=None):
-        if vi_result is not None:
+    name = "ehmdp"
+
+    def __init__(self, vi_result=None):
+        self.exact = vi_result is not None
+        if self.exact:
             self._choose = policy_chooser(vi_result)
-            self.name = "ehmdp"
-            self.exact = True
-        else:
-            self._choose = myopic_chooser(params)
-            self.name = "ehmdp"
-            self.exact = False
+
+    def bind(self, sim: Simulation):
+        # the myopic scores come from the run's own energy profiles
+        if not self.exact:
+            self._choose = myopic_chooser(sim.params, sim.profiles)
 
     def select(self, sim):
         return [self._choose(sim.batteries, sim.queues)]
@@ -291,8 +315,9 @@ class DecentralizedFullQueueStrategy(Strategy):
     centralized = False
 
     def select(self, sim):
+        # queue_cap >= 1, so a powered node with a full queue can transmit
         cap, queues = sim.params.queue_cap, sim.queues
-        return [i for i in sim.transmit_ready() if queues[i] >= cap]
+        return [i for i in sim.powered if queues[i] >= cap]
 
 
 class RandomContentionStrategy(Strategy):
@@ -318,6 +343,15 @@ class EqatStrategy(Strategy):
     Beacon probabilities are the controllers' effective values computed at
     the end of the previous slot (one slot stale), zero for nodes that will
     still be backing off.
+
+    The work of a slot is event-driven. `bind` and `end_of_slot` compute the
+    contenders (`transmit_ready` nodes not backing off, in index order) and
+    their beacon values once; `select` reuses both, since nothing changes
+    between `end_of_slot` and the next `select`. Only the controllers in
+    `waiting` (backing off) are ticked; a collision in `on_outcome` adds
+    its transmitters there. Every other node advertises exactly 0.0, so
+    the competitor products run over the contenders alone and equal the
+    products over all N factors bit for bit.
     """
 
     name = "eqat"
@@ -343,58 +377,60 @@ class EqatStrategy(Strategy):
             [tx_prob(self.design, e, q, p) for q in range(p.queue_cap + 1)]
             for e in range(p.battery_levels + 1)
         ]
-        self.beacon = self._beacon(sim)
+        self.waiting: list[int] = []
+        self._refresh(sim)
 
-    def _effective(self, sim: Simulation, node: int) -> float:
-        ctl = self.controllers[node]
-        base = self._p_table[sim.batteries[node]][sim.queues[node]]
-        return escalate(base, ctl.alpha, ctl.fail_count)
-
-    def _beacon(self, sim: Simulation) -> list[float]:
+    def _refresh(self, sim: Simulation):
         # a node that will not contend (backoff, no packet, or battery below
-        # one transmission) honestly advertises zero
-        beacon = [0.0] * sim.params.n_nodes
-        for i in sim.transmit_ready():
-            if self.controllers[i].backoff_remaining <= 0:
-                beacon[i] = self._effective(sim, i)
+        # one transmission) honestly advertises zero and is left out
+        ctls, table, batteries, queues = self.controllers, self._p_table, sim.batteries, sim.queues
+        self._contenders = [i for i in sim.transmit_ready() if ctls[i].backoff_remaining <= 0]
+        self._probs = [escalate(table[batteries[i]][queues[i]], self.alpha, ctls[i].fail_count)
+                       for i in self._contenders]
+
+    @property
+    def beacon(self) -> list[float]:
+        """Every node's advertised probability, in index order."""
+        beacon = [0.0] * len(self.controllers)
+        for i, p in zip(self._contenders, self._probs):
+            beacon[i] = p
         return beacon
 
     def select(self, sim):
-        n = sim.params.n_nodes
-        ps_clean = sim.ps * (1.0 - sim.params.arrival_prob)
-        # prefix/suffix products of (1 - beacon) for O(N) competitor terms
+        contenders, probs, uniform = self._contenders, self._probs, self._uniform
+        # one uniform per contender, in index order
+        nominees = [k for k, p in enumerate(probs) if uniform() < p]
+        if not nominees or self.threshold <= 0.0:
+            # competitor products are >= 0, so no threshold <= 0 vetoes
+            return [contenders[k] for k in nominees]
+        # prefix/suffix products of (1 - beacon) over the contenders
+        n = len(probs)
         pre = [1.0] * (n + 1)
-        for i in range(n):
-            pre[i + 1] = pre[i] * (1.0 - self.beacon[i])
+        for k in range(n):
+            pre[k + 1] = pre[k] * (1.0 - probs[k])
         suf = [1.0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suf[i] = suf[i + 1] * (1.0 - self.beacon[i])
-
-        out = []
-        for i in sim.transmit_ready():
-            ctl = self.controllers[i]
-            if ctl.backoff_remaining > 0:
-                continue
-            if self._uniform() >= self._effective(sim, i):
-                continue
-            if ps_clean * pre[i] * suf[i + 1] < ctl.threshold:
-                continue
-            out.append(i)
-        return out
+        for k in range(n - 1, -1, -1):
+            suf[k] = suf[k + 1] * (1.0 - probs[k])
+        ps_clean = sim.ps * (1.0 - sim.params.arrival_prob)
+        return [contenders[k] for k in nominees
+                if ps_clean * pre[k] * suf[k + 1] >= self.threshold]
 
     def on_outcome(self, sim, transmitters, outcome):
         if outcome == "collision":
             for t in transmitters:
                 self.controllers[t].on_collision(sim.rng.backoff)
+            self.waiting.extend(transmitters)
         elif outcome == "success":
             self.controllers[transmitters[0]].on_success()
         elif outcome == "ber_fail":
             self.controllers[transmitters[0]].on_ber_failure()
 
     def end_of_slot(self, sim):
-        for ctl in self.controllers:
-            ctl.tick()
-        self.beacon = self._beacon(sim)
+        ctls = self.controllers
+        for i in self.waiting:
+            ctls[i].tick()
+        self.waiting = [i for i in self.waiting if ctls[i].backoff_remaining > 0]
+        self._refresh(sim)
 
 
 def make_strategy(
@@ -415,7 +451,7 @@ def make_strategy(
     if name == "rs":
         return RandomSelectionStrategy()
     if name == "ehmdp":
-        return EhmdpStrategy(params, vi_result=vi_result)
+        return EhmdpStrategy(vi_result)
     if name == "dfq":
         return DecentralizedFullQueueStrategy()
     if name == "rc":

@@ -39,3 +39,15 @@ def test_invalid_input_exits_with_one_message(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("rwsnsim: error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_typos_exit_2_naming_each(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[experiment]\nstrategy = fq\nslots = 10\n[netwrok]\narrival_prob = 0.1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rwsnsim: error: ") and err.count("\n") == 1, err
+    assert "[experiment] strategy" in err and "[netwrok]" in err
+    assert not (tmp_path / "out").exists()

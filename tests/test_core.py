@@ -154,6 +154,23 @@ class TestConfigFile:
         with pytest.raises(FileNotFoundError):
             params_from_config("/nonexistent/net.ini")
 
+    def test_every_unknown_section_and_key_named_in_one_error(self, tmp_path):
+        cfg = tmp_path / "net.ini"
+        cfg.write_text("[network]\nn_nodes = 3\narival_prob = 0.2\n\n"
+                       "[netwrok]\nqueue_cap = 4\n\n[channel]\nsede = 3\n")
+        with pytest.raises(ValueError) as exc:
+            params_from_config(str(cfg))
+        msg = str(exc.value)
+        assert "[network] arival_prob" in msg
+        assert "[netwrok]" in msg
+        assert "[channel] sede" in msg
+
+    def test_bad_value_names_its_key(self, tmp_path):
+        cfg = tmp_path / "net.ini"
+        cfg.write_text("[network]\nn_nodes = three\n")
+        with pytest.raises(ValueError, match=r"\[network\] n_nodes"):
+            params_from_config(str(cfg))
+
 
 class TestArrivalsPerSlot:
     def test_default_one_opportunity(self):

@@ -1,10 +1,15 @@
 """Nomination designs, collision law, and the contention controller."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwsnsim
 from rwsnsim.core import NetworkParams, NodeState
 from rwsnsim.energy import node_energy_profile, packet_success_prob
 from rwsnsim.eqat import (
@@ -75,6 +80,16 @@ class TestTxProb:
         p = make_params()
         d = TxProbDesign.gamma(2.5, 0.8)
         assert tx_prob(d, 3, 4, p) == pytest.approx(gammainc(2.5, 4 / (0.8 * 3)), abs=1e-14)
+
+    def test_scipy_imported_only_for_gamma_designs(self):
+        # scipy is most of the package's import time and only gamma needs it
+        code = ("import sys, rwsnsim.experiments, rwsnsim.cli; "
+                "assert 'scipy' not in sys.modules, sorted(sys.modules)")
+        src = str(Path(rwsnsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.label)
     def test_monotone_on_full_grid(self, design):

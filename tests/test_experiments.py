@@ -168,6 +168,19 @@ class TestConfigFile:
         with pytest.raises(FileNotFoundError):
             spec_from_config("/nonexistent.ini")
 
+    def test_unknown_entries_rejected(self, tmp_path):
+        # n_nodes and slot_len come from [experiment]; in [network] they
+        # would be ignored, so they are refused like a typo
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nstrategy = fq\n[netwrok]\narrival_prob = 0.1\n"
+                       "[network]\nn_nodes = 3\nslot_len = 0.02\n")
+        with pytest.raises(ValueError) as exc:
+            spec_from_config(str(cfg))
+        msg = str(exc.value)
+        for entry in ("[experiment] strategy", "[netwrok]", "[network] n_nodes",
+                      "[network] slot_len"):
+            assert entry in msg
+
 
 class TestReport:
     def test_single_strategy_table(self):

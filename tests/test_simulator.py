@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
-from rwsnsim.eqat import Decision, TxProbDesign, eqat_decide
+from rwsnsim.eqat import Decision, TxProbDesign, eqat_decide, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.simulator import (
     EqatStrategy,
@@ -160,6 +160,81 @@ class TestInvariants:
             assert (t.outcome == "collision") == (len(t.transmitters) >= 2)
             saw_collision |= t.outcome == "collision"
         assert saw_collision
+
+
+def brute_force_ready(sim):
+    return [i for i in range(sim.params.n_nodes)
+            if sim.queues[i] >= 1 and sim.batteries[i] >= sim.profiles[i].min_tx_level]
+
+
+# high arrival rate and a lossy link: collisions, bit-error failures, and
+# batteries drained below one transmission's cost
+def busy_params(n_nodes):
+    return make_params(n_nodes=n_nodes, arrival_prob=0.5, ber_target=5e-3,
+                       channel_gain=draw_channel_gains(n_nodes))
+
+
+class TestIncrementalBookkeeping:
+    @pytest.mark.parametrize("n_nodes", [4, 10])
+    @pytest.mark.parametrize("name", ["dfq", "rc", "eqat"])
+    def test_powered_list_matches_brute_force_every_slot(self, name, n_nodes):
+        p = busy_params(n_nodes)
+        sim = Simulation(p, make_strategy(name, p), seed=3, trace=True)
+        drained = False
+        for _ in range(1500):
+            before = len(sim.powered)
+            sim.step()
+            assert sim.transmit_ready() == brute_force_ready(sim)
+            assert sim.powered == [i for i in range(n_nodes)
+                                   if sim.batteries[i] >= sim.min_tx[i]]
+            drained |= len(sim.powered) < before
+        assert drained
+        assert {"success", "ber_fail", "collision"} <= {t.outcome for t in sim.traces}
+
+    def test_powered_list_stays_in_index_order(self):
+        # a contention run never recharges a drained node, so order on
+        # re-entry is checked directly
+        p = make_params(n_nodes=3)
+        sim = Simulation(p, make_strategy("fq", p), seed=0)
+        for node in (2, 0, 1):
+            sim._apply_levels(node, -p.battery_levels)
+        assert sim.powered == []
+        for node in (2, 0):
+            sim._apply_levels(node, p.battery_levels)
+        assert sim.powered == [0, 2]
+
+    @pytest.mark.parametrize("n_nodes", [4, 10])
+    def test_eqat_controllers_match_a_shadow_ticking_every_node(self, n_nodes):
+        p = busy_params(n_nodes)
+        design = TxProbDesign.exponential(1.0, 0.05)
+        strategy = EqatStrategy(design, backoff_window=4)
+        sim = Simulation(p, strategy, seed=5, trace=True)
+        shadow = copy.deepcopy(strategy.controllers)
+        shadow_backoff = Streams(5).backoff
+        collided = 0
+        for _ in range(1500):
+            sim.step()
+            t = sim.traces[-1]
+            if t.outcome == "collision":
+                collided += 1
+                for i in t.transmitters:
+                    shadow[i].on_collision(shadow_backoff)
+            elif t.outcome == "success":
+                shadow[t.transmitters[0]].on_success()
+            elif t.outcome == "ber_fail":
+                shadow[t.transmitters[0]].on_ber_failure()
+            for ctl in shadow:
+                ctl.tick()
+            assert [(c.backoff_remaining, c.fail_count) for c in strategy.controllers] == \
+                [(c.backoff_remaining, c.fail_count) for c in shadow]
+            ready = brute_force_ready(sim)
+            assert strategy.beacon == [
+                escalate(tx_prob(design, sim.batteries[i], sim.queues[i], p), c.alpha,
+                         c.fail_count)
+                if i in ready and c.backoff_remaining <= 0 else 0.0
+                for i, c in enumerate(shadow)
+            ]
+        assert collided > 10
 
 
 class TestStrategies:
