@@ -7,9 +7,8 @@ violations instead of raising on the first one.
 
 from __future__ import annotations
 
-import configparser
-from dataclasses import dataclass, fields
-from typing import Callable, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -89,16 +88,6 @@ class NetworkParams:
     @property
     def joint_state_count(self) -> int:
         return self.per_node_states**self.n_nodes
-
-    def replace(self, **changes) -> "NetworkParams":
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        # derived fields must be re-derived unless explicitly overridden
-        if "battery_levels" in changes or "battery_quantum" in changes:
-            kwargs["battery_capacity"] = None
-        if "n_nodes" in changes and "channel_gain" not in changes:
-            kwargs["channel_gain"] = None
-        kwargs.update(changes)
-        return NetworkParams(**kwargs)
 
 
 def validate(params: NetworkParams) -> list[str]:
@@ -219,93 +208,3 @@ def draw_channel_gains(
     dist = rng.uniform(min_dist, max_dist, size=n_nodes)
     gains = reference_gain * (reference_dist / dist) ** pathloss_exp
     return tuple(float(g) for g in gains)
-
-
-# -- configuration file loading ---------------------------------------------
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    """A comma-separated list of floats."""
-    return tuple(float(x) for x in text.split(",") if x.strip())
-
-
-# converters of the [network] keys (NetworkParams fields) and of the
-# [channel] keys (draw_channel_gains arguments)
-NETWORK_KEYS = {
-    "n_nodes": int,
-    "packet_bits": int,
-    "ber_target": float,
-    "kappa1": float,
-    "kappa2": float,
-    "bs_power": float,
-    "transfer_efficiency": float,
-    "bandwidth": float,
-    "slot_len": float,
-    "arrival_period": float,
-    "arrival_prob": float,
-    "battery_levels": int,
-    "battery_quantum": float,
-    "queue_cap": int,
-    "max_modulation": int,
-    "discount": float,
-    "vi_tol": float,
-    "initial_battery": int,
-    "channel_gain": _float_list,
-}
-CHANNEL_KEYS = {
-    "seed": int,
-    "reference_gain": float,
-    "reference_dist": float,
-    "min_dist": float,
-    "max_dist": float,
-    "pathloss_exp": float,
-}
-
-
-def read_config(path: str, schema: dict[str, dict[str, Callable]]) -> dict[str, dict]:
-    """The converted values of an INI file, by section: {section: {key: value}}.
-
-    `schema` maps every allowed section to its keys' converters; each of its
-    sections is in the result, empty when the file leaves it out. Raises
-    FileNotFoundError for a missing file, and one ValueError naming every
-    section and key the schema does not know, or else the first value that
-    does not convert.
-    """
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise FileNotFoundError(path)
-    unknown = ["[DEFAULT]"] if cp.defaults() else []
-    for name in cp.sections():
-        if name not in schema:
-            unknown.append(f"[{name}]")
-        else:
-            unknown += [f"[{name}] {key}" for key in cp.options(name) if key not in schema[name]]
-    if unknown:
-        raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
-    out: dict[str, dict] = {name: {} for name in schema}
-    for name in cp.sections():
-        for key, text in cp.items(name):
-            try:
-                out[name][key] = schema[name][key](text)
-            except ValueError as e:
-                raise ValueError(f"{path}: [{name}] {key} = {text!r}: {e}") from None
-    return out
-
-
-def params_from_config(path: str, n_nodes: int | None = None) -> NetworkParams:
-    """Load NetworkParams from a config file's [network] and [channel] sections.
-
-    ``channel_gain`` is a comma-separated list, or omitted to defer to the
-    path-loss draw controlled by the ``[channel]`` section (both sections'
-    keys are listed in ``rwsnsim --help``). Any other section or key is an
-    error.
-    """
-    cfg = read_config(path, {"network": NETWORK_KEYS, "channel": CHANNEL_KEYS})
-    kwargs = cfg["network"]
-    if n_nodes is not None:
-        kwargs["n_nodes"] = n_nodes
-    if "n_nodes" not in kwargs:
-        raise ValueError(f"{path}: [network] n_nodes is required")
-    if "channel_gain" not in kwargs:
-        kwargs["channel_gain"] = draw_channel_gains(kwargs["n_nodes"], **cfg["channel"])
-    return NetworkParams(**kwargs)

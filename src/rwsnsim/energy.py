@@ -152,11 +152,6 @@ def optimal_modulation(params: NetworkParams, node: int) -> ModulationDecision:
     )
 
 
-def harvest_delta(params: NetworkParams, node: int) -> int:
-    """Quantized net battery gain of a clean scheduled slot (may be <= 0)."""
-    return quantize_levels(optimal_modulation(params, node).net_energy_gain, params.battery_quantum)
-
-
 def node_energy_profile(params: NetworkParams, node: int) -> NodeEnergyProfile:
     dec = optimal_modulation(params, node)
     quantum = params.battery_quantum

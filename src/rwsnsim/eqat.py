@@ -1,21 +1,18 @@
-"""Semi-decentralized contention: self-nomination probabilities, collision law,
-and the per-node decide/backoff controller.
+"""Semi-decentralized contention laws: self-nomination probability and its escalation.
 
-Each node nominates itself with a probability that grows with its queue and
-shrinks with its battery, checks the resulting transition mass against a
-threshold before actually transmitting, and backs off multiplicatively on
-collisions.
+Each node nominates itself with a probability f(e, q) that grows with its
+queue and shrinks with its battery (`tx_prob`, one of the `TxProbDesign`
+families), raised by a factor (1 + alpha) per failed frame (`escalate`).
+The contention loop that uses them, with its threshold gate and backoff,
+runs in `simulator.EqatStrategy`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .core import NetworkParams, NodeState, check_node_state
-from .energy import NodeEnergyProfile, node_energy_profile, packet_success_prob
-from .mdp import Dist, _clamp, _merge, can_transmit, selected_transition
 
 
 @dataclass(frozen=True)
@@ -108,58 +105,6 @@ def tx_prob(design: TxProbDesign, battery: int, queue: int, params: NetworkParam
     return float(gammainc(design.shape, queue / (design.scale * battery)))
 
 
-def collision_prob(k: int, probs: list[float]) -> float:
-    """Chance at least one competitor of node k transmits: 1 - prod(1 - p_n)."""
-    out = 1.0
-    for n, p in enumerate(probs):
-        if n != k:
-            out *= 1.0 - p
-    return 1.0 - out
-
-
-def collided_transition(
-    s: NodeState,
-    params: NetworkParams,
-    node: int,
-    p_others: list[float],
-    profile: NodeEnergyProfile | None = None,
-) -> Dist:
-    """Transition law of a contending node facing competitors at probs p_others.
-
-    With silent competitors this collapses to the scheduled-node law. A
-    sixth (collision and arrival) case closes the normalization gap left
-    by the five nominal cases; without it the masses sum to
-    1 - Pr_c * (1 - ps) * lambda.
-    """
-    check_node_state(s, params)
-    if profile is None:
-        profile = node_energy_profile(params, node)
-    if not can_transmit(s, profile):
-        return selected_transition(s, params, node=node, profile=profile)
-
-    clear = 1.0
-    for p in p_others:
-        clear *= 1.0 - p
-    col = 1.0 - clear
-    ps = packet_success_prob(params)
-    lam = params.arrival_prob
-    K, Q = params.battery_levels, params.queue_cap
-    e_up = _clamp(s.battery + profile.delta_levels, K)
-    e_dn = _clamp(s.battery - profile.min_tx_level, K)
-    q_up = min(s.queue + 1, Q)
-    stay = (1.0 - ps) * (1.0 - lam) + ps * lam
-    return _merge([
-        (NodeState(e_up, q_up), (1.0 - ps) * lam * clear),
-        (NodeState(e_up, s.queue - 1), ps * (1.0 - lam) * clear),
-        (NodeState(e_up, s.queue), stay * clear),
-        (NodeState(e_dn, s.queue), stay * col),
-        (NodeState(e_dn, s.queue - 1), ps * (1.0 - lam) * col),
-        # collision meets a new arrival: the unique combination the nominal
-        # cases leave out
-        (NodeState(e_dn, q_up), (1.0 - ps) * lam * col),
-    ])
-
-
 def escalate(base: float, alpha: float, fails: int) -> float:
     """min(1, (1 + alpha)^fails * base), safe for unbounded fail counts."""
     if base <= 0.0:
@@ -167,80 +112,3 @@ def escalate(base: float, alpha: float, fails: int) -> float:
     if fails * math.log1p(alpha) + math.log(base) >= 0.0:
         return 1.0
     return (1.0 + alpha) ** fails * base
-
-
-class Decision(enum.Enum):
-    TRANSMIT = "transmit"
-    HOLD = "hold"       # threshold gate vetoed the attempt
-    IDLE = "idle"       # did not nominate, backing off, or nothing to send
-
-
-@dataclass
-class EqatController:
-    """Per-node contention state: escalation counter and backoff clock.
-
-    The working probability is min(1, (1 + alpha)^fails * f(e, q)). fails
-    counts frames that were actually transmitted and failed (collided or
-    corrupted) and resets to zero on success, returning the probability to
-    its design value. A threshold veto transmits nothing, so it leaves the
-    counter alone; escalating on vetoes feeds back into everyone else's
-    risk estimate and locks the whole network silent.
-    """
-
-    design: TxProbDesign
-    alpha: float = 0.5
-    threshold: float = 0.0
-    backoff_window: int = 8
-    fail_count: int = 0
-    backoff_remaining: int = 0
-
-    def base_p(self, s: NodeState, params: NetworkParams) -> float:
-        return tx_prob(self.design, s.battery, s.queue, params)
-
-    def effective_p(self, s: NodeState, params: NetworkParams) -> float:
-        return escalate(self.base_p(s, params), self.alpha, self.fail_count)
-
-    def on_collision(self, rng):
-        self.fail_count += 1
-        self.backoff_remaining = int(rng.integers(1, self.backoff_window + 1))
-
-    def on_ber_failure(self):
-        # a corrupted frame is still a failed frame; no backoff, the medium was won
-        self.fail_count += 1
-
-    def on_success(self):
-        self.fail_count = 0
-
-    def tick(self):
-        if self.backoff_remaining > 0:
-            self.backoff_remaining -= 1
-
-
-def eqat_decide(
-    ctl: EqatController,
-    s: NodeState,
-    p_others: list[float],
-    params: NetworkParams,
-    rng,
-    profile: NodeEnergyProfile | None = None,
-) -> Decision:
-    """One slot of the contention loop for a single node.
-
-    Nodes in backoff or without an affordable packet stay idle. Otherwise
-    the node nominates itself with its escalated probability, then checks
-    the mass of its intended move (clean transmission that shortens the
-    queue) against the threshold; too risky a slot is held.
-    """
-    if profile is None:
-        profile = node_energy_profile(params, node=0)
-    if ctl.backoff_remaining > 0 or not can_transmit(s, profile):
-        return Decision.IDLE
-    if rng.random() >= ctl.effective_p(s, params):
-        return Decision.IDLE
-    clear = 1.0
-    for p in p_others:
-        clear *= 1.0 - p
-    intended_mass = packet_success_prob(params) * (1.0 - params.arrival_prob) * clear
-    if intended_mass < ctl.threshold:
-        return Decision.HOLD
-    return Decision.TRANSMIT

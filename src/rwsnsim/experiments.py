@@ -19,9 +19,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
-from .core import (CHANNEL_KEYS, NETWORK_KEYS, NetworkParams, draw_channel_gains, read_config,
-                   validate)
+from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import DEFAULT_STATE_BUDGET, build_model, value_iteration
 from .simulator import STRATEGY_NAMES, SlotTrace, simulate_run
@@ -119,6 +119,11 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    """A comma-separated list of floats."""
+    return tuple(float(x) for x in text.split(",") if x.strip())
+
+
 def _words(text: str) -> list[str]:
     return [w.strip() for w in text.split(",") if w.strip()]
 
@@ -130,8 +135,39 @@ def _boolean(text: str) -> bool:
         raise ValueError("not a boolean") from None
 
 
+# converters of the [network] keys (NetworkParams fields; n_nodes and
+# slot_len come from [experiment]) and of the [channel] keys
+# (draw_channel_gains arguments)
+NETWORK_KEYS = {
+    "packet_bits": int,
+    "ber_target": float,
+    "kappa1": float,
+    "kappa2": float,
+    "bs_power": float,
+    "transfer_efficiency": float,
+    "bandwidth": float,
+    "arrival_period": float,
+    "arrival_prob": float,
+    "battery_levels": int,
+    "battery_quantum": float,
+    "queue_cap": int,
+    "max_modulation": int,
+    "discount": float,
+    "vi_tol": float,
+    "initial_battery": int,
+    "channel_gain": _float_list,
+}
+CHANNEL_KEYS = {
+    "seed": int,
+    "reference_gain": float,
+    "reference_dist": float,
+    "min_dist": float,
+    "max_dist": float,
+    "pathloss_exp": float,
+}
+
 # the config file's schema (documented in ``rwsnsim --help``): each section's
-# keys with their converters; n_nodes and slot_len come from [experiment]
+# keys with their converters
 _SPEC_SCHEMA = {
     "experiment": {
         "n_nodes": _parse_int_list,
@@ -145,17 +181,47 @@ _SPEC_SCHEMA = {
         "workers": int,
         "trace": _boolean,
     },
-    "network": {k: conv for k, conv in NETWORK_KEYS.items() if k not in ("n_nodes", "slot_len")},
+    "network": NETWORK_KEYS,
     "channel": CHANNEL_KEYS,
     "eqat": {"alpha": float, "threshold": float, "backoff_window": int},
     "rc": {"contention_prob": float},
 }
 
 
+def read_config(path: str, schema: dict[str, dict[str, Callable]]) -> dict[str, dict]:
+    """The converted values of an INI file, by section: {section: {key: value}}.
+
+    `schema` maps every allowed section to its keys' converters; each of its
+    sections is in the result, empty when the file leaves it out. Raises
+    FileNotFoundError for a missing file, and one ValueError naming every
+    section and key the schema does not know, or else the first value that
+    does not convert.
+    """
+    cp = configparser.ConfigParser()
+    if not cp.read(path):
+        raise FileNotFoundError(path)
+    unknown = ["[DEFAULT]"] if cp.defaults() else []
+    for name in cp.sections():
+        if name not in schema:
+            unknown.append(f"[{name}]")
+        else:
+            unknown += [f"[{name}] {key}" for key in cp.options(name) if key not in schema[name]]
+    if unknown:
+        raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
+    out: dict[str, dict] = {name: {} for name in schema}
+    for name in cp.sections():
+        for key, text in cp.items(name):
+            try:
+                out[name][key] = schema[name][key](text)
+            except ValueError as e:
+                raise ValueError(f"{path}: [{name}] {key} = {text!r}: {e}") from None
+    return out
+
+
 def spec_from_config(path: str) -> ExperimentSpec:
     """Load an ExperimentSpec from an INI config (schema in ``rwsnsim --help``).
 
-    An unknown section or key is an error (see `core.read_config`).
+    An unknown section or key is an error (see `read_config`).
     """
     cfg = read_config(path, _SPEC_SCHEMA)
     eqat, rc = cfg["eqat"], cfg["rc"]
@@ -277,7 +343,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     manifest = {
         "format": "rwsnsim-experiment-1",
-        "spec": spec_dict(spec),
+        "spec": asdict(spec),
         "scenarios": scenarios,
     }
     return ExperimentResult(
@@ -308,10 +374,6 @@ def params_dict(params: NetworkParams) -> dict:
     d = {f.name: getattr(params, f.name) for f in fields(NetworkParams)}
     d["channel_gain"] = list(d["channel_gain"])
     return d
-
-
-def spec_dict(spec: ExperimentSpec) -> dict:
-    return asdict(spec)
 
 
 def aggregate_rows(raw_rows: list[dict]) -> list[dict]:

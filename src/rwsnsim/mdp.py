@@ -36,16 +36,23 @@ boundaries need explicit choices):
     harvest quantum;
   * at a full queue the "+1" mass folds into "stay full" and the pinned
     transition carries the overflow cost;
-  * batteries clamp to [0, K] (overcharge is wasted).
+  * batteries clamp to [0, K] (overcharge is wasted);
+  * one arrival opportunity per slot: U and S_k apply `arrival_prob` once.
+    This is a known artefact, not a law of the model: the simulator applies
+    `params.arrivals_per_slot` opportunities per slot (slot_len /
+    arrival_period, rounded), and `myopic_chooser` uses a third law,
+    1 - (1 - lambda)^k. Where k > 1 (k = 2 at t_hat = 20 with the default
+    10 ms arrival period) the exact policy is solved for 1/k of the load it
+    runs under.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Action, JointState, NetworkParams, NodeState, check_node_state, state_index
+from .core import NetworkParams, NodeState, check_node_state
 from .energy import NodeEnergyProfile, energy_profiles, node_energy_profile, packet_success_prob
 
 DEFAULT_STATE_BUDGET = 200_000
@@ -159,7 +166,6 @@ class TransitionModel:
     next_state: np.ndarray
     prob: np.ndarray
     reward: np.ndarray
-    profiles: list[NodeEnergyProfile] = field(default_factory=list)
 
     @property
     def n_states(self) -> int:
@@ -201,8 +207,7 @@ def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> Tr
     n_states = params.joint_state_count
     if n_states > budget:
         raise StateSpaceBudgetError(n_states, budget)
-    profiles = energy_profiles(params)
-    rows = _kernel_rows(params, profiles)
+    rows = _kernel_rows(params, energy_profiles(params))
     row_ptr = np.cumsum([0] + [len(entries) for entries in rows])
     nxt, prob, reward = zip(*(e for entries in rows for e in entries))
     prob = np.asarray(prob, dtype=np.float64)
@@ -218,7 +223,6 @@ def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> Tr
         next_state=np.asarray(nxt, dtype=np.int64),
         prob=prob,
         reward=np.asarray(reward, dtype=np.float64),
-        profiles=profiles,
     )
 
 
@@ -230,11 +234,6 @@ class ValueIterationResult:
     residual: float
     residual_history: list[float]
     params: NetworkParams
-    profiles: list[NodeEnergyProfile]
-
-    def action_for(self, s: JointState) -> Action:
-        k = int(self.policy[state_index(s, self.params)])
-        return Action(selected=k, modulation=self.profiles[k].order)
 
 
 def _apply_last_axis(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -313,7 +312,7 @@ def value_iteration(
         if residual < threshold:
             return ValueIterationResult(
                 values=v, policy=greedy_policy(q), sweeps=sweep, residual=residual,
-                residual_history=history, params=p, profiles=model.profiles,
+                residual_history=history, params=p,
             )
     raise ValueIterationError(
         f"no convergence after {max_sweeps} sweeps (last residual {history[-1]:.3e}, "
@@ -339,7 +338,7 @@ def policy_chooser(result: ValueIterationResult):
     return choose
 
 
-def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile] | None = None):
+def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile]):
     """Approximate mode for joint spaces too large to enumerate.
 
     Scores each candidate by the change in expected overflow it causes for
@@ -352,8 +351,6 @@ def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile] | No
     carries its node), so one sort turns them into integer ranks, and a
     choice is the node of the least rank among N lookups.
     """
-    if profiles is None:
-        profiles = energy_profiles(params)
     ps = packet_success_prob(params)
     # probability of at least one arrival over the slot's opportunities
     lam = 1.0 - (1.0 - params.arrival_prob) ** params.arrivals_per_slot

@@ -1,13 +1,14 @@
-"""Slotted Monte-Carlo engine comparing centralized and contention scheduling.
+"""Slotted Monte-Carlo engine comparing central scheduling with contention.
 
 Slot order of events: the strategy picks the transmitter(s); a lone
 transmitter gets a packet-error draw and the downlink charge, two or more
-collide (losing transmit energy, no charge); then arrivals are applied,
-dropping on full queues; finally contention controllers update and the
-next beacon is computed. A run is strictly sequential and deterministic
-given its seed: arrivals, strategy choices, error draws, and backoff draws
-each consume their own substream, so runs that differ only in strategy see
-identical arrival processes.
+collide (losing transmit energy, no charge); the strategy is told the
+outcome (EQAT updates its fail counts and draws backoffs); then arrivals
+are applied, dropping on full queues; finally the strategy closes the slot
+(EQAT counts down its backoffs and computes the next beacon). A run is
+strictly sequential and deterministic given its seed: arrivals, strategy
+choices, error draws, and backoff draws each consume their own substream,
+so runs that differ only in strategy see identical arrival processes.
 
 Per-slot work scales with the nodes that can act, not with N. Batteries
 change only through `Simulation._apply_levels`, which keeps
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core import NetworkParams
 from .energy import energy_profiles, packet_success_prob
-from .eqat import EqatController, TxProbDesign, escalate, tx_prob
+from .eqat import TxProbDesign, escalate, tx_prob
 from .mdp import myopic_chooser, policy_chooser
 
 STRATEGY_NAMES = ("ehmdp", "fq", "rs", "eqat", "dfq", "rc")
@@ -59,10 +60,6 @@ class RunMetrics:
     in_queue_final: int = 0
     slots: int = 0
     duration: float = 0.0  # seconds simulated
-
-    @property
-    def throughput(self) -> int:
-        return self.delivered
 
     @property
     def throughput_pps(self) -> float:
@@ -248,10 +245,9 @@ class Simulation:
 
 
 class Strategy:
-    """One scheduling policy; centralized ones return at most one node."""
+    """One scheduling policy; a central scheduler returns at most one node."""
 
     name: str = "?"
-    centralized: bool = True
 
     def bind(self, sim: Simulation):
         pass
@@ -312,7 +308,6 @@ class DecentralizedFullQueueStrategy(Strategy):
     """Every node whose queue is full (and can afford it) transmits."""
 
     name = "dfq"
-    centralized = False
 
     def select(self, sim):
         # queue_cap >= 1, so a powered node with a full queue can transmit
@@ -324,7 +319,6 @@ class RandomContentionStrategy(Strategy):
     """Each backlogged node transmits with a fixed contention probability."""
 
     name = "rc"
-    centralized = False
 
     def __init__(self, contention_prob: float = 0.75):
         self.contention_prob = contention_prob
@@ -340,22 +334,33 @@ class RandomContentionStrategy(Strategy):
 class EqatStrategy(Strategy):
     """Energy-queue aware contention with threshold gate and backoff.
 
-    Beacon probabilities are the controllers' effective values computed at
-    the end of the previous slot (one slot stale), zero for nodes that will
-    still be backing off.
+    Per-run contention state, one entry per node:
+
+      * ``fails``: frames transmitted and failed (collided or corrupted)
+        since the node's last success; the node's working probability is
+        min(1, (1 + alpha)^fails * f(e, q)), back to the design value on
+        a success. A threshold veto transmits nothing, so it leaves
+        ``fails`` alone; escalating on vetoes feeds back into everyone
+        else's risk estimate and locks the whole network silent;
+      * ``backoff``: slots the node still sits out after a collision,
+        drawn uniformly from 1..backoff_window on the backoff stream, one
+        draw per transmitter in transmitter order;
+      * ``waiting``: the nodes with ``backoff`` > 0, the only ones
+        `end_of_slot` counts down.
+
+    Beacon probabilities are the working values computed at the end of the
+    previous slot (one slot stale), zero for nodes that will still be
+    backing off.
 
     The work of a slot is event-driven. `bind` and `end_of_slot` compute the
     contenders (`transmit_ready` nodes not backing off, in index order) and
     their beacon values once; `select` reuses both, since nothing changes
-    between `end_of_slot` and the next `select`. Only the controllers in
-    `waiting` (backing off) are ticked; a collision in `on_outcome` adds
-    its transmitters there. Every other node advertises exactly 0.0, so
-    the competitor products run over the contenders alone and equal the
-    products over all N factors bit for bit.
+    between `end_of_slot` and the next `select`. Every other node advertises
+    exactly 0.0, so the competitor products run over the contenders alone
+    and equal the products over all N factors bit for bit.
     """
 
     name = "eqat"
-    centralized = False
 
     def __init__(self, design: TxProbDesign, alpha: float = 0.5, threshold: float = 0.0,
                  backoff_window: int = 8):
@@ -367,31 +372,29 @@ class EqatStrategy(Strategy):
     def bind(self, sim: Simulation):
         p = sim.params
         self._uniform = uniforms(sim.rng.strategy)
-        self.controllers = [
-            EqatController(design=self.design, alpha=self.alpha, threshold=self.threshold,
-                           backoff_window=self.backoff_window)
-            for _ in range(p.n_nodes)
-        ]
+        self.fails = [0] * p.n_nodes
+        self.backoff = [0] * p.n_nodes
+        self.waiting: list[int] = []
         # design values on the (battery, queue) grid, computed once
         self._p_table = [
             [tx_prob(self.design, e, q, p) for q in range(p.queue_cap + 1)]
             for e in range(p.battery_levels + 1)
         ]
-        self.waiting: list[int] = []
         self._refresh(sim)
 
     def _refresh(self, sim: Simulation):
         # a node that will not contend (backoff, no packet, or battery below
         # one transmission) honestly advertises zero and is left out
-        ctls, table, batteries, queues = self.controllers, self._p_table, sim.batteries, sim.queues
-        self._contenders = [i for i in sim.transmit_ready() if ctls[i].backoff_remaining <= 0]
-        self._probs = [escalate(table[batteries[i]][queues[i]], self.alpha, ctls[i].fail_count)
+        fails, backoff, table = self.fails, self.backoff, self._p_table
+        batteries, queues = sim.batteries, sim.queues
+        self._contenders = [i for i in sim.transmit_ready() if backoff[i] <= 0]
+        self._probs = [escalate(table[batteries[i]][queues[i]], self.alpha, fails[i])
                        for i in self._contenders]
 
     @property
     def beacon(self) -> list[float]:
         """Every node's advertised probability, in index order."""
-        beacon = [0.0] * len(self.controllers)
+        beacon = [0.0] * len(self.fails)
         for i, p in zip(self._contenders, self._probs):
             beacon[i] = p
         return beacon
@@ -417,19 +420,22 @@ class EqatStrategy(Strategy):
 
     def on_outcome(self, sim, transmitters, outcome):
         if outcome == "collision":
+            rng, window = sim.rng.backoff, self.backoff_window
             for t in transmitters:
-                self.controllers[t].on_collision(sim.rng.backoff)
+                self.fails[t] += 1
+                self.backoff[t] = int(rng.integers(1, window + 1))
             self.waiting.extend(transmitters)
         elif outcome == "success":
-            self.controllers[transmitters[0]].on_success()
+            self.fails[transmitters[0]] = 0
         elif outcome == "ber_fail":
-            self.controllers[transmitters[0]].on_ber_failure()
+            # a corrupted frame is still a failed frame; no backoff, the medium was won
+            self.fails[transmitters[0]] += 1
 
     def end_of_slot(self, sim):
-        ctls = self.controllers
+        backoff = self.backoff
         for i in self.waiting:
-            ctls[i].tick()
-        self.waiting = [i for i in self.waiting if ctls[i].backoff_remaining > 0]
+            backoff[i] -= 1
+        self.waiting = [i for i in self.waiting if backoff[i] > 0]
         self._refresh(sim)
 
 

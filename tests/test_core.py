@@ -9,11 +9,13 @@ from rwsnsim.core import (
     NodeState,
     draw_channel_gains,
     iter_joint_states,
-    params_from_config,
     state_index,
     state_unindex,
     validate,
 )
+from rwsnsim.experiments import CHANNEL_KEYS, NETWORK_KEYS, read_config
+
+NETWORK_FILE_SCHEMA = {"network": NETWORK_KEYS, "channel": CHANNEL_KEYS}
 
 
 def make_params(**kw):
@@ -104,13 +106,6 @@ class TestValidate:
         p = make_params(slot_len=1e-6, bandwidth=1e3, max_modulation=1, packet_bits=256)
         assert any("fit" in m for m in validate(p))
 
-    def test_replace_rederives_capacity_and_gains(self):
-        p = make_params(n_nodes=2, battery_levels=5, battery_quantum=1e-3)
-        q = p.replace(battery_quantum=2e-3, n_nodes=3)
-        assert q.battery_capacity == pytest.approx(10e-3)
-        assert len(q.channel_gain) == 3
-        assert validate(q) == []
-
 
 class TestChannelModel:
     def test_draw_is_deterministic_in_seed_and_n(self):
@@ -131,35 +126,31 @@ class TestConfigFile:
         cfg = tmp_path / "net.ini"
         cfg.write_text(
             "[network]\n"
-            "n_nodes = 3\n"
+            "queue_cap = 3\n"
             "arrival_prob = 0.25\n"
-            "battery_levels = 4\n"
             "battery_quantum = 2e-3\n"
             "channel_gain = 1.0, 0.5, 0.25\n"
+            "[channel]\n"
+            "seed = 11\n"
         )
-        p = params_from_config(str(cfg))
-        assert p.n_nodes == 3
-        assert p.arrival_prob == 0.25
-        assert p.channel_gain == (1.0, 0.5, 0.25)
-        assert p.battery_capacity == pytest.approx(8e-3)
-
-    def test_gains_drawn_when_missing(self, tmp_path):
-        cfg = tmp_path / "net.ini"
-        cfg.write_text("[network]\nn_nodes = 4\n\n[channel]\nseed = 11\n")
-        p = params_from_config(str(cfg))
-        assert len(p.channel_gain) == 4
-        assert p.channel_gain == draw_channel_gains(4, seed=11)
+        cfg = read_config(str(cfg), NETWORK_FILE_SCHEMA)
+        assert cfg == {
+            "network": {"queue_cap": 3, "arrival_prob": 0.25, "battery_quantum": 2e-3,
+                        "channel_gain": (1.0, 0.5, 0.25)},
+            "channel": {"seed": 11},
+        }
+        assert type(cfg["network"]["queue_cap"]) is int
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
-            params_from_config("/nonexistent/net.ini")
+            read_config("/nonexistent/net.ini", NETWORK_FILE_SCHEMA)
 
     def test_every_unknown_section_and_key_named_in_one_error(self, tmp_path):
         cfg = tmp_path / "net.ini"
-        cfg.write_text("[network]\nn_nodes = 3\narival_prob = 0.2\n\n"
+        cfg.write_text("[network]\nqueue_cap = 3\narival_prob = 0.2\n\n"
                        "[netwrok]\nqueue_cap = 4\n\n[channel]\nsede = 3\n")
         with pytest.raises(ValueError) as exc:
-            params_from_config(str(cfg))
+            read_config(str(cfg), NETWORK_FILE_SCHEMA)
         msg = str(exc.value)
         assert "[network] arival_prob" in msg
         assert "[netwrok]" in msg
@@ -167,9 +158,9 @@ class TestConfigFile:
 
     def test_bad_value_names_its_key(self, tmp_path):
         cfg = tmp_path / "net.ini"
-        cfg.write_text("[network]\nn_nodes = three\n")
-        with pytest.raises(ValueError, match=r"\[network\] n_nodes"):
-            params_from_config(str(cfg))
+        cfg.write_text("[network]\nqueue_cap = three\n")
+        with pytest.raises(ValueError, match=r"\[network\] queue_cap"):
+            read_config(str(cfg), NETWORK_FILE_SCHEMA)
 
 
 class TestArrivalsPerSlot:

@@ -8,7 +8,6 @@ import pytest
 from rwsnsim.core import NetworkParams
 from rwsnsim.energy import (
     ModulationInfeasibleError,
-    harvest_delta,
     node_energy_profile,
     optimal_modulation,
     packet_success_prob,
@@ -173,7 +172,7 @@ class TestOptimalModulation:
         with pytest.raises(ModulationInfeasibleError):
             optimal_modulation(p, 0)
         with pytest.raises(ModulationInfeasibleError):
-            harvest_delta(p, 0)
+            node_energy_profile(p, 0)
 
     def test_decision_invariants(self):
         p = make_params()
@@ -187,7 +186,7 @@ class TestHarvestDelta:
     def test_brackets_unquantized_balance(self):
         p = make_params(n_nodes=3, channel_gain=(0.5, 1.0, 1.5))
         for node in range(3):
-            levels = harvest_delta(p, node)
+            levels = node_energy_profile(p, node).delta_levels
             net = optimal_modulation(p, node).net_energy_gain
             assert levels * p.battery_quantum <= net < (levels + 1) * p.battery_quantum
 

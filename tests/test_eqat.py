@@ -1,6 +1,5 @@
-"""Nomination designs, collision law, and the contention controller."""
+"""Nomination designs, and the per-node collision law and controller of the oracle."""
 
-import math
 import os
 import subprocess
 import sys
@@ -10,17 +9,10 @@ import numpy as np
 import pytest
 
 import rwsnsim
+from eqat_oracle import Decision, EqatController, collided_transition, collision_prob, eqat_decide
 from rwsnsim.core import NetworkParams, NodeState
 from rwsnsim.energy import node_energy_profile, packet_success_prob
-from rwsnsim.eqat import (
-    Decision,
-    EqatController,
-    TxProbDesign,
-    collided_transition,
-    collision_prob,
-    eqat_decide,
-    tx_prob,
-)
+from rwsnsim.eqat import TxProbDesign, tx_prob
 from rwsnsim.mdp import selected_transition
 
 # (1 - e^-1.5) * e^-0.6 at 40 digits

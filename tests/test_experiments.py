@@ -4,11 +4,11 @@ import json
 
 import pytest
 
+from rwsnsim.core import draw_channel_gains
 from rwsnsim.experiments import (
     AGG_COLUMNS,
     RAW_COLUMNS,
     ExperimentSpec,
-    aggregate_rows,
     format_csv,
     read_agg_csv,
     report,
@@ -163,6 +163,30 @@ class TestConfigFile:
         assert spec.network["arrival_prob"] == 0.25
         assert spec.rc_contention == 0.4
         assert spec.eqat_alpha == 0.7
+
+    def test_network_section_resolves_to_params(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\n"
+            "n_nodes = 3\n"
+            "[network]\n"
+            "arrival_prob = 0.25\n"
+            "battery_levels = 4\n"
+            "battery_quantum = 2e-3\n"
+            "channel_gain = 1.0, 0.5, 0.25\n"
+        )
+        p = spec_from_config(str(cfg)).resolve_params(3, 10)
+        assert p.n_nodes == 3
+        assert p.arrival_prob == 0.25
+        assert p.channel_gain == (1.0, 0.5, 0.25)
+        assert p.battery_capacity == pytest.approx(8e-3)
+
+    def test_channel_seed_sets_the_gain_draw(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nn_nodes = 4\n\n[channel]\nseed = 11\n")
+        p = spec_from_config(str(cfg)).resolve_params(4, 10)
+        assert len(p.channel_gain) == 4
+        assert p.channel_gain == draw_channel_gains(4, seed=11)
 
     def test_missing_config(self):
         with pytest.raises(FileNotFoundError):

@@ -33,6 +33,7 @@ from rwsnsim.mdp import (
     unselected_transition,
     value_iteration,
 )
+from rwsnsim.simulator import simulate_run
 
 
 def make_params(**kw):
@@ -153,6 +154,26 @@ class TestUnselectedTransition:
         assert unselected_transition(s, p) == [(s, 1.0)]
         # the fold carries the overflow cost
         assert transition_reward((s,), (s,), 1, make_params(n_nodes=2, arrival_prob=0.3)) or True
+
+
+class TestArrivalLawArtefact:
+    """The kernels model one arrival opportunity per slot, the simulator
+    `arrivals_per_slot` of them (see "Boundary conventions" in `mdp`)."""
+
+    def test_kernel_sees_half_the_load_the_simulator_applies(self):
+        p = make_params(n_nodes=2, arrival_prob=0.2, slot_len=10e-3, arrival_period=5e-3)
+        assert p.arrivals_per_slot == 2
+        lam = p.arrival_prob
+        s = NodeState(2, 3)  # interior: the queue can rise without pinning
+        increment = sum(pr * (ns.queue - s.queue) for ns, pr in unselected_transition(s, p))
+        assert increment == pytest.approx(lam, abs=1e-15)
+        slots = 20_000
+        m, _ = simulate_run(p, "fq", slots=slots, seed=0)
+        per_node_slot = m.generated / (slots * p.n_nodes)
+        # 2 * slots * n_nodes Bernoulli(lam) opportunities
+        sigma = (2 * lam * (1 - lam) / (slots * p.n_nodes)) ** 0.5
+        assert abs(per_node_slot - 2 * lam) <= 4 * sigma
+        assert per_node_slot - lam > 20 * sigma
 
 
 class TestTransitionReward:
@@ -332,7 +353,6 @@ class TestValueIteration:
             params=p, n_actions=1, n_local=1,
             row_ptr=np.array([0, 1, 2]), next_state=np.array([0, 0]),
             prob=np.array([1.0, 1.0]), reward=np.array([0.0, 2.5]),
-            profiles=[],
         )
         res = value_iteration(m, omega=0.9, tol=1e-10)
         assert res.values[0] == pytest.approx(2.5 / 0.1, rel=1e-9)
@@ -389,12 +409,12 @@ class TestChoosers:
 
     def test_myopic_prefers_the_full_node(self):
         p = make_params(n_nodes=3, arrival_prob=0.2)
-        choose = myopic_chooser(p)
+        choose = myopic_chooser(p, energy_profiles(p))
         assert choose([3, 3, 3], [0, p.queue_cap, 0]) == 1
 
     def test_myopic_ties_break_to_longest_queue(self):
         p = make_params(n_nodes=3, arrival_prob=0.2)
-        choose = myopic_chooser(p)
+        choose = myopic_chooser(p, energy_profiles(p))
         # no overflow risk anywhere: all score deltas are zero
         assert choose([3, 3, 3], [1, 3, 2]) == 1
 
@@ -402,7 +422,7 @@ class TestChoosers:
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4,
                         channel_gain=(1.0, 0.7))
         res = value_iteration(build_model(p))
-        approx = myopic_chooser(p)
+        approx = myopic_chooser(p, energy_profiles(p))
         agree = 0
         total = 0
         for s in iter_joint_states(p):

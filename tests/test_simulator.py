@@ -1,12 +1,11 @@
 """Slot engine semantics: conservation, determinism, strategy behavior."""
 
-import copy
-
 import numpy as np
 import pytest
 
+from eqat_oracle import Decision, EqatController, eqat_decide
 from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
-from rwsnsim.eqat import Decision, TxProbDesign, eqat_decide, escalate, tx_prob
+from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.simulator import (
     EqatStrategy,
@@ -167,6 +166,29 @@ def brute_force_ready(sim):
             if sim.queues[i] >= 1 and sim.batteries[i] >= sim.profiles[i].min_tx_level]
 
 
+def shadow_controllers(strategy, n_nodes):
+    """Fresh oracle controllers with the strategy's settings, one per node."""
+    return [EqatController(design=strategy.design, alpha=strategy.alpha,
+                           threshold=strategy.threshold, backoff_window=strategy.backoff_window)
+            for _ in range(n_nodes)]
+
+
+def shadow_outcome(shadow, transmitters, outcome, backoff_rng):
+    """Apply one slot's outcome to the oracle controllers, as the engine reports it."""
+    if outcome == "collision":
+        for i in transmitters:
+            shadow[i].on_collision(backoff_rng)
+    elif outcome == "success":
+        shadow[transmitters[0]].on_success()
+    elif outcome == "ber_fail":
+        shadow[transmitters[0]].on_ber_failure()
+
+
+def contention_state(shadow):
+    """The oracle's (fails, backoff) lists, to compare with `EqatStrategy`'s."""
+    return [c.fail_count for c in shadow], [c.backoff_remaining for c in shadow]
+
+
 # high arrival rate and a lossy link: collisions, bit-error failures, and
 # batteries drained below one transmission's cost
 def busy_params(n_nodes):
@@ -209,24 +231,17 @@ class TestIncrementalBookkeeping:
         design = TxProbDesign.exponential(1.0, 0.05)
         strategy = EqatStrategy(design, backoff_window=4)
         sim = Simulation(p, strategy, seed=5, trace=True)
-        shadow = copy.deepcopy(strategy.controllers)
+        shadow = shadow_controllers(strategy, n_nodes)
         shadow_backoff = Streams(5).backoff
         collided = 0
         for _ in range(1500):
             sim.step()
             t = sim.traces[-1]
-            if t.outcome == "collision":
-                collided += 1
-                for i in t.transmitters:
-                    shadow[i].on_collision(shadow_backoff)
-            elif t.outcome == "success":
-                shadow[t.transmitters[0]].on_success()
-            elif t.outcome == "ber_fail":
-                shadow[t.transmitters[0]].on_ber_failure()
+            collided += t.outcome == "collision"
+            shadow_outcome(shadow, t.transmitters, t.outcome, shadow_backoff)
             for ctl in shadow:
                 ctl.tick()
-            assert [(c.backoff_remaining, c.fail_count) for c in strategy.controllers] == \
-                [(c.backoff_remaining, c.fail_count) for c in shadow]
+            assert (strategy.fails, strategy.backoff) == contention_state(shadow)
             ready = brute_force_ready(sim)
             assert strategy.beacon == [
                 escalate(tx_prob(design, sim.batteries[i], sim.queues[i], p), c.alpha,
@@ -311,9 +326,12 @@ class TestEqatIntegration:
         sim = Simulation(p, strategy, seed=21)
         profiles = energy_profiles(p)
         shadow_rng = Streams(21).strategy
+        shadow_backoff = Streams(21).backoff
+        ctls = shadow_controllers(strategy, p.n_nodes)
         for _ in range(300):
+            assert (strategy.fails, strategy.backoff) == contention_state(ctls)
             beacon = list(strategy.beacon)
-            ctls = copy.deepcopy(strategy.controllers)
+            fails_before = list(strategy.fails)
             expected = []
             for i in range(p.n_nodes):
                 s = NodeState(sim.batteries[i], sim.queues[i])
@@ -335,15 +353,18 @@ class TestEqatIntegration:
                 for t in got:
                     sim._apply_levels(t, -profiles[t].min_tx_level)
             strategy.on_outcome(sim, got, outcome)
+            shadow_outcome(ctls, got, outcome, shadow_backoff)
             # hold escalations must agree too
-            for mine, theirs in zip(strategy.controllers, ctls):
+            for mine, theirs in zip(strategy.fails, fails_before):
                 if outcome == "idle":
-                    assert mine.fail_count == theirs.fail_count
+                    assert mine == theirs
             draws = sim.rng.arrival.random(p.n_nodes)
             for n in range(p.n_nodes):
                 if draws[n] < p.arrival_prob and sim.queues[n] < p.queue_cap:
                     sim.queues[n] += 1
             strategy.end_of_slot(sim)
+            for ctl in ctls:
+                ctl.tick()
 
     def test_single_node_equals_centralized_run(self):
         # a lone contender with p == 1 behaves exactly like a centrally
@@ -363,12 +384,10 @@ class TestEqatIntegration:
         sim = Simulation(p, strategy, seed=13)
         saw = False
         for _ in range(200):
-            before = [c.backoff_remaining for c in strategy.controllers]
+            before = list(strategy.backoff)
             sim.step()
-            if sim.traces is None and before:  # engine ran fine
-                pass
-            for i, c in enumerate(strategy.controllers):
-                if c.backoff_remaining > before[i]:
+            for i, b in enumerate(strategy.backoff):
+                if b > before[i]:
                     saw = True
         assert saw
 
@@ -376,7 +395,7 @@ class TestEqatIntegration:
 class TestSelectedNodeLawFrequencies:
     def test_empirical_masses_match_transition_law(self):
         # single node under a centralized scheduler, interior states only
-        p = sure = make_params(n_nodes=1, arrival_prob=0.85, ber_target=5e-4)
+        p = make_params(n_nodes=1, arrival_prob=0.85, ber_target=5e-4)
         ps = packet_success_prob(p)
         lam = p.arrival_prob
         expect = {
