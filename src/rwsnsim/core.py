@@ -1,4 +1,4 @@
-"""Shared model types: network parameters, node/joint states, state indexing.
+"""Shared model types: network parameters, their validation, the node state, channel draws.
 
 Everything here is immutable after construction and safe to share across
 workers. Parameter validation is a total function that reports all
@@ -8,7 +8,7 @@ violations instead of raising on the first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,16 +18,6 @@ class NodeState(NamedTuple):
 
     battery: int
     queue: int
-
-
-JointState = tuple[NodeState, ...]
-
-
-class Action(NamedTuple):
-    """Scheduling action: selected node (0-based) and its modulation order."""
-
-    selected: int
-    modulation: int
 
 
 @dataclass(frozen=True)
@@ -145,47 +135,6 @@ def check_node_state(s: NodeState, params: NetworkParams) -> None:
         raise ValueError(f"battery level {s.battery} outside [0, {params.battery_levels}]")
     if not (0 <= s.queue <= params.queue_cap):
         raise ValueError(f"queue length {s.queue} outside [0, {params.queue_cap}]")
-
-
-def node_state_index(s: NodeState, params: NetworkParams) -> int:
-    check_node_state(s, params)
-    return s.battery * (params.queue_cap + 1) + s.queue
-
-
-def node_state_unindex(idx: int, params: NetworkParams) -> NodeState:
-    width = params.queue_cap + 1
-    return NodeState(battery=idx // width, queue=idx % width)
-
-
-def state_index(s: JointState, params: NetworkParams) -> int:
-    """Mixed-radix encoding of a joint state; node 0 is most significant.
-
-    Bijective onto [0, ((K+1)(Q+1))**N).
-    """
-    if len(s) != params.n_nodes:
-        raise ValueError(f"joint state has {len(s)} nodes, expected {params.n_nodes}")
-    m = params.per_node_states
-    idx = 0
-    for node in s:
-        idx = idx * m + node_state_index(node, params)
-    return idx
-
-
-def state_unindex(idx: int, params: NetworkParams) -> JointState:
-    if not (0 <= idx < params.joint_state_count):
-        raise ValueError(f"state index {idx} outside [0, {params.joint_state_count})")
-    m = params.per_node_states
-    out = []
-    for _ in range(params.n_nodes):
-        out.append(node_state_unindex(idx % m, params))
-        idx //= m
-    return tuple(reversed(out))
-
-
-def iter_joint_states(params: NetworkParams) -> Iterator[JointState]:
-    """All joint states in index order."""
-    for idx in range(params.joint_state_count):
-        yield state_unindex(idx, params)
 
 
 def draw_channel_gains(

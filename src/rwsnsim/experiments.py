@@ -4,8 +4,9 @@ A grid point resolves to a full parameter set (channel gains drawn
 deterministically per scenario, so every seed of a scenario sees the same
 network); each (scenario, strategy, seed) run appends one raw row, and
 aggregation reduces seeds to mean and standard error. The emitted manifest
-captures every resolved scenario so a rerun reproduces the CSVs byte for
-byte; it also records how each ehmdp solve went (mode, and for an exact
+captures the spec and every resolved scenario, so a rerun of
+``ExperimentSpec(**manifest["spec"])`` reproduces the CSVs byte for byte;
+it also records how each ehmdp solve went (mode, and for an exact
 solve its sweep count and final residual). A scenario whose parameters
 fail `core.validate` is reported once, as one failure, and skipped.
 """
@@ -231,11 +232,6 @@ def spec_from_config(path: str) -> ExperimentSpec:
     spec.backoff_window = eqat.get("backoff_window", spec.backoff_window)
     spec.rc_contention = rc.get("contention_prob", spec.rc_contention)
     return spec
-
-
-def spec_from_manifest(manifest: dict) -> ExperimentSpec:
-    kwargs = dict(manifest["spec"])
-    return ExperimentSpec(**kwargs)
 
 
 @dataclass

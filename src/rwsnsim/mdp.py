@@ -1,9 +1,21 @@
-"""Centralized scheduling MDP: transition laws, per-node kernels, value iteration.
+"""Centralized scheduling MDP: per-node kernels, value iteration, per-slot choosers.
 
 States are joint (battery, queue) tuples over all nodes; the action set is
 the selected node (modulation is pre-folded, see the energy module). The
-cost of a transition is the expected number of packets dropped to buffer
-overflow, so the solved value function reads as discounted packet loss.
+cost of a slot is the number of packets dropped to buffer overflow, so the
+solved value function reads as expected discounted packet loss.
+
+The per-node law, written once in `kernel_model`. Over a slot a node
+receives X ~ Binomial(k, lambda) packets (`arrival_pmf`: k =
+`arrivals_per_slot` opportunities of probability `arrival_prob` each, as
+the simulator draws them). A selected node that can transmit departs
+D = 1 packet with probability ps and D = 0 otherwise, its battery moving by
+the net harvest quantum either way (the downlink charges the node even
+after a corrupted packet); every other node departs none. The packet leaves
+before the slot's arrivals, so the next queue is min(Q, q - D + X) and the
+slot drops max(0, q - D + X - Q) packets. Each kernel row stores one entry
+per (D, X) outcome with that drop count as its reward, so the row's
+sum of prob * reward is the expected loss by construction.
 
 Product form. Under action k, node k moves by its selected kernel S_k and
 every other node by the shared arrival-only kernel U, independently, and
@@ -16,7 +28,7 @@ as an (m,)*N tensor, node 0 on the slowest axis:
     Q(., k) = base_k + omega * (U x ... x S_k x ... x U) v
     base_k  = sum over n != k of rU(s_n), plus rS_k(s_k)
 
-where rU and rS_k are the kernels' expected one-slot costs per local
+where rU and rS_k are the kernels' expected one-slot losses per local
 state. The U products along the axes after k are shared between actions.
 A sweep costs O(N^2 m^(N+1)) flops; the joint-sized storage is v and the
 (N, m^N) array Q.
@@ -27,39 +39,29 @@ to rounding do not get ordered by summation order.
 
 Budget. `build_model` refuses a joint state count m^N above its budget
 (200,000 states by default: N=3 has 74,088 at the defaults, N=4 has 3.1 M).
+`kernel_model` itself has none: the kernels are O(N m) at any N.
 
-Boundary conventions (the interior cases follow the standard law; the
+Boundary conventions (the interior cases follow the law above; the
 boundaries need explicit choices):
   * a selected node with an empty queue, or with too little battery to
-    afford one transmission, spends the slot charging only: its queue
-    follows the arrival-only law and its battery jumps by the full-slot
-    harvest quantum;
-  * at a full queue the "+1" mass folds into "stay full" and the pinned
-    transition carries the overflow cost;
-  * batteries clamp to [0, K] (overcharge is wasted);
-  * one arrival opportunity per slot: U and S_k apply `arrival_prob` once.
-    This is a known artefact, not a law of the model: the simulator applies
-    `params.arrivals_per_slot` opportunities per slot (slot_len /
-    arrival_period, rounded), and `myopic_chooser` uses a third law,
-    1 - (1 - lambda)^k. Where k > 1 (k = 2 at t_hat = 20 with the default
-    10 ms arrival period) the exact policy is solved for 1/k of the load it
-    runs under.
+    afford one transmission, spends the slot charging only: it departs
+    nothing and its battery jumps by the full-slot harvest quantum;
+  * batteries clamp to [0, K] (overcharge is wasted).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NetworkParams, NodeState, check_node_state
-from .energy import NodeEnergyProfile, energy_profiles, node_energy_profile, packet_success_prob
+from .core import NetworkParams
+from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 
 DEFAULT_STATE_BUDGET = 200_000
 # actions whose Q values differ by less than this, relative, count as tied
 TIE_RTOL = 1e-12
-
-Dist = list[tuple[NodeState, float]]
 
 
 class StateSpaceBudgetError(RuntimeError):
@@ -75,77 +77,10 @@ class ValueIterationError(RuntimeError):
     pass
 
 
-def can_transmit(s: NodeState, profile: NodeEnergyProfile) -> bool:
-    """A node can transmit iff it has a packet and battery for one attempt."""
-    return s.queue >= 1 and s.battery >= profile.min_tx_level
-
-
-def _clamp(level: int, top: int) -> int:
-    return max(0, min(top, level))
-
-
-def _merge(pairs: list[tuple[NodeState, float]]) -> Dist:
-    out: dict[NodeState, float] = {}
-    for state, p in pairs:
-        if p > 0.0:
-            out[state] = out.get(state, 0.0) + p
-    return sorted(out.items())
-
-
-def unselected_transition(s: NodeState, params: NetworkParams) -> Dist:
-    """Arrival-only law: queue +1 w.p. lambda (pinned at Q), battery unchanged."""
-    check_node_state(s, params)
-    lam = params.arrival_prob
-    q_up = min(s.queue + 1, params.queue_cap)
-    return _merge([
-        (NodeState(s.battery, q_up), lam),
-        (NodeState(s.battery, s.queue), 1.0 - lam),
-    ])
-
-
-def selected_transition(
-    s: NodeState, params: NetworkParams, node: int = 0,
-    profile: NodeEnergyProfile | None = None,
-) -> Dist:
-    """Law of the scheduled node.
-
-    When transmitting: queue +1 w.p. (1-ps)*lambda, -1 w.p. ps*(1-lambda),
-    unchanged otherwise, battery jumping by the net harvest quantum in all
-    three cases (the downlink charges the node even after a corrupted
-    packet). When it cannot transmit, the slot is charge-only.
-    """
-    check_node_state(s, params)
-    if profile is None:
-        profile = node_energy_profile(params, node)
-    K = params.battery_levels
-    lam = params.arrival_prob
-    if not can_transmit(s, profile):
-        e = _clamp(s.battery + profile.harvest_only_levels, K)
-        q_up = min(s.queue + 1, params.queue_cap)
-        return _merge([
-            (NodeState(e, q_up), lam),
-            (NodeState(e, s.queue), 1.0 - lam),
-        ])
-    ps = packet_success_prob(params)
-    e = _clamp(s.battery + profile.delta_levels, K)
-    q_up = min(s.queue + 1, params.queue_cap)
-    return _merge([
-        (NodeState(e, q_up), (1.0 - ps) * lam),
-        (NodeState(e, s.queue - 1), ps * (1.0 - lam)),
-        (NodeState(e, s.queue), (1.0 - ps) * (1.0 - lam) + ps * lam),
-    ])
-
-
-def node_reward(
-    s_from: NodeState, s_to: NodeState, params: NetworkParams,
-    selected: bool, profile: NodeEnergyProfile | None = None,
-) -> float:
-    """Expected packets this node drops on a transition pinned at a full queue."""
-    if not (s_from.queue == s_to.queue == params.queue_cap):
-        return 0.0
-    if selected and profile is not None and can_transmit(s_from, profile):
-        return (1.0 - packet_success_prob(params)) * params.arrival_prob
-    return params.arrival_prob
+def arrival_pmf(params: NetworkParams) -> np.ndarray:
+    """P(X = x), x = 0..k: the packets one node receives over a slot, Binomial(k, lambda)."""
+    k, lam = params.arrivals_per_slot, params.arrival_prob
+    return np.array([math.comb(k, x) * lam**x * (1.0 - lam) ** (k - x) for x in range(k + 1)])
 
 
 @dataclass
@@ -156,7 +91,7 @@ class TransitionModel:
     kernel 1 + k is node k's selected kernel S_k. Each spans the n_local
     per-node states, and row r = kernel * n_local + local state spans
     entries [row_ptr[r], row_ptr[r+1]) of (local next state, probability,
-    reward).
+    packets dropped), one entry per (departure, arrivals) outcome.
     """
 
     params: NetworkParams
@@ -171,47 +106,46 @@ class TransitionModel:
     def n_states(self) -> int:
         return self.n_local**self.n_actions
 
+    def expected(self, values: np.ndarray) -> np.ndarray:
+        """Per kernel (rows) and local state (columns), the mean of per-entry `values`."""
+        rows = np.repeat(np.arange(self.row_ptr.size - 1), np.diff(self.row_ptr))
+        sums = np.bincount(rows, weights=self.prob * values, minlength=self.row_ptr.size - 1)
+        return sums.reshape(-1, self.n_local)
+
     def kernel(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel j as a dense n_local x n_local matrix, with its expected cost per row."""
+        """Kernel j as a dense n_local x n_local matrix, with its expected loss per row."""
         m = self.n_local
         ptr = self.row_ptr[j * m:(j + 1) * m + 1]
         lo, hi = ptr[0], ptr[-1]
         rows = np.repeat(np.arange(m), np.diff(ptr))
         matrix = np.zeros((m, m))
         np.add.at(matrix, (rows, self.next_state[lo:hi]), self.prob[lo:hi])
-        cost = np.bincount(rows, weights=self.prob[lo:hi] * self.reward[lo:hi], minlength=m)
-        return matrix, cost
+        return matrix, self.expected(self.reward)[j]
 
 
-def _kernel_rows(params: NetworkParams, profiles: list[NodeEnergyProfile]):
-    """(next local index, prob, reward) entries per row, kernel by kernel: U, then each S_k."""
-    width = params.queue_cap + 1
-    states = [NodeState(b, q) for b in range(params.battery_levels + 1) for q in range(width)]
-    rows = [
-        [(ns.battery * width + ns.queue, p, node_reward(s, ns, params, selected=False))
-         for ns, p in unselected_transition(s, params)]
-        for s in states
-    ]
+def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> TransitionModel:
+    """The kernels U, S_0, ..., S_{N-1} of the per-node law; O(N * per-node states)."""
+    K, Q = params.battery_levels, params.queue_cap
+    battery, queue = np.divmod(np.arange(params.per_node_states), Q + 1)
+    ps = packet_success_prob(params)
+    # per kernel and local state: the battery after the slot, and P(D = 1)
+    after, departs = [battery], [np.zeros(battery.size)]
     for prof in profiles:
-        rows += [
-            [(ns.battery * width + ns.queue, p,
-              node_reward(s, ns, params, selected=True, profile=prof))
-             for ns, p in selected_transition(s, params, profile=prof)]
-            for s in states
-        ]
-    return rows
-
-
-def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> TransitionModel:
-    """The kernels U, S_0, ..., S_{N-1}; O(N * per-node states)."""
-    n_states = params.joint_state_count
-    if n_states > budget:
-        raise StateSpaceBudgetError(n_states, budget)
-    rows = _kernel_rows(params, energy_profiles(params))
-    row_ptr = np.cumsum([0] + [len(entries) for entries in rows])
-    nxt, prob, reward = zip(*(e for entries in rows for e in entries))
-    prob = np.asarray(prob, dtype=np.float64)
-    sums = np.add.reduceat(prob, row_ptr[:-1])
+        tx = (queue >= 1) & (battery >= prof.min_tx_level)
+        gain = np.where(tx, prof.delta_levels, prof.harvest_only_levels)
+        after.append(np.clip(battery + gain, 0, K))
+        departs.append(np.where(tx, ps, 0.0))
+    departs = np.array(departs)[..., None, None]
+    pmf = arrival_pmf(params)
+    # outcome axes after the local state: departure D in (0, 1), then arrivals X
+    level = queue[:, None, None] - np.array([0, 1])[:, None] + np.arange(pmf.size)
+    prob = np.concatenate([1.0 - departs, departs], axis=2) * pmf
+    nxt = np.array(after)[..., None, None] * (Q + 1) + np.minimum(level, Q)
+    dropped = np.broadcast_to(np.maximum(level - Q, 0), prob.shape)
+    prob, nxt, dropped = (a.reshape(-1, 2 * pmf.size) for a in (prob, nxt, dropped))
+    keep = prob > 0.0
+    row_ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    sums = np.add.reduceat(prob[keep], row_ptr[:-1])
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
     if bad.size:
         raise AssertionError(f"kernel row {bad[0]} sums to {sums[bad[0]]!r}")
@@ -220,10 +154,18 @@ def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> Tr
         n_actions=params.n_nodes,
         n_local=params.per_node_states,
         row_ptr=row_ptr.astype(np.int64),
-        next_state=np.asarray(nxt, dtype=np.int64),
-        prob=prob,
-        reward=np.asarray(reward, dtype=np.float64),
+        next_state=nxt[keep].astype(np.int64),
+        prob=prob[keep],
+        reward=dropped[keep].astype(np.float64),
     )
+
+
+def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> TransitionModel:
+    """The kernels of an exactly solvable model; refuses joint spaces above `budget`."""
+    n_states = params.joint_state_count
+    if n_states > budget:
+        raise StateSpaceBudgetError(n_states, budget)
+    return kernel_model(params, energy_profiles(params))
 
 
 @dataclass
@@ -341,40 +283,26 @@ def policy_chooser(result: ValueIterationResult):
 def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile]):
     """Approximate mode for joint spaces too large to enumerate.
 
-    Scores each candidate by the change in expected overflow it causes for
-    that node over this slot plus a discount-weighted look at the next
-    slot, holding every other node to the arrival-only law (their terms
-    cancel out of the argmin). Documented heuristic stand-in for the exact
-    policy; ties go to the longest queue, then the lowest battery, then the
-    lowest index. A score depends only on the node and its own (battery,
-    queue), so the sort keys are tabulated once. They are distinct (each
-    carries its node), so one sort turns them into integer ranks, and a
-    choice is the node of the least rank among N lookups.
+    One-step lookahead on the kernels, with c_S and c_U the expected losses
+    of S_n and U: selecting node n rather than leaving it to U changes this
+    slot's expected loss by c_S(s) - c_U(s) and, with every node left to U
+    in the next slot, that slot's by omega * ((S_n - U) c_U)(s); every
+    other node's terms cancel out of the argmin. Documented heuristic
+    stand-in for the exact policy; ties go to the longest queue, then the
+    lowest battery, then the lowest index. A score depends only on the node
+    and its own (battery, queue), so the sort keys are tabulated once. They
+    are distinct (each carries its node), so one sort turns them into
+    integer ranks, and a choice is the node of the least rank among N
+    lookups.
     """
-    ps = packet_success_prob(params)
-    # probability of at least one arrival over the slot's opportunities
-    lam = 1.0 - (1.0 - params.arrival_prob) ** params.arrivals_per_slot
-    Q = params.queue_cap
-    w = params.discount
-
-    def key(n: int, e: int, q: int) -> tuple[float, int, int, int]:
-        if q >= 1 and e >= profiles[n].min_tx_level:
-            imm_sel = (1.0 - ps) * lam if q == Q else 0.0
-            next_full_sel = (
-                ps * lam + (1.0 - ps) if q == Q
-                else (1.0 - ps) * lam if q == Q - 1
-                else 0.0
-            )
-        else:  # charge-only slot: queue behaves as if unselected
-            imm_sel = lam if q == Q else 0.0
-            next_full_sel = 1.0 if q == Q else lam if q == Q - 1 else 0.0
-        imm_uns = lam if q == Q else 0.0
-        next_full_uns = 1.0 if q == Q else lam if q == Q - 1 else 0.0
-        delta = (imm_sel - imm_uns) + w * lam * (next_full_sel - next_full_uns)
-        return (delta, -q, e, n)
-
+    model = kernel_model(params, profiles)
+    cost = model.expected(model.reward)
+    ahead = model.expected(cost[0][model.next_state])
+    score = (cost[1:] - cost[0]) + params.discount * (ahead[1:] - ahead[0])
+    width = params.queue_cap + 1
     keys = [
-        [[key(n, e, q) for q in range(Q + 1)] for e in range(params.battery_levels + 1)]
+        [[(float(score[n, e * width + q]), -q, e, n) for q in range(width)]
+         for e in range(params.battery_levels + 1)]
         for n in range(params.n_nodes)
     ]
     order = sorted(k for table in keys for row in table for k in row)

@@ -37,7 +37,7 @@ import numpy as np
 from .core import NetworkParams
 from .energy import energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
-from .mdp import myopic_chooser, policy_chooser
+from .mdp import arrival_pmf, myopic_chooser, policy_chooser
 
 STRATEGY_NAMES = ("ehmdp", "fq", "rs", "eqat", "dfq", "rc")
 # draws fetched per refill of a block-fetched stream (per arrival
@@ -350,7 +350,9 @@ class EqatStrategy(Strategy):
 
     Beacon probabilities are the working values computed at the end of the
     previous slot (one slot stale), zero for nodes that will still be
-    backing off.
+    backing off. A nominee is vetoed when the mass of its intended move,
+    ps * P(no arrival over the slot) * prod(1 - competitors' beacons), falls
+    below ``threshold``; P(no arrival) is `mdp.arrival_pmf`'s first term.
 
     The work of a slot is event-driven. `bind` and `end_of_slot` compute the
     contenders (`transmit_ready` nodes not backing off, in index order) and
@@ -372,6 +374,7 @@ class EqatStrategy(Strategy):
     def bind(self, sim: Simulation):
         p = sim.params
         self._uniform = uniforms(sim.rng.strategy)
+        self._ps_clean = sim.ps * float(arrival_pmf(p)[0])
         self.fails = [0] * p.n_nodes
         self.backoff = [0] * p.n_nodes
         self.waiting: list[int] = []
@@ -414,9 +417,8 @@ class EqatStrategy(Strategy):
         suf = [1.0] * (n + 1)
         for k in range(n - 1, -1, -1):
             suf[k] = suf[k + 1] * (1.0 - probs[k])
-        ps_clean = sim.ps * (1.0 - sim.params.arrival_prob)
         return [contenders[k] for k in nominees
-                if ps_clean * pre[k] * suf[k + 1] >= self.threshold]
+                if self._ps_clean * pre[k] * suf[k + 1] >= self.threshold]
 
     def on_outcome(self, sim, transmitters, outcome):
         if outcome == "collision":

@@ -25,10 +25,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from rwsnsim.core import NetworkParams, NodeState, check_node_state
+from joint_oracle import Dist, can_transmit, node_transition
+from rwsnsim.core import NetworkParams, NodeState
 from rwsnsim.energy import NodeEnergyProfile, node_energy_profile, packet_success_prob
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
-from rwsnsim.mdp import Dist, _clamp, _merge, can_transmit, selected_transition
 
 
 def collision_prob(k: int, probs: list[float]) -> float:
@@ -49,38 +49,29 @@ def collided_transition(
 ) -> Dist:
     """Transition law of a contending node facing competitors at probs p_others.
 
-    With silent competitors this collapses to the scheduled-node law. A
-    sixth (collision and arrival) case closes the normalization gap left
-    by the five nominal cases; without it the masses sum to
-    1 - Pr_c * (1 - ps) * lambda.
+    The queue moves by the scheduled node's law either way; the battery
+    gains the net harvest quantum when no competitor transmits and loses
+    one transmission's cost when one does. With silent competitors this
+    collapses to the scheduled-node law. The (collision, arrival) case
+    closes the normalization gap left by the five nominal cases; without
+    it the masses sum to 1 - Pr_c * (1 - ps) * lambda.
     """
-    check_node_state(s, params)
     if profile is None:
         profile = node_energy_profile(params, node)
+    scheduled, _ = node_transition(s, params, profile, selected=True)
     if not can_transmit(s, profile):
-        return selected_transition(s, params, node=node, profile=profile)
+        return scheduled
 
     clear = 1.0
     for p in p_others:
         clear *= 1.0 - p
-    col = 1.0 - clear
-    ps = packet_success_prob(params)
-    lam = params.arrival_prob
-    K, Q = params.battery_levels, params.queue_cap
-    e_up = _clamp(s.battery + profile.delta_levels, K)
-    e_dn = _clamp(s.battery - profile.min_tx_level, K)
-    q_up = min(s.queue + 1, Q)
-    stay = (1.0 - ps) * (1.0 - lam) + ps * lam
-    return _merge([
-        (NodeState(e_up, q_up), (1.0 - ps) * lam * clear),
-        (NodeState(e_up, s.queue - 1), ps * (1.0 - lam) * clear),
-        (NodeState(e_up, s.queue), stay * clear),
-        (NodeState(e_dn, s.queue), stay * col),
-        (NodeState(e_dn, s.queue - 1), ps * (1.0 - lam) * col),
-        # collision meets a new arrival: the unique combination the nominal
-        # cases leave out
-        (NodeState(e_dn, q_up), (1.0 - ps) * lam * col),
-    ])
+    e_dn = max(0, s.battery - profile.min_tx_level)
+    out: dict[NodeState, float] = {}
+    for ns, pr in scheduled:
+        for state, mass in ((ns, pr * clear), (NodeState(e_dn, ns.queue), pr * (1.0 - clear))):
+            if mass > 0.0:
+                out[state] = out.get(state, 0.0) + mass
+    return sorted(out.items())
 
 
 class Decision(enum.Enum):
@@ -150,7 +141,8 @@ def eqat_decide(
     clear = 1.0
     for p in p_others:
         clear *= 1.0 - p
-    intended_mass = packet_success_prob(params) * (1.0 - params.arrival_prob) * clear
+    no_arrival = (1.0 - params.arrival_prob) ** params.arrivals_per_slot
+    intended_mass = packet_success_prob(params) * no_arrival * clear
     if intended_mass < ctl.threshold:
         return Decision.HOLD
     return Decision.TRANSMIT

@@ -1,55 +1,158 @@
 """Enumerated joint model of the scheduling MDP, kept as a test oracle.
 
-The solver in `rwsnsim.mdp` never forms the joint law: it applies one
-per-node kernel per axis of the value tensor. This module builds the law
-the slow, direct way instead, one joint row at a time from
-`joint_transition` and `transition_reward`, and solves it with a plain
-sweep over those rows, so the factored solver can be checked against it.
+The solver in `rwsnsim.mdp` never forms the joint law: it builds one
+vectorised kernel per node and applies one per axis of the value tensor.
+This module writes the law the slow, direct way instead:
+
+  * `node_law` is one node's slot in plain python, event by event in the
+    simulator's order (the departure, then `arrivals_per_slot` arrival
+    opportunities, each dropping its packet on a full queue);
+  * `joint_transition` and `transition_reward` multiply those laws into
+    joint rows, and `build_joint_model` enumerates them, so the factored
+    solver can be checked against a plain sweep over those rows;
+  * the joint state indexing (`state_index`, `iter_joint_states`, ...) that
+    enumeration needs; the solver itself only ever indexes local states.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from rwsnsim.core import Action, JointState, NetworkParams, NodeState, iter_joint_states, state_index
-from rwsnsim.energy import NodeEnergyProfile, energy_profiles
-from rwsnsim.mdp import TIE_RTOL, node_reward, selected_transition, unselected_transition
+from rwsnsim.core import NetworkParams, NodeState, check_node_state
+from rwsnsim.energy import NodeEnergyProfile, energy_profiles, packet_success_prob
+from rwsnsim.mdp import TIE_RTOL
+
+JointState = tuple[NodeState, ...]
+Dist = list[tuple[NodeState, float]]
+
+
+def node_state_index(s: NodeState, params: NetworkParams) -> int:
+    check_node_state(s, params)
+    return s.battery * (params.queue_cap + 1) + s.queue
+
+
+def node_state_unindex(idx: int, params: NetworkParams) -> NodeState:
+    width = params.queue_cap + 1
+    return NodeState(battery=idx // width, queue=idx % width)
+
+
+def state_index(s: JointState, params: NetworkParams) -> int:
+    """Mixed-radix encoding of a joint state; node 0 is most significant.
+
+    Bijective onto [0, ((K+1)(Q+1))**N).
+    """
+    if len(s) != params.n_nodes:
+        raise ValueError(f"joint state has {len(s)} nodes, expected {params.n_nodes}")
+    m = params.per_node_states
+    idx = 0
+    for node in s:
+        idx = idx * m + node_state_index(node, params)
+    return idx
+
+
+def state_unindex(idx: int, params: NetworkParams) -> JointState:
+    if not (0 <= idx < params.joint_state_count):
+        raise ValueError(f"state index {idx} outside [0, {params.joint_state_count})")
+    m = params.per_node_states
+    out = []
+    for _ in range(params.n_nodes):
+        out.append(node_state_unindex(idx % m, params))
+        idx //= m
+    return tuple(reversed(out))
+
+
+def iter_joint_states(params: NetworkParams) -> Iterator[JointState]:
+    """All joint states in index order."""
+    for idx in range(params.joint_state_count):
+        yield state_unindex(idx, params)
+
+
+def can_transmit(s: NodeState, profile: NodeEnergyProfile) -> bool:
+    """A node can transmit iff it has a packet and battery for one attempt."""
+    return s.queue >= 1 and s.battery >= profile.min_tx_level
+
+
+def node_law(
+    s: NodeState, params: NetworkParams, profile: NodeEnergyProfile, selected: bool,
+) -> list[tuple[NodeState, float, int]]:
+    """One node's slot: (next state, probability, packets dropped) per distinct outcome.
+
+    A selected node that can transmit sends one packet, which leaves with
+    probability ps, and moves its battery by the net harvest quantum; a
+    selected node that cannot spends the slot charging; an unselected node
+    keeps its battery. Then each arrival opportunity brings a packet with
+    probability lambda, dropped if the queue is full.
+    """
+    check_node_state(s, params)
+    K, Q, lam = params.battery_levels, params.queue_cap, params.arrival_prob
+    battery = s.battery
+    queues = {(s.queue, 0): 1.0}  # (queue, dropped so far) -> probability
+    if selected and can_transmit(s, profile):
+        ps = packet_success_prob(params)
+        battery += profile.delta_levels
+        queues = {(s.queue, 0): 1.0 - ps, (s.queue - 1, 0): ps}
+    elif selected:
+        battery += profile.harvest_only_levels
+    battery = max(0, min(K, battery))
+    for _ in range(params.arrivals_per_slot):
+        step: dict[tuple[int, int], float] = {}
+        for (q, dropped), pr in queues.items():
+            hit = (q, dropped + 1) if q == Q else (q + 1, dropped)
+            for key, p_key in (((q, dropped), pr * (1.0 - lam)), (hit, pr * lam)):
+                step[key] = step.get(key, 0.0) + p_key
+        queues = step
+    return sorted((NodeState(battery, q), pr, dropped)
+                  for (q, dropped), pr in queues.items() if pr > 0.0)
+
+
+def node_transition(
+    s: NodeState, params: NetworkParams, profile: NodeEnergyProfile, selected: bool,
+) -> tuple[Dist, dict[NodeState, float]]:
+    """`node_law` merged by next state, and the expected drops given each next state."""
+    mass: dict[NodeState, float] = {}
+    loss: dict[NodeState, float] = {}
+    for ns, pr, dropped in node_law(s, params, profile, selected):
+        mass[ns] = mass.get(ns, 0.0) + pr
+        loss[ns] = loss.get(ns, 0.0) + pr * dropped
+    return sorted(mass.items()), {ns: loss[ns] / mass[ns] for ns in mass}
 
 
 def transition_reward(
-    s_alpha: JointState, s_beta: JointState, action: Action | int, params: NetworkParams,
+    s_alpha: JointState, s_beta: JointState, k: int, params: NetworkParams,
     profiles: list[NodeEnergyProfile] | None = None,
 ) -> float:
-    """Expected dropped packets over all nodes for one joint transition."""
-    k = action.selected if isinstance(action, Action) else action
+    """Expected dropped packets over all nodes, given the joint transition
+    s_alpha -> s_beta with node k selected."""
     if profiles is None:
         profiles = energy_profiles(params)
     total = 0.0
     for n, (a, b) in enumerate(zip(s_alpha, s_beta)):
-        total += node_reward(a, b, params, selected=(n == k), profile=profiles[n])
+        total += node_transition(a, params, profiles[n], selected=(n == k))[1].get(b, 0.0)
     return total
 
 
+def _product(laws: list[tuple[Dist, dict[NodeState, float]]]):
+    """Joint (next state, probability, expected drops) of independent per-node laws."""
+    acc: list[tuple[JointState, float, float]] = [((), 1.0, 0.0)]
+    for dist, loss in laws:
+        acc = [(prefix + (ns,), p * pn, r + loss[ns]) for prefix, p, r in acc for ns, pn in dist]
+    return acc
+
+
 def joint_transition(
-    s_alpha: JointState, action: Action | int, params: NetworkParams,
+    s_alpha: JointState, k: int, params: NetworkParams,
     profiles: list[NodeEnergyProfile] | None = None,
 ) -> list[tuple[JointState, float]]:
-    """Product of the selected node's law with every other node's arrival law."""
-    k = action.selected if isinstance(action, Action) else action
+    """Product of selected node k's law with every other node's arrival law."""
     if profiles is None:
         profiles = energy_profiles(params)
-    acc: list[tuple[tuple[NodeState, ...], float]] = [((), 1.0)]
-    for n, s in enumerate(s_alpha):
-        dist = (
-            selected_transition(s, params, node=n, profile=profiles[n])
-            if n == k
-            else unselected_transition(s, params)
-        )
-        acc = [(prefix + (ns,), p * pn) for prefix, p in acc for ns, pn in dist]
-    return acc
+    laws = [node_transition(s, params, profiles[n], selected=(n == k))
+            for n, s in enumerate(s_alpha)]
+    return [(sb, p) for sb, p, _ in _product(laws)]
 
 
 @dataclass
@@ -74,9 +177,13 @@ class JointModel:
 
 
 def build_joint_model(params: NetworkParams) -> JointModel:
-    """Enumerate every joint row; O(states * actions * row width) python calls."""
+    """Enumerate every joint row; O(states * actions * row width) python steps."""
     profiles = energy_profiles(params)
     n = params.n_nodes
+    local = [node_state_unindex(i, params) for i in range(params.per_node_states)]
+    laws = {(node, selected): {s: node_transition(s, params, profiles[node], selected)
+                               for s in local}
+            for node in range(n) for selected in (False, True)}
     # typed arrays, not lists: the N=3 model has about two million entries
     row_ptr = array("q", [0])
     next_out = array("q")
@@ -84,10 +191,10 @@ def build_joint_model(params: NetworkParams) -> JointModel:
     rew_out = array("d")
     for s in iter_joint_states(params):
         for k in range(n):
-            for sb, p in joint_transition(s, k, params, profiles):
+            for sb, p, r in _product([laws[i, i == k][si] for i, si in enumerate(s)]):
                 next_out.append(state_index(sb, params))
                 prob_out.append(p)
-                rew_out.append(transition_reward(s, sb, k, params, profiles))
+                rew_out.append(r)
             row_ptr.append(len(next_out))
     return JointModel(
         params=params,

@@ -1,18 +1,11 @@
-"""State indexing and parameter validation."""
+"""Parameter validation, the channel draw, config files, and the oracle's joint state indexing."""
 
 import itertools
 
 import pytest
 
-from rwsnsim.core import (
-    NetworkParams,
-    NodeState,
-    draw_channel_gains,
-    iter_joint_states,
-    state_index,
-    state_unindex,
-    validate,
-)
+from joint_oracle import iter_joint_states, state_index, state_unindex
+from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains, validate
 from rwsnsim.experiments import CHANNEL_KEYS, NETWORK_KEYS, read_config
 
 NETWORK_FILE_SCHEMA = {"network": NETWORK_KEYS, "channel": CHANNEL_KEYS}

@@ -10,10 +10,10 @@ import pytest
 
 import rwsnsim
 from eqat_oracle import Decision, EqatController, collided_transition, collision_prob, eqat_decide
+from joint_oracle import node_transition
 from rwsnsim.core import NetworkParams, NodeState
 from rwsnsim.energy import node_energy_profile, packet_success_prob
 from rwsnsim.eqat import TxProbDesign, tx_prob
-from rwsnsim.mdp import selected_transition
 
 # (1 - e^-1.5) * e^-0.6 at 40 digits
 EXP_DESIGN_REFERENCE = 0.4263552078410445
@@ -144,7 +144,9 @@ class TestCollidedTransition:
         for s in (NodeState(0, 0), NodeState(2, 3), NodeState(1, 0),
                   NodeState(5, 6), NodeState(0, 4)):
             got = collided_transition(s, p, 0, [0.0, 0.0])
-            assert got == selected_transition(s, p, node=0)
+            scheduled, _ = node_transition(s, p, node_energy_profile(p, 0), selected=True)
+            assert [ns for ns, _ in got] == [ns for ns, _ in scheduled]
+            assert [pr for _, pr in got] == pytest.approx([pr for _, pr in scheduled], abs=1e-15)
 
     def test_certain_collision_no_arrival_sure_success(self):
         # competitors at p=1, lam=0, ps=1: single outcome, battery down, queue down

@@ -14,7 +14,6 @@ from rwsnsim.experiments import (
     report,
     run_experiment,
     spec_from_config,
-    spec_from_manifest,
     write_outputs,
 )
 
@@ -122,7 +121,7 @@ class TestDeterminism:
         res = run_experiment(spec)
         out = write_outputs(res, str(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        spec2 = spec_from_manifest(manifest)
+        spec2 = ExperimentSpec(**manifest["spec"])
         res2 = run_experiment(spec2)
         assert res2.manifest["scenarios"] == res.manifest["scenarios"]
         assert (tmp_path / "aggregate.csv").read_text() == format_csv(res2.agg_rows, AGG_COLUMNS)

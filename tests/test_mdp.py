@@ -7,19 +7,17 @@ from joint_oracle import (
     backward_induction,
     bellman_q,
     build_joint_model,
+    iter_joint_states,
     joint_transition,
     joint_value_iteration,
+    node_law,
+    node_transition,
+    state_index,
+    state_unindex,
     tie_policy,
     transition_reward,
 )
-from rwsnsim.core import (
-    NetworkParams,
-    NodeState,
-    draw_channel_gains,
-    iter_joint_states,
-    state_index,
-    state_unindex,
-)
+from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import (
     TIE_RTOL,
@@ -27,10 +25,9 @@ from rwsnsim.mdp import (
     TransitionModel,
     build_model,
     greedy_policy,
+    kernel_model,
     myopic_chooser,
     policy_chooser,
-    selected_transition,
-    unselected_transition,
     value_iteration,
 )
 from rwsnsim.simulator import simulate_run
@@ -65,31 +62,50 @@ def sure_failure_params(n_nodes=1, **kw):
     return make_params(n_nodes=n_nodes, ber_target=0.999999, kappa1=2.0, **kw)
 
 
+def kernel_law(p, s, node=None):
+    """Row s of node `node`'s selected kernel (of U when None): the next states'
+    probabilities, merged over outcomes, and the row's expected loss."""
+    model = kernel_model(p, energy_profiles(p))
+    matrix, cost = model.kernel(0 if node is None else 1 + node)
+    width = p.queue_cap + 1
+    idx = s.battery * width + s.queue
+    row = matrix[idx]
+    law = {NodeState(*divmod(int(j), width)): float(row[j]) for j in np.flatnonzero(row)}
+    return law, float(cost[idx])
+
+
+def expected_loss(s, action, p):
+    """Expected drops of the oracle's joint row from s under `action`."""
+    return sum(pr * transition_reward(s, sb, action, p) for sb, pr in joint_transition(s, action, p))
+
+
+# two arrival opportunities per slot at the default 10 ms slot
+TWO_ARRIVALS = dict(arrival_period=5e-3)
+
+
 class TestSelectedTransition:
     def test_sure_success_no_arrival_decrements_queue(self):
         p = sure_success_params(arrival_prob=0.0)
         assert packet_success_prob(p) == 1.0
-        dist = selected_transition(NodeState(2, 3), p)
-        assert len(dist) == 1
-        (ns, prob), = dist
-        assert prob == 1.0
-        assert ns.queue == 2
-        assert ns.battery == p.battery_levels  # huge harvest clamps at K
+        law, cost = kernel_law(p, NodeState(2, 3), node=0)
+        # huge harvest clamps at K
+        assert law == {NodeState(p.battery_levels, 2): 1.0}
+        assert cost == 0.0
 
     def test_sure_failure_sure_arrival_increments_queue(self):
         p = sure_failure_params(arrival_prob=1.0)
         assert packet_success_prob(p) == 0.0
-        dist = selected_transition(NodeState(2, 3), p)
-        assert len(dist) == 1
-        (ns, prob), = dist
+        law, _ = kernel_law(p, NodeState(2, 3), node=0)
+        assert len(law) == 1
+        (ns, prob), = law.items()
         assert prob == 1.0
         assert ns.queue == 4
 
     def test_reference_masses_interior_state(self):
         p = make_params(arrival_prob=0.3, ber_target=5e-4, packet_bits=256)
         ps = packet_success_prob(p)
-        dist = dict(selected_transition(NodeState(1, 3), p))
-        by_queue = {ns.queue: pr for ns, pr in dist.items()}
+        law, _ = kernel_law(p, NodeState(1, 3), node=0)
+        by_queue = {ns.queue: pr for ns, pr in law.items()}
         assert by_queue[4] == pytest.approx((1 - ps) * 0.3, abs=1e-15)
         assert by_queue[2] == pytest.approx(ps * 0.7, abs=1e-15)
         assert by_queue[3] == pytest.approx((1 - ps) * 0.7 + ps * 0.3, abs=1e-15)
@@ -102,9 +118,9 @@ class TestSelectedTransition:
     def test_empty_queue_is_charge_only(self):
         p = make_params(arrival_prob=0.25)
         prof = energy_profiles(p)[0]
-        dist = dict(selected_transition(NodeState(1, 0), p))
+        law, _ = kernel_law(p, NodeState(1, 0), node=0)
         expect_e = min(1 + prof.harvest_only_levels, p.battery_levels)
-        assert dist == {
+        assert law == {
             NodeState(expect_e, 1): pytest.approx(0.25),
             NodeState(expect_e, 0): pytest.approx(0.75),
         }
@@ -114,15 +130,15 @@ class TestSelectedTransition:
         prof = energy_profiles(p)[0]
         assert 1 < prof.min_tx_level <= p.battery_levels
         e0 = prof.min_tx_level - 1
-        dist = dict(selected_transition(NodeState(e0, 3), p))
-        queues = {ns.queue for ns in dist}
+        law, _ = kernel_law(p, NodeState(e0, 3), node=0)
+        queues = {ns.queue for ns in law}
         assert queues == {3, 4}  # no decrement possible
 
     def test_full_queue_folds_up_mass(self):
         p = make_params(arrival_prob=0.3)
         ps = packet_success_prob(p)
-        dist = dict(selected_transition(NodeState(2, p.queue_cap), p))
-        by_queue = {ns.queue: pr for ns, pr in dist.items()}
+        law, _ = kernel_law(p, NodeState(2, p.queue_cap), node=0)
+        by_queue = {ns.queue: pr for ns, pr in law.items()}
         assert by_queue[p.queue_cap] == pytest.approx(1 - ps * 0.7, abs=1e-15)
         assert by_queue[p.queue_cap - 1] == pytest.approx(ps * 0.7, abs=1e-15)
 
@@ -133,47 +149,64 @@ class TestSelectedTransition:
                 arrival_prob=float(rng.uniform(0, 1)),
                 ber_target=float(rng.uniform(1e-6, 0.19)),
                 channel_gain=(float(10 ** rng.uniform(-1, 1)),),
+                arrival_period=float(rng.choice([10e-3, 5e-3, 2.5e-3])),
             )
             for s in (NodeState(0, 0), NodeState(2, 3), NodeState(5, 6), NodeState(1, 6)):
-                total = sum(pr for _, pr in selected_transition(s, p))
-                assert total == pytest.approx(1.0, abs=1e-12)
+                law, _ = kernel_law(p, s, node=0)
+                assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUnselectedTransition:
     def test_no_arrivals_is_identity(self):
         p = make_params(arrival_prob=0.0)
-        assert unselected_transition(NodeState(2, 3), p) == [(NodeState(2, 3), 1.0)]
+        assert kernel_law(p, NodeState(2, 3)) == ({NodeState(2, 3): 1.0}, 0.0)
 
     def test_sure_arrival_increments(self):
         p = make_params(arrival_prob=1.0)
-        assert unselected_transition(NodeState(2, 3), p) == [(NodeState(2, 4), 1.0)]
+        assert kernel_law(p, NodeState(2, 3)) == ({NodeState(2, 4): 1.0}, 0.0)
 
     def test_pinned_at_full_queue(self):
-        p = make_params(arrival_prob=0.3)
-        s = NodeState(2, p.queue_cap)
-        assert unselected_transition(s, p) == [(s, 1.0)]
-        # the fold carries the overflow cost
-        assert transition_reward((s,), (s,), 1, make_params(n_nodes=2, arrival_prob=0.3)) or True
+        # a full queue stays full, and each kernel's expected loss there is
+        # the mean number of packets the slot drops, X ~ Binomial(k, lambda)
+        # arrivals against a departure D
+        for k, extra in ((1, {}), (2, TWO_ARRIVALS)):
+            p = make_params(arrival_prob=0.3, **extra)
+            assert p.arrivals_per_slot == k
+            lam, ps, q = p.arrival_prob, packet_success_prob(p), p.queue_cap
+            prof = energy_profiles(p)[0]
+            full = NodeState(p.battery_levels, q)
+            assert full.battery >= prof.min_tx_level >= 1
+            law, cost = kernel_law(p, full)
+            assert law == {full: pytest.approx(1.0)}
+            assert cost == pytest.approx(k * lam, abs=1e-15)  # U: every arrival drops
+            # S transmitting: E[max(0, X - D)], and E[max(0, X - 1)] = k lam - P(X >= 1)
+            _, cost = kernel_law(p, full, node=0)
+            tail = k * lam - (1 - (1 - lam) ** k)
+            assert cost == pytest.approx(ps * tail + (1 - ps) * k * lam, abs=1e-15)
+            if k == 1:
+                assert cost == pytest.approx((1 - ps) * lam, abs=1e-15)
+            # S charge-only: nothing departs, so it drops like U
+            _, cost = kernel_law(p, NodeState(0, q), node=0)
+            assert cost == pytest.approx(k * lam, abs=1e-15)
 
 
-class TestArrivalLawArtefact:
-    """The kernels model one arrival opportunity per slot, the simulator
-    `arrivals_per_slot` of them (see "Boundary conventions" in `mdp`)."""
+class TestArrivalLaw:
+    """The kernels apply the simulator's `arrivals_per_slot` opportunities per slot."""
 
-    def test_kernel_sees_half_the_load_the_simulator_applies(self):
+    def test_kernel_sees_the_load_the_simulator_applies(self):
         p = make_params(n_nodes=2, arrival_prob=0.2, slot_len=10e-3, arrival_period=5e-3)
         assert p.arrivals_per_slot == 2
         lam = p.arrival_prob
-        s = NodeState(2, 3)  # interior: the queue can rise without pinning
-        increment = sum(pr * (ns.queue - s.queue) for ns, pr in unselected_transition(s, p))
-        assert increment == pytest.approx(lam, abs=1e-15)
+        s = NodeState(2, 3)  # interior: two arrivals fit without pinning
+        law, _ = kernel_law(p, s)
+        increment = sum(pr * (ns.queue - s.queue) for ns, pr in law.items())
+        assert increment == pytest.approx(2 * lam, abs=1e-15)
         slots = 20_000
         m, _ = simulate_run(p, "fq", slots=slots, seed=0)
         per_node_slot = m.generated / (slots * p.n_nodes)
         # 2 * slots * n_nodes Bernoulli(lam) opportunities
         sigma = (2 * lam * (1 - lam) / (slots * p.n_nodes)) ** 0.5
-        assert abs(per_node_slot - 2 * lam) <= 4 * sigma
-        assert per_node_slot - lam > 20 * sigma
+        assert abs(per_node_slot - increment) <= 4 * sigma
 
 
 class TestTransitionReward:
@@ -190,21 +223,22 @@ class TestTransitionReward:
         assert transition_reward(a, b, 0, p) == pytest.approx(0.3)
 
     def test_selected_full_queue_contributes_failure_mass(self):
+        # the expected loss of a transmitting node at a full queue is the
+        # arrival that meets a failed packet: (1 - ps) * lambda
         p = make_params(n_nodes=1, arrival_prob=0.3, ber_target=5e-4)
         ps = packet_success_prob(p)
-        q = p.queue_cap
-        a = (NodeState(2, q),)
-        b = (NodeState(5, q),)
-        r = transition_reward(a, b, 0, p)
-        assert r == pytest.approx((1 - ps) * 0.3, abs=1e-15)
-        assert r == pytest.approx(0.0361, abs=1e-4)
+        s = NodeState(2, p.queue_cap)
+        _, cost = kernel_law(p, s, node=0)
+        assert cost == pytest.approx((1 - ps) * 0.3, abs=1e-15)
+        assert cost == pytest.approx(0.0361, abs=1e-4)
+        assert expected_loss((s,), 0, p) == pytest.approx(cost, abs=1e-15)
 
     def test_blocked_selected_node_drops_like_unselected(self):
         p = make_params(n_nodes=1, arrival_prob=0.3, channel_gain=(0.4,))
         prof = energy_profiles(p)[0]
-        q = p.queue_cap
-        a = (NodeState(prof.min_tx_level - 1, q),)
-        assert transition_reward(a, a, 0, p) == pytest.approx(0.3)
+        s = NodeState(prof.min_tx_level - 1, p.queue_cap)
+        assert kernel_law(p, s, node=0)[1] == pytest.approx(0.3)
+        assert expected_loss((s,), 0, p) == pytest.approx(0.3)
 
 
 class TestJointTransition:
@@ -212,7 +246,8 @@ class TestJointTransition:
         p = make_params(arrival_prob=0.3)
         s = (NodeState(1, 3),)
         joint = {js[0]: pr for js, pr in joint_transition(s, 0, p)}
-        assert joint == dict(selected_transition(NodeState(1, 3), p))
+        law, _ = kernel_law(p, s[0], node=0)
+        assert joint == pytest.approx(law, abs=1e-15)
 
     def test_two_node_deterministic_case(self):
         p = sure_success_params(n_nodes=2, arrival_prob=0.0)
@@ -226,12 +261,13 @@ class TestJointTransition:
 
     def test_product_structure_matches_enumeration_oracle(self):
         p = make_params(n_nodes=2, arrival_prob=0.3, channel_gain=(1.0, 0.7))
+        prof = energy_profiles(p)
         s = (NodeState(1, 3), NodeState(2, 6))
         got = {js: pr for js, pr in joint_transition(s, 1, p)}
         # oracle: explicit double loop over the two per-node laws
         exp = {}
-        for n0, p0 in unselected_transition(s[0], p):
-            for n1, p1 in selected_transition(s[1], p, node=1):
+        for n0, p0 in node_transition(s[0], p, prof[0], selected=False)[0]:
+            for n1, p1 in node_transition(s[1], p, prof[1], selected=True)[0]:
                 exp[(n0, n1)] = exp.get((n0, n1), 0.0) + p0 * p1
         assert set(got) == set(exp)
         for k in exp:
@@ -260,7 +296,8 @@ def assert_kernel_rows_stochastic(model: TransitionModel):
 
 
 def product_row(model: TransitionModel, state: int, action: int) -> dict[int, tuple[float, float]]:
-    """Joint row of (state, action) composed from the kernels: next -> (prob, reward)."""
+    """Joint row of (state, action) composed from the kernels, merged by next
+    state: next -> (probability, probability-weighted drops)."""
     m, n = model.n_local, model.n_actions
     digits = [(state // m ** (n - 1 - i)) % m for i in range(n)]
     acc = [(0, 1.0, 0.0)]
@@ -268,7 +305,11 @@ def product_row(model: TransitionModel, state: int, action: int) -> dict[int, tu
         table = kernel_rows(model, 1 + action if i == action else 0)[d]
         acc = [(base * m + nxt, p * pe, r + re)
                for base, p, r in acc for nxt, pe, re in table]
-    return {nxt: (p, r) for nxt, p, r in acc}
+    out: dict[int, tuple[float, float]] = {}
+    for nxt, p, r in acc:
+        mass, loss = out.get(nxt, (0.0, 0.0))
+        out[nxt] = (mass + p, loss + p * r)
+    return out
 
 
 class TestBuildModel:
@@ -310,33 +351,52 @@ class TestBuildModel:
 
     def test_rewards_match_transition_reward(self):
         # the kernel products reproduce each joint row: next states,
-        # probabilities, and the summed per-node rewards
-        p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.3)
-        m = build_model(p)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            s = int(rng.integers(m.n_states))
-            a = int(rng.integers(m.n_actions))
-            row = product_row(m, s, a)
-            sa = state_unindex(s, p)
-            expect = {state_index(sb, p): pr for sb, pr in joint_transition(sa, a, p)}
-            assert set(row) == set(expect)
-            for nxt, (pr, rew) in row.items():
-                assert pr == pytest.approx(expect[nxt], abs=1e-15)
-                sb = state_unindex(nxt, p)
-                assert rew == pytest.approx(transition_reward(sa, sb, a, p), abs=1e-15)
+        # probabilities, and the summed per-node expected drops
+        for extra in ({}, TWO_ARRIVALS):
+            p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.3, **extra)
+            m = build_model(p)
+            rng = np.random.default_rng(5)
+            for _ in range(50):
+                s = int(rng.integers(m.n_states))
+                a = int(rng.integers(m.n_actions))
+                row = product_row(m, s, a)
+                sa = state_unindex(s, p)
+                expect = {state_index(sb, p): pr for sb, pr in joint_transition(sa, a, p)}
+                assert set(row) == set(expect)
+                for nxt, (pr, loss) in row.items():
+                    assert pr == pytest.approx(expect[nxt], abs=1e-15)
+                    sb = state_unindex(nxt, p)
+                    assert loss == pytest.approx(pr * transition_reward(sa, sb, a, p), abs=1e-15)
 
     def test_stores_one_kernel_per_node_plus_the_arrival_kernel(self):
         p = make_params(n_nodes=3)
         m = build_model(p)
         assert m.n_local == p.per_node_states == 42
         assert m.row_ptr.size == 4 * 42 + 1
-        assert m.prob.size <= 4 * 42 * 3  # at most three outcomes per local state
+        # one entry per (departure, arrivals) outcome: at most 2 x 2 a row
+        assert m.prob.size <= 4 * 42 * 4
+        # an entry's reward is the packets that outcome drops, never a fraction
+        assert set(m.reward.tolist()) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("period", [10e-3, 5e-3, 10e-3 / 3])
+    def test_kernels_match_the_plain_reference(self, period):
+        # every row of U and of each S_k, against the oracle's event-by-event law
+        p = make_params(n_nodes=2, arrival_prob=0.35, arrival_period=period,
+                        channel_gain=(1.0, 0.4))
+        assert p.arrivals_per_slot == round(10e-3 / period)
+        profiles = energy_profiles(p)
+        model = kernel_model(p, profiles)
         width = p.queue_cap + 1
-        for idx, entries in enumerate(kernel_rows(m, 0)):
-            law = unselected_transition(NodeState(idx // width, idx % width), p)
-            assert {nxt: pr for nxt, pr, _ in entries} == {
-                ns.battery * width + ns.queue: pr for ns, pr in law}
+        for j in range(p.n_nodes + 1):
+            matrix, cost = model.kernel(j)
+            for idx in range(model.n_local):
+                s = NodeState(*divmod(idx, width))
+                law = node_law(s, p, profiles[max(j - 1, 0)], selected=j > 0)
+                expect = np.zeros(model.n_local)
+                for ns, pr, _ in law:
+                    expect[ns.battery * width + ns.queue] += pr
+                assert matrix[idx] == pytest.approx(expect, abs=1e-15)
+                assert cost[idx] == pytest.approx(sum(pr * d for _, pr, d in law), abs=1e-15)
 
 
 class TestValueIteration:
@@ -431,6 +491,28 @@ class TestChoosers:
             total += 1
         print(f"\nmyopic/exact agreement: {agree}/{total} = {agree / total:.1%}")
         assert agree > 0
+
+    @pytest.mark.parametrize("extra", [{}, TWO_ARRIVALS], ids=["k1", "k2"])
+    def test_myopic_is_the_one_step_lookahead_of_the_joint_oracle(self, extra):
+        # the expected loss of this slot under each action, plus the
+        # discounted expected loss of the next slot with every node left to
+        # the arrival-only law, from the enumerated joint rows; Q = 3 leaves
+        # room for two arrivals to drop from Q - 2 up
+        p = make_params(n_nodes=2, battery_levels=2, queue_cap=3, arrival_prob=0.4,
+                        channel_gain=(1.0, 0.7), **extra)
+        profiles = energy_profiles(p)
+        idle_loss = np.array([
+            sum(sum(pr * d for _, pr, d in node_law(ns, p, profiles[n], selected=False))
+                for n, ns in enumerate(s))
+            for s in iter_joint_states(p)
+        ])
+        lookahead = bellman_q(build_joint_model(p), idle_loss, p.discount)
+        choose = myopic_chooser(p, profiles)
+        for s, scores in zip(iter_joint_states(p), lookahead):
+            tied = np.flatnonzero(scores <= scores.min() + 1e-12)
+            # ties: longest queue, then lowest battery, then lowest index
+            expect = min(tied, key=lambda n: (-s[n].queue, s[n].battery, n))
+            assert choose([ns.battery for ns in s], [ns.queue for ns in s]) == expect, s
 
 
 def pipeline_n3_params():

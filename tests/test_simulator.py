@@ -377,6 +377,23 @@ class TestEqatIntegration:
             b, _ = simulate_run(p, "rs", slots=3000, seed=seed)
             assert a == b, seed
 
+    def test_threshold_gate_counts_every_arrival_opportunity(self):
+        # a lone node that always nominates itself, at two arrival
+        # opportunities a slot: the mass of its intended move is
+        # ps * (1 - lambda)^2, so a threshold just above it vetoes every
+        # attempt and one just below lets them all through
+        p = make_params(n_nodes=1, arrival_prob=0.3, arrival_period=5e-3, channel_gain=(1e4,))
+        assert p.arrivals_per_slot == 2
+        clean = packet_success_prob(p) * (1 - p.arrival_prob) ** 2
+        design = TxProbDesign.exponential(1000.0, 1e-12)
+        held, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
+                               eqat_threshold=clean * (1 + 1e-9))
+        sent, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
+                               eqat_threshold=clean * (1 - 1e-9))
+        assert held.generated > 0
+        assert held.delivered == 0
+        assert sent.delivered > 0
+
     def test_backoff_follows_collision(self):
         p = make_params(n_nodes=2, arrival_prob=0.9, channel_gain=(1e4, 1e4))
         design = TxProbDesign.exponential(1000.0, 1e-12)  # both contend hard
