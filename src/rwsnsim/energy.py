@@ -1,8 +1,8 @@
 """Closed-form energy and link math.
 
 Covers downlink transfer power, BER-constrained uplink transmit power,
-the a-priori optimal modulation order (net-energy argmax, solved by
-bisection of its first-order condition plus an integer neighbor check),
+the a-priori optimal modulation order (net-energy argmax, found by an
+ascending scan that stops where the unimodal balance stops improving),
 and the quantized battery deltas the scheduler and simulator apply.
 """
 
@@ -76,73 +76,31 @@ def _net_energy(params: NetworkParams, node: int, rho: int) -> float:
     return harvest - tx_dur * transmit_power(params, node, rho)
 
 
-def _stationary_order(params: NetworkParams, node: int) -> float:
-    """Continuous root of the net-energy first-order condition.
-
-    The condition reduces to  rho * 2^rho * ln2 - 2^rho = rhs  with
-    rhs = efficiency * P_bs * kappa2 * gain^2 / ln(kappa1/ber) - 1; the
-    left side is strictly increasing, so bisection applies. Packet length
-    and bandwidth cancel out of the condition (they scale both derivative
-    terms equally).
-    """
-    g = params.channel_gain[node]
-    rhs = (
-        params.transfer_efficiency
-        * params.bs_power
-        * params.kappa2
-        * g * g
-        / math.log(params.kappa1 / params.ber_target)
-        - 1.0
-    )
-
-    def lhs(rho: float) -> float:
-        return rho * 2.0**rho * math.log(2.0) - 2.0**rho
-
-    lo, hi = 1e-9, 1.0
-    if lhs(lo) >= rhs:
-        return lo
-    while lhs(hi) < rhs:
-        hi *= 2.0
-        if hi > 512.0:  # far beyond any modulation ladder; 2^rho would overflow
-            return hi
-    for _ in range(80):  # width 1e-9 .. 512 halved 80 times << 1e-6 tolerance
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) < rhs:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6:
-            break
-    return 0.5 * (lo + hi)
-
-
 def optimal_modulation(params: NetworkParams, node: int) -> ModulationDecision:
     """Order in {1..M} maximizing the slot energy balance; ties to smaller order.
 
     Restricted to orders whose transmit duration fits the slot; raises
-    ModulationInfeasibleError when none does.
+    ModulationInfeasibleError when none does. The balance is unimodal in the
+    order: its first-order condition reduces to
+    rho * 2^rho * ln2 - 2^rho = efficiency * P_bs * kappa2 * gain^2 / ln(kappa1/ber) - 1,
+    whose left side is strictly increasing (packet length and bandwidth
+    cancel out). So an ascending scan over the feasible orders may stop at
+    the first order that does not improve, which also keeps 2^rho finite
+    for any M.
     """
-    feasible_lo = None
+    best = None
     for rho in range(1, params.max_modulation + 1):
-        if params.packet_bits / (rho * params.bandwidth) <= params.slot_len * (1 + 1e-12):
-            feasible_lo = rho
+        if params.packet_bits / (rho * params.bandwidth) > params.slot_len * (1 + 1e-12):
+            continue  # too slow to fit the slot; higher orders are faster
+        value = _net_energy(params, node, rho)
+        if best is not None and value <= best[1]:
             break
-    if feasible_lo is None:
+        best = (rho, value)
+    if best is None:
         raise ModulationInfeasibleError(
             f"packet of {params.packet_bits} bits does not fit a {params.slot_len}s slot "
             f"even at order {params.max_modulation}"
         )
-
-    root = _stationary_order(params, node)
-    candidates = {
-        min(max(math.floor(root), feasible_lo), params.max_modulation),
-        min(max(math.ceil(root), feasible_lo), params.max_modulation),
-    }
-    best = None
-    for rho in sorted(candidates):  # ascending, so strict > keeps the smaller order on ties
-        value = _net_energy(params, node, rho)
-        if best is None or value > best[1]:
-            best = (rho, value)
     rho, value = best
     return ModulationDecision(
         order=rho,

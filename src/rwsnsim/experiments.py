@@ -24,8 +24,9 @@ from typing import Callable
 
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
-from .mdp import DEFAULT_STATE_BUDGET, build_model, value_iteration
-from .simulator import STRATEGY_NAMES, SlotTrace, simulate_run
+from .mdp import (DEFAULT_STATE_BUDGET, StateSpaceBudgetError, build_model, check_budget,
+                  value_iteration)
+from .simulator import STRATEGIES, EqatStrategy, SlotTrace, simulate_run
 
 log = logging.getLogger(__name__)
 
@@ -52,8 +53,8 @@ class ExperimentSpec:
 
     n_nodes: list[int] = field(default_factory=lambda: [10])
     t_hat: list[int] = field(default_factory=lambda: [10])  # mini-slots per interval
-    designs: list[str] = field(default_factory=lambda: ["exp:1:0.05"])
-    strategies: list[str] = field(default_factory=lambda: list(STRATEGY_NAMES))
+    designs: list[str] = field(default_factory=lambda: [EqatStrategy().design.label])
+    strategies: list[str] = field(default_factory=lambda: list(STRATEGIES))
     slots: int = 10_000
     seeds: list[int] = field(default_factory=lambda: list(range(20)))
     minislot_len: float = 1e-3
@@ -62,10 +63,8 @@ class ExperimentSpec:
     trace: bool = False
     network: dict = field(default_factory=dict)   # NetworkParams field overrides
     channel: dict = field(default_factory=dict)   # draw_channel_gains overrides
-    rc_contention: float = 0.75
-    eqat_alpha: float = 0.5
-    eqat_threshold: float = 0.0
-    backoff_window: int = 8
+    eqat: dict = field(default_factory=dict)      # EqatStrategy overrides; design from designs
+    rc: dict = field(default_factory=dict)        # RandomContentionStrategy overrides
 
     def validate(self) -> list[str]:
         v = []
@@ -79,7 +78,7 @@ class ExperimentSpec:
             v.append("at least one seed is required")
         if self.slots < 0:
             v.append("slots must be >= 0")
-        unknown = [s for s in self.strategies if s not in STRATEGY_NAMES]
+        unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             v.append(f"unknown strategies: {unknown}")
         if "eqat" in self.strategies and not self.designs:
@@ -89,6 +88,11 @@ class ExperimentSpec:
                 TxProbDesign.parse(d)
             except ValueError as e:
                 v.append(str(e))
+        for name, overrides in (("eqat", self.eqat), ("rc", self.rc)):
+            try:
+                STRATEGIES[name](**overrides)
+            except (TypeError, ValueError) as e:
+                v.append(f"[{name}] {e}")
         return v
 
     def resolve_params(self, n: int, t_hat: int) -> NetworkParams:
@@ -225,13 +229,7 @@ def spec_from_config(path: str) -> ExperimentSpec:
     An unknown section or key is an error (see `read_config`).
     """
     cfg = read_config(path, _SPEC_SCHEMA)
-    eqat, rc = cfg["eqat"], cfg["rc"]
-    spec = ExperimentSpec(**cfg["experiment"], network=cfg["network"], channel=cfg["channel"])
-    spec.eqat_alpha = eqat.get("alpha", spec.eqat_alpha)
-    spec.eqat_threshold = eqat.get("threshold", spec.eqat_threshold)
-    spec.backoff_window = eqat.get("backoff_window", spec.backoff_window)
-    spec.rc_contention = rc.get("contention_prob", spec.rc_contention)
-    return spec
+    return ExperimentSpec(**cfg.pop("experiment"), **cfg)
 
 
 @dataclass
@@ -244,17 +242,9 @@ class ExperimentResult:
 
 
 def _run_one(args):
-    (params, strategy, design_token, slots, seed, trace,
-     rc_contention, eqat_alpha, eqat_threshold, backoff_window, vi_result) = args
+    params, strategy, slots, seed, trace, strategy_kw = args
     try:
-        design = TxProbDesign.parse(design_token) if design_token else None
-        metrics, traces = simulate_run(
-            params, strategy, slots=slots, seed=seed, trace=trace,
-            design=design, vi_result=vi_result,
-            contention_prob=rc_contention, eqat_alpha=eqat_alpha,
-            eqat_threshold=eqat_threshold, backoff_window=backoff_window,
-        )
-        return metrics, traces
+        return simulate_run(params, strategy, slots, seed, trace, **strategy_kw)
     except Exception as e:  # reported per task; the grid keeps running
         return ("error", f"{type(e).__name__}: {e}")
 
@@ -277,20 +267,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             ehmdp_mode = None
             vi_result = None
             if "ehmdp" in spec.strategies:
-                if params.joint_state_count <= spec.budget:
-                    try:
-                        vi_result = value_iteration(build_model(params, budget=spec.budget))
-                        ehmdp_mode = "exact"
-                    except Exception as e:
-                        failures.append({"n_nodes": n, "t_hat": t_hat,
-                                         "strategy": "ehmdp", "error": str(e)})
-                        ehmdp_mode = "myopic"
-                else:
-                    log.info(
-                        "scenario N=%d T=%d: %d joint states exceed the budget of %d; "
-                        "ehmdp runs in myopic mode", n, t_hat, params.joint_state_count,
-                        spec.budget,
-                    )
+                try:
+                    # checked before build_model is entered, so every build_model
+                    # call returns a model (the benchmark's traced spans describe it)
+                    check_budget(params, spec.budget)
+                    vi_result = value_iteration(build_model(params, budget=spec.budget))
+                    ehmdp_mode = "exact"
+                except StateSpaceBudgetError as e:
+                    log.info("scenario N=%d T=%d: %s; ehmdp runs in myopic mode", n, t_hat, e)
+                    ehmdp_mode = "myopic"
+                except Exception as e:
+                    failures.append({"n_nodes": n, "t_hat": t_hat,
+                                     "strategy": "ehmdp", "error": str(e)})
                     ehmdp_mode = "myopic"
             scenarios.append({
                 "n_nodes": n,
@@ -301,16 +289,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 "params": params_dict(params),
             })
             for strategy in spec.strategies:
-                design_tokens = spec.designs if strategy == "eqat" else [None]
-                for token in design_tokens:
+                # (design column, constructor kwargs) of each row group
+                if strategy == "eqat":
+                    groups = [(token, {**spec.eqat, "design": TxProbDesign.parse(token)})
+                              for token in spec.designs]
+                else:
+                    kw = {"ehmdp": {"vi_result": vi_result}, "rc": spec.rc}.get(strategy, {})
+                    groups = [("-", kw)]
+                for design, kw in groups:
                     for seed in spec.seeds:
-                        args = (params, strategy, token, spec.slots, seed, spec.trace,
-                                spec.rc_contention, spec.eqat_alpha, spec.eqat_threshold,
-                                spec.backoff_window,
-                                vi_result if strategy == "ehmdp" else None)
                         key = {"n_nodes": n, "t_hat": t_hat,
-                               "design": token or "-", "strategy": strategy, "seed": seed}
-                        tasks.append((key, args))
+                               "design": design, "strategy": strategy, "seed": seed}
+                        tasks.append((key, (params, strategy, spec.slots, seed, spec.trace, kw)))
 
     raw_rows: list[dict] = []
     trace_rows: list[dict] = []
@@ -338,7 +328,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             trace_rows.extend(_trace_dicts(key, traces))
 
     manifest = {
-        "format": "rwsnsim-experiment-1",
+        "format": "rwsnsim-experiment-2",
         "spec": asdict(spec),
         "scenarios": scenarios,
     }

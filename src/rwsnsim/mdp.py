@@ -37,8 +37,9 @@ Ties. The policy takes the lowest node index among the actions whose Q
 lies within TIE_RTOL * max(1, |min Q|) of the minimum, so actions equal up
 to rounding do not get ordered by summation order.
 
-Budget. `build_model` refuses a joint state count m^N above its budget
-(200,000 states by default: N=3 has 74,088 at the defaults, N=4 has 3.1 M).
+Budget. `check_budget`, which `build_model` applies, refuses a joint state
+count m^N above its budget (200,000 states by default: N=3 has 74,088 at
+the defaults, N=4 has 3.1 M).
 `kernel_model` itself has none: the kernels are O(N m) at any N.
 
 Boundary conventions (the interior cases follow the law above; the
@@ -160,11 +161,16 @@ def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> Tr
     )
 
 
-def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> TransitionModel:
-    """The kernels of an exactly solvable model; refuses joint spaces above `budget`."""
+def check_budget(params: NetworkParams, budget: int) -> None:
+    """Raise StateSpaceBudgetError when the joint state space exceeds `budget`."""
     n_states = params.joint_state_count
     if n_states > budget:
         raise StateSpaceBudgetError(n_states, budget)
+
+
+def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> TransitionModel:
+    """The kernels of an exactly solvable model; refuses joint spaces above `budget`."""
+    check_budget(params, budget)
     return kernel_model(params, energy_profiles(params))
 
 

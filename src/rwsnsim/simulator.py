@@ -39,7 +39,6 @@ from .energy import energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
 from .mdp import arrival_pmf, myopic_chooser, policy_chooser
 
-STRATEGY_NAMES = ("ehmdp", "fq", "rs", "eqat", "dfq", "rc")
 # draws fetched per refill of a block-fetched stream (per arrival
 # opportunity for the arrival stream); bounds the memory a stream holds
 BLOCK = 1024
@@ -321,6 +320,8 @@ class RandomContentionStrategy(Strategy):
     name = "rc"
 
     def __init__(self, contention_prob: float = 0.75):
+        if not 0.0 <= contention_prob <= 1.0:
+            raise ValueError(f"contention_prob must be in [0, 1], got {contention_prob}")
         self.contention_prob = contention_prob
 
     def bind(self, sim: Simulation):
@@ -364,8 +365,14 @@ class EqatStrategy(Strategy):
 
     name = "eqat"
 
-    def __init__(self, design: TxProbDesign, alpha: float = 0.5, threshold: float = 0.0,
-                 backoff_window: int = 8):
+    def __init__(self, design: TxProbDesign = TxProbDesign.exponential(1.0, 0.05),
+                 alpha: float = 0.5, threshold: float = 0.0, backoff_window: int = 8):
+        if not alpha >= 0.0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        if not backoff_window >= 1:
+            raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
         self.design = design
         self.alpha = alpha
         self.threshold = threshold
@@ -441,33 +448,23 @@ class EqatStrategy(Strategy):
         self._refresh(sim)
 
 
-def make_strategy(
-    name: str,
-    params: NetworkParams,
-    *,
-    design: TxProbDesign | None = None,
-    vi_result=None,
-    contention_prob: float = 0.75,
-    eqat_alpha: float = 0.5,
-    eqat_threshold: float = 0.0,
-    backoff_window: int = 8,
-) -> Strategy:
-    """Fresh strategy instance for one run (contention state is per-run)."""
-    name = name.lower()
-    if name == "fq":
-        return FullQueueStrategy()
-    if name == "rs":
-        return RandomSelectionStrategy()
-    if name == "ehmdp":
-        return EhmdpStrategy(vi_result)
-    if name == "dfq":
-        return DecentralizedFullQueueStrategy()
-    if name == "rc":
-        return RandomContentionStrategy(contention_prob)
-    if name == "eqat":
-        return EqatStrategy(design or TxProbDesign.exponential(1.0, 0.05), alpha=eqat_alpha,
-                            threshold=eqat_threshold, backoff_window=backoff_window)
-    raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+# every strategy by its name, in the order a grid runs them by default
+STRATEGIES: dict[str, type[Strategy]] = {cls.name: cls for cls in (
+    EhmdpStrategy, FullQueueStrategy, RandomSelectionStrategy, EqatStrategy,
+    DecentralizedFullQueueStrategy, RandomContentionStrategy,
+)}
+
+
+def make_strategy(name: str, **kw) -> Strategy:
+    """Fresh strategy instance for one run (contention state is per-run).
+
+    `kw` are the constructor's overrides; an out-of-range value raises
+    ValueError and an unknown keyword TypeError.
+    """
+    cls = STRATEGIES.get(name.lower())
+    if cls is None:
+        raise ValueError(f"unknown strategy {name!r}; expected one of {tuple(STRATEGIES)}")
+    return cls(**kw)
 
 
 def simulate_run(
@@ -478,7 +475,7 @@ def simulate_run(
     trace: bool = False,
     **strategy_kw,
 ) -> tuple[RunMetrics, list[SlotTrace] | None]:
-    strategy = make_strategy(strategy_name, params, **strategy_kw)
+    strategy = make_strategy(strategy_name, **strategy_kw)
     sim = Simulation(params, strategy, seed=seed, trace=trace)
     metrics = sim.run(slots)
     return metrics, sim.traces

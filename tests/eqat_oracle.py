@@ -16,8 +16,9 @@ strategy can be checked against it:
   * `collision_prob` and `collided_transition` are the per-node collision
     law: the chance some competitor transmits, and the transition law of a
     contending node facing competitors at given probabilities. They check
-    that this law closes (rows sum to one) and collapses to the scheduled
-    node's law when the competitors are silent.
+    that this law closes (rows sum to one), collapses to the scheduled
+    node's law when the competitors are silent, and matches the simulator's
+    frequencies (`TestCollidedNodeLawFrequencies`).
 """
 
 from __future__ import annotations
@@ -49,28 +50,29 @@ def collided_transition(
 ) -> Dist:
     """Transition law of a contending node facing competitors at probs p_others.
 
-    The queue moves by the scheduled node's law either way; the battery
-    gains the net harvest quantum when no competitor transmits and loses
-    one transmission's cost when one does. With silent competitors this
-    collapses to the scheduled-node law. The (collision, arrival) case
-    closes the normalization gap left by the five nominal cases; without
-    it the masses sum to 1 - Pr_c * (1 - ps) * lambda.
+    When no competitor transmits, the node moves by the scheduled node's
+    law. When one does, the frames collide: nothing is delivered, so the
+    queue moves by arrivals only, and the battery loses one transmission's
+    cost, as in `Simulation.step`. With silent competitors this collapses
+    to the scheduled-node law.
     """
     if profile is None:
         profile = node_energy_profile(params, node)
     scheduled, _ = node_transition(s, params, profile, selected=True)
     if not can_transmit(s, profile):
         return scheduled
+    arrivals_only, _ = node_transition(s, params, profile, selected=False)
 
     clear = 1.0
     for p in p_others:
         clear *= 1.0 - p
     e_dn = max(0, s.battery - profile.min_tx_level)
     out: dict[NodeState, float] = {}
-    for ns, pr in scheduled:
-        for state, mass in ((ns, pr * clear), (NodeState(e_dn, ns.queue), pr * (1.0 - clear))):
-            if mass > 0.0:
-                out[state] = out.get(state, 0.0) + mass
+    cases = [(ns, pr * clear) for ns, pr in scheduled] + [
+        (NodeState(e_dn, ns.queue), pr * (1.0 - clear)) for ns, pr in arrivals_only]
+    for state, mass in cases:
+        if mass > 0.0:
+            out[state] = out.get(state, 0.0) + mass
     return sorted(out.items())
 
 

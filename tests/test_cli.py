@@ -1,8 +1,14 @@
 """The rwsnsim command line: run a grid from a config, report on its outputs."""
 
+import inspect
+import re
+from dataclasses import fields
+
 import pytest
 
-from rwsnsim.cli import main
+from rwsnsim.cli import CONFIG_SCHEMA, main
+from rwsnsim.experiments import _SPEC_SCHEMA, ExperimentSpec
+from rwsnsim.simulator import STRATEGIES
 
 
 def test_run_then_report(tmp_path, capsys):
@@ -51,3 +57,33 @@ def test_config_typos_exit_2_naming_each(tmp_path, capsys):
     assert err.startswith("rwsnsim: error: ") and err.count("\n") == 1, err
     assert "[experiment] strategy" in err and "[netwrok]" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,entry", [("eqat", "backoff_window = 0"),
+                                           ("rc", "contention_prob = 1.7"),
+                                           ("eqat", "alpha = -0.5")])
+def test_bad_strategy_value_exits_2_once(tmp_path, capsys, section, entry):
+    # four seeds: the value is refused once, before any run, not once per task
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[experiment]\nn_nodes = 2\nstrategies = eqat, rc\nslots = 10\n"
+                   f"seeds = 0-3\n[{section}]\n{entry}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rwsnsim: error: [{section}] {entry.split()[0]}"), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_text_and_spec_follow_the_config_schema():
+    for section, keys in _SPEC_SCHEMA.items():
+        assert f"[{section}]" in CONFIG_SCHEMA
+        for key in keys:
+            assert re.search(rf"\b{key}\b", CONFIG_SCHEMA), (section, key)
+    spec_fields = {f.name for f in fields(ExperimentSpec)}
+    assert set(_SPEC_SCHEMA["experiment"]) <= spec_fields
+    assert set(_SPEC_SCHEMA) - {"experiment"} <= spec_fields
+    for name in ("eqat", "rc"):
+        params = set(inspect.signature(STRATEGIES[name]).parameters) - {"design"}
+        assert set(_SPEC_SCHEMA[name]) == params, name

@@ -163,3 +163,10 @@ class TestArrivalsPerSlot:
     def test_scales_with_slot_len(self):
         p = make_params(slot_len=40e-3, arrival_period=10e-3)
         assert p.arrivals_per_slot == 4
+
+    def test_half_ratios_round_to_even(self):
+        # the artefact the property documents: slot lengths as a grid builds
+        # them (t_hat * 1 ms) give 1.5 -> 2, 2.5 -> 2, 3.5000000000000004 -> 4
+        # and 4.5 -> 4, so the offered load per second jumps along the sweep
+        got = [make_params(slot_len=t_hat * 1e-3).arrivals_per_slot for t_hat in (15, 25, 35, 45)]
+        assert got == [2, 2, 4, 4]

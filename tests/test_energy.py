@@ -167,6 +167,15 @@ class TestOptimalModulation:
                 if 1 <= nb <= p.max_modulation:
                     assert val >= reference_objective(p, 0, nb) - 1e-12
 
+    def test_huge_ladder_stops_at_the_peak(self):
+        # 2**rho no longer converts to a float from rho = 1024, so the scan
+        # must stop where the balance stops improving
+        p = make_params(channel_gain=(1e4,), max_modulation=5000)
+        dec = optimal_modulation(p, 0)
+        expected = brute_force_order(make_params(channel_gain=(1e4,), max_modulation=64), 0)
+        assert dec.order > 5
+        assert (dec.order, dec.net_energy_gain) == pytest.approx(expected)
+
     def test_infeasible_packet_raises(self):
         p = make_params(slot_len=1e-6, bandwidth=1e4, max_modulation=2, packet_bits=256)
         with pytest.raises(ModulationInfeasibleError):

@@ -149,14 +149,15 @@ class TestCollidedTransition:
             assert [pr for _, pr in got] == pytest.approx([pr for _, pr in scheduled], abs=1e-15)
 
     def test_certain_collision_no_arrival_sure_success(self):
-        # competitors at p=1, lam=0, ps=1: single outcome, battery down, queue down
+        # competitors at p=1, lam=0, ps=1: single outcome, battery down; the
+        # collided packet stays queued
         p = make_params(n_nodes=1, arrival_prob=0.0, ber_target=1e-300,
                         channel_gain=(1e4,))
         prof = node_energy_profile(p, 0)
         dist = collided_transition(NodeState(3, 2), p, 0, [1.0])
-        assert dist == [(NodeState(max(0, 3 - prof.min_tx_level), 1), 1.0)]
+        assert dist == [(NodeState(max(0, 3 - prof.min_tx_level), 2), 1.0)]
 
-    def test_six_cases_at_interior_state(self):
+    def test_five_cases_at_interior_state(self):
         p = make_params(n_nodes=1, arrival_prob=0.3, ber_target=5e-4, channel_gain=(0.9,))
         prof = node_energy_profile(p, 0)
         ps = packet_success_prob(p)
@@ -172,13 +173,11 @@ class TestCollidedTransition:
         assert dist[NodeState(e_up, 4)] == pytest.approx((1 - ps) * lam * clear, abs=1e-15)
         assert dist[NodeState(e_up, 2)] == pytest.approx(ps * (1 - lam) * clear, abs=1e-15)
         assert dist[NodeState(e_up, 3)] == pytest.approx(stay * clear, abs=1e-15)
-        assert dist[NodeState(e_dn, 3)] == pytest.approx(stay * col, abs=1e-15)
-        assert dist[NodeState(e_dn, 2)] == pytest.approx(ps * (1 - lam) * col, abs=1e-15)
-        # the normalization case: collision and arrival
-        assert dist[NodeState(e_dn, 4)] == pytest.approx((1 - ps) * lam * col, abs=1e-15)
-        # without it, the nominal five sum to 1 - col * (1 - ps) * lam
-        five = sum(dist.values()) - dist[NodeState(e_dn, 4)]
-        assert five == pytest.approx(1 - col * (1 - ps) * lam, abs=1e-12)
+        # a collision delivers nothing: the queue moves by arrivals only
+        assert dist[NodeState(e_dn, 3)] == pytest.approx((1 - lam) * col, abs=1e-15)
+        assert dist[NodeState(e_dn, 4)] == pytest.approx(lam * col, abs=1e-15)
+        assert NodeState(e_dn, 2) not in dist
+        assert len(dist) == 5
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_row_sums_over_random_draws(self):

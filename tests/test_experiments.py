@@ -97,6 +97,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(tiny_spec(strategies=["vaporware"]))
 
+    def test_strategy_overrides_checked_by_their_constructors(self):
+        # an unknown keyword is a problem too, named by its section
+        problems = tiny_spec(eqat={"alpha": -0.5}, rc={"contention": 0.5}).validate()
+        assert len(problems) == 2
+        assert problems[0].startswith("[eqat] alpha")
+        assert problems[1].startswith("[rc] ") and "contention" in problems[1]
+
     def test_worker_pool_matches_sequential(self):
         spec1 = tiny_spec(strategies=["rs", "rc"], seeds=[0, 1])
         spec2 = tiny_spec(strategies=["rs", "rc"], seeds=[0, 1], workers=2)
@@ -160,8 +167,8 @@ class TestConfigFile:
         assert spec.seeds == [0, 1, 2]
         assert spec.strategies == ["fq", "rs"]
         assert spec.network["arrival_prob"] == 0.25
-        assert spec.rc_contention == 0.4
-        assert spec.eqat_alpha == 0.7
+        assert spec.rc["contention_prob"] == 0.4
+        assert spec.eqat["alpha"] == 0.7
 
     def test_network_section_resolves_to_params(self, tmp_path):
         cfg = tmp_path / "exp.ini"

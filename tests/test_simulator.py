@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eqat_oracle import Decision, EqatController, eqat_decide
+from eqat_oracle import Decision, EqatController, collided_transition, eqat_decide
 from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
@@ -55,6 +55,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             simulate_run(make_params(), "greedy", slots=1, seed=0)
 
+    @pytest.mark.parametrize("name,kw", [
+        ("rc", {"contention_prob": 1.7}), ("rc", {"contention_prob": -0.1}),
+        ("eqat", {"alpha": -0.5}), ("eqat", {"alpha": float("nan")}),
+        ("eqat", {"threshold": 1.5}), ("eqat", {"backoff_window": 0}),
+    ])
+    def test_out_of_range_parameter_rejected(self, name, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            make_strategy(name, **kw)
+
     def test_same_seed_bit_identical(self):
         p = make_params(n_nodes=4, arrival_prob=0.2)
         for name in ALL_STRATEGIES:
@@ -65,7 +74,7 @@ class TestBasics:
     def test_metrics_count_every_slot_stepped(self):
         # manual steps and repeated run() calls add up to one run of the sum
         p = make_params(n_nodes=3, arrival_prob=0.3)
-        sim = Simulation(p, make_strategy("fq", p), seed=2)
+        sim = Simulation(p, make_strategy("fq"), seed=2)
         sim.step()
         sim.step()
         sim.run(100)
@@ -122,8 +131,8 @@ class TestGoldenMetrics:
     def test_counts_pinned(self, name, n_nodes, golden_n3_solve):
         p = golden_params(n_nodes)
         assert p.arrivals_per_slot == 2
-        vi_result = golden_n3_solve if name == "ehmdp" and n_nodes == 3 else None
-        m, _ = simulate_run(p, name, slots=2_500, seed=4, vi_result=vi_result)
+        kw = {"vi_result": golden_n3_solve} if name == "ehmdp" and n_nodes == 3 else {}
+        m, _ = simulate_run(p, name, slots=2_500, seed=4, **kw)
         got = (m.generated, m.delivered, m.dropped_overflow, m.in_queue_final)
         assert got == GOLDEN[(name, n_nodes)]
 
@@ -201,7 +210,7 @@ class TestIncrementalBookkeeping:
     @pytest.mark.parametrize("name", ["dfq", "rc", "eqat"])
     def test_powered_list_matches_brute_force_every_slot(self, name, n_nodes):
         p = busy_params(n_nodes)
-        sim = Simulation(p, make_strategy(name, p), seed=3, trace=True)
+        sim = Simulation(p, make_strategy(name), seed=3, trace=True)
         drained = False
         for _ in range(1500):
             before = len(sim.powered)
@@ -217,7 +226,7 @@ class TestIncrementalBookkeeping:
         # a contention run never recharges a drained node, so order on
         # re-entry is checked directly
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq", p), seed=0)
+        sim = Simulation(p, make_strategy("fq"), seed=0)
         for node in (2, 0, 1):
             sim._apply_levels(node, -p.battery_levels)
         assert sim.powered == []
@@ -255,19 +264,19 @@ class TestIncrementalBookkeeping:
 class TestStrategies:
     def test_fq_picks_unique_longest(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq", p), seed=0)
+        sim = Simulation(p, make_strategy("fq"), seed=0)
         sim.queues = [2, 5, 3]
         assert sim.strategy.select(sim) == [1]
 
     def test_fq_ties_to_lowest_index(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq", p), seed=0)
+        sim = Simulation(p, make_strategy("fq"), seed=0)
         sim.queues = [4, 4, 1]
         assert sim.strategy.select(sim) == [0]
 
     def test_rs_skips_empty_queues(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("rs", p), seed=0)
+        sim = Simulation(p, make_strategy("rs"), seed=0)
         sim.queues = [0, 0, 0]
         assert sim.strategy.select(sim) == []
         sim.queues = [0, 2, 0]
@@ -275,7 +284,7 @@ class TestStrategies:
 
     def test_rs_uniform_within_3_sigma(self):
         p = make_params(n_nodes=5)
-        sim = Simulation(p, make_strategy("rs", p), seed=17)
+        sim = Simulation(p, make_strategy("rs"), seed=17)
         sim.queues = [3, 3, 0, 3, 3]
         draws = 100_000
         counts = {0: 0, 1: 0, 3: 0, 4: 0}
@@ -289,7 +298,7 @@ class TestStrategies:
 
     def test_dfq_two_full_nodes_collide(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
-        sim = Simulation(p, make_strategy("dfq", p), seed=0)
+        sim = Simulation(p, make_strategy("dfq"), seed=0)
         sim.queues = [p.queue_cap, p.queue_cap, 2]
         assert sim.strategy.select(sim) == [0, 1]
         sim.step()
@@ -311,7 +320,7 @@ class TestStrategies:
         res = value_iteration(build_model(p))
         m, traces = simulate_run(p, "ehmdp", slots=300, seed=6, trace=True, vi_result=res)
         # replay: every pick must match the policy at the pre-slot state
-        sim = Simulation(p, make_strategy("ehmdp", p, vi_result=res), seed=6)
+        sim = Simulation(p, make_strategy("ehmdp", vi_result=res), seed=6)
         for t in traces:
             expect = sim.strategy.select(sim)
             assert list(t.transmitters) in ([], expect)
@@ -373,7 +382,7 @@ class TestEqatIntegration:
         design = TxProbDesign.exponential(1000.0, 1e-12)
         for seed in range(10):
             a, _ = simulate_run(p, "eqat", slots=3000, seed=seed, design=design,
-                                eqat_threshold=0.0)
+                                threshold=0.0)
             b, _ = simulate_run(p, "rs", slots=3000, seed=seed)
             assert a == b, seed
 
@@ -387,9 +396,9 @@ class TestEqatIntegration:
         clean = packet_success_prob(p) * (1 - p.arrival_prob) ** 2
         design = TxProbDesign.exponential(1000.0, 1e-12)
         held, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
-                               eqat_threshold=clean * (1 + 1e-9))
+                               threshold=clean * (1 + 1e-9))
         sent, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
-                               eqat_threshold=clean * (1 - 1e-9))
+                               threshold=clean * (1 - 1e-9))
         assert held.generated > 0
         assert held.delivered == 0
         assert sent.delivered > 0
@@ -420,7 +429,7 @@ class TestSelectedNodeLawFrequencies:
             -1: ps * (1 - lam),
             0: (1 - ps) * (1 - lam) + ps * lam,
         }
-        strategy = make_strategy("fq", p)
+        strategy = make_strategy("fq")
         sim = Simulation(p, strategy, seed=31)
         counts = {+1: 0, -1: 0, 0: 0}
         n_obs = 0
@@ -436,6 +445,42 @@ class TestSelectedNodeLawFrequencies:
         for dq, pr in expect.items():
             sigma = (n_obs * pr * (1 - pr)) ** 0.5
             assert abs(counts[dq] - n_obs * pr) <= 3 * sigma, (dq, counts, n_obs)
+
+
+class TestCollidedNodeLawFrequencies:
+    def test_empirical_masses_match_collided_law(self):
+        # node 0 contends under rc against one always-ready competitor, which
+        # transmits with the contention probability; its next state then
+        # follows the oracle's collided law. Outcomes are keyed by (battery
+        # fell, queue change): a fall is a collision. A deep battery keeps
+        # runs of collisions from draining either node.
+        cp = 0.5
+        p = make_params(arrival_prob=0.3, battery_levels=20, channel_gain=(1e4, 1e4))
+        sim = Simulation(p, make_strategy("rc", contention_prob=cp), seed=7, trace=True)
+        counts, expect, laws = {}, {}, {}
+        n_obs = 0
+        for _ in range(120_000):
+            s = NodeState(sim.batteries[0], sim.queues[0])
+            ready = sim.can_transmit(0) and sim.can_transmit(1) and s.queue < p.queue_cap
+            sim.traces = []
+            sim.step()
+            if not (ready and 0 in sim.traces[-1].transmitters):
+                continue
+            if s not in laws:
+                laws[s] = collided_transition(s, p, 0, [cp])
+            for ns, pr in laws[s]:
+                key = (ns.battery < s.battery, ns.queue - s.queue)
+                expect[key] = expect.get(key, 0.0) + pr
+            key = (sim.batteries[0] < s.battery, sim.queues[0] - s.queue)
+            counts[key] = counts.get(key, 0) + 1
+            n_obs += 1
+        assert n_obs > 30_000
+        assert counts.get((True, -1), 0) == 0  # a collided packet never leaves
+        assert set(counts) <= set(expect)
+        for key, mass in expect.items():
+            pr = mass / n_obs
+            sigma = (n_obs * pr * (1 - pr)) ** 0.5
+            assert abs(counts.get(key, 0) - mass) <= 3 * sigma, (key, counts, expect)
 
 
 class TestMonteCarloOrdering:
