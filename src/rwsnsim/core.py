@@ -44,7 +44,6 @@ class NetworkParams:
     arrival_prob: float = 0.30
     battery_levels: int = 5
     battery_quantum: float = 2.5e-3
-    battery_capacity: float | None = None
     queue_cap: int = 6
     max_modulation: int = 5
     channel_gain: tuple[float, ...] | None = None
@@ -53,10 +52,6 @@ class NetworkParams:
     initial_battery: int | None = None
 
     def __post_init__(self):
-        if self.battery_capacity is None:
-            object.__setattr__(
-                self, "battery_capacity", self.battery_levels * self.battery_quantum
-            )
         if self.channel_gain is None:
             object.__setattr__(self, "channel_gain", (1.0,) * self.n_nodes)
         else:
@@ -72,11 +67,15 @@ class NetworkParams:
         arrival_period, so along an interval sweep the offered load is not
         proportional to the slot: at the default 10 ms period, slots of 15,
         25, 35 and 45 ms get 2, 2, 4 and 4 opportunities (0.035 / 0.01 is
-        3.5000000000000004, which rounds up).
+        3.5000000000000004, which rounds up). `validate` requires a positive
+        arrival_period.
         """
-        if self.arrival_period <= 0:
-            return 1
         return max(1, round(self.slot_len / self.arrival_period))
+
+    @property
+    def battery_capacity(self) -> float:
+        """Joules held by a full battery: battery_levels * battery_quantum."""
+        return self.battery_levels * self.battery_quantum
 
     @property
     def per_node_states(self) -> int:
@@ -109,14 +108,14 @@ def validate(params: NetworkParams) -> list[str]:
         v.append("bandwidth must be positive")
     if p.slot_len <= 0:
         v.append("slot_len must be positive")
+    if not p.arrival_period > 0:  # NaN too: round() in arrivals_per_slot rejects it
+        v.append("arrival_period must be positive")
     if not (0.0 <= p.arrival_prob <= 1.0):
         v.append("arrival_prob must lie in [0, 1]")
     if p.battery_levels < 1:
         v.append("battery_levels must be >= 1")
     if p.battery_quantum <= 0:
         v.append("battery_quantum must be positive")
-    if p.battery_capacity != p.battery_levels * p.battery_quantum:
-        v.append("battery_capacity must equal battery_levels * battery_quantum")
     if p.queue_cap < 1:
         v.append("queue_cap must be >= 1")
     if p.max_modulation < 1:

@@ -19,16 +19,6 @@ class ModulationInfeasibleError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModulationDecision:
-    """Chosen modulation order and the energy budget it implies."""
-
-    order: int
-    net_energy_gain: float  # joules gained in a clean scheduled slot
-    tx_duration: float      # seconds spent transmitting
-    tx_energy: float        # joules spent transmitting
-
-
-@dataclass(frozen=True)
 class NodeEnergyProfile:
     """Per-node quantized energy figures, precomputed once per scenario.
 
@@ -36,11 +26,10 @@ class NodeEnergyProfile:
     callers clamp the battery to [0, K] on application.
     """
 
-    node: int
-    order: int
-    tx_duration: float
-    tx_energy: float
-    net_energy: float
+    order: int                 # modulation order, see `optimal_modulation`
+    tx_duration: float         # seconds spent transmitting
+    tx_energy: float           # joules spent transmitting
+    net_energy: float          # joules gained in a clean scheduled slot
     delta_levels: int          # net battery gain of a clean scheduled slot
     harvest_only_levels: int   # gain of a slot spent charging only
     min_tx_level: int          # levels required to afford one transmission
@@ -76,7 +65,7 @@ def _net_energy(params: NetworkParams, node: int, rho: int) -> float:
     return harvest - tx_dur * transmit_power(params, node, rho)
 
 
-def optimal_modulation(params: NetworkParams, node: int) -> ModulationDecision:
+def optimal_modulation(params: NetworkParams, node: int) -> int:
     """Order in {1..M} maximizing the slot energy balance; ties to smaller order.
 
     Restricted to orders whose transmit duration fits the slot; raises
@@ -101,28 +90,24 @@ def optimal_modulation(params: NetworkParams, node: int) -> ModulationDecision:
             f"packet of {params.packet_bits} bits does not fit a {params.slot_len}s slot "
             f"even at order {params.max_modulation}"
         )
-    rho, value = best
-    return ModulationDecision(
-        order=rho,
-        net_energy_gain=value,
-        tx_duration=params.packet_bits / (rho * params.bandwidth),
-        tx_energy=params.packet_bits / (rho * params.bandwidth) * transmit_power(params, node, rho),
-    )
+    return best[0]
 
 
 def node_energy_profile(params: NetworkParams, node: int) -> NodeEnergyProfile:
-    dec = optimal_modulation(params, node)
+    rho = optimal_modulation(params, node)
+    tx_duration = params.packet_bits / (rho * params.bandwidth)
+    tx_energy = tx_duration * transmit_power(params, node, rho)
+    net_energy = _net_energy(params, node, rho)
     quantum = params.battery_quantum
     return NodeEnergyProfile(
-        node=node,
-        order=dec.order,
-        tx_duration=dec.tx_duration,
-        tx_energy=dec.tx_energy,
-        net_energy=dec.net_energy_gain,
-        delta_levels=quantize_levels(dec.net_energy_gain, quantum),
+        order=rho,
+        tx_duration=tx_duration,
+        tx_energy=tx_energy,
+        net_energy=net_energy,
+        delta_levels=quantize_levels(net_energy, quantum),
         harvest_only_levels=quantize_levels(params.slot_len * transfer_power(params, node), quantum),
         # ceiling, so the cost of a transmission is never understated
-        min_tx_level=math.ceil(dec.tx_energy / quantum),
+        min_tx_level=math.ceil(tx_energy / quantum),
     )
 
 

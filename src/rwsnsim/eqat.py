@@ -40,37 +40,23 @@ class TxProbDesign:
             raise ValueError("gamma shape and scale must be positive")
 
     @classmethod
-    def exponential(cls, rate: float = 0.5, rate_e: float | None = None) -> "TxProbDesign":
-        # run labels like "exp 0.5" set both per-unit rates to the same value
-        return cls(kind="exponential", rate_q=rate, rate_e=rate if rate_e is None else rate_e)
-
-    @classmethod
-    def sigmoid(cls) -> "TxProbDesign":
-        return cls(kind="sigmoid")
-
-    @classmethod
-    def gamma(cls, shape: float = 2.0, scale: float = 1.0) -> "TxProbDesign":
-        return cls(kind="gamma", shape=shape, scale=scale)
-
-    @classmethod
     def parse(cls, token: str) -> "TxProbDesign":
-        """Parse CLI/config tokens: sigmoid | exp:RATE | exp:RQ:RE | gamma:SHAPE:SCALE."""
-        parts = token.strip().lower().split(":")
-        name, args = parts[0], [float(x) for x in parts[1:]]
-        if name in ("sigmoid", "sig"):
-            return cls.sigmoid()
-        if name in ("exp", "exponential"):
-            if len(args) == 0:
-                return cls.exponential()
-            if len(args) == 1:
-                return cls.exponential(args[0])
-            return cls.exponential(args[0], args[1])
-        if name == "gamma":
-            if len(args) == 0:
-                return cls.gamma()
-            if len(args) == 1:
-                return cls.gamma(args[0])
-            return cls.gamma(args[0], args[1])
+        """Parse CLI/config tokens: sigmoid | exp:RATE | exp:RQ:RE | gamma:SHAPE:SCALE.
+
+        exp:RATE sets both per-unit rates to RATE. Any other token raises
+        ValueError.
+        """
+        name, *args = token.strip().lower().split(":")
+        try:
+            values = [float(x) for x in args]
+        except ValueError:
+            values = []
+        if name == "sigmoid" and not args:
+            return cls("sigmoid")
+        if name == "exp" and len(values) in (1, 2):
+            return cls("exponential", rate_q=values[0], rate_e=values[-1])
+        if name == "gamma" and len(values) == 2:
+            return cls("gamma", shape=values[0], scale=values[1])
         raise ValueError(f"unknown design token {token!r}")
 
     @property

@@ -78,6 +78,10 @@ class ExperimentSpec:
             v.append("at least one seed is required")
         if self.slots < 0:
             v.append("slots must be >= 0")
+        if not self.minislot_len > 0:
+            v.append("minislot_len must be positive")
+        if self.workers < 1:
+            v.append("workers must be >= 1")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
             v.append(f"unknown strategies: {unknown}")

@@ -29,9 +29,10 @@ as an (m,)*N tensor, node 0 on the slowest axis:
     base_k  = sum over n != k of rU(s_n), plus rS_k(s_k)
 
 where rU and rS_k are the kernels' expected one-slot losses per local
-state. The U products along the axes after k are shared between actions.
-A sweep costs O(N^2 m^(N+1)) flops; the joint-sized storage is v and the
-(N, m^N) array Q.
+state, and omega is the params' `discount`; the stopping tolerance is their
+`vi_tol` (see `value_iteration`). The U products along the axes after k are
+shared between actions. A sweep costs O(N^2 m^(N+1)) flops; the
+joint-sized storage is v and the (N, m^N) array Q.
 
 Ties. The policy takes the lowest node index among the actions whose Q
 lies within TIE_RTOL * max(1, |min Q|) of the minimum, so actions equal up
@@ -61,6 +62,8 @@ from .core import NetworkParams
 from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 
 DEFAULT_STATE_BUDGET = 200_000
+# value_iteration raises ValueIterationError after this many sweeps
+MAX_SWEEPS = 100_000
 # actions whose Q values differ by less than this, relative, count as tied
 TIE_RTOL = 1e-12
 
@@ -92,20 +95,27 @@ class TransitionModel:
     kernel 1 + k is node k's selected kernel S_k. Each spans the n_local
     per-node states, and row r = kernel * n_local + local state spans
     entries [row_ptr[r], row_ptr[r+1]) of (local next state, probability,
-    packets dropped), one entry per (departure, arrivals) outcome.
+    packets dropped), one entry per (departure, arrivals) outcome. The sizes
+    are those of `params`.
     """
 
     params: NetworkParams
-    n_actions: int
-    n_local: int
     row_ptr: np.ndarray
     next_state: np.ndarray
     prob: np.ndarray
     reward: np.ndarray
 
     @property
+    def n_actions(self) -> int:
+        return self.params.n_nodes
+
+    @property
+    def n_local(self) -> int:
+        return self.params.per_node_states
+
+    @property
     def n_states(self) -> int:
-        return self.n_local**self.n_actions
+        return self.params.joint_state_count
 
     def expected(self, values: np.ndarray) -> np.ndarray:
         """Per kernel (rows) and local state (columns), the mean of per-entry `values`."""
@@ -152,8 +162,6 @@ def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> Tr
         raise AssertionError(f"kernel row {bad[0]} sums to {sums[bad[0]]!r}")
     return TransitionModel(
         params=params,
-        n_actions=params.n_nodes,
-        n_local=params.per_node_states,
         row_ptr=row_ptr.astype(np.int64),
         next_state=nxt[keep].astype(np.int64),
         prob=prob[keep],
@@ -201,24 +209,20 @@ def greedy_policy(q: np.ndarray) -> np.ndarray:
     return np.argmax(q <= best + TIE_RTOL * np.maximum(1.0, np.abs(best)), axis=0)
 
 
-def value_iteration(
-    model: TransitionModel,
-    omega: float | None = None,
-    tol: float | None = None,
-    max_sweeps: int = 100_000,
-) -> ValueIterationResult:
+def value_iteration(model: TransitionModel) -> ValueIterationResult:
     """Solve the discounted model to the standard stopping bound.
 
-    Stops when the sup-norm sweep difference drops below
+    The discount omega and the tolerance tol are the params' `discount` and
+    `vi_tol`. Stops when the sup-norm sweep difference drops below
     tol * (1 - omega) / (2 * omega), which bounds the distance of the
-    greedy policy's value from optimal by tol.
+    greedy policy's value from optimal by tol; raises ValueIterationError
+    after MAX_SWEEPS sweeps.
     """
     p = model.params
-    w = p.discount if omega is None else omega
-    eps = p.vi_tol if tol is None else tol
+    w = p.discount
     if not (0.0 <= w < 1.0):
         raise ValueError(f"discount {w} outside [0, 1)")
-    threshold = eps * (1.0 - w) / (2.0 * w) if w > 0 else np.inf
+    threshold = p.vi_tol * (1.0 - w) / (2.0 * w) if w > 0 else np.inf
 
     n = model.n_actions
     kernels = [model.kernel(j) for j in range(n + 1)]
@@ -239,7 +243,7 @@ def value_iteration(
     work = np.empty((2, model.n_states))
     suffixes = np.empty((2, model.n_states))
     history: list[float] = []
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         # suffix: v with U applied along every axis after k, those axes rotated
         # to the front, so axis k is last
         suffix = v
@@ -263,7 +267,7 @@ def value_iteration(
                 residual_history=history, params=p,
             )
     raise ValueIterationError(
-        f"no convergence after {max_sweeps} sweeps (last residual {history[-1]:.3e}, "
+        f"no convergence after {MAX_SWEEPS} sweeps (last residual {history[-1]:.3e}, "
         f"threshold {threshold:.3e})"
     )
 

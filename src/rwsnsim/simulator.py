@@ -365,7 +365,7 @@ class EqatStrategy(Strategy):
 
     name = "eqat"
 
-    def __init__(self, design: TxProbDesign = TxProbDesign.exponential(1.0, 0.05),
+    def __init__(self, design: TxProbDesign = TxProbDesign.parse("exp:1:0.05"),
                  alpha: float = 0.5, threshold: float = 0.0, backoff_window: int = 8):
         if not alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
@@ -400,14 +400,6 @@ class EqatStrategy(Strategy):
         self._contenders = [i for i in sim.transmit_ready() if backoff[i] <= 0]
         self._probs = [escalate(table[batteries[i]][queues[i]], self.alpha, fails[i])
                        for i in self._contenders]
-
-    @property
-    def beacon(self) -> list[float]:
-        """Every node's advertised probability, in index order."""
-        beacon = [0.0] * len(self.fails)
-        for i, p in zip(self._contenders, self._probs):
-            beacon[i] = p
-        return beacon
 
     def select(self, sim):
         contenders, probs, uniform = self._contenders, self._probs, self._uniform

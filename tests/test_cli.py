@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from rwsnsim.cli import CONFIG_SCHEMA, main
+from rwsnsim.eqat import TxProbDesign
 from rwsnsim.experiments import _SPEC_SCHEMA, ExperimentSpec
 from rwsnsim.simulator import STRATEGIES
 
@@ -76,6 +77,20 @@ def test_bad_strategy_value_exits_2_once(tmp_path, capsys, section, entry):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("entry,message", [("minislot_len = 0", "minislot_len must be positive"),
+                                           ("workers = -3", "workers must be >= 1")])
+def test_bad_spec_value_exits_2_once(tmp_path, capsys, entry, message):
+    # a 2 x 2 grid: the value is refused once, not once per scenario
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[experiment]\nn_nodes = 2, 3\nt_hat = 10, 20\nstrategies = fq\n"
+                   f"slots = 10\n{entry}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"rwsnsim: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_text_and_spec_follow_the_config_schema():
     for section, keys in _SPEC_SCHEMA.items():
         assert f"[{section}]" in CONFIG_SCHEMA
@@ -87,3 +102,10 @@ def test_help_text_and_spec_follow_the_config_schema():
     for name in ("eqat", "rc"):
         params = set(inspect.signature(STRATEGIES[name]).parameters) - {"design"}
         assert set(_SPEC_SCHEMA[name]) == params, name
+    # one example of each documented design form parses, and labels as written
+    examples = {"sigmoid": "sigmoid", "exp:RATE": "exp:1.5", "exp:RQ:RE": "exp:1.5:0.25",
+                "gamma:SHAPE:SCALE": "gamma:2:0.5"}
+    forms = re.search(r"comma list: (.*?)\n\s*strategies", CONFIG_SCHEMA, re.S).group(1)
+    assert [f.strip() for f in forms.split("|")] == list(examples)
+    for token in examples.values():
+        assert TxProbDesign.parse(token).label == token

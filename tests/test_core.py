@@ -81,10 +81,6 @@ class TestValidate:
         msgs = validate(p)
         assert any("positive" in m and "kappa1" in m for m in msgs)
 
-    def test_capacity_mismatch_is_violation(self):
-        p = make_params(battery_levels=5, battery_quantum=1e-3, battery_capacity=4e-3)
-        assert any("battery_capacity" in m for m in validate(p))
-
     def test_capacity_derived_when_omitted(self):
         p = make_params(battery_levels=4, battery_quantum=2e-3)
         assert p.battery_capacity == pytest.approx(8e-3)
@@ -94,6 +90,10 @@ class TestValidate:
         p = make_params(ber_target=0.0, queue_cap=0, max_modulation=0)
         msgs = validate(p)
         assert len(msgs) >= 3
+
+    @pytest.mark.parametrize("period", [0.0, -1e-3, float("nan")])
+    def test_non_positive_arrival_period_is_one_violation(self, period):
+        assert validate(make_params(arrival_period=period)) == ["arrival_period must be positive"]
 
     def test_packet_must_fit_in_slot(self):
         p = make_params(slot_len=1e-6, bandwidth=1e3, max_modulation=1, packet_bits=256)

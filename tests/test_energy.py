@@ -118,14 +118,14 @@ class TestQuantization:
 class TestOptimalModulation:
     def test_singleton_candidate_set(self):
         p = make_params(max_modulation=1)
-        assert optimal_modulation(p, 0).order == 1
+        assert optimal_modulation(p, 0) == 1
 
     def test_decreasing_objective_picks_one(self):
         # weak channel: transmit power dominates, so the balance decays with order
         p = make_params(channel_gain=(0.3,))
-        dec = optimal_modulation(p, 0)
-        assert dec.order == 1
-        assert (dec.order, dec.net_energy_gain) == pytest.approx(brute_force_order(p, 0))
+        prof = node_energy_profile(p, 0)
+        assert prof.order == 1
+        assert (prof.order, prof.net_energy) == pytest.approx(brute_force_order(p, 0))
 
     def test_matches_brute_force_on_random_draws(self):
         rng = np.random.default_rng(20240811)
@@ -148,9 +148,9 @@ class TestOptimalModulation:
                 with pytest.raises(ModulationInfeasibleError):
                     optimal_modulation(p, 0)
                 continue
-            dec = optimal_modulation(p, 0)
-            assert dec.order == expected[0]
-            assert dec.net_energy_gain == pytest.approx(expected[1], rel=1e-9, abs=1e-15)
+            prof = node_energy_profile(p, 0)
+            assert prof.order == expected[0]
+            assert prof.net_energy == pytest.approx(expected[1], rel=1e-9, abs=1e-15)
             checked += 1
         assert checked > 800  # most draws should be feasible
 
@@ -161,7 +161,7 @@ class TestOptimalModulation:
                 channel_gain=(float(10 ** rng.uniform(-1.0, 1.0)),),
                 max_modulation=6,
             )
-            rho = optimal_modulation(p, 0).order
+            rho = optimal_modulation(p, 0)
             val = reference_objective(p, 0, rho)
             for nb in (rho - 1, rho + 1):
                 if 1 <= nb <= p.max_modulation:
@@ -171,10 +171,10 @@ class TestOptimalModulation:
         # 2**rho no longer converts to a float from rho = 1024, so the scan
         # must stop where the balance stops improving
         p = make_params(channel_gain=(1e4,), max_modulation=5000)
-        dec = optimal_modulation(p, 0)
+        prof = node_energy_profile(p, 0)
         expected = brute_force_order(make_params(channel_gain=(1e4,), max_modulation=64), 0)
-        assert dec.order > 5
-        assert (dec.order, dec.net_energy_gain) == pytest.approx(expected)
+        assert prof.order > 5
+        assert (prof.order, prof.net_energy) == pytest.approx(expected)
 
     def test_infeasible_packet_raises(self):
         p = make_params(slot_len=1e-6, bandwidth=1e4, max_modulation=2, packet_bits=256)
@@ -185,10 +185,10 @@ class TestOptimalModulation:
 
     def test_decision_invariants(self):
         p = make_params()
-        dec = optimal_modulation(p, 0)
-        assert 1 <= dec.order <= p.max_modulation
-        assert dec.tx_duration <= p.slot_len
-        assert dec.tx_energy > 0
+        prof = node_energy_profile(p, 0)
+        assert 1 <= prof.order <= p.max_modulation
+        assert prof.tx_duration <= p.slot_len
+        assert prof.tx_energy > 0
 
 
 class TestHarvestDelta:
@@ -196,16 +196,15 @@ class TestHarvestDelta:
         p = make_params(n_nodes=3, channel_gain=(0.5, 1.0, 1.5))
         for node in range(3):
             levels = node_energy_profile(p, node).delta_levels
-            net = optimal_modulation(p, node).net_energy_gain
+            net = node_energy_profile(p, node).net_energy
             assert levels * p.battery_quantum <= net < (levels + 1) * p.battery_quantum
 
     def test_profile_consistency(self):
         p = make_params(channel_gain=(0.8,))
         prof = node_energy_profile(p, 0)
-        dec = optimal_modulation(p, 0)
-        assert prof.order == dec.order
-        assert prof.delta_levels == quantize_levels(dec.net_energy_gain, p.battery_quantum)
-        assert prof.min_tx_level == math.ceil(dec.tx_energy / p.battery_quantum)
+        assert prof.order == optimal_modulation(p, 0)
+        assert prof.delta_levels == quantize_levels(prof.net_energy, p.battery_quantum)
+        assert prof.min_tx_level == math.ceil(prof.tx_energy / p.battery_quantum)
         assert prof.harvest_only_levels >= 0
         # a charging-only slot beats a transmitting slot in raw battery terms
         assert prof.harvest_only_levels >= prof.delta_levels

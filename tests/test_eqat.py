@@ -19,10 +19,10 @@ from rwsnsim.eqat import TxProbDesign, tx_prob
 EXP_DESIGN_REFERENCE = 0.4263552078410445
 
 ALL_DESIGNS = [
-    TxProbDesign.exponential(0.5),
-    TxProbDesign.exponential(1.5),
-    TxProbDesign.sigmoid(),
-    TxProbDesign.gamma(2.0, 1.0),
+    TxProbDesign("exponential", rate_q=0.5, rate_e=0.5),
+    TxProbDesign("exponential", rate_q=1.5, rate_e=1.5),
+    TxProbDesign("sigmoid"),
+    TxProbDesign("gamma", shape=2.0, scale=1.0),
 ]
 
 
@@ -53,7 +53,7 @@ class TestTxProb:
 
     def test_sigmoid_full_queue_empty_battery_is_one(self):
         p = make_params()
-        assert tx_prob(TxProbDesign.sigmoid(), 0, p.queue_cap, p) == pytest.approx(1.0)
+        assert tx_prob(TxProbDesign("sigmoid"), 0, p.queue_cap, p) == pytest.approx(1.0)
 
     def test_exponential_reference_value(self):
         p = make_params()
@@ -62,7 +62,7 @@ class TestTxProb:
 
     def test_gamma_empty_battery_saturates(self):
         p = make_params()
-        d = TxProbDesign.gamma()
+        d = TxProbDesign("gamma")
         assert tx_prob(d, 0, 3, p) == 1.0
         assert tx_prob(d, 0, 0, p) == 0.0
 
@@ -70,7 +70,7 @@ class TestTxProb:
         from scipy.special import gammainc
 
         p = make_params()
-        d = TxProbDesign.gamma(2.5, 0.8)
+        d = TxProbDesign("gamma", shape=2.5, scale=0.8)
         assert tx_prob(d, 3, 4, p) == pytest.approx(gammainc(2.5, 4 / (0.8 * 3)), abs=1e-14)
 
     def test_scipy_imported_only_for_gamma_designs(self):
@@ -100,7 +100,7 @@ class TestTxProb:
         with pytest.raises(ValueError):
             TxProbDesign(kind="exponential", rate_q=0.0)
         with pytest.raises(ValueError):
-            TxProbDesign.gamma(shape=-1.0)
+            TxProbDesign("gamma", shape=-1.0)
         with pytest.raises(ValueError):
             TxProbDesign(kind="nope")
 
@@ -114,6 +114,15 @@ class TestTxProb:
         assert (d.shape, d.scale) == (2.0, 1.5)
         with pytest.raises(ValueError):
             TxProbDesign.parse("bogus:1")
+
+    @pytest.mark.parametrize("token", [
+        "exp:1:2:3", "gamma:1:2:3", "sigmoid:5",           # extra arguments
+        "sig", "exponential", "exp", "gamma", "gamma:2",   # outside the grammar
+        "exp:", "exp:fast", "",
+    ])
+    def test_parse_rejects_tokens_outside_the_grammar(self, token):
+        with pytest.raises(ValueError, match="unknown design token"):
+            TxProbDesign.parse(token)
 
 
 class TestCollisionProb:
@@ -199,14 +208,14 @@ class TestCollidedTransition:
 class TestController:
     def test_vacuous_gate_transmits_when_sampled(self):
         p = make_params(n_nodes=1, channel_gain=(1e4,))
-        ctl = EqatController(design=TxProbDesign.sigmoid(), threshold=0.0)
+        ctl = EqatController(design=TxProbDesign("sigmoid"), threshold=0.0)
         got = eqat_decide(ctl, NodeState(3, 3), [0.99, 0.99], p, FixedRng(0.0),
                           profile=node_energy_profile(p, 0))
         assert got == Decision.TRANSMIT
 
     def test_escalation_caps_at_one(self):
         p = make_params()
-        ctl = EqatController(design=TxProbDesign.sigmoid(), alpha=0.5, fail_count=3)
+        ctl = EqatController(design=TxProbDesign("sigmoid"), alpha=0.5, fail_count=3)
         s = NodeState(2, 4)
         base = ctl.base_p(s, p)
         # pick a state where the design value is near 0.4 so 1.5^3 * p > 1
@@ -217,8 +226,9 @@ class TestController:
         p = make_params()
         rng = np.random.default_rng(8)
         for _ in range(300):
+            rate = float(rng.uniform(0.1, 3.0))
             ctl = EqatController(
-                design=TxProbDesign.exponential(float(rng.uniform(0.1, 3.0))),
+                design=TxProbDesign("exponential", rate_q=rate, rate_e=rate),
                 alpha=float(rng.uniform(0.01, 2.0)),
                 fail_count=int(rng.integers(0, 40)),
             )
@@ -229,7 +239,7 @@ class TestController:
     def test_hold_leaves_counter_failures_escalate(self):
         p = make_params(n_nodes=1, channel_gain=(1e4,))
         prof = node_energy_profile(p, 0)
-        ctl = EqatController(design=TxProbDesign.sigmoid(), threshold=0.99)
+        ctl = EqatController(design=TxProbDesign("sigmoid"), threshold=0.99)
         s = NodeState(3, 3)
         got = eqat_decide(ctl, s, [0.5], p, FixedRng(0.0), profile=prof)
         assert got == Decision.HOLD
@@ -246,7 +256,7 @@ class TestController:
     def test_collision_starts_backoff_and_idles(self):
         p = make_params(n_nodes=1, channel_gain=(1e4,))
         prof = node_energy_profile(p, 0)
-        ctl = EqatController(design=TxProbDesign.sigmoid(), backoff_window=4)
+        ctl = EqatController(design=TxProbDesign("sigmoid"), backoff_window=4)
         ctl.on_collision(np.random.default_rng(0))
         assert 1 <= ctl.backoff_remaining <= 4
         assert ctl.fail_count == 1
@@ -259,7 +269,7 @@ class TestController:
     def test_idle_without_packet_or_battery(self):
         p = make_params(n_nodes=1, channel_gain=(0.4,))
         prof = node_energy_profile(p, 0)
-        ctl = EqatController(design=TxProbDesign.sigmoid(), threshold=0.0)
+        ctl = EqatController(design=TxProbDesign("sigmoid"), threshold=0.0)
         assert eqat_decide(ctl, NodeState(3, 0), [0.0], p, FixedRng(0.0), profile=prof) \
             == Decision.IDLE
         assert prof.min_tx_level > 1

@@ -17,12 +17,14 @@ from joint_oracle import (
     tie_policy,
     transition_reward,
 )
+from rwsnsim import mdp
 from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import (
     TIE_RTOL,
     StateSpaceBudgetError,
     TransitionModel,
+    ValueIterationError,
     build_model,
     greedy_policy,
     kernel_model,
@@ -401,37 +403,46 @@ class TestBuildModel:
 
 class TestValueIteration:
     def test_zero_rewards_give_zero_values(self):
-        p = make_params(n_nodes=2, battery_levels=1, queue_cap=1, arrival_prob=0.0)
+        p = make_params(n_nodes=2, battery_levels=1, queue_cap=1, arrival_prob=0.0, discount=0.9)
         m = build_model(p)
-        res = value_iteration(m, omega=0.9)
+        res = value_iteration(m)
         assert np.allclose(res.values, 0.0)
 
     def test_self_loop_geometric_series(self):
-        # one node with one local state: U costs nothing, S_0 costs 2.5 a slot
-        p = make_params(n_nodes=1)
-        m = TransitionModel(
-            params=p, n_actions=1, n_local=1,
-            row_ptr=np.array([0, 1, 2]), next_state=np.array([0, 0]),
-            prob=np.array([1.0, 1.0]), reward=np.array([0.0, 2.5]),
+        # one node whose every local state loops to itself: U costs nothing,
+        # S_0 costs 2.5 a slot
+        p = make_params(n_nodes=1, battery_levels=1, queue_cap=1, discount=0.9, vi_tol=1e-10)
+        m = p.per_node_states
+        model = TransitionModel(
+            params=p, row_ptr=np.arange(2 * m + 1), next_state=np.tile(np.arange(m), 2),
+            prob=np.ones(2 * m), reward=np.repeat([0.0, 2.5], m),
         )
-        res = value_iteration(m, omega=0.9, tol=1e-10)
+        res = value_iteration(model)
         assert res.values[0] == pytest.approx(2.5 / 0.1, rel=1e-9)
 
     def test_policy_matches_backward_induction_oracle(self):
         p = make_params(
             n_nodes=2, battery_levels=2, queue_cap=2, max_modulation=2,
-            arrival_prob=0.3, channel_gain=(1.0, 0.7), discount=0.9,
+            arrival_prob=0.3, channel_gain=(1.0, 0.7), discount=0.9, vi_tol=1e-9,
         )
-        res = value_iteration(build_model(p), omega=0.9, tol=1e-9)
-        v_ref, pol_ref = backward_induction(build_joint_model(p), omega=0.9, horizon=400)
+        res = value_iteration(build_model(p))
+        v_ref, pol_ref = backward_induction(build_joint_model(p), omega=p.discount, horizon=400)
         assert np.allclose(res.values, v_ref, atol=1e-6)
         assert list(res.policy) == pol_ref
 
     def test_residuals_monotone_non_increasing(self):
-        p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4)
-        res = value_iteration(build_model(p), omega=0.9)
+        p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4, discount=0.9)
+        res = value_iteration(build_model(p))
         h = res.residual_history
         assert all(a >= b - 1e-15 for a, b in zip(h, h[1:]))
+
+    def test_no_convergence_within_max_sweeps_raises(self, monkeypatch):
+        p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4)
+        model = build_model(p)
+        assert value_iteration(model).sweeps > 2
+        monkeypatch.setattr(mdp, "MAX_SWEEPS", 2)
+        with pytest.raises(ValueIterationError, match="after 2 sweeps"):
+            value_iteration(model)
 
     def test_values_non_negative_and_finite(self):
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.5)
@@ -442,8 +453,8 @@ class TestValueIteration:
     def test_values_monotone_in_queue_length(self):
         # more backlog should never reduce expected loss, batteries held fixed
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4,
-                        channel_gain=(1.0, 0.7))
-        res = value_iteration(build_model(p), tol=1e-9)
+                        channel_gain=(1.0, 0.7), vi_tol=1e-9)
+        res = value_iteration(build_model(p))
         violations = []
         for s in iter_joint_states(p):
             for n in range(p.n_nodes):

@@ -193,6 +193,18 @@ def shadow_outcome(shadow, transmitters, outcome, backoff_rng):
         shadow[transmitters[0]].on_ber_failure()
 
 
+def advertised(strategy):
+    """Every node's beacon probability under `EqatStrategy`, in index order.
+
+    The strategy keeps values for its contenders only; every other node
+    advertises 0.0.
+    """
+    beacon = [0.0] * len(strategy.fails)
+    for i, p in zip(strategy._contenders, strategy._probs):
+        beacon[i] = p
+    return beacon
+
+
 def contention_state(shadow):
     """The oracle's (fails, backoff) lists, to compare with `EqatStrategy`'s."""
     return [c.fail_count for c in shadow], [c.backoff_remaining for c in shadow]
@@ -237,7 +249,7 @@ class TestIncrementalBookkeeping:
     @pytest.mark.parametrize("n_nodes", [4, 10])
     def test_eqat_controllers_match_a_shadow_ticking_every_node(self, n_nodes):
         p = busy_params(n_nodes)
-        design = TxProbDesign.exponential(1.0, 0.05)
+        design = TxProbDesign("exponential", rate_q=1.0, rate_e=0.05)
         strategy = EqatStrategy(design, backoff_window=4)
         sim = Simulation(p, strategy, seed=5, trace=True)
         shadow = shadow_controllers(strategy, n_nodes)
@@ -252,7 +264,7 @@ class TestIncrementalBookkeeping:
                 ctl.tick()
             assert (strategy.fails, strategy.backoff) == contention_state(shadow)
             ready = brute_force_ready(sim)
-            assert strategy.beacon == [
+            assert advertised(strategy) == [
                 escalate(tx_prob(design, sim.batteries[i], sim.queues[i], p), c.alpha,
                          c.fail_count)
                 if i in ready and c.backoff_remaining <= 0 else 0.0
@@ -330,7 +342,7 @@ class TestStrategies:
 class TestEqatIntegration:
     def test_matches_decide_op_slot_by_slot(self):
         p = make_params(n_nodes=3, arrival_prob=0.3, channel_gain=(1.2, 1.0, 0.8))
-        design = TxProbDesign.sigmoid()
+        design = TxProbDesign("sigmoid")
         strategy = EqatStrategy(design, threshold=0.05)
         sim = Simulation(p, strategy, seed=21)
         profiles = energy_profiles(p)
@@ -339,7 +351,7 @@ class TestEqatIntegration:
         ctls = shadow_controllers(strategy, p.n_nodes)
         for _ in range(300):
             assert (strategy.fails, strategy.backoff) == contention_state(ctls)
-            beacon = list(strategy.beacon)
+            beacon = advertised(strategy)
             fails_before = list(strategy.fails)
             expected = []
             for i in range(p.n_nodes):
@@ -379,7 +391,7 @@ class TestEqatIntegration:
         # a lone contender with p == 1 behaves exactly like a centrally
         # scheduled single node, on identical substreams
         p = make_params(n_nodes=1, arrival_prob=0.3, channel_gain=(1e4,))
-        design = TxProbDesign.exponential(1000.0, 1e-12)
+        design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)
         for seed in range(10):
             a, _ = simulate_run(p, "eqat", slots=3000, seed=seed, design=design,
                                 threshold=0.0)
@@ -394,7 +406,7 @@ class TestEqatIntegration:
         p = make_params(n_nodes=1, arrival_prob=0.3, arrival_period=5e-3, channel_gain=(1e4,))
         assert p.arrivals_per_slot == 2
         clean = packet_success_prob(p) * (1 - p.arrival_prob) ** 2
-        design = TxProbDesign.exponential(1000.0, 1e-12)
+        design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)
         held, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
                                threshold=clean * (1 + 1e-9))
         sent, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
@@ -405,7 +417,7 @@ class TestEqatIntegration:
 
     def test_backoff_follows_collision(self):
         p = make_params(n_nodes=2, arrival_prob=0.9, channel_gain=(1e4, 1e4))
-        design = TxProbDesign.exponential(1000.0, 1e-12)  # both contend hard
+        design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)  # both contend hard
         strategy = EqatStrategy(design, threshold=0.0, backoff_window=5)
         sim = Simulation(p, strategy, seed=13)
         saw = False
