@@ -87,7 +87,11 @@ class NetworkParams:
 
 
 def validate(params: NetworkParams) -> list[str]:
-    """Return every violated parameter invariant (empty list means ok)."""
+    """Return every violated parameter invariant (empty list means ok).
+
+    Float bounds are written as `not x > 0` rather than `x <= 0`, so a NaN
+    fails them.
+    """
     v: list[str] = []
     p = params
     if p.n_nodes < 1:
@@ -96,25 +100,25 @@ def validate(params: NetworkParams) -> list[str]:
         v.append("packet_bits must be >= 1")
     if not (0.0 < p.ber_target < 1.0):
         v.append("ber_target must lie strictly in (0, 1)")
-    if p.kappa1 <= p.ber_target:
+    if not p.kappa1 > p.ber_target:
         v.append("ln(kappa1/ber_target) must be positive (kappa1 > ber_target)")
-    if p.kappa2 <= 0:
+    if not p.kappa2 > 0:
         v.append("kappa2 must be positive")
-    if p.bs_power < 0:
+    if not p.bs_power >= 0:
         v.append("bs_power must be non-negative")
     if not (0.0 <= p.transfer_efficiency <= 1.0):
         v.append("transfer_efficiency must lie in [0, 1]")
-    if p.bandwidth <= 0:
+    if not p.bandwidth > 0:
         v.append("bandwidth must be positive")
-    if p.slot_len <= 0:
+    if not p.slot_len > 0:
         v.append("slot_len must be positive")
-    if not p.arrival_period > 0:  # NaN too: round() in arrivals_per_slot rejects it
+    if not p.arrival_period > 0:
         v.append("arrival_period must be positive")
     if not (0.0 <= p.arrival_prob <= 1.0):
         v.append("arrival_prob must lie in [0, 1]")
     if p.battery_levels < 1:
         v.append("battery_levels must be >= 1")
-    if p.battery_quantum <= 0:
+    if not p.battery_quantum > 0:
         v.append("battery_quantum must be positive")
     if p.queue_cap < 1:
         v.append("queue_cap must be >= 1")
@@ -122,14 +126,14 @@ def validate(params: NetworkParams) -> list[str]:
         v.append("max_modulation must be >= 1")
     if len(p.channel_gain) != p.n_nodes:
         v.append("channel_gain must have one entry per node")
-    if any(g <= 0 for g in p.channel_gain):
-        v.append("all channel gains must be positive")
+    if not all(g > 0 for g in p.channel_gain):
+        v.append("every channel_gain entry must be positive")
     if p.slot_len * p.bandwidth * p.max_modulation < p.packet_bits:
         v.append("a packet must fit in one slot at the fastest modulation "
                  "(slot_len * bandwidth * max_modulation >= packet_bits)")
     if not (0.0 <= p.discount < 1.0):
         v.append("discount must lie in [0, 1)")
-    if p.vi_tol <= 0:
+    if not p.vi_tol > 0:
         v.append("vi_tol must be positive")
     if not (0 <= p.initial_battery <= p.battery_levels):
         v.append("initial_battery must lie in [0, battery_levels]")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable
 
 import numpy as np
@@ -278,7 +278,9 @@ class RandomSelectionStrategy(Strategy):
     name = "rs"
 
     def select(self, sim):
-        eligible = [i for i, q in enumerate(sim.queues) if q >= 1]
+        # queue lengths are non-negative, so the non-zero ones are the backlogged
+        queues = sim.queues
+        eligible = list(compress(range(len(queues)), queues))
         if not eligible:
             return []
         return [eligible[int(sim.rng.strategy.integers(len(eligible)))]]

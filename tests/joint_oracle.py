@@ -227,10 +227,14 @@ def tie_policy(q: np.ndarray) -> np.ndarray:
     return np.argmax(q <= best + TIE_RTOL * np.maximum(1.0, np.abs(best)), axis=1)
 
 
-def joint_value_iteration(model: JointModel, omega: float, tol: float):
+def joint_value_iteration(model: JointModel, omega: float, tol: float, shift: bool = True):
     """Value iteration over the joint rows with the solver's stopping rule.
 
-    Returns (values, policy under the tie rule, sweeps, residual history).
+    With `shift`, each sweep that does not stop moves the iterate by
+    MacQueen's constant omega / (1 - omega) * (lo + hi) / 2, lo and hi the
+    extremes of the sweep's difference, as the solver does; without it, this
+    is plain value iteration. Returns (values, policy under the tie rule,
+    sweeps, residual history).
     """
     threshold = tol * (1.0 - omega) / (2.0 * omega)
     base = _expected_costs(model)
@@ -239,10 +243,42 @@ def joint_value_iteration(model: JointModel, omega: float, tol: float):
     while True:
         q = _backup(model, base, v, omega)
         v_new = q.min(axis=1)
-        history.append(float(np.max(np.abs(v_new - v))))
-        v = v_new
+        diff = v_new - v
+        lo, hi = float(diff.min()), float(diff.max())
+        history.append(max(-lo, hi))
         if history[-1] < threshold:
-            return v, tie_policy(q), len(history), history
+            return v_new, tie_policy(q), len(history), history
+        v = v_new + omega / (1.0 - omega) * (lo + hi) / 2.0 if shift else v_new
+
+
+def policy_values(model: JointModel, policy: np.ndarray, omega: float) -> np.ndarray:
+    """Exact discounted loss of a stationary policy: a dense solve of (I - omega P) v = c."""
+    rows = np.arange(model.n_states) * model.n_actions + np.asarray(policy)
+    P = np.zeros((model.n_states, model.n_states))
+    cost = np.zeros(model.n_states)
+    for s, r in enumerate(rows):
+        lo, hi = model.row_ptr[r], model.row_ptr[r + 1]
+        np.add.at(P[s], model.next_state[lo:hi], model.prob[lo:hi])
+        cost[s] = model.prob[lo:hi] @ model.reward[lo:hi]
+    return np.linalg.solve(np.eye(model.n_states) - omega * P, cost)
+
+
+def optimal_values(model: JointModel, omega: float) -> np.ndarray:
+    """v* by policy iteration from "always node 0", each evaluation a dense solve.
+
+    A state switches action only on a gain above 1e-12 relative, so rounding
+    ties cannot cycle; the loop ends when no state improves.
+    """
+    states = np.arange(model.n_states)
+    policy = np.zeros(model.n_states, dtype=np.int64)
+    while True:
+        v = policy_values(model, policy, omega)
+        q = bellman_q(model, v, omega)
+        best = q.argmin(axis=1)
+        better = q[states, best] < q[states, policy] - 1e-12 * np.maximum(1.0, np.abs(v))
+        if not better.any():
+            return v
+        policy[better] = best[better]
 
 
 def backward_induction(model: JointModel, omega: float, horizon: int):

@@ -95,6 +95,13 @@ class TestValidate:
     def test_non_positive_arrival_period_is_one_violation(self, period):
         assert validate(make_params(arrival_period=period)) == ["arrival_period must be positive"]
 
+    @pytest.mark.parametrize("field", ["vi_tol", "kappa1", "kappa2", "bs_power", "bandwidth",
+                                       "slot_len", "battery_quantum", "channel_gain"])
+    def test_nan_is_one_violation_naming_its_field(self, field):
+        nan = float("nan")
+        problems = validate(make_params(**{field: (1.0, nan) if field == "channel_gain" else nan}))
+        assert len(problems) == 1 and field in problems[0], problems
+
     def test_packet_must_fit_in_slot(self):
         p = make_params(slot_len=1e-6, bandwidth=1e3, max_modulation=1, packet_bits=256)
         assert any("fit" in m for m in validate(p))

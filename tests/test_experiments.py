@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rwsnsim import experiments
 from rwsnsim.core import draw_channel_gains
 from rwsnsim.experiments import (
     AGG_COLUMNS,
@@ -105,9 +106,27 @@ class TestRunExperiment:
         assert problems[1].startswith("[rc] ") and "contention" in problems[1]
 
     def test_worker_pool_matches_sequential(self):
-        spec1 = tiny_spec(strategies=["rs", "rc"], seeds=[0, 1])
-        spec2 = tiny_spec(strategies=["rs", "rc"], seeds=[0, 1], workers=2)
-        assert run_experiment(spec1).raw_rows == run_experiment(spec2).raw_rows
+        # ehmdp is exact at N=2, so its pickled solve crosses to the workers
+        strategies = ["rs", "rc", "ehmdp", "eqat"]
+        spec1 = tiny_spec(strategies=strategies, seeds=[0, 1])
+        spec2 = tiny_spec(strategies=strategies, seeds=[0, 1], workers=2)
+        serial, pooled = run_experiment(spec1), run_experiment(spec2)
+        assert serial.manifest["scenarios"][0]["ehmdp_mode"] == "exact"
+        assert {r["strategy"] for r in serial.raw_rows} == set(strategies)
+        assert serial.raw_rows == pooled.raw_rows
+
+    def test_nan_vi_tol_fails_before_any_sweep(self, monkeypatch):
+        def no_solve(model):
+            raise AssertionError("value_iteration ran")
+
+        monkeypatch.setattr(experiments, "value_iteration", no_solve)
+        spec = tiny_spec(strategies=["ehmdp"],
+                         network={"battery_levels": 2, "queue_cap": 2, "vi_tol": float("nan")})
+        with pytest.raises(ValueError, match="^vi_tol must be positive$"):
+            spec.resolve_params(2, 10)
+        res = run_experiment(spec)
+        assert [f["error"] for f in res.failures] == ["vi_tol must be positive"]
+        assert res.raw_rows == []
 
     def test_trace_rows_gated(self):
         assert run_experiment(tiny_spec()).trace_rows == []

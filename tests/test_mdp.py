@@ -1,7 +1,14 @@
 """Transition laws, model build, and value iteration against independent oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import rwsnsim
 
 from joint_oracle import (
     backward_induction,
@@ -12,6 +19,8 @@ from joint_oracle import (
     joint_value_iteration,
     node_law,
     node_transition,
+    optimal_values,
+    policy_values,
     state_index,
     state_unindex,
     tie_policy,
@@ -43,6 +52,10 @@ def make_params(**kw):
 # params with float-exact sure success: (1 - 1e-300)**256 == 1.0, and a strong
 # channel so transmission is affordable from battery level 1 upward
 SURE_SUCCESS = dict(ber_target=1e-300, channel_gain=None)
+
+
+# (nodes, battery levels, queue cap) of the desk instances
+DESK = [(2, 2, 2), (3, 2, 2), (2, 5, 6)]
 
 
 def desk_params(n, k, q):
@@ -526,9 +539,9 @@ class TestChoosers:
             assert choose([ns.battery for ns in s], [ns.queue for ns in s]) == expect, s
 
 
-def pipeline_n3_params():
+def pipeline_n3_params(**kw):
     """N=3 with every default, channel gains from the default path-loss draw."""
-    return make_params(n_nodes=3, channel_gain=draw_channel_gains(3))
+    return make_params(n_nodes=3, channel_gain=draw_channel_gains(3), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -582,7 +595,7 @@ class TestOracleParity:
         assert res.sweeps == sweeps_ref
         assert (res.policy == pol_ref).all()
 
-    @pytest.mark.parametrize("n,k,q", [(2, 2, 2), (3, 2, 2), (2, 5, 6)])
+    @pytest.mark.parametrize("n,k,q", DESK)
     def test_desk_instances(self, n, k, q):
         p = desk_params(n, k, q)
         res = value_iteration(build_model(p))
@@ -594,3 +607,59 @@ class TestOracleParity:
         res = value_iteration(build_model(p))
         self.assert_same_solve(res, oracle)
         assert res.residual == pytest.approx(oracle[3][-1], rel=1e-6)
+
+
+class TestMacQueenStop:
+    """The shifted solve against plain value iteration and against the exact optimum."""
+
+    @staticmethod
+    def assert_policy_of_plain_vi(res, joint, p):
+        _, plain_policy, plain_sweeps, _ = joint_value_iteration(
+            joint, p.discount, p.vi_tol, shift=False)
+        assert (res.policy == plain_policy).all()
+        return plain_sweeps
+
+    @pytest.mark.parametrize("n,k,q", DESK)
+    def test_policy_of_plain_vi_on_desk_instances(self, n, k, q):
+        p = desk_params(n, k, q)
+        self.assert_policy_of_plain_vi(value_iteration(build_model(p)), build_joint_model(p), p)
+
+    def test_policy_of_plain_vi_at_n3_defaults(self, n3_oracle):
+        p, joint, _ = n3_oracle
+        res = value_iteration(build_model(p))
+        assert res.sweeps < self.assert_policy_of_plain_vi(res, joint, p)
+
+    def test_policy_of_plain_vi_at_n3_low_power(self):
+        p = pipeline_n3_params(bs_power=1.0)
+        res = value_iteration(build_model(p))
+        assert res.sweeps < self.assert_policy_of_plain_vi(res, build_joint_model(p), p)
+
+    @pytest.mark.parametrize("n,k,q", DESK)
+    def test_within_tolerance_of_the_optimum(self, n, k, q):
+        p = desk_params(n, k, q)
+        joint = build_joint_model(p)
+        res = value_iteration(build_model(p))
+        v_star = optimal_values(joint, p.discount)
+        # v* is the Bellman fixed point to rounding
+        assert np.max(np.abs(bellman_q(joint, v_star, p.discount).min(axis=1) - v_star)) < 1e-10
+        assert np.max(np.abs(res.values - v_star)) <= p.vi_tol / 2
+        gap = policy_values(joint, res.policy, p.discount) - v_star
+        assert -1e-10 < gap.min() and gap.max() <= p.vi_tol
+
+    def test_policy_and_sweeps_do_not_depend_on_blas_threads(self):
+        # the values differ in their last bits between BLAS thread counts;
+        # the policy and the stopping sweep must not
+        code = ("import hashlib; from rwsnsim.core import NetworkParams, draw_channel_gains; "
+                "from rwsnsim.mdp import build_model, value_iteration; "
+                "p = NetworkParams(n_nodes=3, channel_gain=draw_channel_gains(3)); "
+                "r = value_iteration(build_model(p)); "
+                "print(r.sweeps, hashlib.sha256(r.policy.tobytes()).hexdigest())")
+        src = str(Path(rwsnsim.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout.split())
+        assert outs[0] == outs[1]
