@@ -24,8 +24,8 @@ from typing import Callable
 
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
-from .mdp import (DEFAULT_STATE_BUDGET, StateSpaceBudgetError, build_model, check_budget,
-                  value_iteration)
+from .mdp import (DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, StateSpaceBudgetError,
+                  build_model, check_budget, value_iteration)
 from .simulator import STRATEGIES, EqatStrategy, SlotTrace, simulate_run
 
 log = logging.getLogger(__name__)
@@ -270,12 +270,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 continue
             ehmdp_mode = None
             vi_result = None
+            chooser = None   # built once here, shipped to every ehmdp task
             if "ehmdp" in spec.strategies:
                 try:
                     # checked before build_model is entered, so every build_model
                     # call returns a model (the benchmark's traced spans describe it)
                     check_budget(params, spec.budget)
                     vi_result = value_iteration(build_model(params, budget=spec.budget))
+                    chooser = PolicyChooser(vi_result)
                     ehmdp_mode = "exact"
                 except StateSpaceBudgetError as e:
                     log.info("scenario N=%d T=%d: %s; ehmdp runs in myopic mode", n, t_hat, e)
@@ -284,6 +286,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     failures.append({"n_nodes": n, "t_hat": t_hat,
                                      "strategy": "ehmdp", "error": str(e)})
                     ehmdp_mode = "myopic"
+                if chooser is None:
+                    chooser = MyopicChooser(params)
             scenarios.append({
                 "n_nodes": n,
                 "t_hat": t_hat,
@@ -298,7 +302,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     groups = [(token, {**spec.eqat, "design": TxProbDesign.parse(token)})
                               for token in spec.designs]
                 else:
-                    kw = {"ehmdp": {"vi_result": vi_result}, "rc": spec.rc}.get(strategy, {})
+                    kw = {"ehmdp": {"chooser": chooser}, "rc": spec.rc}.get(strategy, {})
                     groups = [("-", kw)]
                 for design, kw in groups:
                     for seed in spec.seeds:

@@ -302,22 +302,28 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
 # -- per-slot action choosers -------------------------------------------------
 
 
-def policy_chooser(result: ValueIterationResult):
-    """Exact mode: table lookup of the solved policy."""
-    p = result.params
-    m = p.per_node_states
-    width = p.queue_cap + 1
+class PolicyChooser:
+    """Exact mode: the solved policy's action at the joint state, by table lookup.
 
-    def choose(batteries: list[int], queues: list[int]) -> int:
+    Holds only plain tables, so it pickles small (a list of node indices, not
+    the solve's arrays) and is built once per scenario.
+    """
+
+    def __init__(self, result: ValueIterationResult):
+        p = result.params
+        self.policy: list[int] = result.policy.tolist()
+        self.m = p.per_node_states
+        self.width = p.queue_cap + 1
+
+    def __call__(self, batteries: list[int], queues: list[int]) -> int:
+        m, width = self.m, self.width
         idx = 0
         for b, q in zip(batteries, queues):
             idx = idx * m + b * width + q
-        return int(result.policy[idx])
-
-    return choose
+        return self.policy[idx]
 
 
-def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile]):
+class MyopicChooser:
     """Approximate mode for joint spaces too large to enumerate.
 
     One-step lookahead on the kernels, with c_S and c_U the expected losses
@@ -330,24 +336,28 @@ def myopic_chooser(params: NetworkParams, profiles: list[NodeEnergyProfile]):
     and its own (battery, queue), so the sort keys are tabulated once. They
     are distinct (each carries its node), so one sort turns them into
     integer ranks, and a choice is the node of the least rank among N
-    lookups.
+    lookups. `profiles` default to those of `params`.
     """
-    model = kernel_model(params, profiles)
-    cost = model.expected(model.reward)
-    ahead = model.expected(cost[0][model.next_state])
-    score = (cost[1:] - cost[0]) + params.discount * (ahead[1:] - ahead[0])
-    width = params.queue_cap + 1
-    keys = [
-        [[(float(score[n, e * width + q]), -q, e, n) for q in range(width)]
-         for e in range(params.battery_levels + 1)]
-        for n in range(params.n_nodes)
-    ]
-    order = sorted(k for table in keys for row in table for k in row)
-    rank = {k: r for r, k in enumerate(order)}
-    node_of = [k[3] for k in order]
-    ranks = [[[rank[k] for k in row] for row in table] for table in keys]
 
-    def choose(batteries: list[int], queues: list[int]) -> int:
-        return node_of[min([table[e][q] for table, e, q in zip(ranks, batteries, queues)])]
+    def __init__(self, params: NetworkParams,
+                 profiles: list[NodeEnergyProfile] | None = None):
+        if profiles is None:
+            profiles = energy_profiles(params)
+        model = kernel_model(params, profiles)
+        cost = model.expected(model.reward)
+        ahead = model.expected(cost[0][model.next_state])
+        score = (cost[1:] - cost[0]) + params.discount * (ahead[1:] - ahead[0])
+        width = params.queue_cap + 1
+        keys = [
+            [[(float(score[n, e * width + q]), -q, e, n) for q in range(width)]
+             for e in range(params.battery_levels + 1)]
+            for n in range(params.n_nodes)
+        ]
+        order = sorted(k for table in keys for row in table for k in row)
+        rank = {k: r for r, k in enumerate(order)}
+        self.node_of = [k[3] for k in order]
+        self.ranks = [[[rank[k] for k in row] for row in table] for table in keys]
 
-    return choose
+    def __call__(self, batteries: list[int], queues: list[int]) -> int:
+        return self.node_of[min([table[e][q]
+                                 for table, e, q in zip(self.ranks, batteries, queues)])]

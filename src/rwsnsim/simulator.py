@@ -10,6 +10,25 @@ strictly sequential and deterministic given its seed: arrivals, strategy
 choices, error draws, and backoff draws each consume their own substream,
 so runs that differ only in strategy see identical arrival processes.
 
+One slot loop. `Simulation.run(slots)` is the only code that plays a slot;
+`step()` is ``run(1)``. At the start of each call the loop binds to locals
+what stays fixed from slot to slot: the queue and battery lists, the
+per-node costs and energy profiles, the draw functions, the strategy's
+bound `select` and hooks, and the trace list. It counts generated,
+delivered and dropped packets in locals and, when the call ends, writes
+them to `metrics` together with `slots`, `duration` and `in_queue_final`,
+so `metrics` is current after every call (`slot` is kept current during
+the call, for the strategy). Binding per call, not per run, lets a caller
+replace `queues` or `traces` between calls, and lets a `select` patched
+onto the strategy's class after construction (the benchmark's tracer does
+this) take effect.
+
+Hook contract. A strategy implements `select`; it may override `bind`
+(called once, from the constructor), `on_outcome` and `end_of_slot`. The
+loop calls the last two only when the strategy's class overrides
+`Strategy`'s no-op, decided once per call; of the shipped strategies only
+`EqatStrategy` does.
+
 Per-slot work scales with the nodes that can act, not with N. Batteries
 change only through `Simulation._apply_levels`, which keeps
 `Simulation.powered`, the nodes whose battery affords one transmission, in
@@ -37,7 +56,7 @@ import numpy as np
 from .core import NetworkParams
 from .energy import energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
-from .mdp import arrival_pmf, myopic_chooser, policy_chooser
+from .mdp import MyopicChooser, arrival_pmf
 
 # draws fetched per refill of a block-fetched stream (per arrival
 # opportunity for the arrival stream); bounds the memory a stream holds
@@ -144,7 +163,7 @@ class Simulation:
         self.ps = packet_success_prob(params)
         self._ber = uniforms(self.rng.ber)
         self._arrivals = arrival_hits(self.rng.arrival, params.n_nodes, params.arrival_prob)
-        self._arrivals_per_slot = params.arrivals_per_slot
+        self._opportunities = range(params.arrivals_per_slot)
         n = params.n_nodes
         self.batteries = [params.initial_battery] * n
         self.queues = [0] * n
@@ -154,11 +173,8 @@ class Simulation:
         self.slot = 0
         strategy.bind(self)
 
-    def can_transmit(self, node: int) -> bool:
-        return self.queues[node] >= 1 and self.batteries[node] >= self.min_tx[node]
-
     def transmit_ready(self) -> list[int]:
-        """Every node that `can_transmit`, in index order."""
+        """Every node with a packet and the battery for one transmission, in index order."""
         queues = self.queues
         return [i for i in self.powered if queues[i] >= 1]
 
@@ -181,62 +197,74 @@ class Simulation:
         return after - before
 
     def step(self):
-        transmitters = self.strategy.select(self)
-        outcome = "idle"
-        energy = 0
-
-        if len(transmitters) == 1:
-            (t,) = transmitters
-            if self.can_transmit(t):
-                if self._ber() < self.ps:
-                    outcome = "success"
-                    self.queues[t] -= 1
-                    self.metrics.delivered += 1
-                else:
-                    outcome = "ber_fail"
-                # downlink charges the node either way, net of transmit cost
-                energy = self._apply_levels(t, self.profiles[t].delta_levels)
-            else:
-                # a centrally selected node without a packet (or battery)
-                # gets the whole slot as charge
-                energy = self._apply_levels(t, self.profiles[t].harvest_only_levels)
-        elif len(transmitters) >= 2:
-            outcome = "collision"
-            for t in transmitters:
-                self._apply_levels(t, -self.min_tx[t])
-
-        self.strategy.on_outcome(self, transmitters, outcome)
-
-        queues, cap, m = self.queues, self.params.queue_cap, self.metrics
-        for _ in range(self._arrivals_per_slot):
-            hits = self._arrivals()
-            m.generated += len(hits)
-            for n in hits:
-                if queues[n] >= cap:
-                    m.dropped_overflow += 1
-                else:
-                    queues[n] += 1
-
-        self.strategy.end_of_slot(self)
-
-        if self.traces is not None:
-            self.traces.append(SlotTrace(
-                slot=self.slot,
-                batteries=tuple(self.batteries),
-                queues=tuple(self.queues),
-                transmitters=tuple(transmitters),
-                outcome=outcome,
-                energy_levels=energy,
-            ))
-        self.slot += 1
+        """Play one slot."""
+        self.run(1)
 
     def run(self, slots: int) -> RunMetrics:
-        for _ in range(slots):
-            self.step()
+        """Play `slots` more slots; returns `metrics`, current through the last one."""
+        queues, batteries, min_tx = self.queues, self.batteries, self.min_tx
+        profiles, ps, ber, arrivals = self.profiles, self.ps, self._ber, self._arrivals
+        cap, opportunities = self.params.queue_cap, self._opportunities
+        apply_levels, traces = self._apply_levels, self.traces
+        strategy = self.strategy
+        select = strategy.select
+        cls = type(strategy)
+        on_outcome = strategy.on_outcome if cls.on_outcome is not Strategy.on_outcome else None
+        end_of_slot = strategy.end_of_slot if cls.end_of_slot is not Strategy.end_of_slot else None
         m = self.metrics
-        m.slots = self.slot
-        m.duration = self.slot * self.params.slot_len
-        m.in_queue_final = sum(self.queues)
+        generated, delivered, dropped = m.generated, m.delivered, m.dropped_overflow
+        start = self.slot
+        stop = start + max(slots, 0)
+
+        for slot in range(start, stop):
+            self.slot = slot   # the slot being played, for the strategy's hooks
+            transmitters = select(self)
+            outcome = "idle"
+            energy = 0
+            if len(transmitters) == 1:
+                t = transmitters[0]
+                if queues[t] >= 1 and batteries[t] >= min_tx[t]:
+                    if ber() < ps:
+                        outcome = "success"
+                        queues[t] -= 1
+                        delivered += 1
+                    else:
+                        outcome = "ber_fail"
+                    # downlink charges the node either way, net of transmit cost
+                    energy = apply_levels(t, profiles[t].delta_levels)
+                else:
+                    # a centrally selected node without a packet (or battery)
+                    # gets the whole slot as charge
+                    energy = apply_levels(t, profiles[t].harvest_only_levels)
+            elif transmitters:
+                outcome = "collision"
+                for t in transmitters:
+                    apply_levels(t, -min_tx[t])
+
+            if on_outcome is not None:
+                on_outcome(self, transmitters, outcome)
+
+            for _ in opportunities:
+                hits = arrivals()
+                generated += len(hits)
+                for n in hits:
+                    if queues[n] >= cap:
+                        dropped += 1
+                    else:
+                        queues[n] += 1
+
+            if end_of_slot is not None:
+                end_of_slot(self)
+
+            if traces is not None:
+                traces.append(SlotTrace(slot, tuple(batteries), tuple(queues),
+                                        tuple(transmitters), outcome, energy))
+
+        self.slot = stop
+        m.generated, m.delivered, m.dropped_overflow = generated, delivered, dropped
+        m.slots = stop
+        m.duration = stop * self.params.slot_len
+        m.in_queue_final = sum(queues)
         return m
 
 
@@ -287,19 +315,18 @@ class RandomSelectionStrategy(Strategy):
 
 
 class EhmdpStrategy(Strategy):
-    """Scheduler driven by the solved policy, or its myopic stand-in."""
+    """Scheduler driven by a chooser: `mdp.PolicyChooser` of the solved policy,
+    or `mdp.MyopicChooser`, its stand-in, built in `bind` when none is given."""
 
     name = "ehmdp"
 
-    def __init__(self, vi_result=None):
-        self.exact = vi_result is not None
-        if self.exact:
-            self._choose = policy_chooser(vi_result)
+    def __init__(self, chooser=None):
+        self.chooser = chooser
 
     def bind(self, sim: Simulation):
         # the myopic scores come from the run's own energy profiles
-        if not self.exact:
-            self._choose = myopic_chooser(sim.params, sim.profiles)
+        self._choose = (self.chooser if self.chooser is not None
+                        else MyopicChooser(sim.params, sim.profiles))
 
     def select(self, sim):
         return [self._choose(sim.batteries, sim.queues)]
@@ -396,12 +423,18 @@ class EqatStrategy(Strategy):
 
     def _refresh(self, sim: Simulation):
         # a node that will not contend (backoff, no packet, or battery below
-        # one transmission) honestly advertises zero and is left out
-        fails, backoff, table = self.fails, self.backoff, self._p_table
+        # one transmission) honestly advertises zero and is left out;
+        # escalate(p, alpha, 0) is p exactly, so a node without fails skips it
+        fails, backoff, table, alpha = self.fails, self.backoff, self._p_table, self.alpha
         batteries, queues = sim.batteries, sim.queues
-        self._contenders = [i for i in sim.transmit_ready() if backoff[i] <= 0]
-        self._probs = [escalate(table[batteries[i]][queues[i]], self.alpha, fails[i])
-                       for i in self._contenders]
+        self._contenders = contenders = []
+        self._probs = probs = []
+        for i in sim.powered:
+            q = queues[i]
+            if q >= 1 and backoff[i] <= 0:
+                contenders.append(i)
+                p = table[batteries[i]][q]
+                probs.append(escalate(p, alpha, fails[i]) if fails[i] else p)
 
     def select(self, sim):
         contenders, probs, uniform = self._contenders, self._probs, self._uniform

@@ -17,6 +17,7 @@ from rwsnsim.experiments import (
     spec_from_config,
     write_outputs,
 )
+from rwsnsim.simulator import simulate_run
 
 
 def tiny_spec(**kw):
@@ -106,14 +107,29 @@ class TestRunExperiment:
         assert problems[1].startswith("[rc] ") and "contention" in problems[1]
 
     def test_worker_pool_matches_sequential(self):
-        # ehmdp is exact at N=2, so its pickled solve crosses to the workers
+        # N=2 has 81 joint states and N=3 729, so under a budget of 100 ehmdp
+        # is exact at N=2 and myopic at N=3: both kinds of pickled chooser
+        # cross to the workers
         strategies = ["rs", "rc", "ehmdp", "eqat"]
-        spec1 = tiny_spec(strategies=strategies, seeds=[0, 1])
-        spec2 = tiny_spec(strategies=strategies, seeds=[0, 1], workers=2)
+        spec1 = tiny_spec(strategies=strategies, seeds=[0, 1], n_nodes=[2, 3], budget=100)
+        spec2 = tiny_spec(strategies=strategies, seeds=[0, 1], n_nodes=[2, 3], budget=100,
+                          workers=2)
         serial, pooled = run_experiment(spec1), run_experiment(spec2)
-        assert serial.manifest["scenarios"][0]["ehmdp_mode"] == "exact"
-        assert {r["strategy"] for r in serial.raw_rows} == set(strategies)
+        assert [s["ehmdp_mode"] for s in serial.manifest["scenarios"]] == ["exact", "myopic"]
+        assert {(r["n_nodes"], r["strategy"]) for r in serial.raw_rows} == {
+            (n, s) for n in (2, 3) for s in strategies}
+        assert serial.failures == pooled.failures == []
         assert serial.raw_rows == pooled.raw_rows
+
+    def test_shipped_myopic_chooser_gives_the_rows_of_one_built_per_run(self):
+        spec = tiny_spec(strategies=["ehmdp"], n_nodes=[3], budget=100, seeds=[0, 1])
+        res = run_experiment(spec)
+        assert res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
+        params = spec.resolve_params(3, 10)
+        for row in res.raw_rows:
+            m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"])
+            assert (row["generated"], row["delivered"], row["dropped"]) == (
+                m.generated, m.delivered, m.dropped_overflow)
 
     def test_nan_vi_tol_fails_before_any_sweep(self, monkeypatch):
         def no_solve(model):

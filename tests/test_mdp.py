@@ -31,14 +31,14 @@ from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import (
     TIE_RTOL,
+    MyopicChooser,
+    PolicyChooser,
     StateSpaceBudgetError,
     TransitionModel,
     ValueIterationError,
     build_model,
     greedy_policy,
     kernel_model,
-    myopic_chooser,
-    policy_chooser,
     value_iteration,
 )
 from rwsnsim.simulator import simulate_run
@@ -486,19 +486,19 @@ class TestChoosers:
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.3,
                         channel_gain=(1.0, 0.7))
         res = value_iteration(build_model(p))
-        choose = policy_chooser(res)
+        choose = PolicyChooser(res)
         for s in iter_joint_states(p):
             got = choose([ns.battery for ns in s], [ns.queue for ns in s])
             assert got == res.policy[state_index(s, p)]
 
     def test_myopic_prefers_the_full_node(self):
         p = make_params(n_nodes=3, arrival_prob=0.2)
-        choose = myopic_chooser(p, energy_profiles(p))
+        choose = MyopicChooser(p, energy_profiles(p))
         assert choose([3, 3, 3], [0, p.queue_cap, 0]) == 1
 
     def test_myopic_ties_break_to_longest_queue(self):
         p = make_params(n_nodes=3, arrival_prob=0.2)
-        choose = myopic_chooser(p, energy_profiles(p))
+        choose = MyopicChooser(p, energy_profiles(p))
         # no overflow risk anywhere: all score deltas are zero
         assert choose([3, 3, 3], [1, 3, 2]) == 1
 
@@ -506,7 +506,7 @@ class TestChoosers:
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4,
                         channel_gain=(1.0, 0.7))
         res = value_iteration(build_model(p))
-        approx = myopic_chooser(p, energy_profiles(p))
+        approx = MyopicChooser(p, energy_profiles(p))
         agree = 0
         total = 0
         for s in iter_joint_states(p):
@@ -531,7 +531,7 @@ class TestChoosers:
             for s in iter_joint_states(p)
         ])
         lookahead = bellman_q(build_joint_model(p), idle_loss, p.discount)
-        choose = myopic_chooser(p, profiles)
+        choose = MyopicChooser(p, profiles)
         for s, scores in zip(iter_joint_states(p), lookahead):
             tied = np.flatnonzero(scores <= scores.min() + 1e-12)
             # ties: longest queue, then lowest battery, then lowest index

@@ -7,9 +7,11 @@ from eqat_oracle import Decision, EqatController, collided_transition, eqat_deci
 from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
+from rwsnsim.mdp import PolicyChooser
 from rwsnsim.simulator import (
     EqatStrategy,
     Simulation,
+    Strategy,
     Streams,
     make_strategy,
     simulate_run,
@@ -72,18 +74,21 @@ class TestBasics:
             assert a == b, name
 
     def test_metrics_count_every_slot_stepped(self):
-        # manual steps and repeated run() calls add up to one run of the sum
+        # manual steps and repeated run() calls add up to one run of the sum,
+        # and the metrics are current after every call
         p = make_params(n_nodes=3, arrival_prob=0.3)
-        sim = Simulation(p, make_strategy("fq"), seed=2)
-        sim.step()
-        sim.step()
-        sim.run(100)
-        m = sim.run(100)
-        assert m.slots == sim.slot == 202
-        assert m.duration == 202 * p.slot_len
-        whole, _ = simulate_run(p, "fq", slots=202, seed=2)
-        assert m == whole
-        assert m.throughput_pps == whole.throughput_pps
+        for name in ALL_STRATEGIES:
+            sim = Simulation(p, make_strategy(name), seed=2)
+            for k in (1, 2):
+                sim.step()
+                assert sim.metrics == simulate_run(p, name, slots=k, seed=2)[0], (name, k)
+            sim.run(100)
+            m = sim.run(100)
+            assert m.slots == sim.slot == 202
+            assert m.duration == 202 * p.slot_len
+            whole, _ = simulate_run(p, name, slots=202, seed=2)
+            assert m == whole, name
+            assert m.throughput_pps == whole.throughput_pps
 
     def test_different_seed_differs(self):
         p = make_params(n_nodes=4, arrival_prob=0.2)
@@ -131,7 +136,8 @@ class TestGoldenMetrics:
     def test_counts_pinned(self, name, n_nodes, golden_n3_solve):
         p = golden_params(n_nodes)
         assert p.arrivals_per_slot == 2
-        kw = {"vi_result": golden_n3_solve} if name == "ehmdp" and n_nodes == 3 else {}
+        exact = name == "ehmdp" and n_nodes == 3
+        kw = {"chooser": PolicyChooser(golden_n3_solve)} if exact else {}
         m, _ = simulate_run(p, name, slots=2_500, seed=4, **kw)
         got = (m.generated, m.delivered, m.dropped_overflow, m.in_queue_final)
         assert got == GOLDEN[(name, n_nodes)]
@@ -273,6 +279,84 @@ class TestIncrementalBookkeeping:
         assert collided > 10
 
 
+# every strategy, and EQAT once more with its threshold gate on
+LOOP_CASES = [(name, {}) for name in ALL_STRATEGIES] + [("eqat", {"threshold": 0.05})]
+
+
+def run_state(sim):
+    """What slots leave behind: traces, batteries, queues, the powered list,
+    the slot count, and EQAT's contention lists."""
+    state = (sim.traces, sim.batteries, sim.queues, sim.powered, sim.slot)
+    strategy = sim.strategy
+    if isinstance(strategy, EqatStrategy):
+        state += (strategy.fails, strategy.backoff, strategy.waiting)
+    return state
+
+
+class CountingStrategy(Strategy):
+    """fq's choice; records every call the loop makes, with its slot."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = []
+
+    def select(self, sim):
+        self.calls.append(("select", sim.slot))
+        queues = sim.queues
+        return [queues.index(max(queues))]
+
+    def on_outcome(self, sim, transmitters, outcome):
+        self.calls.append(("on_outcome", sim.slot))
+
+    def end_of_slot(self, sim):
+        self.calls.append(("end_of_slot", sim.slot))
+
+
+class TestOneSlotLoop:
+    @pytest.mark.parametrize("name,kw", LOOP_CASES,
+                             ids=[f"{n}-{kw}" if kw else n for n, kw in LOOP_CASES])
+    def test_steps_and_one_run_leave_identical_state(self, name, kw):
+        p = busy_params(4)
+        stepped = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
+        for _ in range(400):
+            stepped.step()
+        whole = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
+        whole.run(400)
+        assert len(whole.traces) == 400
+        assert run_state(stepped) == run_state(whole)
+        assert stepped.metrics == whole.metrics
+
+    def test_overridden_hooks_run_once_per_slot_in_order(self):
+        strategy = CountingStrategy()
+        sim = Simulation(make_params(n_nodes=3, arrival_prob=0.3), strategy, seed=4)
+        for _ in range(3):
+            sim.step()
+        sim.run(5)
+        sim.run(0)
+        assert strategy.calls == [(hook, slot) for slot in range(8)
+                                  for hook in ("select", "on_outcome", "end_of_slot")]
+
+    def test_no_op_hooks_are_not_called(self, monkeypatch):
+        def called(*args):
+            raise AssertionError("a no-op hook was called")
+
+        monkeypatch.setattr(Strategy, "on_outcome", called)
+        monkeypatch.setattr(Strategy, "end_of_slot", called)
+        for name in ALL_STRATEGIES:
+            simulate_run(busy_params(3), name, slots=200, seed=1)
+
+    def test_rebinds_what_the_caller_replaced_between_calls(self):
+        p = make_params(n_nodes=3, arrival_prob=0.0)
+        sim = Simulation(p, make_strategy("fq"), seed=0, trace=True)
+        sim.step()
+        sim.queues = [0, 2, 0]
+        sim.traces = []
+        sim.step()
+        assert sim.traces[0].transmitters == (1,)
+        assert sim.metrics.in_queue_final == sum(sim.queues)
+
+
 class TestStrategies:
     def test_fq_picks_unique_longest(self):
         p = make_params(n_nodes=3)
@@ -330,9 +414,10 @@ class TestStrategies:
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.3,
                         channel_gain=(1.0, 0.7))
         res = value_iteration(build_model(p))
-        m, traces = simulate_run(p, "ehmdp", slots=300, seed=6, trace=True, vi_result=res)
+        m, traces = simulate_run(p, "ehmdp", slots=300, seed=6, trace=True,
+                                 chooser=PolicyChooser(res))
         # replay: every pick must match the policy at the pre-slot state
-        sim = Simulation(p, make_strategy("ehmdp", vi_result=res), seed=6)
+        sim = Simulation(p, make_strategy("ehmdp", chooser=PolicyChooser(res)), seed=6)
         for t in traces:
             expect = sim.strategy.select(sim)
             assert list(t.transmitters) in ([], expect)
@@ -364,7 +449,7 @@ class TestEqatIntegration:
             assert got == expected
             # resolve the slot through the engine path
             outcome = "idle"
-            if len(got) == 1 and sim.can_transmit(got[0]):
+            if len(got) == 1 and got[0] in sim.transmit_ready():
                 outcome = "success" if sim.rng.ber.random() < sim.ps else "ber_fail"
                 if outcome == "success":
                     sim.queues[got[0]] -= 1
@@ -473,7 +558,7 @@ class TestCollidedNodeLawFrequencies:
         n_obs = 0
         for _ in range(120_000):
             s = NodeState(sim.batteries[0], sim.queues[0])
-            ready = sim.can_transmit(0) and sim.can_transmit(1) and s.queue < p.queue_cap
+            ready = sim.transmit_ready() == [0, 1] and s.queue < p.queue_cap
             sim.traces = []
             sim.step()
             if not (ready and 0 in sim.traces[-1].transmitters):
@@ -501,11 +586,11 @@ class TestMonteCarloOrdering:
                         channel_gain=(1.0, 0.7))
         from rwsnsim.mdp import build_model, value_iteration
 
-        res = value_iteration(build_model(p))
+        chooser = PolicyChooser(value_iteration(build_model(p)))
         loss_ehmdp = []
         loss_rs = []
         for seed in range(20):
-            a, _ = simulate_run(p, "ehmdp", slots=10_000, seed=seed, vi_result=res)
+            a, _ = simulate_run(p, "ehmdp", slots=10_000, seed=seed, chooser=chooser)
             b, _ = simulate_run(p, "rs", slots=10_000, seed=seed)
             loss_ehmdp.append(a.loss_rate)
             loss_rs.append(b.loss_rate)
