@@ -7,7 +7,9 @@ aggregation reduces seeds to mean and standard error. The emitted manifest
 captures the spec and every resolved scenario, so a rerun of
 ``ExperimentSpec(**manifest["spec"])`` reproduces the CSVs byte for byte;
 it also records how each ehmdp solve went (mode, and for an exact
-solve its sweep count and final residual). A scenario whose parameters
+solve its sweep count, final residual, the sweeps that fell back from
+Anderson mixing to the plain step, and the build-plus-solve wall time,
+the one entry a rerun does not reproduce). A scenario whose parameters
 fail `core.validate` is reported once, as one failure, and skipped.
 """
 
@@ -17,6 +19,7 @@ import configparser
 import json
 import logging
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -270,13 +273,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 continue
             ehmdp_mode = None
             vi_result = None
+            solve_s = None
             chooser = None   # built once here, shipped to every ehmdp task
             if "ehmdp" in spec.strategies:
                 try:
                     # checked before build_model is entered, so every build_model
                     # call returns a model (the benchmark's traced spans describe it)
                     check_budget(params, spec.budget)
+                    solve_start = time.perf_counter()
                     vi_result = value_iteration(build_model(params, budget=spec.budget))
+                    solve_s = time.perf_counter() - solve_start
                     chooser = PolicyChooser(vi_result)
                     ehmdp_mode = "exact"
                 except StateSpaceBudgetError as e:
@@ -294,6 +300,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 "ehmdp_mode": ehmdp_mode,
                 "ehmdp_sweeps": vi_result.sweeps if vi_result is not None else None,
                 "ehmdp_residual": vi_result.residual if vi_result is not None else None,
+                "ehmdp_fallbacks": vi_result.fallbacks if vi_result is not None else None,
+                "ehmdp_solve_s": solve_s,
                 "params": params_dict(params),
             })
             for strategy in spec.strategies:

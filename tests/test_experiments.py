@@ -88,10 +88,18 @@ class TestRunExperiment:
         assert isinstance(exact["ehmdp_sweeps"], int) and exact["ehmdp_sweeps"] > 0
         p = exact["params"]
         assert 0.0 < exact["ehmdp_residual"] < p["vi_tol"] * (1 - p["discount"]) / (2 * p["discount"])
+        assert isinstance(exact["ehmdp_fallbacks"], int)
+        assert 0 <= exact["ehmdp_fallbacks"] < exact["ehmdp_sweeps"]
+        assert isinstance(exact["ehmdp_solve_s"], float) and exact["ehmdp_solve_s"] > 0.0
         assert myopic["ehmdp_mode"] == "myopic"
         assert myopic["ehmdp_sweeps"] is None and myopic["ehmdp_residual"] is None
-        # deterministic: a rerun reproduces the manifest
-        assert run_experiment(spec).manifest == res.manifest
+        assert myopic["ehmdp_fallbacks"] is None and myopic["ehmdp_solve_s"] is None
+        # deterministic: a rerun reproduces the manifest, all but the wall time
+        rerun = run_experiment(spec).manifest
+        for manifest in (rerun, res.manifest):
+            for scenario in manifest["scenarios"]:
+                scenario.pop("ehmdp_solve_s")
+        assert rerun == res.manifest
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

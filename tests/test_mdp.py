@@ -586,7 +586,12 @@ class TestTieRule:
 
 
 class TestOracleParity:
-    """The product-form solve against value iteration over the enumerated joint rows."""
+    """The product-form solve without Anderson mixing against value iteration over
+    the enumerated joint rows: the same iterates, so the same sweeps and values."""
+
+    @pytest.fixture(autouse=True)
+    def plain_step(self, monkeypatch):
+        monkeypatch.setattr(mdp, "ANDERSON_DEPTH", 0)
 
     @staticmethod
     def assert_same_solve(res, oracle):
@@ -610,7 +615,7 @@ class TestOracleParity:
 
 
 class TestMacQueenStop:
-    """The shifted solve against plain value iteration and against the exact optimum."""
+    """The shifted and mixed solve against plain value iteration and the exact optimum."""
 
     @staticmethod
     def assert_policy_of_plain_vi(res, joint, p):
@@ -663,3 +668,82 @@ class TestMacQueenStop:
             assert done.returncode == 0, done.stderr
             outs.append(done.stdout.split())
         assert outs[0] == outs[1]
+
+
+class TestAnderson:
+    """The mixed solve at the default depth: same operator, same stopping test, same policy."""
+
+    @staticmethod
+    def backup_q(model, v):
+        backup = mdp._Backup(model)
+        return (backup(v) + backup.common).T
+
+    @pytest.mark.parametrize("n,k,q", DESK)
+    def test_backup_is_the_joint_bellman_operator(self, n, k, q):
+        p = desk_params(n, k, q)
+        v = np.random.default_rng(n * k * q).uniform(0.0, 10.0, p.joint_state_count)
+        expect = bellman_q(build_joint_model(p), v, p.discount)
+        assert np.max(np.abs(self.backup_q(build_model(p), v) - expect)) <= 1e-12
+
+    def test_backup_is_the_joint_bellman_operator_at_n3(self, n3_oracle):
+        p, joint, _ = n3_oracle
+        v = np.random.default_rng(3).uniform(0.0, 10.0, p.joint_state_count)
+        expect = bellman_q(joint, v, p.discount)
+        assert np.max(np.abs(self.backup_q(build_model(p), v) - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("n,k,q", DESK)
+    def test_policy_of_the_oracle_solve_on_desk_instances(self, n, k, q):
+        p = desk_params(n, k, q)
+        res = value_iteration(build_model(p))
+        _, policy, sweeps, _ = joint_value_iteration(build_joint_model(p), p.discount, p.vi_tol)
+        assert (res.policy == policy).all()
+        assert res.sweeps < sweeps
+
+    def test_policy_of_the_oracle_solve_at_n3_defaults(self, n3_oracle):
+        p, _, (_, policy, sweeps, _) = n3_oracle
+        res = value_iteration(build_model(p))
+        assert (res.policy == policy).all()
+        assert res.residual < p.vi_tol * (1 - p.discount) / (2 * p.discount)
+        assert 4 * res.sweeps < sweeps
+
+    def test_swap_symmetric_states_take_the_lower_index(self):
+        # nodes 0 and 1 share a channel, so at a state where they also share
+        # (battery, queue) selecting either has the same Q; rounding noise in
+        # the mixed iterates must stay inside the tie tolerance
+        gains = draw_channel_gains(3)
+        p = make_params(n_nodes=3, channel_gain=(gains[0], gains[0], gains[2]))
+        res = value_iteration(build_model(p))
+        m = p.per_node_states
+        state = np.arange(p.joint_state_count)
+        symmetric = res.policy[state // m ** 2 == (state // m) % m]
+        assert symmetric.size == m ** 2
+        assert (symmetric != 1).all()
+        assert (symmetric == 0).sum() > 0
+
+    def test_forced_fallback_is_the_plain_step(self, monkeypatch):
+        # a residual above 0 x the best always falls back: every sweep after
+        # the first discards its one remembered sweep, and the iterates are
+        # those of the shifted oracle
+        p = desk_params(2, 5, 6)
+        monkeypatch.setattr(mdp, "ANDERSON_RISE", 0.0)
+        res = value_iteration(build_model(p))
+        values, policy, sweeps, _ = joint_value_iteration(build_joint_model(p), p.discount,
+                                                          p.vi_tol)
+        assert res.sweeps == sweeps
+        assert res.fallbacks == sweeps - 2
+        assert np.max(np.abs(res.values - values)) <= 1e-12
+        assert (res.policy == policy).all()
+
+    def test_strict_fallback_still_converges_within_tolerance(self, monkeypatch):
+        # falling back on any rise of the residual fires on this instance;
+        # the stopping test, and so the bound, are unchanged
+        p = desk_params(2, 5, 6)
+        joint = build_joint_model(p)
+        monkeypatch.setattr(mdp, "ANDERSON_RISE", 1.0)
+        res = value_iteration(build_model(p))
+        assert res.fallbacks > 0
+        assert res.residual < p.vi_tol * (1 - p.discount) / (2 * p.discount)
+        v_star = optimal_values(joint, p.discount)
+        assert np.max(np.abs(res.values - v_star)) <= p.vi_tol / 2
+        gap = policy_values(joint, res.policy, p.discount) - v_star
+        assert gap.max() <= p.vi_tol

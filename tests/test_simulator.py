@@ -595,3 +595,25 @@ class TestMonteCarloOrdering:
             loss_ehmdp.append(a.loss_rate)
             loss_rs.append(b.loss_rate)
         assert np.mean(loss_ehmdp) <= np.mean(loss_rs)
+
+
+class TestCentralizedLock:
+    """A modelling artefact, pinned until the energy rounding changes (ROADMAP item 2).
+
+    Energy is floored to whole battery levels. In the scarce network
+    (bs_power 1.0) at N=6 that leaves node 0 a net change of -1 per
+    transmitting slot and no harvest in a charge-only slot, so once it drains
+    below its transmit cost it never recovers. `fq` ties to the lowest index
+    among full queues and keeps picking it: the channel idles for good.
+    """
+
+    def test_fq_locks_on_the_drained_node(self):
+        p = make_params(n_nodes=6, bs_power=1.0, slot_len=10e-3,
+                        channel_gain=draw_channel_gains(6))
+        prof = energy_profiles(p)[0]
+        assert (prof.min_tx_level, prof.delta_levels, prof.harvest_only_levels) == (2, -1, 0)
+        _, traces = simulate_run(p, "fq", 2000, 0, trace=True)
+        last = traces[-1000:]
+        assert all(t.transmitters == (0,) for t in last)
+        assert all(t.outcome == "idle" for t in last)
+        assert all(t.batteries[0] < prof.min_tx_level for t in last)
