@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
+from . import simulator
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import (DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, StateSpaceBudgetError,
@@ -249,9 +250,9 @@ class ExperimentResult:
 
 
 def _run_one(args):
-    params, strategy, slots, seed, trace, strategy_kw = args
+    params, strategy, slots, seed, trace, profiles, strategy_kw = args
     try:
-        return simulate_run(params, strategy, slots, seed, trace, **strategy_kw)
+        return simulate_run(params, strategy, slots, seed, trace, profiles, **strategy_kw)
     except Exception as e:  # reported per task; the grid keeps running
         return ("error", f"{type(e).__name__}: {e}")
 
@@ -268,6 +269,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         for t_hat in spec.t_hat:
             try:
                 params = spec.resolve_params(n, t_hat)
+                # computed once here, shipped to every task and the myopic
+                # chooser; looked up on `simulator`, where the benchmark's
+                # tracer counts the calls
+                profiles = simulator.energy_profiles(params)
             except Exception as e:
                 failures.append({"n_nodes": n, "t_hat": t_hat, "error": str(e)})
                 continue
@@ -293,7 +298,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                                      "strategy": "ehmdp", "error": str(e)})
                     ehmdp_mode = "myopic"
                 if chooser is None:
-                    chooser = MyopicChooser(params)
+                    chooser = MyopicChooser(params, profiles)
             scenarios.append({
                 "n_nodes": n,
                 "t_hat": t_hat,
@@ -316,7 +321,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     for seed in spec.seeds:
                         key = {"n_nodes": n, "t_hat": t_hat,
                                "design": design, "strategy": strategy, "seed": seed}
-                        tasks.append((key, (params, strategy, spec.slots, seed, spec.trace, kw)))
+                        tasks.append((key, (params, strategy, spec.slots, seed, spec.trace,
+                                            profiles, kw)))
 
     raw_rows: list[dict] = []
     trace_rows: list[dict] = []

@@ -453,13 +453,10 @@ class MyopicChooser:
     and its own (battery, queue), so the sort keys are tabulated once. They
     are distinct (each carries its node), so one sort turns them into
     integer ranks, and a choice is the node of the least rank among N
-    lookups. `profiles` default to those of `params`.
+    lookups. `profiles` are the energy profiles of `params`.
     """
 
-    def __init__(self, params: NetworkParams,
-                 profiles: list[NodeEnergyProfile] | None = None):
-        if profiles is None:
-            profiles = energy_profiles(params)
+    def __init__(self, params: NetworkParams, profiles: list[NodeEnergyProfile]):
         model = kernel_model(params, profiles)
         cost = model.expected(model.reward)
         ahead = model.expected(cost[0][model.next_state])

@@ -13,8 +13,8 @@ so runs that differ only in strategy see identical arrival processes.
 One slot loop. `Simulation.run(slots)` is the only code that plays a slot;
 `step()` is ``run(1)``. At the start of each call the loop binds to locals
 what stays fixed from slot to slot: the queue and battery lists, the
-per-node costs and energy profiles, the draw functions, the strategy's
-bound `select` and hooks, and the trace list. It counts generated,
+per-node transmit costs and battery-move tables, the draw functions, the
+strategy's bound `select` and hooks, and the trace list. It counts generated,
 delivered and dropped packets in locals and, when the call ends, writes
 them to `metrics` together with `slots`, `duration` and `in_queue_final`,
 so `metrics` is current after every call (`slot` is kept current during
@@ -29,23 +29,27 @@ loop calls the last two only when the strategy's class overrides
 `Strategy`'s no-op, decided once per call; of the shipped strategies only
 `EqatStrategy` does.
 
-Per-slot work scales with the nodes that can act, not with N. Batteries
-change only through `Simulation._apply_levels`, which keeps
-`Simulation.powered`, the nodes whose battery affords one transmission, in
-index order; `transmit_ready` filters that list by the live queues, so
-code may assign `queues` freely but must not write `batteries` directly.
-`EqatStrategy` caches its contenders and their beacon probabilities at the
-end of each slot (see its docstring).
+Per-slot work scales with the nodes that can act, not with N.
+`Simulation.powered` holds the nodes whose battery affords one
+transmission, in index order, and `transmit_ready` filters it by the live
+queues. Only `Simulation._apply_levels` changes a node's membership. The
+loop moves a battery by table lookup (the level after a transmission, a
+charge-only slot or a collision, clamped to [0, K], tabulated per node) and
+writes it directly when the move leaves the node on the same side of its
+transmit cost; a move that crosses it goes through `_apply_levels`. So
+code may assign `queues` freely but must write `batteries` only through
+`_apply_levels`. `EqatStrategy` caches its contenders and their beacon
+probabilities at the end of each slot (see its docstring).
 
-Random draws are fetched BLOCK at a time and handed out one by one in the
-order a per-slot draw would have consumed them, so the numbers are those of
-drawing each value when it is needed (PCG64 gives the same uniforms whether
-drawn singly or in an array). Which form each substream is consumed in is
-listed on `Streams`.
+Random draws are fetched in blocks and handed out one by one in the order
+a per-slot draw would have consumed them, so the numbers are those of
+drawing each value when it is needed. Which form each substream is
+consumed in is listed on `Streams`.
 """
 
 from __future__ import annotations
 
+import numbers
 from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -54,12 +58,12 @@ from typing import Callable
 import numpy as np
 
 from .core import NetworkParams
-from .energy import energy_profiles, packet_success_prob
+from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
 from .mdp import MyopicChooser, arrival_pmf
 
-# draws fetched per refill of a block-fetched stream (per arrival
-# opportunity for the arrival stream); bounds the memory a stream holds
+# values fetched per refill of a block-fetched stream (uniforms, raw words,
+# or arrival opportunities of N uniforms each); bounds the memory it holds
 BLOCK = 1024
 
 
@@ -104,19 +108,23 @@ class SlotTrace:
 class Streams:
     """Named rng substreams so different random purposes never interleave.
 
-    Each substream is consumed in exactly one form during a run:
+    Each substream is consumed in exactly one form during a run, and every
+    form fetches its draws in blocks:
 
-      * ``arrival``: `arrival_hits`, BLOCK opportunities of N uniforms each;
-      * ``ber``: `uniforms`, BLOCK scalar uniforms at a time;
-      * ``strategy``: `uniforms` for ``rc`` and ``eqat``; direct
-        ``integers(len(eligible))`` calls for ``rs``;
-      * ``backoff``: direct ``integers(1, W + 1)`` calls.
+      * ``arrival``: `arrival_hits`, N uniforms per arrival opportunity;
+      * ``ber``: `uniforms`;
+      * ``strategy``: `uniforms` for ``rc`` and ``eqat``, `bounded_integers`
+        for ``rs`` (a uniform index into the backlogged nodes);
+      * ``backoff``: `bounded_integers` (a backoff in 1..W).
 
-    Bounded ``integers`` consumes a data-dependent number of raw draws, so
-    those streams are not fetched ahead. A block form reads up to BLOCK
-    draws past the last value it handed out, so no stream may be consumed
-    in two forms: a direct call after a block fetch would see different
-    values from the ones a per-slot draw would have seen.
+    A block form gives the values of drawing one at a time: PCG64 gives the
+    same uniforms whether drawn singly or in an array, and a bounded
+    integer copies ``Generator.integers``, which splits each raw 64-bit
+    word into its low then its high 32-bit half and applies Lemire's
+    rejection method to them (tested against ``integers`` draw for draw).
+    A block form reads past the last value it handed out, so no stream may
+    be consumed in two forms: a second form would see other values than a
+    per-slot draw would have seen.
     """
 
     def __init__(self, seed: int):
@@ -135,18 +143,58 @@ def uniforms(rng: np.random.Generator) -> Callable[[], float]:
     return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None)).__next__
 
 
-def arrival_hits(rng: np.random.Generator, n_nodes: int,
-                 prob: float) -> Callable[[], list[int]]:
-    """A function returning, per arrival opportunity, the nodes with an arrival.
+def bounded_integers(rng: np.random.Generator) -> Callable[[int, int], int]:
+    """A function ``draw(low, high)`` returning the next integer of `rng` in [low, high).
 
-    Node n has an arrival when its uniform is below `prob`, with the
-    uniforms of ``rng.random(n_nodes)`` per opportunity; BLOCK
+    Same values, in the same order, as repeated ``int(rng.integers(low,
+    high))`` on a fresh PCG64 generator, for any ranges with high - low in
+    [1, 2**32]: the raw words are fetched BLOCK at a time and split into
+    32-bit halves, low half first (PCG64's ``next_uint32``), and each draw
+    takes halves by Lemire's method ("Fast Random Integer Generation in an
+    Interval", ACM TOMACS 29(1), 2019), rejection loop included. A range of
+    one value returns `low` and takes no half.
+    """
+    bits = rng.bit_generator
+
+    def block() -> list[int]:
+        raw = bits.random_raw(BLOCK)
+        return np.column_stack((raw & 0xFFFF_FFFF, raw >> 32)).ravel().tolist()
+
+    half = chain.from_iterable(iter(block, None)).__next__
+
+    def draw(low: int, high: int) -> int:
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= 1 << 32:
+            raise ValueError(f"high - low must lie in [1, 2**32], got [{low}, {high})")
+        m = half() * span
+        if (m & 0xFFFF_FFFF) < span:
+            threshold = ((1 << 32) - span) % span
+            while (m & 0xFFFF_FFFF) < threshold:
+                m = half() * span
+        return low + (m >> 32)
+
+    return draw
+
+
+def arrival_hits(rng: np.random.Generator, n_nodes: int, prob: float,
+                 per_slot: int) -> Callable[[], list[int]]:
+    """A function returning, per slot, the nodes with an arrival.
+
+    Each of the slot's `per_slot` arrival opportunities draws
+    ``rng.random(n_nodes)``, and node n has an arrival when its uniform is
+    below `prob`. The slot's list is its opportunities' hits concatenated
+    in draw order, so a node appears once per arrival. About BLOCK
     opportunities are drawn at a time.
     """
+    slots = max(1, BLOCK // per_slot)
+    width = per_slot * n_nodes   # uniforms per slot
+
     def block() -> list[list[int]]:
-        rows, nodes = np.nonzero(rng.random((BLOCK, n_nodes)) < prob)
-        ends = np.cumsum(np.bincount(rows, minlength=BLOCK)).tolist()
-        nodes = nodes.tolist()
+        hits = np.flatnonzero(rng.random(slots * width) < prob)
+        ends = np.searchsorted(hits, np.arange(width, (slots + 1) * width, width)).tolist()
+        nodes = (hits % n_nodes).tolist()
         return [nodes[start:end] for start, end in zip([0, *ends], ends)]
 
     return chain.from_iterable(iter(block, None)).__next__
@@ -154,16 +202,26 @@ def arrival_hits(rng: np.random.Generator, n_nodes: int,
 
 class Simulation:
     def __init__(self, params: NetworkParams, strategy: "Strategy", seed: int,
-                 trace: bool = False):
+                 trace: bool = False, profiles: list[NodeEnergyProfile] | None = None):
+        """`profiles` are the network's energy profiles, computed from `params` when not given."""
         self.params = params
         self.strategy = strategy
         self.rng = Streams(seed)
-        self.profiles = energy_profiles(params)
+        self.profiles = profiles if profiles is not None else energy_profiles(params)
         self.min_tx = [prof.min_tx_level for prof in self.profiles]
         self.ps = packet_success_prob(params)
         self._ber = uniforms(self.rng.ber)
-        self._arrivals = arrival_hits(self.rng.arrival, params.n_nodes, params.arrival_prob)
-        self._opportunities = range(params.arrivals_per_slot)
+        self._arrivals = arrival_hits(self.rng.arrival, params.n_nodes, params.arrival_prob,
+                                      params.arrivals_per_slot)
+        levels = range(params.battery_levels + 1)
+
+        def moves(gains: list[int]) -> list[list[int]]:
+            # per node, the level after adding its gain to each level, clamped
+            return [[min(max(b + g, 0), params.battery_levels) for b in levels] for g in gains]
+
+        self._after_tx = moves([prof.delta_levels for prof in self.profiles])
+        self._after_charge = moves([prof.harvest_only_levels for prof in self.profiles])
+        self._after_collision = moves([-need for need in self.min_tx])
         n = params.n_nodes
         self.batteries = [params.initial_battery] * n
         self.queues = [0] * n
@@ -178,15 +236,10 @@ class Simulation:
         queues = self.queues
         return [i for i in self.powered if queues[i] >= 1]
 
-    def _apply_levels(self, node: int, delta: int) -> int:
-        """Add `delta` levels to a battery, clamped; the only battery write."""
+    def _apply_levels(self, node: int, delta: int):
+        """Add `delta` levels to a battery, clamped; the only write that changes `powered`."""
         before = self.batteries[node]
-        after = before + delta
-        # comparisons, not max/min: this runs once per transmitter per slot
-        if after > self.params.battery_levels:
-            after = self.params.battery_levels
-        elif after < 0:
-            after = 0
+        after = min(max(before + delta, 0), self.params.battery_levels)
         self.batteries[node] = after
         need = self.min_tx[node]
         if (before >= need) != (after >= need):
@@ -194,7 +247,6 @@ class Simulation:
                 insort(self.powered, node)
             else:
                 self.powered.remove(node)
-        return after - before
 
     def step(self):
         """Play one slot."""
@@ -203,9 +255,10 @@ class Simulation:
     def run(self, slots: int) -> RunMetrics:
         """Play `slots` more slots; returns `metrics`, current through the last one."""
         queues, batteries, min_tx = self.queues, self.batteries, self.min_tx
-        profiles, ps, ber, arrivals = self.profiles, self.ps, self._ber, self._arrivals
-        cap, opportunities = self.params.queue_cap, self._opportunities
-        apply_levels, traces = self._apply_levels, self.traces
+        after_tx, after_charge = self._after_tx, self._after_charge
+        after_collision = self._after_collision
+        ps, ber, arrivals = self.ps, self._ber, self._arrivals
+        cap, apply_levels, traces = self.params.queue_cap, self._apply_levels, self.traces
         strategy = self.strategy
         select = strategy.select
         cls = type(strategy)
@@ -223,7 +276,8 @@ class Simulation:
             energy = 0
             if len(transmitters) == 1:
                 t = transmitters[0]
-                if queues[t] >= 1 and batteries[t] >= min_tx[t]:
+                before, need = batteries[t], min_tx[t]
+                if before >= need and queues[t] >= 1:
                     if ber() < ps:
                         outcome = "success"
                         queues[t] -= 1
@@ -231,27 +285,37 @@ class Simulation:
                     else:
                         outcome = "ber_fail"
                     # downlink charges the node either way, net of transmit cost
-                    energy = apply_levels(t, profiles[t].delta_levels)
+                    after = after_tx[t][before]
                 else:
                     # a centrally selected node without a packet (or battery)
                     # gets the whole slot as charge
-                    energy = apply_levels(t, profiles[t].harvest_only_levels)
+                    after = after_charge[t][before]
+                energy = after - before
+                if (after >= need) == (before >= need):
+                    batteries[t] = after
+                else:
+                    apply_levels(t, energy)
             elif transmitters:
                 outcome = "collision"
                 for t in transmitters:
-                    apply_levels(t, -min_tx[t])
+                    before, need = batteries[t], min_tx[t]
+                    after = after_collision[t][before]
+                    if (after >= need) == (before >= need):
+                        batteries[t] = after
+                    else:
+                        apply_levels(t, after - before)
 
             if on_outcome is not None:
                 on_outcome(self, transmitters, outcome)
 
-            for _ in opportunities:
-                hits = arrivals()
-                generated += len(hits)
-                for n in hits:
-                    if queues[n] >= cap:
-                        dropped += 1
-                    else:
-                        queues[n] += 1
+            # the slot's arrivals, opportunity by opportunity
+            hits = arrivals()
+            generated += len(hits)
+            for n in hits:
+                if queues[n] >= cap:
+                    dropped += 1
+                else:
+                    queues[n] += 1
 
             if end_of_slot is not None:
                 end_of_slot(self)
@@ -305,13 +369,16 @@ class RandomSelectionStrategy(Strategy):
 
     name = "rs"
 
+    def bind(self, sim: Simulation):
+        self._draw = bounded_integers(sim.rng.strategy)
+
     def select(self, sim):
         # queue lengths are non-negative, so the non-zero ones are the backlogged
         queues = sim.queues
         eligible = list(compress(range(len(queues)), queues))
         if not eligible:
             return []
-        return [eligible[int(sim.rng.strategy.integers(len(eligible)))]]
+        return [eligible[self._draw(0, len(eligible))]]
 
 
 class EhmdpStrategy(Strategy):
@@ -400,16 +467,21 @@ class EqatStrategy(Strategy):
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if not backoff_window >= 1:
-            raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
+        # an integer (numpy's integers floors a fractional bound silently),
+        # within the ranges `bounded_integers` draws from
+        if isinstance(backoff_window, bool) or not isinstance(backoff_window, numbers.Integral):
+            raise ValueError(f"backoff_window must be an integer, got {backoff_window!r}")
+        if not 1 <= backoff_window <= 1 << 32:
+            raise ValueError(f"backoff_window must lie in [1, 2**32], got {backoff_window}")
         self.design = design
         self.alpha = alpha
         self.threshold = threshold
-        self.backoff_window = backoff_window
+        self.backoff_window = int(backoff_window)
 
     def bind(self, sim: Simulation):
         p = sim.params
         self._uniform = uniforms(sim.rng.strategy)
+        self._backoff_draw = bounded_integers(sim.rng.backoff)
         self._ps_clean = sim.ps * float(arrival_pmf(p)[0])
         self.fails = [0] * p.n_nodes
         self.backoff = [0] * p.n_nodes
@@ -456,10 +528,10 @@ class EqatStrategy(Strategy):
 
     def on_outcome(self, sim, transmitters, outcome):
         if outcome == "collision":
-            rng, window = sim.rng.backoff, self.backoff_window
+            draw, high = self._backoff_draw, self.backoff_window + 1
             for t in transmitters:
                 self.fails[t] += 1
-                self.backoff[t] = int(rng.integers(1, window + 1))
+                self.backoff[t] = draw(1, high)
             self.waiting.extend(transmitters)
         elif outcome == "success":
             self.fails[transmitters[0]] = 0
@@ -500,9 +572,11 @@ def simulate_run(
     slots: int,
     seed: int,
     trace: bool = False,
+    profiles: list[NodeEnergyProfile] | None = None,
     **strategy_kw,
 ) -> tuple[RunMetrics, list[SlotTrace] | None]:
+    """One run of a fresh strategy; `profiles` as for `Simulation`."""
     strategy = make_strategy(strategy_name, **strategy_kw)
-    sim = Simulation(params, strategy, seed=seed, trace=trace)
+    sim = Simulation(params, strategy, seed=seed, trace=trace, profiles=profiles)
     metrics = sim.run(slots)
     return metrics, sim.traces

@@ -113,6 +113,9 @@ class TestRunExperiment:
         assert len(problems) == 2
         assert problems[0].startswith("[eqat] alpha")
         assert problems[1].startswith("[rc] ") and "contention" in problems[1]
+        # a fractional backoff window is refused once, by the eqat constructor
+        assert tiny_spec(eqat={"backoff_window": 2.5}).validate() == [
+            "[eqat] backoff_window must be an integer, got 2.5"]
 
     def test_worker_pool_matches_sequential(self):
         # N=2 has 81 joint states and N=3 729, so under a budget of 100 ehmdp

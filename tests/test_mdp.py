@@ -443,7 +443,12 @@ class TestValueIteration:
         assert np.allclose(res.values, v_ref, atol=1e-6)
         assert list(res.policy) == pol_ref
 
-    def test_residuals_monotone_non_increasing(self):
+    def test_residuals_monotone_non_increasing(self, monkeypatch):
+        # the plain shifted step's residual is at most omega * (hi - lo) / 2,
+        # within omega of the last one, so it never rises; Anderson mixing
+        # promises no such thing (on desk instance (2, 5, 6) the default
+        # depth's residual rises once in 24 sweeps), so mixing is off here
+        monkeypatch.setattr(mdp, "ANDERSON_DEPTH", 0)
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4, discount=0.9)
         res = value_iteration(build_model(p))
         h = res.residual_history

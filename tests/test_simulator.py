@@ -9,10 +9,13 @@ from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import PolicyChooser
 from rwsnsim.simulator import (
+    BLOCK,
     EqatStrategy,
     Simulation,
     Strategy,
     Streams,
+    arrival_hits,
+    bounded_integers,
     make_strategy,
     simulate_run,
 )
@@ -61,6 +64,8 @@ class TestBasics:
         ("rc", {"contention_prob": 1.7}), ("rc", {"contention_prob": -0.1}),
         ("eqat", {"alpha": -0.5}), ("eqat", {"alpha": float("nan")}),
         ("eqat", {"threshold": 1.5}), ("eqat", {"backoff_window": 0}),
+        ("eqat", {"backoff_window": 2.5}), ("eqat", {"backoff_window": True}),
+        ("eqat", {"backoff_window": 2**32 + 1}),
     ])
     def test_out_of_range_parameter_rejected(self, name, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
@@ -223,13 +228,22 @@ def busy_params(n_nodes):
                        channel_gain=draw_channel_gains(n_nodes))
 
 
+# a weak downlink and fine battery levels: many nodes lose energy in a
+# transmitting slot and gain it in a charge-only slot, so a centrally
+# selected node drains below its transmit cost and recharges past it
+def drain_params(n_nodes):
+    return make_params(n_nodes=n_nodes, arrival_prob=0.2, ber_target=5e-3, bs_power=0.5,
+                       battery_quantum=1e-3, battery_levels=12,
+                       channel_gain=draw_channel_gains(n_nodes))
+
+
 class TestIncrementalBookkeeping:
     @pytest.mark.parametrize("n_nodes", [4, 10])
-    @pytest.mark.parametrize("name", ["dfq", "rc", "eqat"])
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_powered_list_matches_brute_force_every_slot(self, name, n_nodes):
-        p = busy_params(n_nodes)
+        p = drain_params(n_nodes)
         sim = Simulation(p, make_strategy(name), seed=3, trace=True)
-        drained = False
+        drained = recharged = False
         for _ in range(1500):
             before = len(sim.powered)
             sim.step()
@@ -237,8 +251,15 @@ class TestIncrementalBookkeeping:
             assert sim.powered == [i for i in range(n_nodes)
                                    if sim.batteries[i] >= sim.min_tx[i]]
             drained |= len(sim.powered) < before
+            recharged |= len(sim.powered) > before
         assert drained
-        assert {"success", "ber_fail", "collision"} <= {t.outcome for t in sim.traces}
+        outcomes = {t.outcome for t in sim.traces}
+        if name in ("fq", "rs", "ehmdp"):
+            # only a charge-only slot brings a drained node back
+            assert recharged
+            assert {"success", "ber_fail"} <= outcomes
+        else:
+            assert {"success", "ber_fail", "collision"} <= outcomes
 
     def test_powered_list_stays_in_index_order(self):
         # a contention run never recharges a drained node, so order on
@@ -277,6 +298,47 @@ class TestIncrementalBookkeeping:
                 for i, c in enumerate(shadow)
             ]
         assert collided > 10
+
+
+class TestBlockDraws:
+    # ranges of one value (no draw), small ones, and ranges near 2**32, where
+    # Lemire's method rejects a quarter (3 * 2**30) to a half (2**31 + 1) of
+    # the candidates
+    RANGES = [(5, 6), (0, 1), (0, 2), (0, 3), (1, 9), (-4, 7), (0, 50),
+              (0, 2**31 + 1), (0, 3 * 2**30), (7, 2**32 - 1 + 7), (0, 2**32)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bounded_integers_equal_generator_integers(self, seed):
+        # 40,000 draws a seed, over ranges picked at random, so every range
+        # follows every other one, across many blocks
+        picks = np.random.default_rng(seed + 100).integers(len(self.RANGES), size=40_000)
+        expected = np.random.default_rng([seed, 3])
+        draw = bounded_integers(np.random.default_rng([seed, 3]))
+        for k in picks.tolist():
+            low, high = self.RANGES[k]
+            assert draw(low, high) == int(expected.integers(low, high))
+
+    def test_one_value_range_consumes_no_draw(self):
+        draw = bounded_integers(np.random.default_rng(9))
+        assert [draw(5, 6) for _ in range(2 * BLOCK)] == [5] * (2 * BLOCK)
+        assert draw(0, 10) == int(np.random.default_rng(9).integers(0, 10))
+
+    @pytest.mark.parametrize("low,high", [(0, 0), (3, 2), (0, 2**32 + 1)])
+    def test_bounded_integers_refuse_ranges_outside_one_to_2_pow_32(self, low, high):
+        with pytest.raises(ValueError, match="high - low"):
+            bounded_integers(np.random.default_rng(0))(low, high)
+
+    @pytest.mark.parametrize("per_slot", [1, 2, 4])
+    def test_arrival_lists_equal_per_opportunity_hits(self, per_slot):
+        n_nodes, prob = 5, 0.3
+        hits = arrival_hits(np.random.default_rng(6), n_nodes, prob, per_slot)
+        rng = np.random.default_rng(6)
+        # enough slots to cross two block boundaries
+        for _ in range(2 * BLOCK // per_slot + 3):
+            expected = []
+            for _ in range(per_slot):
+                expected += np.flatnonzero(rng.random(n_nodes) < prob).tolist()
+            assert hits() == expected
 
 
 # every strategy, and EQAT once more with its threshold gate on
