@@ -21,7 +21,9 @@ from pathlib import Path
 from .experiments import read_agg_csv, report, run_experiment, spec_from_config, write_outputs
 
 CONFIG_SCHEMA = """\
-config file (INI; every section and key is optional, any other is an error):
+config file (INI; every section and key is optional, any other is an error;
+the keys are the declared fields and parameters below, each value converted
+by its declared type):
   [experiment]  n_nodes, t_hat, seeds   comma lists or dash ranges ("0-4, 7")
                 designs                 comma list: sigmoid | exp:RATE |
                                         exp:RQ:RE | gamma:SHAPE:SCALE
@@ -36,11 +38,11 @@ config file (INI; every section and key is optional, any other is an error):
                 max_modulation, discount, vi_tol, initial_battery;
                 channel_gain as a comma list, one gain per node
                 (n_nodes and slot_len come from [experiment])
-  [channel]     path-loss draw of the gains when channel_gain is not given:
-                seed, reference_gain, reference_dist, min_dist, max_dist,
-                pathloss_exp
-  [eqat]        alpha, threshold, backoff_window
-  [rc]          contention_prob
+  [channel]     draw_channel_gains parameters, for the path-loss draw of the
+                gains when channel_gain is not given: seed, reference_gain,
+                reference_dist, min_dist, max_dist, pathloss_exp
+  [eqat]        EqatStrategy parameters: alpha, threshold, backoff_window
+  [rc]          RandomContentionStrategy parameters: contention_prob
 """
 
 

@@ -73,11 +73,6 @@ class NetworkParams:
         return max(1, round(self.slot_len / self.arrival_period))
 
     @property
-    def battery_capacity(self) -> float:
-        """Joules held by a full battery: battery_levels * battery_quantum."""
-        return self.battery_levels * self.battery_quantum
-
-    @property
     def per_node_states(self) -> int:
         return (self.battery_levels + 1) * (self.queue_cap + 1)
 

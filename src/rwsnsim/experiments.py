@@ -11,17 +11,25 @@ solve its sweep count, final residual, the sweeps that fell back from
 Anderson mixing to the plain step, and the build-plus-solve wall time,
 the one entry a rerun does not reproduce). A scenario whose parameters
 fail `core.validate` is reported once, as one failure, and skipped.
+
+A config file's keys are the declared names of what each section sets,
+and each value converts by its declared type: [experiment] the
+`ExperimentSpec` fields, [network] the `NetworkParams` fields but n_nodes
+and slot_len (the grid sets them), [channel] the `draw_channel_gains`
+parameters but n_nodes, [eqat] and [rc] the strategy constructors'
+parameters but eqat's design (set by designs).
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -30,7 +38,8 @@ from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import (DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, StateSpaceBudgetError,
                   build_model, check_budget, value_iteration)
-from .simulator import STRATEGIES, EqatStrategy, SlotTrace, simulate_run
+from .simulator import (STRATEGIES, EqatStrategy, RandomContentionStrategy, SlotTrace,
+                        simulate_run)
 
 log = logging.getLogger(__name__)
 
@@ -96,11 +105,16 @@ class ExperimentSpec:
                 TxProbDesign.parse(d)
             except ValueError as e:
                 v.append(str(e))
-        for name, overrides in (("eqat", self.eqat), ("rc", self.rc)):
-            try:
-                STRATEGIES[name](**overrides)
-            except (TypeError, ValueError) as e:
-                v.append(f"[{name}] {e}")
+        for name in ("network", "channel", "eqat", "rc"):
+            overrides = getattr(self, name)
+            unknown = sorted(set(overrides) - set(_SPEC_SCHEMA[name]))
+            if unknown:
+                v.append(f"[{name}] unknown keys: {', '.join(unknown)}")
+            elif name in STRATEGIES:
+                try:
+                    STRATEGIES[name](**overrides)
+                except (TypeError, ValueError) as e:
+                    v.append(f"[{name}] {e}")
         return v
 
     def resolve_params(self, n: int, t_hat: int) -> NetworkParams:
@@ -148,56 +162,37 @@ def _boolean(text: str) -> bool:
         raise ValueError("not a boolean") from None
 
 
-# converters of the [network] keys (NetworkParams fields; n_nodes and
-# slot_len come from [experiment]) and of the [channel] keys
-# (draw_channel_gains arguments)
-NETWORK_KEYS = {
-    "packet_bits": int,
-    "ber_target": float,
-    "kappa1": float,
-    "kappa2": float,
-    "bs_power": float,
-    "transfer_efficiency": float,
-    "bandwidth": float,
-    "arrival_period": float,
-    "arrival_prob": float,
-    "battery_levels": int,
-    "battery_quantum": float,
-    "queue_cap": int,
-    "max_modulation": int,
-    "discount": float,
-    "vi_tol": float,
-    "initial_battery": int,
-    "channel_gain": _float_list,
-}
-CHANNEL_KEYS = {
-    "seed": int,
-    "reference_gain": float,
-    "reference_dist": float,
-    "min_dist": float,
-    "max_dist": float,
-    "pathloss_exp": float,
+# one converter per declared type; an annotation missing here is a KeyError at import
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "bool": _boolean,
+    "list[int]": _parse_int_list,
+    "list[str]": _words,
+    "tuple[float, ...] | None": _float_list,
 }
 
-# the config file's schema (documented in ``rwsnsim --help``): each section's
-# keys with their converters
+
+def _declared(obj: Callable, *skip: str) -> dict[str, Callable[[str], object]]:
+    """Converters of dataclass `obj`'s fields or callable `obj`'s parameters, less `skip`."""
+    if is_dataclass(obj):
+        pairs = [(f.name, f.type) for f in fields(obj)]
+    else:
+        pairs = [(name, par.annotation) for name, par in inspect.signature(obj).parameters.items()]
+    return {name: _CONVERTERS[ann] for name, ann in pairs if name not in skip}
+
+
+# the config file's schema (see the module docstring and ``rwsnsim --help``)
 _SPEC_SCHEMA = {
     "experiment": {
-        "n_nodes": _parse_int_list,
-        "t_hat": _parse_int_list,
-        "designs": _words,
+        **_declared(ExperimentSpec, "network", "channel", "eqat", "rc"),
         "strategies": lambda text: _words(text.lower()),
-        "slots": int,
-        "seeds": _parse_int_list,
-        "minislot_len": float,
-        "budget": int,
-        "workers": int,
-        "trace": _boolean,
     },
-    "network": NETWORK_KEYS,
-    "channel": CHANNEL_KEYS,
-    "eqat": {"alpha": float, "threshold": float, "backoff_window": int},
-    "rc": {"contention_prob": float},
+    "network": _declared(NetworkParams, "n_nodes", "slot_len"),
+    "channel": _declared(draw_channel_gains, "n_nodes"),
+    "eqat": _declared(EqatStrategy, "design"),
+    "rc": _declared(RandomContentionStrategy),
 }
 
 
@@ -307,7 +302,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 "ehmdp_residual": vi_result.residual if vi_result is not None else None,
                 "ehmdp_fallbacks": vi_result.fallbacks if vi_result is not None else None,
                 "ehmdp_solve_s": solve_s,
-                "params": params_dict(params),
+                "params": asdict(params),
             })
             for strategy in spec.strategies:
                 # (design column, constructor kwargs) of each row group
@@ -378,22 +373,12 @@ def _trace_dicts(key: dict, traces: list[SlotTrace]) -> list[dict]:
     return out
 
 
-def params_dict(params: NetworkParams) -> dict:
-    d = {f.name: getattr(params, f.name) for f in fields(NetworkParams)}
-    d["channel_gain"] = list(d["channel_gain"])
-    return d
-
-
 def aggregate_rows(raw_rows: list[dict]) -> list[dict]:
     """Mean and standard error over seeds per (scenario, strategy, design)."""
     groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
     for row in raw_rows:
         key = (row["n_nodes"], row["t_hat"], row["design"], row["strategy"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(key, []).append(row)
 
     def mean(vals):
         return sum(vals) / len(vals)
@@ -406,8 +391,7 @@ def aggregate_rows(raw_rows: list[dict]) -> list[dict]:
         return math.sqrt(var / len(vals))
 
     out = []
-    for key in order:
-        rows = groups[key]
+    for key, rows in groups.items():
         tp = [r["throughput_pps"] for r in rows]
         lr = [r["loss_rate"] for r in rows]
         out.append({

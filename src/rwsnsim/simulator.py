@@ -5,10 +5,10 @@ transmitter gets a packet-error draw and the downlink charge, two or more
 collide (losing transmit energy, no charge); the strategy is told the
 outcome (EQAT updates its fail counts and draws backoffs); then arrivals
 are applied, dropping on full queues; finally the strategy closes the slot
-(EQAT counts down its backoffs and computes the next beacon). A run is
-strictly sequential and deterministic given its seed: arrivals, strategy
-choices, error draws, and backoff draws each consume their own substream,
-so runs that differ only in strategy see identical arrival processes.
+(EQAT counts down its backoffs). A run is strictly sequential and
+deterministic given its seed: arrivals, strategy choices, error draws, and
+backoff draws each consume their own substream, so runs that differ only
+in strategy see identical arrival processes.
 
 One slot loop. `Simulation.run(slots)` is the only code that plays a slot;
 `step()` is ``run(1)``. At the start of each call the loop binds to locals
@@ -38,8 +38,7 @@ charge-only slot or a collision, clamped to [0, K], tabulated per node) and
 writes it directly when the move leaves the node on the same side of its
 transmit cost; a move that crosses it goes through `_apply_levels`. So
 code may assign `queues` freely but must write `batteries` only through
-`_apply_levels`. `EqatStrategy` caches its contenders and their beacon
-probabilities at the end of each slot (see its docstring).
+`_apply_levels`.
 
 Random draws are fetched in blocks and handed out one by one in the order
 a per-slot draw would have consumed them, so the numbers are those of
@@ -445,18 +444,14 @@ class EqatStrategy(Strategy):
       * ``waiting``: the nodes with ``backoff`` > 0, the only ones
         `end_of_slot` counts down.
 
-    Beacon probabilities are the working values computed at the end of the
-    previous slot (one slot stale), zero for nodes that will still be
-    backing off. A nominee is vetoed when the mass of its intended move,
-    ps * P(no arrival over the slot) * prod(1 - competitors' beacons), falls
-    below ``threshold``; P(no arrival) is `mdp.arrival_pmf`'s first term.
-
-    The work of a slot is event-driven. `bind` and `end_of_slot` compute the
-    contenders (`transmit_ready` nodes not backing off, in index order) and
-    their beacon values once; `select` reuses both, since nothing changes
-    between `end_of_slot` and the next `select`. Every other node advertises
-    exactly 0.0, so the competitor products run over the contenders alone
-    and equal the products over all N factors bit for bit.
+    The contenders are the `transmit_ready` nodes not backing off, in index
+    order, and their beacons are their working probabilities, both read off
+    the live state when the slot starts (`beacons`). Every other node
+    advertises exactly 0.0, so the competitor products run over the
+    contenders alone and equal the products over all N factors bit for bit.
+    A nominee is vetoed when the mass of its intended move, ps * P(no
+    arrival over the slot) * prod(1 - competitors' beacons), falls below
+    ``threshold``; P(no arrival) is `mdp.arrival_pmf`'s first term.
     """
 
     name = "eqat"
@@ -491,25 +486,27 @@ class EqatStrategy(Strategy):
             [tx_prob(self.design, e, q, p) for q in range(p.queue_cap + 1)]
             for e in range(p.battery_levels + 1)
         ]
-        self._refresh(sim)
 
-    def _refresh(self, sim: Simulation):
+    def beacons(self, sim: Simulation) -> tuple[list[int], list[float]]:
+        """The contenders, in index order, and their beacon values, from the live state."""
         # a node that will not contend (backoff, no packet, or battery below
         # one transmission) honestly advertises zero and is left out;
         # escalate(p, alpha, 0) is p exactly, so a node without fails skips it
         fails, backoff, table, alpha = self.fails, self.backoff, self._p_table, self.alpha
         batteries, queues = sim.batteries, sim.queues
-        self._contenders = contenders = []
-        self._probs = probs = []
+        contenders = []
+        probs = []
         for i in sim.powered:
             q = queues[i]
             if q >= 1 and backoff[i] <= 0:
                 contenders.append(i)
                 p = table[batteries[i]][q]
                 probs.append(escalate(p, alpha, fails[i]) if fails[i] else p)
+        return contenders, probs
 
     def select(self, sim):
-        contenders, probs, uniform = self._contenders, self._probs, self._uniform
+        contenders, probs = self.beacons(sim)
+        uniform = self._uniform
         # one uniform per contender, in index order
         nominees = [k for k, p in enumerate(probs) if uniform() < p]
         if not nominees or self.threshold <= 0.0:
@@ -544,7 +541,6 @@ class EqatStrategy(Strategy):
         for i in self.waiting:
             backoff[i] -= 1
         self.waiting = [i for i in self.waiting if backoff[i] > 0]
-        self._refresh(sim)
 
 
 # every strategy by its name, in the order a grid runs them by default

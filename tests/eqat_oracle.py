@@ -1,8 +1,8 @@
 """Per-node reference of the EQAT contention loop, kept as a test oracle.
 
 `rwsnsim.simulator.EqatStrategy` runs the contention loop for all nodes at
-once: per-run `fails`/`backoff` lists, contenders and beacon values cached
-at the end of each slot, competitor products over the contenders only. This
+once: per-run `fails`/`backoff` lists, contenders and beacon values read
+off the live state each slot, competitor products over the contenders only. This
 module writes the same loop the slow, direct way, one node at a time, so the
 strategy can be checked against it:
 

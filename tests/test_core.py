@@ -6,9 +6,9 @@ import pytest
 
 from joint_oracle import iter_joint_states, state_index, state_unindex
 from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains, validate
-from rwsnsim.experiments import CHANNEL_KEYS, NETWORK_KEYS, read_config
+from rwsnsim.experiments import _SPEC_SCHEMA, read_config
 
-NETWORK_FILE_SCHEMA = {"network": NETWORK_KEYS, "channel": CHANNEL_KEYS}
+NETWORK_FILE_SCHEMA = {name: _SPEC_SCHEMA[name] for name in ("network", "channel")}
 
 
 def make_params(**kw):
@@ -81,10 +81,8 @@ class TestValidate:
         msgs = validate(p)
         assert any("positive" in m and "kappa1" in m for m in msgs)
 
-    def test_capacity_derived_when_omitted(self):
-        p = make_params(battery_levels=4, battery_quantum=2e-3)
-        assert p.battery_capacity == pytest.approx(8e-3)
-        assert validate(p) == []
+    def test_other_battery_grid_is_ok(self):
+        assert validate(make_params(battery_levels=4, battery_quantum=2e-3)) == []
 
     def test_all_violations_reported_not_just_first(self):
         p = make_params(ber_target=0.0, queue_cap=0, max_modulation=0)

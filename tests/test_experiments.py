@@ -1,12 +1,16 @@
 """Grid runner, CSV/manifest determinism, and the report op."""
 
+import inspect
 import json
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from rwsnsim import experiments
-from rwsnsim.core import draw_channel_gains
+from rwsnsim.core import NetworkParams, draw_channel_gains
+from rwsnsim.eqat import TxProbDesign
 from rwsnsim.experiments import (
+    _SPEC_SCHEMA,
     AGG_COLUMNS,
     RAW_COLUMNS,
     ExperimentSpec,
@@ -17,7 +21,7 @@ from rwsnsim.experiments import (
     spec_from_config,
     write_outputs,
 )
-from rwsnsim.simulator import simulate_run
+from rwsnsim.simulator import EqatStrategy, RandomContentionStrategy, make_strategy, simulate_run
 
 
 def tiny_spec(**kw):
@@ -116,6 +120,22 @@ class TestRunExperiment:
         # a fractional backoff window is refused once, by the eqat constructor
         assert tiny_spec(eqat={"backoff_window": 2.5}).validate() == [
             "[eqat] backoff_window must be an integer, got 2.5"]
+
+    def test_unknown_override_keys_refused_once_before_any_task(self, monkeypatch):
+        # two scenarios: each bad set is named once, not once per scenario;
+        # n_nodes and slot_len, which the grid sets, and the eqat design,
+        # which designs sets, are refused too
+        def no_task(args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(experiments, "_run_one", no_task)
+        spec = tiny_spec(n_nodes=[2, 3], strategies=["eqat"],
+                         network={"n_nodes": 7, "slot_len": 1.0, "bogus": 1},
+                         channel={"bogus": 1}, eqat={"design": TxProbDesign.parse("exp:3")})
+        with pytest.raises(ValueError) as exc:
+            run_experiment(spec)
+        assert str(exc.value) == ("[network] unknown keys: bogus, n_nodes, slot_len; "
+                                  "[channel] unknown keys: bogus; [eqat] unknown keys: design")
 
     def test_worker_pool_matches_sequential(self):
         # N=2 has 81 joint states and N=3 729, so under a budget of 100 ehmdp
@@ -231,7 +251,7 @@ class TestConfigFile:
         assert p.n_nodes == 3
         assert p.arrival_prob == 0.25
         assert p.channel_gain == (1.0, 0.5, 0.25)
-        assert p.battery_capacity == pytest.approx(8e-3)
+        assert (p.battery_levels, p.battery_quantum) == (4, 2e-3)
 
     def test_channel_seed_sets_the_gain_draw(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -256,6 +276,110 @@ class TestConfigFile:
         for entry in ("[experiment] strategy", "[netwrok]", "[network] n_nodes",
                       "[network] slot_len"):
             assert entry in msg
+
+
+# every [network], [channel], [eqat] and [rc] key, and budget and trace, at
+# a value other than its default
+FULL_CONFIG = """\
+[experiment]
+n_nodes = 2
+budget = 1000
+trace = yes
+[network]
+packet_bits = 128
+ber_target = 1e-3
+kappa1 = 0.25
+kappa2 = 2.5
+bs_power = 2.0
+transfer_efficiency = 0.5
+bandwidth = 200e3
+arrival_period = 5e-3
+arrival_prob = 0.2
+battery_levels = 4
+battery_quantum = 2e-3
+queue_cap = 3
+max_modulation = 4
+channel_gain = 1.0, 0.5
+discount = 0.9
+vi_tol = 1e-5
+initial_battery = 2
+[channel]
+seed = 7
+reference_gain = 10.0
+reference_dist = 12.0
+min_dist = 30.0
+max_dist = 40.0
+pathloss_exp = 2.5
+[eqat]
+alpha = 0.25
+threshold = 0.1
+backoff_window = 4
+[rc]
+contention_prob = 0.5
+"""
+
+# the Python type a declared annotation converts to
+DECLARED_TYPES = {"int": int, "int | None": int, "float": float, "bool": bool,
+                  "tuple[float, ...] | None": tuple}
+
+
+def declared(obj):
+    """{name: (annotation, default)} of a dataclass's fields or a callable's parameters."""
+    if is_dataclass(obj):
+        return {f.name: (f.type, f.default) for f in fields(obj)}
+    return {name: (par.annotation, par.default)
+            for name, par in inspect.signature(obj).parameters.items()}
+
+
+class TestSchema:
+    def test_each_section_holds_the_declared_names_less_those_set_elsewhere(self):
+        assert set(_SPEC_SCHEMA) == {"experiment", "network", "channel", "eqat", "rc"}
+        assert set(_SPEC_SCHEMA["experiment"]) == {
+            f.name for f in fields(ExperimentSpec) if f.type != "dict"}
+        assert set(_SPEC_SCHEMA["network"]) == set(declared(NetworkParams)) - {"n_nodes",
+                                                                               "slot_len"}
+        assert set(_SPEC_SCHEMA["channel"]) == set(declared(draw_channel_gains)) - {"n_nodes"}
+        assert set(_SPEC_SCHEMA["eqat"]) == set(declared(EqatStrategy)) - {"design"}
+        assert set(_SPEC_SCHEMA["rc"]) == set(declared(RandomContentionStrategy))
+
+    def test_an_undeclared_type_fails_at_once(self):
+        def setting(level: "complex" = 1j):
+            pass
+
+        with pytest.raises(KeyError):
+            experiments._declared(setting)
+
+    def test_every_key_set_reaches_the_spec_and_the_params(self, tmp_path):
+        cfg = tmp_path / "full.ini"
+        cfg.write_text(FULL_CONFIG)
+        spec = spec_from_config(str(cfg))
+        assert spec.validate() == []
+        experiment = declared(ExperimentSpec)
+        for key, value in (("budget", 1000), ("trace", True)):
+            annotation, default = experiment[key]
+            got = getattr(spec, key)
+            assert got == value != default and type(got) is DECLARED_TYPES[annotation], key
+        sections = {"network": (spec.network, declared(NetworkParams)),
+                    "channel": (spec.channel, declared(draw_channel_gains)),
+                    "eqat": (spec.eqat, declared(EqatStrategy)),
+                    "rc": (spec.rc, declared(RandomContentionStrategy))}
+        for name, (values, decl) in sections.items():
+            assert set(values) == set(_SPEC_SCHEMA[name]), name
+            for key, value in values.items():
+                annotation, default = decl[key]
+                assert type(value) is DECLARED_TYPES[annotation], (name, key)
+                assert value != default, (name, key)
+
+        params = spec.resolve_params(2, 10)
+        for key, value in spec.network.items():
+            assert getattr(params, key) == value and type(getattr(params, key)) is type(value), key
+        drawn = replace(spec, network={k: v for k, v in spec.network.items()
+                                       if k != "channel_gain"}).resolve_params(2, 10)
+        assert drawn.channel_gain == draw_channel_gains(2, **spec.channel)
+        assert drawn.channel_gain != draw_channel_gains(2)
+        for name, values in (("eqat", spec.eqat), ("rc", spec.rc)):
+            strategy = make_strategy(name, **values)
+            assert {key: getattr(strategy, key) for key in values} == values, name
 
 
 class TestReport:

@@ -18,6 +18,7 @@ from rwsnsim.simulator import (
     bounded_integers,
     make_strategy,
     simulate_run,
+    uniforms,
 )
 
 
@@ -204,14 +205,14 @@ def shadow_outcome(shadow, transmitters, outcome, backoff_rng):
         shadow[transmitters[0]].on_ber_failure()
 
 
-def advertised(strategy):
+def advertised(strategy, sim):
     """Every node's beacon probability under `EqatStrategy`, in index order.
 
-    The strategy keeps values for its contenders only; every other node
+    The strategy computes values for its contenders only; every other node
     advertises 0.0.
     """
     beacon = [0.0] * len(strategy.fails)
-    for i, p in zip(strategy._contenders, strategy._probs):
+    for i, p in zip(*strategy.beacons(sim)):
         beacon[i] = p
     return beacon
 
@@ -291,7 +292,7 @@ class TestIncrementalBookkeeping:
                 ctl.tick()
             assert (strategy.fails, strategy.backoff) == contention_state(shadow)
             ready = brute_force_ready(sim)
-            assert advertised(strategy) == [
+            assert advertised(strategy, sim) == [
                 escalate(tx_prob(design, sim.batteries[i], sim.queues[i], p), c.alpha,
                          c.fail_count)
                 if i in ready and c.backoff_remaining <= 0 else 0.0
@@ -498,7 +499,7 @@ class TestEqatIntegration:
         ctls = shadow_controllers(strategy, p.n_nodes)
         for _ in range(300):
             assert (strategy.fails, strategy.backoff) == contention_state(ctls)
-            beacon = advertised(strategy)
+            beacon = advertised(strategy, sim)
             fails_before = list(strategy.fails)
             expected = []
             for i in range(p.n_nodes):
@@ -561,6 +562,27 @@ class TestEqatIntegration:
         assert held.generated > 0
         assert held.delivered == 0
         assert sent.delivered > 0
+
+    def test_contenders_follow_queues_the_caller_replaced(self):
+        # `Simulation` lets a caller replace `queues` after construction and
+        # between calls; each slot's transmitters must come from the queues,
+        # batteries, backoffs and fail counts as they are when it starts
+        p = make_params(n_nodes=3)
+        strategy = EqatStrategy()
+        sim = Simulation(p, strategy, seed=0, trace=True)
+        shadow = uniforms(Streams(0).strategy)
+        for queues in ([p.queue_cap] * 3, [0, 2, 0], [1, 0, p.queue_cap]):
+            sim.queues = list(queues)
+            for _ in range(3):
+                contenders = [i for i in brute_force_ready(sim) if strategy.backoff[i] <= 0]
+                expected = tuple(
+                    i for i in contenders
+                    if shadow() < escalate(tx_prob(strategy.design, sim.batteries[i],
+                                                   sim.queues[i], p),
+                                           strategy.alpha, strategy.fails[i]))
+                sim.run(1)
+                assert sim.traces[-1].transmitters == expected
+        assert any(t.transmitters for t in sim.traces)
 
     def test_backoff_follows_collision(self):
         p = make_params(n_nodes=2, arrival_prob=0.9, channel_gain=(1e4, 1e4))
