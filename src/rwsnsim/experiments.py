@@ -28,9 +28,11 @@ import json
 import logging
 import math
 import time
+from collections.abc import Collection
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import NoneType
 from typing import Callable
 
 from . import simulator
@@ -48,12 +50,13 @@ RAW_COLUMNS = [
     "generated", "delivered", "dropped", "in_queue_final",
     "throughput_pps", "loss_rate",
 ]
-AGG_COLUMNS = [
-    "n_nodes", "t_hat", "design", "strategy", "n_seeds",
-    "generated_mean", "delivered_mean", "dropped_mean",
-    "throughput_pps_mean", "throughput_pps_stderr",
-    "loss_rate_mean", "loss_rate_stderr",
-]
+# each aggregate column and its type, which `read_agg_csv` converts a cell to
+AGG_COLUMNS: dict[str, type] = {
+    "n_nodes": int, "t_hat": int, "design": str, "strategy": str, "n_seeds": int,
+    **dict.fromkeys(["generated_mean", "delivered_mean", "dropped_mean",
+                     "throughput_pps_mean", "throughput_pps_stderr",
+                     "loss_rate_mean", "loss_rate_stderr"], float),
+}
 TRACE_COLUMNS = [
     "n_nodes", "t_hat", "design", "strategy", "seed", "slot",
     "outcome", "transmitters", "energy_levels", "batteries", "queues",
@@ -115,6 +118,12 @@ class ExperimentSpec:
                     STRATEGIES[name](**overrides)
                 except (TypeError, ValueError) as e:
                     v.append(f"[{name}] {e}")
+            else:
+                for key, value in overrides.items():
+                    accepted = _SPEC_SCHEMA[name][key][1]
+                    if not isinstance(value, accepted):
+                        names = " or ".join(t.__name__ for t in accepted)
+                        v.append(f"[{name}] {key}: expected {names}, got {value!r}")
         return v
 
     def resolve_params(self, n: int, t_hat: int) -> NetworkParams:
@@ -162,20 +171,23 @@ def _boolean(text: str) -> bool:
         raise ValueError("not a boolean") from None
 
 
-# one converter per declared type; an annotation missing here is a KeyError at import
-_CONVERTERS: dict[str, Callable[[str], object]] = {
-    "int": int,
-    "int | None": int,
-    "float": float,
-    "bool": _boolean,
-    "list[int]": _parse_int_list,
-    "list[str]": _words,
-    "tuple[float, ...] | None": _float_list,
+# per declared type, the converter of a config value and the types a spec's
+# override may hold (an int for a float; a list for a tuple, as JSON gives it
+# back); an annotation missing here is a KeyError at import
+_CONVERTERS: dict[str, tuple[Callable[[str], object], tuple[type, ...]]] = {
+    "int": (int, (int,)),
+    "int | None": (int, (int, NoneType)),
+    "float": (float, (int, float)),
+    "bool": (_boolean, (bool,)),
+    "list[int]": (_parse_int_list, (list,)),
+    "list[str]": (_words, (list,)),
+    "tuple[float, ...] | None": (_float_list, (tuple, list, NoneType)),
 }
 
 
-def _declared(obj: Callable, *skip: str) -> dict[str, Callable[[str], object]]:
-    """Converters of dataclass `obj`'s fields or callable `obj`'s parameters, less `skip`."""
+def _declared(obj: Callable, *skip: str) -> dict[str, tuple[Callable, tuple[type, ...]]]:
+    """The `_CONVERTERS` entry of each of dataclass `obj`'s fields or callable
+    `obj`'s parameters, less `skip`."""
     if is_dataclass(obj):
         pairs = [(f.name, f.type) for f in fields(obj)]
     else:
@@ -187,7 +199,7 @@ def _declared(obj: Callable, *skip: str) -> dict[str, Callable[[str], object]]:
 _SPEC_SCHEMA = {
     "experiment": {
         **_declared(ExperimentSpec, "network", "channel", "eqat", "rc"),
-        "strategies": lambda text: _words(text.lower()),
+        "strategies": (lambda text: _words(text.lower()), (list,)),
     },
     "network": _declared(NetworkParams, "n_nodes", "slot_len"),
     "channel": _declared(draw_channel_gains, "n_nodes"),
@@ -196,14 +208,14 @@ _SPEC_SCHEMA = {
 }
 
 
-def read_config(path: str, schema: dict[str, dict[str, Callable]]) -> dict[str, dict]:
+def read_config(path: str, schema: dict[str, dict[str, tuple]]) -> dict[str, dict]:
     """The converted values of an INI file, by section: {section: {key: value}}.
 
-    `schema` maps every allowed section to its keys' converters; each of its
-    sections is in the result, empty when the file leaves it out. Raises
-    FileNotFoundError for a missing file, and one ValueError naming every
-    section and key the schema does not know, or else the first value that
-    does not convert.
+    `schema` maps every allowed section to its keys' `_CONVERTERS` entries,
+    of which only the converters are used; each of its sections is in the
+    result, empty when the file leaves it out. Raises FileNotFoundError for
+    a missing file, and one ValueError naming every section and key the
+    schema does not know, or else the first value that does not convert.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
@@ -220,7 +232,7 @@ def read_config(path: str, schema: dict[str, dict[str, Callable]]) -> dict[str, 
     for name in cp.sections():
         for key, text in cp.items(name):
             try:
-                out[name][key] = schema[name][key](text)
+                out[name][key] = schema[name][key][0](text)
             except ValueError as e:
                 raise ValueError(f"{path}: [{name}] {key} = {text!r}: {e}") from None
     return out
@@ -411,7 +423,7 @@ def aggregate_rows(raw_rows: list[dict]) -> list[dict]:
     return out
 
 
-def format_csv(rows: list[dict], columns: list[str]) -> str:
+def format_csv(rows: list[dict], columns: Collection[str]) -> str:
     """Deterministic CSV text: fixed column order, repr for floats."""
     lines = [",".join(columns)]
     for row in rows:
@@ -441,22 +453,13 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> dict[str, str]:
 
 
 def read_agg_csv(path: str) -> list[dict]:
+    """The rows of an aggregate CSV, each cell converted to its column's type."""
     lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
-    if header != AGG_COLUMNS:
+    if header != list(AGG_COLUMNS):
         raise ValueError(f"unexpected aggregate schema {header}")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        row = dict(zip(header, cells))
-        for k in ("n_nodes", "t_hat", "n_seeds"):
-            row[k] = int(row[k])
-        for k in ("generated_mean", "delivered_mean", "dropped_mean",
-                  "throughput_pps_mean", "throughput_pps_stderr",
-                  "loss_rate_mean", "loss_rate_stderr"):
-            row[k] = float(row[k])
-        rows.append(row)
-    return rows
+    return [{col: AGG_COLUMNS[col](cell) for col, cell in zip(header, line.split(","))}
+            for line in lines[1:]]
 
 
 def report(agg_rows: list[dict]) -> dict:

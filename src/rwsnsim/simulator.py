@@ -61,8 +61,8 @@ from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
 from .mdp import MyopicChooser, arrival_pmf
 
-# values fetched per refill of a block-fetched stream (uniforms, raw words,
-# or arrival opportunities of N uniforms each); bounds the memory it holds
+# values fetched per refill of a block-fetched stream (uniforms, or arrival
+# opportunities of N uniforms each); bounds the memory it holds
 BLOCK = 1024
 
 
@@ -111,19 +111,15 @@ class Streams:
     form fetches its draws in blocks:
 
       * ``arrival``: `arrival_hits`, N uniforms per arrival opportunity;
-      * ``ber``: `uniforms`;
-      * ``strategy``: `uniforms` for ``rc`` and ``eqat``, `bounded_integers`
-        for ``rs`` (a uniform index into the backlogged nodes);
-      * ``backoff``: `bounded_integers` (a backoff in 1..W).
+      * ``ber``, ``strategy`` and ``backoff``: `uniforms`. A choice among k
+        values scales one uniform u to ``int(u * k)``: ``rs``'s index into
+        the backlogged nodes, and an EQAT backoff ``1 + int(u * W)``.
 
-    A block form gives the values of drawing one at a time: PCG64 gives the
-    same uniforms whether drawn singly or in an array, and a bounded
-    integer copies ``Generator.integers``, which splits each raw 64-bit
-    word into its low then its high 32-bit half and applies Lemire's
-    rejection method to them (tested against ``integers`` draw for draw).
-    A block form reads past the last value it handed out, so no stream may
-    be consumed in two forms: a second form would see other values than a
-    per-slot draw would have seen.
+    A block form gives the values of drawing one at a time, since PCG64
+    gives the same uniforms whether drawn singly or in an array. It reads
+    past the last value it handed out, so no stream may be consumed in two
+    forms: a second form would see other values than a per-slot draw would
+    have seen.
     """
 
     def __init__(self, seed: int):
@@ -140,41 +136,6 @@ def uniforms(rng: np.random.Generator) -> Callable[[], float]:
     fetched BLOCK at a time, the first block on the first call.
     """
     return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None)).__next__
-
-
-def bounded_integers(rng: np.random.Generator) -> Callable[[int, int], int]:
-    """A function ``draw(low, high)`` returning the next integer of `rng` in [low, high).
-
-    Same values, in the same order, as repeated ``int(rng.integers(low,
-    high))`` on a fresh PCG64 generator, for any ranges with high - low in
-    [1, 2**32]: the raw words are fetched BLOCK at a time and split into
-    32-bit halves, low half first (PCG64's ``next_uint32``), and each draw
-    takes halves by Lemire's method ("Fast Random Integer Generation in an
-    Interval", ACM TOMACS 29(1), 2019), rejection loop included. A range of
-    one value returns `low` and takes no half.
-    """
-    bits = rng.bit_generator
-
-    def block() -> list[int]:
-        raw = bits.random_raw(BLOCK)
-        return np.column_stack((raw & 0xFFFF_FFFF, raw >> 32)).ravel().tolist()
-
-    half = chain.from_iterable(iter(block, None)).__next__
-
-    def draw(low: int, high: int) -> int:
-        span = high - low
-        if span == 1:
-            return low
-        if not 1 < span <= 1 << 32:
-            raise ValueError(f"high - low must lie in [1, 2**32], got [{low}, {high})")
-        m = half() * span
-        if (m & 0xFFFF_FFFF) < span:
-            threshold = ((1 << 32) - span) % span
-            while (m & 0xFFFF_FFFF) < threshold:
-                m = half() * span
-        return low + (m >> 32)
-
-    return draw
 
 
 def arrival_hits(rng: np.random.Generator, n_nodes: int, prob: float,
@@ -369,7 +330,7 @@ class RandomSelectionStrategy(Strategy):
     name = "rs"
 
     def bind(self, sim: Simulation):
-        self._draw = bounded_integers(sim.rng.strategy)
+        self._uniform = uniforms(sim.rng.strategy)
 
     def select(self, sim):
         # queue lengths are non-negative, so the non-zero ones are the backlogged
@@ -377,7 +338,7 @@ class RandomSelectionStrategy(Strategy):
         eligible = list(compress(range(len(queues)), queues))
         if not eligible:
             return []
-        return [eligible[self._draw(0, len(eligible))]]
+        return [eligible[int(self._uniform() * len(eligible))]]
 
 
 class EhmdpStrategy(Strategy):
@@ -439,8 +400,9 @@ class EqatStrategy(Strategy):
         ``fails`` alone; escalating on vetoes feeds back into everyone
         else's risk estimate and locks the whole network silent;
       * ``backoff``: slots the node still sits out after a collision,
-        drawn uniformly from 1..backoff_window on the backoff stream, one
-        draw per transmitter in transmitter order;
+        uniform on 1..backoff_window: ``1 + int(u * backoff_window)`` for
+        one uniform u of the backoff stream per transmitter, in transmitter
+        order;
       * ``waiting``: the nodes with ``backoff`` > 0, the only ones
         `end_of_slot` counts down.
 
@@ -462,12 +424,11 @@ class EqatStrategy(Strategy):
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        # an integer (numpy's integers floors a fractional bound silently),
-        # within the ranges `bounded_integers` draws from
+        # an integer: 1 + int(u * W) is uniform on 1..W only for a whole W
         if isinstance(backoff_window, bool) or not isinstance(backoff_window, numbers.Integral):
             raise ValueError(f"backoff_window must be an integer, got {backoff_window!r}")
-        if not 1 <= backoff_window <= 1 << 32:
-            raise ValueError(f"backoff_window must lie in [1, 2**32], got {backoff_window}")
+        if backoff_window < 1:
+            raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
         self.design = design
         self.alpha = alpha
         self.threshold = threshold
@@ -476,7 +437,7 @@ class EqatStrategy(Strategy):
     def bind(self, sim: Simulation):
         p = sim.params
         self._uniform = uniforms(sim.rng.strategy)
-        self._backoff_draw = bounded_integers(sim.rng.backoff)
+        self._backoff_uniform = uniforms(sim.rng.backoff)
         self._ps_clean = sim.ps * float(arrival_pmf(p)[0])
         self.fails = [0] * p.n_nodes
         self.backoff = [0] * p.n_nodes
@@ -525,10 +486,10 @@ class EqatStrategy(Strategy):
 
     def on_outcome(self, sim, transmitters, outcome):
         if outcome == "collision":
-            draw, high = self._backoff_draw, self.backoff_window + 1
+            uniform, window = self._backoff_uniform, self.backoff_window
             for t in transmitters:
                 self.fails[t] += 1
-                self.backoff[t] = draw(1, high)
+                self.backoff[t] = 1 + int(uniform() * window)
             self.waiting.extend(transmitters)
         elif outcome == "success":
             self.fails[transmitters[0]] = 0

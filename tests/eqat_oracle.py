@@ -105,7 +105,7 @@ class EqatController:
 
     def on_collision(self, rng):
         self.fail_count += 1
-        self.backoff_remaining = int(rng.integers(1, self.backoff_window + 1))
+        self.backoff_remaining = 1 + int(rng.random() * self.backoff_window)
 
     def on_ber_failure(self):
         # a corrupted frame is still a failed frame; no backoff, the medium was won

@@ -40,9 +40,6 @@ class FixedRng:
     def random(self):
         return self.value
 
-    def integers(self, lo, hi):
-        return lo
-
 
 class TestTxProb:
     @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.label)

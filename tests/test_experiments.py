@@ -137,6 +137,31 @@ class TestRunExperiment:
         assert str(exc.value) == ("[network] unknown keys: bogus, n_nodes, slot_len; "
                                   "[channel] unknown keys: bogus; [eqat] unknown keys: design")
 
+    def test_wrong_typed_override_refused_once_before_any_task(self, monkeypatch):
+        def no_task(args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(experiments, "_run_one", no_task)
+        spec = tiny_spec(n_nodes=[2, 3], strategies=["fq"], slots=10,
+                         network={"queue_cap": "3"})
+        with pytest.raises(ValueError) as exc:
+            run_experiment(spec)
+        assert str(exc.value) == "[network] queue_cap: expected int, got '3'"
+
+    def test_override_of_a_wider_accepted_type_valid(self):
+        # an int for a float, a list for the gains and None for an optional,
+        # as a manifest's JSON gives them back
+        spec = tiny_spec(network={"bs_power": 2, "channel_gain": [1.0, 0.5],
+                                  "initial_battery": None})
+        assert spec.validate() == []
+        assert run_experiment(spec).failures == []
+
+    def test_float_for_an_int_override_refused(self):
+        assert tiny_spec(channel={"seed": 1.5}).validate() == [
+            "[channel] seed: expected int, got 1.5"]
+        assert tiny_spec(network={"queue_cap": 2.0, "battery_levels": 2}).validate() == [
+            "[network] queue_cap: expected int, got 2.0"]
+
     def test_worker_pool_matches_sequential(self):
         # N=2 has 81 joint states and N=3 729, so under a budget of 100 ehmdp
         # is exact at N=2 and myopic at N=3: both kinds of pickled chooser
@@ -204,8 +229,9 @@ class TestDeterminism:
         res = run_experiment(tiny_spec(seeds=[0, 1]))
         write_outputs(res, str(tmp_path))
         rows = read_agg_csv(str(tmp_path / "aggregate.csv"))
-        assert rows[0]["throughput_pps_mean"] == res.agg_rows[0]["throughput_pps_mean"]
-        assert rows[0]["loss_rate_stderr"] == res.agg_rows[0]["loss_rate_stderr"]
+        # whole rows, in column order, each cell of the type it was written with
+        assert [[(k, type(v), v) for k, v in row.items()] for row in rows] == [
+            [(k, type(v), v) for k, v in row.items()] for row in res.agg_rows]
 
 
 class TestConfigFile:
