@@ -2,22 +2,26 @@
 
 A grid point resolves to a full parameter set (channel gains drawn
 deterministically per scenario, so every seed of a scenario sees the same
-network); each (scenario, strategy, seed) run appends one raw row, and
-aggregation reduces seeds to mean and standard error. The emitted manifest
-captures the spec and every resolved scenario, so a rerun of
+network). Each (scenario, strategy, seed) run appends one raw row: the run
+key (`KEY_COLUMNS`), then the fields of its `simulator.RunMetrics`; with
+tracing, one trace row per slot: the key, then the fields of a
+`simulator.SlotTrace`, a tuple's items joined by ``|``. Aggregation
+reduces seeds to mean and standard error. The manifest captures the spec
+and every resolved scenario, so a rerun of
 ``ExperimentSpec(**manifest["spec"])`` reproduces the CSVs byte for byte;
-it also records how each ehmdp solve went (mode, and for an exact
-solve its sweep count, final residual, the sweeps that fell back from
-Anderson mixing to the plain step, and the build-plus-solve wall time,
-the one entry a rerun does not reproduce). A scenario whose parameters
-fail `core.validate` is reported once, as one failure, and skipped.
+it also records how each ehmdp solve went (mode, and for an exact solve
+its sweep count, final residual, the sweeps that fell back from Anderson
+mixing to the plain step, and the build-plus-solve wall time, the one
+entry a rerun does not reproduce). A scenario whose parameters fail
+`core.validate` is reported once, as one failure, and skipped.
 
 A config file's keys are the declared names of what each section sets,
 and each value converts by its declared type: [experiment] the
 `ExperimentSpec` fields, [network] the `NetworkParams` fields but n_nodes
 and slot_len (the grid sets them), [channel] the `draw_channel_gains`
 parameters but n_nodes, [eqat] and [rc] the strategy constructors'
-parameters but eqat's design (set by designs).
+parameters but eqat's design (set by designs). `ExperimentSpec.validate`
+checks a spec's every value against the same declared type.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 import time
 from collections.abc import Collection
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import NoneType
 from typing import Callable
@@ -40,16 +44,14 @@ from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import (DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, StateSpaceBudgetError,
                   build_model, check_budget, value_iteration)
-from .simulator import (STRATEGIES, EqatStrategy, RandomContentionStrategy, SlotTrace,
-                        simulate_run)
+from .simulator import (STRATEGIES, EqatStrategy, RandomContentionStrategy, RunMetrics,
+                        SlotTrace, simulate_run)
 
 log = logging.getLogger(__name__)
 
-RAW_COLUMNS = [
-    "n_nodes", "t_hat", "design", "strategy", "seed", "slots",
-    "generated", "delivered", "dropped", "in_queue_final",
-    "throughput_pps", "loss_rate",
-]
+KEY_COLUMNS = ["n_nodes", "t_hat", "design", "strategy", "seed"]
+RAW_COLUMNS = KEY_COLUMNS + [f.name for f in fields(RunMetrics)]
+TRACE_COLUMNS = KEY_COLUMNS + [f.name for f in fields(SlotTrace)]
 # each aggregate column and its type, which `read_agg_csv` converts a cell to
 AGG_COLUMNS: dict[str, type] = {
     "n_nodes": int, "t_hat": int, "design": str, "strategy": str, "n_seeds": int,
@@ -57,10 +59,6 @@ AGG_COLUMNS: dict[str, type] = {
                      "throughput_pps_mean", "throughput_pps_stderr",
                      "loss_rate_mean", "loss_rate_stderr"], float),
 }
-TRACE_COLUMNS = [
-    "n_nodes", "t_hat", "design", "strategy", "seed", "slot",
-    "outcome", "transmitters", "energy_levels", "batteries", "queues",
-]
 
 
 @dataclass
@@ -83,7 +81,9 @@ class ExperimentSpec:
     rc: dict = field(default_factory=dict)        # RandomContentionStrategy overrides
 
     def validate(self) -> list[str]:
-        v = []
+        v = _wrong_types("experiment", vars(self))
+        if v:
+            return v   # the checks below compare and iterate these values
         if not self.n_nodes:
             v.append("n_nodes grid must be non-empty")
         if not self.t_hat:
@@ -113,17 +113,14 @@ class ExperimentSpec:
             unknown = sorted(set(overrides) - set(_SPEC_SCHEMA[name]))
             if unknown:
                 v.append(f"[{name}] unknown keys: {', '.join(unknown)}")
-            elif name in STRATEGIES:
-                try:
-                    STRATEGIES[name](**overrides)
-                except (TypeError, ValueError) as e:
-                    v.append(f"[{name}] {e}")
+                continue
+            try:
+                if name in STRATEGIES:
+                    STRATEGIES[name](**overrides)   # its ranges, in its own words
+            except (TypeError, ValueError) as e:
+                v.append(f"[{name}] {e}")
             else:
-                for key, value in overrides.items():
-                    accepted = _SPEC_SCHEMA[name][key][1]
-                    if not isinstance(value, accepted):
-                        names = " or ".join(t.__name__ for t in accepted)
-                        v.append(f"[{name}] {key}: expected {names}, got {value!r}")
+                v += _wrong_types(name, overrides)
         return v
 
     def resolve_params(self, n: int, t_hat: int) -> NetworkParams:
@@ -171,21 +168,38 @@ def _boolean(text: str) -> bool:
         raise ValueError("not a boolean") from None
 
 
-# per declared type, the converter of a config value and the types a spec's
-# override may hold (an int for a float; a list for a tuple, as JSON gives it
-# back); an annotation missing here is a KeyError at import
-_CONVERTERS: dict[str, tuple[Callable[[str], object], tuple[type, ...]]] = {
-    "int": (int, (int,)),
-    "int | None": (int, (int, NoneType)),
-    "float": (float, (int, float)),
-    "bool": (_boolean, (bool,)),
-    "list[int]": (_parse_int_list, (list,)),
-    "list[str]": (_words, (list,)),
-    "tuple[float, ...] | None": (_float_list, (tuple, list, NoneType)),
-}
+@dataclass(frozen=True)
+class _Type:
+    """A declared type: how a config value converts to it, and what a spec may
+    hold for it (an int for a float; a list for a tuple, as JSON gives it back)."""
+
+    name: str                          # the annotation
+    convert: Callable[[str], object]
+    types: tuple[type, ...]
+    items: tuple[type, ...] = ()       # of a list's or tuple's elements
+
+    def holds(self, value) -> bool:
+        def of(v, types):   # isinstance, except that a bool is of no type but bool
+            return isinstance(v, types) and (bool in types or not isinstance(v, bool))
+
+        return of(value, self.types) and (
+            not self.items or value is None or all(of(x, self.items) for x in value))
 
 
-def _declared(obj: Callable, *skip: str) -> dict[str, tuple[Callable, tuple[type, ...]]]:
+# every declared type by its annotation; an annotation missing here is a
+# KeyError at import
+_CONVERTERS = {d.name: d for d in (
+    _Type("int", int, (int,)),
+    _Type("int | None", int, (int, NoneType)),
+    _Type("float", float, (int, float)),
+    _Type("bool", _boolean, (bool,)),
+    _Type("list[int]", _parse_int_list, (list,), (int,)),
+    _Type("list[str]", _words, (list,), (str,)),
+    _Type("tuple[float, ...] | None", _float_list, (tuple, list, NoneType), (int, float)),
+)}
+
+
+def _declared(obj: Callable, *skip: str) -> dict[str, _Type]:
     """The `_CONVERTERS` entry of each of dataclass `obj`'s fields or callable
     `obj`'s parameters, less `skip`."""
     if is_dataclass(obj):
@@ -199,7 +213,7 @@ def _declared(obj: Callable, *skip: str) -> dict[str, tuple[Callable, tuple[type
 _SPEC_SCHEMA = {
     "experiment": {
         **_declared(ExperimentSpec, "network", "channel", "eqat", "rc"),
-        "strategies": (lambda text: _words(text.lower()), (list,)),
+        "strategies": replace(_CONVERTERS["list[str]"], convert=lambda text: _words(text.lower())),
     },
     "network": _declared(NetworkParams, "n_nodes", "slot_len"),
     "channel": _declared(draw_channel_gains, "n_nodes"),
@@ -208,11 +222,18 @@ _SPEC_SCHEMA = {
 }
 
 
-def read_config(path: str, schema: dict[str, dict[str, tuple]]) -> dict[str, dict]:
+def _wrong_types(section: str, values: dict) -> list[str]:
+    """A problem for each of `values` that `section` declares and that is not of its type."""
+    declared = _SPEC_SCHEMA[section]
+    return [f"[{section}] {key}: expected {declared[key].name}, got {value!r}"
+            for key, value in values.items() if key in declared and not declared[key].holds(value)]
+
+
+def read_config(path: str, schema: dict[str, dict[str, _Type]]) -> dict[str, dict]:
     """The converted values of an INI file, by section: {section: {key: value}}.
 
-    `schema` maps every allowed section to its keys' `_CONVERTERS` entries,
-    of which only the converters are used; each of its sections is in the
+    `schema` maps every allowed section to its keys' declared types, of
+    which only the converters are used; each of its sections is in the
     result, empty when the file leaves it out. Raises FileNotFoundError for
     a missing file, and one ValueError naming every section and key the
     schema does not know, or else the first value that does not convert.
@@ -232,7 +253,7 @@ def read_config(path: str, schema: dict[str, dict[str, tuple]]) -> dict[str, dic
     for name in cp.sections():
         for key, text in cp.items(name):
             try:
-                out[name][key] = schema[name][key][0](text)
+                out[name][key] = schema[name][key].convert(text)
             except ValueError as e:
                 raise ValueError(f"{path}: [{name}] {key} = {text!r}: {e}") from None
     return out
@@ -326,8 +347,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     groups = [("-", kw)]
                 for design, kw in groups:
                     for seed in spec.seeds:
-                        key = {"n_nodes": n, "t_hat": t_hat,
-                               "design": design, "strategy": strategy, "seed": seed}
+                        key = dict(zip(KEY_COLUMNS, (n, t_hat, design, strategy, seed)))
                         tasks.append((key, (params, strategy, spec.slots, seed, spec.trace,
                                             profiles, kw)))
 
@@ -343,18 +363,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         if metrics == "error":
             failures.append({**key, "error": traces})
             continue
-        raw_rows.append({
-            **key,
-            "slots": metrics.slots,
-            "generated": metrics.generated,
-            "delivered": metrics.delivered,
-            "dropped": metrics.dropped_overflow,
-            "in_queue_final": metrics.in_queue_final,
-            "throughput_pps": metrics.throughput_pps,
-            "loss_rate": metrics.loss_rate,
-        })
+        raw_rows.append({**key, **asdict(metrics)})
         if traces:
-            trace_rows.extend(_trace_dicts(key, traces))
+            trace_rows.extend({**key, **vars(t)} for t in traces)
 
     manifest = {
         "format": "rwsnsim-experiment-2",
@@ -368,21 +379,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         failures=failures,
         trace_rows=trace_rows,
     )
-
-
-def _trace_dicts(key: dict, traces: list[SlotTrace]) -> list[dict]:
-    out = []
-    for t in traces:
-        out.append({
-            **key,
-            "slot": t.slot,
-            "outcome": t.outcome,
-            "transmitters": "|".join(map(str, t.transmitters)),
-            "energy_levels": t.energy_levels,
-            "batteries": "|".join(map(str, t.batteries)),
-            "queues": "|".join(map(str, t.queues)),
-        })
-    return out
 
 
 def aggregate_rows(raw_rows: list[dict]) -> list[dict]:
@@ -424,12 +420,15 @@ def aggregate_rows(raw_rows: list[dict]) -> list[dict]:
 
 
 def format_csv(rows: list[dict], columns: Collection[str]) -> str:
-    """Deterministic CSV text: fixed column order, repr for floats."""
+    """Deterministic CSV text: fixed column order, repr for floats, a
+    tuple's items joined by ``|``."""
     lines = [",".join(columns)]
     for row in rows:
         cells = []
         for col in columns:
             v = row.get(col, "")
+            if isinstance(v, tuple):
+                v = "|".join(map(str, v))
             cells.append(repr(v) if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -453,13 +452,17 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> dict[str, str]:
 
 
 def read_agg_csv(path: str) -> list[dict]:
-    """The rows of an aggregate CSV, each cell converted to its column's type."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header != list(AGG_COLUMNS):
-        raise ValueError(f"unexpected aggregate schema {header}")
-    return [{col: AGG_COLUMNS[col](cell) for col, cell in zip(header, line.split(","))}
-            for line in lines[1:]]
+    """The rows of an aggregate CSV, each cell converted to its column's type;
+    a ValueError names `path`, and the line of a row with another cell count."""
+    header, *lines = Path(path).read_text().rstrip().splitlines() or [""]
+    if header.split(",") != list(AGG_COLUMNS):
+        raise ValueError(f"{path}: unexpected aggregate header {header!r}")
+    rows = [text.split(",") for text in lines]
+    for line, cells in enumerate(rows, 2):
+        if len(cells) != len(AGG_COLUMNS):
+            raise ValueError(f"{path}: line {line} has {len(cells)} cells, not {len(AGG_COLUMNS)}")
+    return [{col: kind(cell) for (col, kind), cell in zip(AGG_COLUMNS.items(), cells)}
+            for cells in rows]
 
 
 def report(agg_rows: list[dict]) -> dict:

@@ -16,7 +16,7 @@ what stays fixed from slot to slot: the queue and battery lists, the
 per-node transmit costs and battery-move tables, the draw functions, the
 strategy's bound `select` and hooks, and the trace list. It counts generated,
 delivered and dropped packets in locals and, when the call ends, writes
-them to `metrics` together with `slots`, `duration` and `in_queue_final`,
+them to `metrics` together with `slots`, `in_queue_final` and the two rates,
 so `metrics` is current after every call (`slot` is kept current during
 the call, for the strategy). Binding per call, not per run, lets a caller
 replace `queues` or `traces` between calls, and lets a `select` patched
@@ -68,40 +68,35 @@ BLOCK = 1024
 
 @dataclass
 class RunMetrics:
-    """Aggregate packet accounting for one run.
+    """Aggregate packet accounting for one run. Its fields, in order, are
+    the columns of a raw CSV row after the run key.
 
-    Conservation: generated == delivered + dropped_overflow + in_queue_final
+    Conservation: generated == delivered + dropped + in_queue_final
     (nothing is in flight at the end of a slot; collided and corrupted
     packets stay queued and are retried).
     """
 
+    slots: int = 0
     generated: int = 0
     delivered: int = 0
-    dropped_overflow: int = 0
+    dropped: int = 0  # arrivals refused by a full queue
     in_queue_final: int = 0
-    slots: int = 0
-    duration: float = 0.0  # seconds simulated
-
-    @property
-    def throughput_pps(self) -> float:
-        return self.delivered / self.duration if self.duration > 0 else 0.0
-
-    @property
-    def loss_rate(self) -> float:
-        return self.dropped_overflow / self.generated if self.generated else 0.0
+    throughput_pps: float = 0.0  # delivered per second simulated; 0.0 for no slots
+    loss_rate: float = 0.0  # dropped / generated; 0.0 for none generated
 
 
 @dataclass(frozen=True)
 class SlotTrace:
     """End-of-slot snapshot; energy_levels is the battery change applied to
-    the charged node (net of transmit cost, after clamping)."""
+    the charged node (net of transmit cost, after clamping). Its fields, in
+    order, are the columns of a trace CSV row after the run key."""
 
     slot: int
+    outcome: str  # success | ber_fail | collision | idle
+    transmitters: tuple[int, ...]
+    energy_levels: int
     batteries: tuple[int, ...]
     queues: tuple[int, ...]
-    transmitters: tuple[int, ...]
-    outcome: str  # success | ber_fail | collision | idle
-    energy_levels: int
 
 
 class Streams:
@@ -225,7 +220,7 @@ class Simulation:
         on_outcome = strategy.on_outcome if cls.on_outcome is not Strategy.on_outcome else None
         end_of_slot = strategy.end_of_slot if cls.end_of_slot is not Strategy.end_of_slot else None
         m = self.metrics
-        generated, delivered, dropped = m.generated, m.delivered, m.dropped_overflow
+        generated, delivered, dropped = m.generated, m.delivered, m.dropped
         start = self.slot
         stop = start + max(slots, 0)
 
@@ -281,14 +276,15 @@ class Simulation:
                 end_of_slot(self)
 
             if traces is not None:
-                traces.append(SlotTrace(slot, tuple(batteries), tuple(queues),
-                                        tuple(transmitters), outcome, energy))
+                traces.append(SlotTrace(slot, outcome, tuple(transmitters), energy,
+                                        tuple(batteries), tuple(queues)))
 
         self.slot = stop
-        m.generated, m.delivered, m.dropped_overflow = generated, delivered, dropped
+        m.generated, m.delivered, m.dropped = generated, delivered, dropped
         m.slots = stop
-        m.duration = stop * self.params.slot_len
         m.in_queue_final = sum(queues)
+        m.throughput_pps = delivered / (stop * self.params.slot_len) if stop else 0.0
+        m.loss_rate = dropped / generated if generated else 0.0
         return m
 
 

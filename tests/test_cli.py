@@ -6,7 +6,7 @@ import pytest
 
 from rwsnsim.cli import CONFIG_SCHEMA, main
 from rwsnsim.eqat import TxProbDesign
-from rwsnsim.experiments import _SPEC_SCHEMA
+from rwsnsim.experiments import _SPEC_SCHEMA, AGG_COLUMNS
 
 
 def test_run_then_report(tmp_path, capsys):
@@ -43,6 +43,19 @@ def test_invalid_input_exits_with_one_message(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("rwsnsim: error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "unexpected aggregate header ''"),
+    ("HEADER\n2,10,-,fq,1\n", "line 2 has 5 cells, not 12"),
+], ids=["empty", "short-row"])
+def test_report_on_malformed_aggregate_exits_2_once(tmp_path, capsys, text, message):
+    path = tmp_path / "aggregate.csv"
+    path.write_text(text.replace("HEADER", ",".join(AGG_COLUMNS)))
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"rwsnsim: error: {path}: {message}\n"
 
 
 def test_config_typos_exit_2_naming_each(tmp_path, capsys):

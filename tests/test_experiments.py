@@ -148,6 +148,29 @@ class TestRunExperiment:
             run_experiment(spec)
         assert str(exc.value) == "[network] queue_cap: expected int, got '3'"
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"network": {"queue_cap": True}}, "[network] queue_cap: expected int, got True"),
+        ({"network": {"channel_gain": ["x", "y"]}},
+         "[network] channel_gain: expected tuple[float, ...] | None, got ['x', 'y']"),
+        ({"eqat": {"alpha": True}}, "[eqat] alpha: expected float, got True"),
+        ({"slots": "10"}, "[experiment] slots: expected int, got '10'"),
+        ({"workers": 2.0}, "[experiment] workers: expected int, got 2.0"),
+        ({"seeds": [0.5]}, "[experiment] seeds: expected list[int], got [0.5]"),
+    ])
+    def test_value_not_of_its_declared_type_refused_once_before_any_task(self, monkeypatch,
+                                                                          kw, message):
+        # a bool is refused for an int or a float, and a list's elements are
+        # checked; two scenarios, and the value is named once
+        def no_task(args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(experiments, "_run_one", no_task)
+        spec = tiny_spec(**{"n_nodes": [2, 3], "strategies": ["eqat"], **kw})
+        assert spec.validate() == [message]
+        with pytest.raises(ValueError) as exc:
+            run_experiment(spec)
+        assert str(exc.value) == message
+
     def test_override_of_a_wider_accepted_type_valid(self):
         # an int for a float, a list for the gains and None for an optional,
         # as a manifest's JSON gives them back
@@ -185,7 +208,7 @@ class TestRunExperiment:
         for row in res.raw_rows:
             m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"])
             assert (row["generated"], row["delivered"], row["dropped"]) == (
-                m.generated, m.delivered, m.dropped_overflow)
+                m.generated, m.delivered, m.dropped)
 
     def test_nan_vi_tol_fails_before_any_sweep(self, monkeypatch):
         def no_solve(model):
@@ -204,6 +227,19 @@ class TestRunExperiment:
         assert run_experiment(tiny_spec()).trace_rows == []
         res = run_experiment(tiny_spec(trace=True, slots=50))
         assert len(res.trace_rows) == 50
+
+    def test_file_headers(self, tmp_path):
+        # the columns are read off RunMetrics and SlotTrace: a change to
+        # either record changes the file formats, and must change this test
+        write_outputs(run_experiment(tiny_spec(trace=True, slots=5)), str(tmp_path))
+        head = {name: (tmp_path / name).read_text().splitlines()[0]
+                for name in ("raw.csv", "traces.csv")}
+        assert head == {
+            "raw.csv": "n_nodes,t_hat,design,strategy,seed,slots,generated,delivered,dropped,"
+                       "in_queue_final,throughput_pps,loss_rate",
+            "traces.csv": "n_nodes,t_hat,design,strategy,seed,slot,outcome,transmitters,"
+                          "energy_levels,batteries,queues",
+        }
 
 
 class TestDeterminism:
