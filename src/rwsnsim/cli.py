@@ -16,33 +16,38 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import textwrap
 from pathlib import Path
 
-from .experiments import read_agg_csv, report, run_experiment, spec_from_config, write_outputs
+from .experiments import (_SPEC_SCHEMA, read_agg_csv, report, run_experiment, spec_from_config,
+                          write_outputs)
+from .simulator import STRATEGIES
 
-CONFIG_SCHEMA = """\
+
+def _section(name: str, text: str) -> str:
+    """Section `name`'s help entry: `text`, then its declared keys."""
+    return textwrap.fill(f"{text}: {', '.join(_SPEC_SCHEMA[name])}", 78, break_on_hyphens=False,
+                         initial_indent=f"  [{name}]".ljust(16), subsequent_indent=" " * 16)
+
+
+CONFIG_SCHEMA = f"""\
 config file (INI; every section and key is optional, any other is an error;
 the keys are the declared fields and parameters below, each value converted
 by its declared type):
   [experiment]  n_nodes, t_hat, seeds   comma lists or dash ranges ("0-4, 7")
                 designs                 comma list: sigmoid | exp:RATE |
                                         exp:RQ:RE | gamma:SHAPE:SCALE
-                strategies              comma list of ehmdp, fq, rs, eqat, dfq, rc
+                strategies              comma list of {', '.join(STRATEGIES)}
                 slots, budget, workers  integers (budget: joint states for an
                                         exact ehmdp solve)
                 minislot_len            seconds; slot length is t_hat * this
                 trace                   boolean: also write traces.csv
-  [network]     NetworkParams fields: packet_bits, ber_target, kappa1, kappa2,
-                bs_power, transfer_efficiency, bandwidth, arrival_period,
-                arrival_prob, battery_levels, battery_quantum, queue_cap,
-                max_modulation, discount, vi_tol, initial_battery;
-                channel_gain as a comma list, one gain per node
-                (n_nodes and slot_len come from [experiment])
-  [channel]     draw_channel_gains parameters, for the path-loss draw of the
-                gains when channel_gain is not given: seed, reference_gain,
-                reference_dist, min_dist, max_dist, pathloss_exp
-  [eqat]        EqatStrategy parameters: alpha, threshold, backoff_window
-  [rc]          RandomContentionStrategy parameters: contention_prob
+{_section("network", "NetworkParams fields but n_nodes and slot_len, which come from "
+                     "[experiment]; the channel gains as a comma list, one gain per node")}
+{_section("channel", "draw_channel_gains parameters, for the path-loss draw of the gains "
+                     "when [network] gives none")}
+{_section("eqat", "EqatStrategy parameters")}
+{_section("rc", "RandomContentionStrategy parameters")}
 """
 
 

@@ -1,4 +1,4 @@
-"""Shared model types: network parameters, their validation, the node state, channel draws.
+"""Shared model types: network parameters, their validation, channel draws.
 
 Everything here is immutable after construction and safe to share across
 workers. Parameter validation is a total function that reports all
@@ -8,16 +8,8 @@ violations instead of raising on the first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-
-class NodeState(NamedTuple):
-    """Quantized per-node state: battery level index and queue length."""
-
-    battery: int
-    queue: int
 
 
 @dataclass(frozen=True)
@@ -133,13 +125,6 @@ def validate(params: NetworkParams) -> list[str]:
     if not (0 <= p.initial_battery <= p.battery_levels):
         v.append("initial_battery must lie in [0, battery_levels]")
     return v
-
-
-def check_node_state(s: NodeState, params: NetworkParams) -> None:
-    if not (0 <= s.battery <= params.battery_levels):
-        raise ValueError(f"battery level {s.battery} outside [0, {params.battery_levels}]")
-    if not (0 <= s.queue <= params.queue_cap):
-        raise ValueError(f"queue length {s.queue} outside [0, {params.queue_cap}]")
 
 
 def draw_channel_gains(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import NetworkParams, NodeState, check_node_state
+from .core import NetworkParams
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,11 @@ class TxProbDesign:
 
 
 def tx_prob(design: TxProbDesign, battery: int, queue: int, params: NetworkParams) -> float:
-    """Self-nomination probability at a (battery, queue) point; always in [0, 1]."""
-    check_node_state(NodeState(battery, queue), params)
+    """Self-nomination probability at a (battery, queue) point in range; always in [0, 1]."""
+    if not 0 <= battery <= params.battery_levels:
+        raise ValueError(f"battery level {battery} outside [0, {params.battery_levels}]")
+    if not 0 <= queue <= params.queue_cap:
+        raise ValueError(f"queue length {queue} outside [0, {params.queue_cap}]")
     if queue == 0:
         return 0.0
     if design.kind == "exponential":

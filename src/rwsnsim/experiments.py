@@ -5,15 +5,18 @@ deterministically per scenario, so every seed of a scenario sees the same
 network). Each (scenario, strategy, seed) run appends one raw row: the run
 key (`KEY_COLUMNS`), then the fields of its `simulator.RunMetrics`; with
 tracing, one trace row per slot: the key, then the fields of a
-`simulator.SlotTrace`, a tuple's items joined by ``|``. Aggregation
-reduces seeds to mean and standard error. The manifest captures the spec
-and every resolved scenario, so a rerun of
-``ExperimentSpec(**manifest["spec"])`` reproduces the CSVs byte for byte;
-it also records how each ehmdp solve went (mode, and for an exact solve
-its sweep count, final residual, the sweeps that fell back from Anderson
-mixing to the plain step, and the build-plus-solve wall time, the one
-entry a rerun does not reproduce). A scenario whose parameters fail
-`core.validate` is reported once, as one failure, and skipped.
+`simulator.SlotTrace`, a tuple's items joined by ``|``. An aggregate row
+reduces a (scenario, strategy, design) group's seeds: its key, its seed
+count, ``<field>_mean`` of each `RunMetrics` field but slots (the run
+length), and ``<field>_stderr`` of each float field as well (the sample
+standard error, 0.0 for one seed). The manifest captures the spec and every
+resolved scenario, so a rerun of ``ExperimentSpec(**manifest["spec"])``
+reproduces the CSVs byte for byte; it also records how each ehmdp solve
+went (mode, and for an exact solve its sweep count, final residual, the
+sweeps that fell back from Anderson mixing to the plain step, and the
+build-plus-solve wall time, the one entry a rerun does not reproduce). A
+scenario whose parameters fail `core.validate` is reported once, as one
+failure, and skipped.
 
 A config file's keys are the declared names of what each section sets,
 and each value converts by its declared type: [experiment] the
@@ -52,12 +55,13 @@ log = logging.getLogger(__name__)
 KEY_COLUMNS = ["n_nodes", "t_hat", "design", "strategy", "seed"]
 RAW_COLUMNS = KEY_COLUMNS + [f.name for f in fields(RunMetrics)]
 TRACE_COLUMNS = KEY_COLUMNS + [f.name for f in fields(SlotTrace)]
+# each RunMetrics field but slots (the run length), and its statistics over seeds
+_STATS = {f.name: ("mean", "stderr") if f.type == "float" else ("mean",)
+          for f in fields(RunMetrics) if f.name != "slots"}
 # each aggregate column and its type, which `read_agg_csv` converts a cell to
 AGG_COLUMNS: dict[str, type] = {
     "n_nodes": int, "t_hat": int, "design": str, "strategy": str, "n_seeds": int,
-    **dict.fromkeys(["generated_mean", "delivered_mean", "dropped_mean",
-                     "throughput_pps_mean", "throughput_pps_stderr",
-                     "loss_rate_mean", "loss_rate_stderr"], float),
+    **{f"{name}_{stat}": float for name, stats in _STATS.items() for stat in stats},
 }
 
 
@@ -94,6 +98,10 @@ class ExperimentSpec:
             v.append("at least one seed is required")
         if self.slots < 0:
             v.append("slots must be >= 0")
+        if any(seed < 0 for seed in self.seeds):
+            v.append("seeds must be >= 0")
+        if self.budget < 0:
+            v.append("budget must be >= 0 (0 runs ehmdp in myopic mode)")
         if not self.minislot_len > 0:
             v.append("minislot_len must be positive")
         if self.workers < 1:
@@ -382,11 +390,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def aggregate_rows(raw_rows: list[dict]) -> list[dict]:
-    """Mean and standard error over seeds per (scenario, strategy, design)."""
+    """Each `_STATS` statistic over seeds per (scenario, strategy, design)."""
+    group = KEY_COLUMNS[:-1]   # the run key but the seed
     groups: dict[tuple, list[dict]] = {}
     for row in raw_rows:
-        key = (row["n_nodes"], row["t_hat"], row["design"], row["strategy"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(tuple(row[col] for col in group), []).append(row)
 
     def mean(vals):
         return sum(vals) / len(vals)
@@ -398,24 +406,14 @@ def aggregate_rows(raw_rows: list[dict]) -> list[dict]:
         var = sum((v - m) ** 2 for v in vals) / (len(vals) - 1)
         return math.sqrt(var / len(vals))
 
+    reduce = {"mean": mean, "stderr": stderr}
     out = []
     for key, rows in groups.items():
-        tp = [r["throughput_pps"] for r in rows]
-        lr = [r["loss_rate"] for r in rows]
-        out.append({
-            "n_nodes": key[0],
-            "t_hat": key[1],
-            "design": key[2],
-            "strategy": key[3],
-            "n_seeds": len(rows),
-            "generated_mean": mean([r["generated"] for r in rows]),
-            "delivered_mean": mean([r["delivered"] for r in rows]),
-            "dropped_mean": mean([r["dropped"] for r in rows]),
-            "throughput_pps_mean": mean(tp),
-            "throughput_pps_stderr": stderr(tp),
-            "loss_rate_mean": mean(lr),
-            "loss_rate_stderr": stderr(lr),
-        })
+        agg = {**dict(zip(group, key)), "n_seeds": len(rows)}
+        for name, stats in _STATS.items():
+            vals = [r[name] for r in rows]
+            agg.update({f"{name}_{stat}": reduce[stat](vals) for stat in stats})
+        out.append(agg)
     return out
 
 
@@ -453,16 +451,22 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> dict[str, str]:
 
 def read_agg_csv(path: str) -> list[dict]:
     """The rows of an aggregate CSV, each cell converted to its column's type;
-    a ValueError names `path`, and the line of a row with another cell count."""
+    a ValueError names `path`, the line, and a wrong cell count or the column."""
     header, *lines = Path(path).read_text().rstrip().splitlines() or [""]
     if header.split(",") != list(AGG_COLUMNS):
         raise ValueError(f"{path}: unexpected aggregate header {header!r}")
-    rows = [text.split(",") for text in lines]
-    for line, cells in enumerate(rows, 2):
+    rows: list[dict] = []
+    for line, text in enumerate(lines, 2):
+        cells = text.split(",")
         if len(cells) != len(AGG_COLUMNS):
             raise ValueError(f"{path}: line {line} has {len(cells)} cells, not {len(AGG_COLUMNS)}")
-    return [{col: kind(cell) for (col, kind), cell in zip(AGG_COLUMNS.items(), cells)}
-            for cells in rows]
+        rows.append({})
+        for (col, kind), cell in zip(AGG_COLUMNS.items(), cells):
+            try:
+                rows[-1][col] = kind(cell)
+            except ValueError as e:
+                raise ValueError(f"{path}: line {line}, column {col}: {e}") from None
+    return rows
 
 
 def report(agg_rows: list[dict]) -> dict:

@@ -69,7 +69,8 @@ BLOCK = 1024
 @dataclass
 class RunMetrics:
     """Aggregate packet accounting for one run. Its fields, in order, are
-    the columns of a raw CSV row after the run key.
+    the columns of a raw CSV row after the run key; an aggregate row over seeds
+    has ``<field>_mean`` of each but slots, and ``<field>_stderr`` of each float.
 
     Conservation: generated == delivered + dropped + in_queue_final
     (nothing is in flight at the end of a slot; collided and corrupted

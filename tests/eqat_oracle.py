@@ -26,8 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from joint_oracle import Dist, can_transmit, node_transition
-from rwsnsim.core import NetworkParams, NodeState
+from joint_oracle import Dist, NodeState, can_transmit, node_transition
+from rwsnsim.core import NetworkParams
 from rwsnsim.energy import NodeEnergyProfile, node_energy_profile, packet_success_prob
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 

@@ -10,7 +10,8 @@ This module writes the law the slow, direct way instead:
   * `joint_transition` and `transition_reward` multiply those laws into
     joint rows, and `build_joint_model` enumerates them, so the factored
     solver can be checked against a plain sweep over those rows;
-  * the joint state indexing (`state_index`, `iter_joint_states`, ...) that
+  * the node state (`NodeState`, range-checked by `check_node_state`) and
+    the joint state indexing (`state_index`, `iter_joint_states`, ...) that
     enumeration needs; the solver itself only ever indexes local states.
 """
 
@@ -18,13 +19,28 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from rwsnsim.core import NetworkParams, NodeState, check_node_state
+from rwsnsim.core import NetworkParams
 from rwsnsim.energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 from rwsnsim.mdp import TIE_RTOL
+
+
+class NodeState(NamedTuple):
+    """Quantized per-node state: battery level index and queue length."""
+
+    battery: int
+    queue: int
+
+
+def check_node_state(s: NodeState, params: NetworkParams) -> None:
+    if not (0 <= s.battery <= params.battery_levels):
+        raise ValueError(f"battery level {s.battery} outside [0, {params.battery_levels}]")
+    if not (0 <= s.queue <= params.queue_cap):
+        raise ValueError(f"queue length {s.queue} outside [0, {params.queue_cap}]")
+
 
 JointState = tuple[NodeState, ...]
 Dist = list[tuple[NodeState, float]]

@@ -45,10 +45,17 @@ def test_invalid_input_exits_with_one_message(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# a well-formed row, but for a throughput_pps_mean cell "x"
+BAD_CELL_ROW = ",".join({**dict.fromkeys(AGG_COLUMNS, "1"), "design": "-", "strategy": "fq",
+                         "throughput_pps_mean": "x"}.values())
+
+
 @pytest.mark.parametrize("text,message", [
     ("", "unexpected aggregate header ''"),
-    ("HEADER\n2,10,-,fq,1\n", "line 2 has 5 cells, not 12"),
-], ids=["empty", "short-row"])
+    ("HEADER\n2,10,-,fq,1\n", f"line 2 has 5 cells, not {len(AGG_COLUMNS)}"),
+    (f"HEADER\n{BAD_CELL_ROW}\n",
+     "line 2, column throughput_pps_mean: could not convert string to float: 'x'"),
+], ids=["empty", "short-row", "bad-cell"])
 def test_report_on_malformed_aggregate_exits_2_once(tmp_path, capsys, text, message):
     path = tmp_path / "aggregate.csv"
     path.write_text(text.replace("HEADER", ",".join(AGG_COLUMNS)))
@@ -87,8 +94,12 @@ def test_bad_strategy_value_exits_2_once(tmp_path, capsys, section, entry):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("entry,message", [("minislot_len = 0", "minislot_len must be positive"),
-                                           ("workers = -3", "workers must be >= 1")])
+@pytest.mark.parametrize("entry,message", [
+    ("minislot_len = 0", "minislot_len must be positive"),
+    ("workers = -3", "workers must be >= 1"),
+    ("seeds = -1, -2", "seeds must be >= 0"),
+    ("budget = -5", "budget must be >= 0 (0 runs ehmdp in myopic mode)"),
+])
 def test_bad_spec_value_exits_2_once(tmp_path, capsys, entry, message):
     # a 2 x 2 grid: the value is refused once, not once per scenario
     cfg = tmp_path / "bad.ini"

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from joint_oracle import iter_joint_states, state_index, state_unindex
-from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains, validate
+from joint_oracle import NodeState, iter_joint_states, state_index, state_unindex
+from rwsnsim.core import NetworkParams, draw_channel_gains, validate
 from rwsnsim.experiments import _SPEC_SCHEMA, read_config
 
 NETWORK_FILE_SCHEMA = {name: _SPEC_SCHEMA[name] for name in ("network", "channel")}

@@ -10,8 +10,8 @@ import pytest
 
 import rwsnsim
 from eqat_oracle import Decision, EqatController, collided_transition, collision_prob, eqat_decide
-from joint_oracle import node_transition
-from rwsnsim.core import NetworkParams, NodeState
+from joint_oracle import NodeState, node_transition
+from rwsnsim.core import NetworkParams
 from rwsnsim.energy import node_energy_profile, packet_success_prob
 from rwsnsim.eqat import TxProbDesign, tx_prob
 
@@ -92,6 +92,17 @@ class TestTxProb:
                     assert tx_prob(design, e, q + 1, p) >= v - 1e-15
                 if e < p.battery_levels:
                     assert tx_prob(design, e + 1, q, p) <= v + 1e-15
+
+    @pytest.mark.parametrize("battery,queue,message", [
+        (9, 1, r"battery level 9 outside \[0, 5\]"),
+        (-1, 1, r"battery level -1 outside \[0, 5\]"),
+        (2, 7, r"queue length 7 outside \[0, 6\]"),
+        (2, -1, r"queue length -1 outside \[0, 6\]"),
+    ])
+    def test_state_out_of_range_rejected(self, battery, queue, message):
+        p = make_params(battery_levels=5, queue_cap=6)
+        with pytest.raises(ValueError, match=message):
+            tx_prob(TxProbDesign("sigmoid"), battery, queue, p)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from rwsnsim.experiments import (
     AGG_COLUMNS,
     RAW_COLUMNS,
     ExperimentSpec,
+    aggregate_rows,
     format_csv,
     read_agg_csv,
     report,
@@ -71,6 +72,9 @@ class TestRunExperiment:
             res = run_experiment(spec)
         assert res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
         assert any("myopic" in m for m in caplog.messages)
+        # the least valid budget (a negative one is refused) forces myopic mode
+        res = run_experiment(replace(spec, budget=0))
+        assert res.failures == [] and res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
 
     def test_infeasible_point_reported_run_continues(self):
         # 256-bit packets at order 1 and 30 kHz: t_hat=10 gives 10 ms * 30 kHz
@@ -233,13 +237,43 @@ class TestRunExperiment:
         # either record changes the file formats, and must change this test
         write_outputs(run_experiment(tiny_spec(trace=True, slots=5)), str(tmp_path))
         head = {name: (tmp_path / name).read_text().splitlines()[0]
-                for name in ("raw.csv", "traces.csv")}
+                for name in ("raw.csv", "aggregate.csv", "traces.csv")}
         assert head == {
             "raw.csv": "n_nodes,t_hat,design,strategy,seed,slots,generated,delivered,dropped,"
                        "in_queue_final,throughput_pps,loss_rate",
+            "aggregate.csv": "n_nodes,t_hat,design,strategy,n_seeds,generated_mean,"
+                             "delivered_mean,dropped_mean,in_queue_final_mean,"
+                             "throughput_pps_mean,throughput_pps_stderr,loss_rate_mean,"
+                             "loss_rate_stderr",
             "traces.csv": "n_nodes,t_hat,design,strategy,seed,slot,outcome,transmitters,"
                           "energy_levels,batteries,queues",
         }
+
+    def test_aggregate_is_the_mean_and_sample_stderr_over_seeds(self):
+        def raw(strategy, seed, generated, delivered, dropped, in_queue, tp, loss):
+            return {"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": strategy,
+                    "seed": seed, "slots": 100, "generated": generated, "delivered": delivered,
+                    "dropped": dropped, "in_queue_final": in_queue, "throughput_pps": tp,
+                    "loss_rate": loss}
+
+        rows = aggregate_rows([raw("fq", 0, 10, 6, 1, 3, 1.0, 0.1),
+                               raw("rs", 0, 7, 5, 0, 2, 4.5, 0.25),
+                               raw("fq", 1, 12, 9, 2, 1, 2.0, 0.2),
+                               raw("fq", 2, 14, 12, 0, 2, 3.0, 0.6)])
+        assert rows == [
+            {"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": "fq", "n_seeds": 3,
+             "generated_mean": 12.0, "delivered_mean": 9.0, "dropped_mean": 1.0,
+             "in_queue_final_mean": 2.0,
+             "throughput_pps_mean": 2.0, "throughput_pps_stderr": pytest.approx((1 / 3) ** 0.5),
+             "loss_rate_mean": pytest.approx(0.3),
+             "loss_rate_stderr": pytest.approx((0.14 / 2 / 3) ** 0.5)},
+            {"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": "rs", "n_seeds": 1,
+             "generated_mean": 7.0, "delivered_mean": 5.0, "dropped_mean": 0.0,
+             "in_queue_final_mean": 2.0,
+             "throughput_pps_mean": 4.5, "throughput_pps_stderr": 0.0,
+             "loss_rate_mean": 0.25, "loss_rate_stderr": 0.0},
+        ]
+        assert [list(row) for row in rows] == [list(AGG_COLUMNS)] * 2
 
 
 class TestDeterminism:

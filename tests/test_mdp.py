@@ -11,6 +11,7 @@ import pytest
 import rwsnsim
 
 from joint_oracle import (
+    NodeState,
     backward_induction,
     bellman_q,
     build_joint_model,
@@ -27,7 +28,7 @@ from joint_oracle import (
     transition_reward,
 )
 from rwsnsim import mdp
-from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
+from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import (
     TIE_RTOL,

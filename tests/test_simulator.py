@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eqat_oracle import Decision, EqatController, collided_transition, eqat_decide
-from rwsnsim.core import NetworkParams, NodeState, draw_channel_gains
+from joint_oracle import NodeState
+from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import PolicyChooser
