@@ -22,18 +22,29 @@ every other node by the shared arrival-only kernel U, independently, and
 the cost is a sum over nodes. So the joint law is never enumerated:
 `build_model` stores the N+1 per-node kernels U, S_0, ..., S_{N-1} as
 sparse rows over the m = (K+1)(Q+1) local states (row = kernel * m + local
-state), and `value_iteration` applies them as mode products on v viewed
-as an (m,)*N tensor, node 0 on the slowest axis:
+state). The arrivals come after the departure and touch the queue alone,
+so the kernels factor further: U = I x A and S_k = M_k (I x A), where A is
+the (Q+1) x (Q+1) arrival kernel of one queue, I spans the K+1 battery
+levels and M_k is node k's battery move and departure (`factors`, built
+from the per-node arrays `kernel_model` stores beside the rows).
+`value_iteration` applies the factors as mode products on v viewed as an
+(m,)*N tensor, node 0 on the slowest axis:
 
-    Q(., k) = common + (rS_k - rU)(s_k) + omega * (U x ... x S_k x ... x U) v
+    Q(., k) = common + (rS_k - rU)(s_k) + M_k along axis k of w
+    w       = omega * (I x A) x ... x (I x A) v
     common  = sum over all nodes n of rU(s_n)
 
 where rU and rS_k are the kernels' expected one-slot losses per local
 state, and omega is the params' `discount`; the stopping tolerance is their
-`vi_tol` (see `value_iteration`). Only `common` is joint-sized; each
-action's correction is an m-vector along its own axis. The U products along
-the axes after k are shared between actions. A sweep costs O(N^2 m^(N+1))
-flops.
+`vi_tol` (see `value_iteration`). Only `common` and w are joint-sized; each
+action's correction is an m-vector along its own axis. The arrivals are
+the same under every action, so w is formed once a sweep: N products with
+A along the queue axes, then one with M_k per action. A sweep costs
+O(N m^(N+1)) flops. Every product reads its operand through a C-contiguous
+view (`_apply_axis`). Through a transposed view, 350 m-wide products at
+N=3 took 45-53 ms, but 1.1-1.4 s once the process had slept 5 s, with two
+BLAS threads on 2 cores; the contiguous forms took 49-71 ms after the same
+sleep.
 
 Stopping. The solve stops when the sup-norm of Tv - v drops below
 tol * (1 - omega) / (2 * omega), the standard test that puts the returned
@@ -134,7 +145,9 @@ class TransitionModel:
     per-node states, and row r = kernel * n_local + local state spans
     entries [row_ptr[r], row_ptr[r+1]) of (local next state, probability,
     packets dropped), one entry per (departure, arrivals) outcome. The sizes
-    are those of `params`.
+    are those of `params`. The solve reads the same law in factors
+    (`factors`): per kernel and local state the battery level after the slot
+    (`after`) and P(D = 1) (`departs`), and the arrivals' pmf (`arrivals`).
     """
 
     params: NetworkParams
@@ -142,6 +155,9 @@ class TransitionModel:
     next_state: np.ndarray
     prob: np.ndarray
     reward: np.ndarray
+    after: np.ndarray
+    departs: np.ndarray
+    arrivals: np.ndarray
 
     @property
     def n_actions(self) -> int:
@@ -171,9 +187,31 @@ class TransitionModel:
         np.add.at(matrix, (rows, self.next_state[lo:hi]), self.prob[lo:hi])
         return matrix, self.expected(self.reward)[j]
 
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrival kernel A over one queue's Q+1 lengths, and per kernel j
+        the n_local x n_local move M_j of the battery and the departure, dense.
+
+        The departure comes before the slot's arrivals, which touch the queue
+        alone, so kernel j is M_j (I x A), I over the battery levels.
+        """
+        cap = self.params.queue_cap
+        length = np.arange(cap + 1)[:, None]
+        arrival = np.zeros((cap + 1, cap + 1))
+        np.add.at(arrival, (length, np.minimum(length + np.arange(self.arrivals.size), cap)),
+                  self.arrivals)
+        kernels, m = self.departs.shape
+        queue = np.arange(m) % (cap + 1)
+        moves = np.zeros((kernels, m, m))
+        for d, prob in ((0, 1.0 - self.departs), (1, self.departs)):
+            # D = 1 has probability 0 wherever the queue is empty
+            target = self.after * (cap + 1) + np.maximum(queue - d, 0)
+            np.add.at(moves, (np.arange(kernels)[:, None], np.arange(m), target), prob)
+        return arrival, moves
+
 
 def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> TransitionModel:
-    """The kernels U, S_0, ..., S_{N-1} of the per-node law; O(N * per-node states)."""
+    """The kernels U, S_0, ..., S_{N-1} of the per-node law, as rows and in
+    factors; O(N * per-node states)."""
     K, Q = params.battery_levels, params.queue_cap
     battery, queue = np.divmod(np.arange(params.per_node_states), Q + 1)
     ps = packet_success_prob(params)
@@ -184,12 +222,13 @@ def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> Tr
         gain = np.where(tx, prof.delta_levels, prof.harvest_only_levels)
         after.append(np.clip(battery + gain, 0, K))
         departs.append(np.where(tx, ps, 0.0))
-    departs = np.array(departs)[..., None, None]
+    after, departs = np.array(after), np.array(departs)
     pmf = arrival_pmf(params)
     # outcome axes after the local state: departure D in (0, 1), then arrivals X
     level = queue[:, None, None] - np.array([0, 1])[:, None] + np.arange(pmf.size)
-    prob = np.concatenate([1.0 - departs, departs], axis=2) * pmf
-    nxt = np.array(after)[..., None, None] * (Q + 1) + np.minimum(level, Q)
+    d1 = departs[..., None, None]
+    prob = np.concatenate([1.0 - d1, d1], axis=2) * pmf
+    nxt = after[..., None, None] * (Q + 1) + np.minimum(level, Q)
     dropped = np.broadcast_to(np.maximum(level - Q, 0), prob.shape)
     prob, nxt, dropped = (a.reshape(-1, 2 * pmf.size) for a in (prob, nxt, dropped))
     keep = prob > 0.0
@@ -204,6 +243,9 @@ def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> Tr
         next_state=nxt[keep].astype(np.int64),
         prob=prob[keep],
         reward=dropped[keep].astype(np.float64),
+        after=after,
+        departs=departs,
+        arrivals=pmf,
     )
 
 
@@ -231,19 +273,26 @@ class ValueIterationResult:
     params: NetworkParams
 
 
-def _apply_last_axis(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Apply an m x m kernel along the last axis of x and rotate that axis to the front.
+def _apply_axis(kernel: np.ndarray, x: np.ndarray, before: int, out: np.ndarray) -> None:
+    """Apply a square kernel along one axis of the flat tensor x, into out.
 
-    x is a flat (m,)*N tensor; out receives the result, flat, with axis order
-    (last, first, ..., second to last). N such steps restore the order.
+    `before` is the product of the sizes of the axes before it. Both forms
+    read x through a C-contiguous view: one gemm per index of the axes
+    before, or, on the last axis, one gemm by the kernel's transpose. That
+    transpose is copied: through a transposed view, the (Q+1)-wide arrival
+    kernel's product runs about 3.5 times slower.
     """
-    m = kernel.shape[0]
-    np.matmul(kernel, x.reshape(-1, m).T, out=out.reshape(m, -1))
-    return out
+    k = kernel.shape[0]
+    after = x.size // (before * k)
+    if after == 1:
+        np.matmul(x.reshape(before, k), np.ascontiguousarray(kernel.T),
+                  out=out.reshape(before, k))
+    else:
+        np.matmul(kernel, x.reshape(before, k, after), out=out.reshape(before, k, after))
 
 
 class _Backup:
-    """Bellman backups of one model in product form, into arrays it owns.
+    """Bellman backups of one model in factored form, into arrays it owns.
 
     The one-slot cost splits into `common`, the sum over nodes of rU, which
     every action shares, and action k's correction rS_k - rU along axis k.
@@ -254,17 +303,14 @@ class _Backup:
 
     def __init__(self, model: TransitionModel):
         n, w = model.n_actions, model.params.discount
-        kernels = [model.kernel(j) for j in range(n + 1)]
-        self.arrival, arrival_cost = kernels[0]
+        self.arrival, moves = model.factors()
+        cost = model.expected(model.reward)
         self.common = np.zeros(1)
         for _ in range(n):
-            self.common = np.add.outer(self.common, arrival_cost).reshape(-1)
-        self.corrections = [cost - arrival_cost for _, cost in kernels[1:]]
-        # action k's chain: S_k along axis k, then U along each axis before it;
-        # its last kernel carries the discount, so the chain lands in q scaled
-        self.chains = [[kernels[1 + k][0]] + [self.arrival] * k for k in range(n)]
-        for chain in self.chains:
-            chain[-1] = w * chain[-1]
+            self.common = np.add.outer(self.common, cost[0]).reshape(-1)
+        self.corrections = cost[1:] - cost[0]
+        # the selected nodes' moves carry the discount, so they land in q scaled
+        self.moves = w * moves[1:]
         # sweeps write into these: allocating fresh joint-sized arrays each sweep
         # costs about as much as the kernel products themselves
         self.q = np.empty((n, model.n_states))
@@ -272,17 +318,16 @@ class _Backup:
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         q, work = self.q, self.work
-        m = self.arrival.shape[0]
-        # suffix: v with U applied along every axis after k, those axes rotated
-        # to the front, so axis k is last. The suffix of k - 1 goes to a row
-        # that action k's chain does not write: q[k - 1], or work[1] for k = 1
-        suffix = v
-        for k in reversed(range(len(q))):
-            x = suffix
-            if k:
-                suffix = _apply_last_axis(self.arrival, suffix, q[k - 1] if k > 1 else work[1])
-            for i, kernel in enumerate(self.chains[k]):
-                x = _apply_last_axis(kernel, x, q[k] if i == k else work[i % 2])
+        m = self.moves.shape[1]
+        batteries = m // self.arrival.shape[0]
+        # the slot's arrivals, the same under every action: A along each
+        # queue axis, the battery axes untouched
+        x = v
+        for k in range(len(q)):
+            _apply_axis(self.arrival, x, m ** k * batteries, work[k % 2])
+            x = work[k % 2]
+        for k, move in enumerate(self.moves):
+            _apply_axis(move, x, m ** k, q[k])
             q[k].reshape(m ** k, m, -1)[...] += self.corrections[k][:, None]
         return q
 
@@ -366,11 +411,12 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
 
     The kernel products go through BLAS, whose summation order depends on
     its thread count, so the values are reproducible only to rounding across
-    thread counts. Mixing feeds that rounding back into the iterates, so the
-    sweep count can differ too: at N=3 and bs_power 1.0, 97 sweeps at one
-    thread and 107 at two, with the same policy. A test pins that the policy
-    and the sweep count agree at 1 and 2 threads for N=3 at the defaults
-    (44 sweeps each).
+    thread counts (at N=3 only the product along axis 0, the one gemm over
+    the whole tensor, differs). Mixing feeds that rounding back into the
+    iterates, so the sweep count can differ too: at N=3 and bs_power 1.0, 96
+    sweeps at one thread and 95 at two, with the same policy. Tests pin that
+    the policy agrees at 1 and 2 threads for N=3 at the defaults and at
+    bs_power 1.0, and the sweep count at the defaults (44 each).
     """
     p = model.params
     w = p.discount
@@ -385,7 +431,10 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
     best, stale, fallbacks = np.inf, 0, 0
     for sweep in range(1, MAX_SWEEPS + 1):
         q = backup(v)
-        np.min(q, axis=0, out=v_next)
+        # one elementwise pass per action: np.min over axis 0 is slower
+        np.minimum(q[0], q[-1], out=v_next)
+        for row in q[1:-1]:
+            np.minimum(v_next, row, out=v_next)
         v_next += backup.common
         diff = np.subtract(v_next, v, out=backup.work[0])
         lo, hi = float(diff.min()), float(diff.max())

@@ -495,6 +495,8 @@ class EqatStrategy(Strategy):
             self.fails[transmitters[0]] += 1
 
     def end_of_slot(self, sim):
+        if not self.waiting:  # the common case: nobody backs off
+            return
         backoff = self.backoff
         for i in self.waiting:
             backoff[i] -= 1
