@@ -8,6 +8,7 @@ violations instead of raising on the first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -76,8 +77,8 @@ class NetworkParams:
 def validate(params: NetworkParams) -> list[str]:
     """Return every violated parameter invariant (empty list means ok).
 
-    Float bounds are written as `not x > 0` rather than `x <= 0`, so a NaN
-    fails them.
+    Float bounds are written as `not 0 < x < inf` rather than `x <= 0`, so a
+    NaN fails them, and so does an infinite quantity, once per field.
     """
     v: list[str] = []
     p = params
@@ -87,41 +88,41 @@ def validate(params: NetworkParams) -> list[str]:
         v.append("packet_bits must be >= 1")
     if not (0.0 < p.ber_target < 1.0):
         v.append("ber_target must lie strictly in (0, 1)")
-    if not p.kappa1 > p.ber_target:
-        v.append("ln(kappa1/ber_target) must be positive (kappa1 > ber_target)")
-    if not p.kappa2 > 0:
-        v.append("kappa2 must be positive")
-    if not p.bs_power >= 0:
-        v.append("bs_power must be non-negative")
+    if not p.ber_target < p.kappa1 < inf:
+        v.append("ln(kappa1/ber_target) must be positive and finite (ber_target < kappa1 < inf)")
+    if not 0 < p.kappa2 < inf:
+        v.append("kappa2 must be positive and finite")
+    if not 0 <= p.bs_power < inf:
+        v.append("bs_power must be non-negative and finite")
     if not (0.0 <= p.transfer_efficiency <= 1.0):
         v.append("transfer_efficiency must lie in [0, 1]")
-    if not p.bandwidth > 0:
-        v.append("bandwidth must be positive")
-    if not p.slot_len > 0:
-        v.append("slot_len must be positive")
-    if not p.arrival_period > 0:
-        v.append("arrival_period must be positive")
+    if not 0 < p.bandwidth < inf:
+        v.append("bandwidth must be positive and finite")
+    if not 0 < p.slot_len < inf:
+        v.append("slot_len must be positive and finite")
+    if not 0 < p.arrival_period < inf:
+        v.append("arrival_period must be positive and finite")
     if not (0.0 <= p.arrival_prob <= 1.0):
         v.append("arrival_prob must lie in [0, 1]")
     if p.battery_levels < 1:
         v.append("battery_levels must be >= 1")
-    if not p.battery_quantum > 0:
-        v.append("battery_quantum must be positive")
+    if not 0 < p.battery_quantum < inf:
+        v.append("battery_quantum must be positive and finite")
     if p.queue_cap < 1:
         v.append("queue_cap must be >= 1")
     if p.max_modulation < 1:
         v.append("max_modulation must be >= 1")
     if len(p.channel_gain) != p.n_nodes:
         v.append("channel_gain must have one entry per node")
-    if not all(g > 0 for g in p.channel_gain):
-        v.append("every channel_gain entry must be positive")
+    if not all(0 < g < inf for g in p.channel_gain):
+        v.append("every channel_gain entry must be positive and finite")
     if p.slot_len * p.bandwidth * p.max_modulation < p.packet_bits:
         v.append("a packet must fit in one slot at the fastest modulation "
                  "(slot_len * bandwidth * max_modulation >= packet_bits)")
     if not (0.0 <= p.discount < 1.0):
         v.append("discount must lie in [0, 1)")
-    if not p.vi_tol > 0:
-        v.append("vi_tol must be positive")
+    if not 0 < p.vi_tol < inf:
+        v.append("vi_tol must be positive and finite")
     if not (0 <= p.initial_battery <= p.battery_levels):
         v.append("initial_battery must lie in [0, battery_levels]")
     return v

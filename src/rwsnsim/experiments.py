@@ -102,8 +102,8 @@ class ExperimentSpec:
             v.append("seeds must be >= 0")
         if self.budget < 0:
             v.append("budget must be >= 0 (0 runs ehmdp in myopic mode)")
-        if not self.minislot_len > 0:
-            v.append("minislot_len must be positive")
+        if not 0 < self.minislot_len < math.inf:
+            v.append("minislot_len must be positive and finite")
         if self.workers < 1:
             v.append("workers must be >= 1")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
@@ -146,15 +146,17 @@ class ExperimentSpec:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Comma lists and dash ranges: "0-4, 7" -> [0, 1, 2, 3, 4, 7]."""
+    """Comma lists and ascending dash ranges: "0-4, 7" -> [0, 1, 2, 3, 4, 7]."""
     out: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if "-" in chunk[1:]:
-            lo, hi = chunk.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in chunk.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"descending range {chunk!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(chunk))
     return out

@@ -27,24 +27,30 @@ so the kernels factor further: U = I x A and S_k = M_k (I x A), where A is
 the (Q+1) x (Q+1) arrival kernel of one queue, I spans the K+1 battery
 levels and M_k is node k's battery move and departure (`factors`, built
 from the per-node arrays `kernel_model` stores beside the rows).
-`value_iteration` applies the factors as mode products on v viewed as an
-(m,)*N tensor, node 0 on the slowest axis:
 
-    Q(., k) = common + (rS_k - rU)(s_k) + M_k along axis k of w
-    w       = omega * (I x A) x ... x (I x A) v
+Every drop is a packet that arrives after the slot's departure and battery
+move and finds the queue full. So a selected node's expected loss is its
+move applied to the arrival-only loss, rS_k = M_k rU, with rU and rS_k the
+kernels' expected one-slot losses per local state. A law that splits a
+battery move over two levels (randomized rounding) keeps this, since it
+only splits M's entries. Each row of M_k sums to 1, so M_k along axis k of
+a sum over nodes leaves every other node's term and turns node k's rU into
+rS_k. `value_iteration` therefore applies one form for every action, on v
+viewed as an (m,)*N tensor, node 0 on the slowest axis:
+
+    Q(., k) = M_k along axis k of z
+    z       = common + omega * (I x A) x ... x (I x A) v
     common  = sum over all nodes n of rU(s_n)
 
-where rU and rS_k are the kernels' expected one-slot losses per local
-state, and omega is the params' `discount`; the stopping tolerance is their
-`vi_tol` (see `value_iteration`). Only `common` and w are joint-sized; each
-action's correction is an m-vector along its own axis. The arrivals are
-the same under every action, so w is formed once a sweep: N products with
-A along the queue axes, then one with M_k per action. A sweep costs
-O(N m^(N+1)) flops. Every product reads its operand through a C-contiguous
-view (`_apply_axis`). Through a transposed view, 350 m-wide products at
-N=3 took 45-53 ms, but 1.1-1.4 s once the process had slept 5 s, with two
-BLAS threads on 2 cores; the contiguous forms took 49-71 ms after the same
-sleep.
+where omega is the params' `discount`; the stopping tolerance is their
+`vi_tol` (see `value_iteration`). The arrivals are the same under every
+action, so z is formed once a sweep: N products with A along the queue
+axes, the first scaled by omega, and one add of `common`; then one product
+with M_k per action. A sweep costs O(N m^(N+1)) flops. Every product reads
+its operand through a C-contiguous view (`_apply_axis`). Through a
+transposed view, 350 m-wide products at N=3 took 45-53 ms, but 1.1-1.4 s
+once the process had slept 5 s, with two BLAS threads on 2 cores; the
+contiguous forms took 49-71 ms after the same sleep.
 
 Stopping. The solve stops when the sup-norm of Tv - v drops below
 tol * (1 - omega) / (2 * omega), the standard test that puts the returned
@@ -177,16 +183,6 @@ class TransitionModel:
         sums = np.bincount(rows, weights=self.prob * values, minlength=self.row_ptr.size - 1)
         return sums.reshape(-1, self.n_local)
 
-    def kernel(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel j as a dense n_local x n_local matrix, with its expected loss per row."""
-        m = self.n_local
-        ptr = self.row_ptr[j * m:(j + 1) * m + 1]
-        lo, hi = ptr[0], ptr[-1]
-        rows = np.repeat(np.arange(m), np.diff(ptr))
-        matrix = np.zeros((m, m))
-        np.add.at(matrix, (rows, self.next_state[lo:hi]), self.prob[lo:hi])
-        return matrix, self.expected(self.reward)[j]
-
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The arrival kernel A over one queue's Q+1 lengths, and per kernel j
         the n_local x n_local move M_j of the battery and the departure, dense.
@@ -294,23 +290,19 @@ def _apply_axis(kernel: np.ndarray, x: np.ndarray, before: int, out: np.ndarray)
 class _Backup:
     """Bellman backups of one model in factored form, into arrays it owns.
 
-    The one-slot cost splits into `common`, the sum over nodes of rU, which
-    every action shares, and action k's correction rS_k - rU along axis k.
-    A call leaves in `q` each action's Q minus `common`. Adding `common`
-    after the minimum over actions gives the same bits as adding it before,
-    since rounding is monotone. Between calls the rows of `work` are free.
+    A call leaves in `q` each action's Q, M_k along axis k of z (see the
+    module docstring). Between calls the rows of `work` are free.
     """
 
     def __init__(self, model: TransitionModel):
-        n, w = model.n_actions, model.params.discount
+        n = model.n_actions
         self.arrival, moves = model.factors()
-        cost = model.expected(model.reward)
+        self.discounted = model.params.discount * self.arrival
+        loss = model.expected(model.reward)[0]
         self.common = np.zeros(1)
         for _ in range(n):
-            self.common = np.add.outer(self.common, cost[0]).reshape(-1)
-        self.corrections = cost[1:] - cost[0]
-        # the selected nodes' moves carry the discount, so they land in q scaled
-        self.moves = w * moves[1:]
+            self.common = np.add.outer(self.common, loss).reshape(-1)
+        self.moves = moves[1:]
         # sweeps write into these: allocating fresh joint-sized arrays each sweep
         # costs about as much as the kernel products themselves
         self.q = np.empty((n, model.n_states))
@@ -320,15 +312,17 @@ class _Backup:
         q, work = self.q, self.work
         m = self.moves.shape[1]
         batteries = m // self.arrival.shape[0]
-        # the slot's arrivals, the same under every action: A along each
-        # queue axis, the battery axes untouched
+        # z: the slot's arrivals, the same under every action (A along each
+        # queue axis, the battery axes untouched, the first product carrying
+        # the discount), plus every node's arrival-only loss
         x = v
         for k in range(len(q)):
-            _apply_axis(self.arrival, x, m ** k * batteries, work[k % 2])
+            _apply_axis(self.arrival if k else self.discounted, x, m ** k * batteries,
+                        work[k % 2])
             x = work[k % 2]
+        x += self.common
         for k, move in enumerate(self.moves):
             _apply_axis(move, x, m ** k, q[k])
-            q[k].reshape(m ** k, m, -1)[...] += self.corrections[k][:, None]
         return q
 
 
@@ -413,8 +407,8 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
     its thread count, so the values are reproducible only to rounding across
     thread counts (at N=3 only the product along axis 0, the one gemm over
     the whole tensor, differs). Mixing feeds that rounding back into the
-    iterates, so the sweep count can differ too: at N=3 and bs_power 1.0, 96
-    sweeps at one thread and 95 at two, with the same policy. Tests pin that
+    iterates, so the sweep count can differ too: at N=3 and bs_power 1.0, 99
+    sweeps at one thread and 97 at two, with the same policy. Tests pin that
     the policy agrees at 1 and 2 threads for N=3 at the defaults and at
     bs_power 1.0, and the sweep count at the defaults (44 each).
     """
@@ -435,14 +429,12 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
         np.minimum(q[0], q[-1], out=v_next)
         for row in q[1:-1]:
             np.minimum(v_next, row, out=v_next)
-        v_next += backup.common
         diff = np.subtract(v_next, v, out=backup.work[0])
         lo, hi = float(diff.min()), float(diff.max())
         residual = max(-lo, hi)
         history.append(residual)
         if residual < threshold:
             del anderson  # the policy's temporaries reuse its memory
-            q += backup.common
             return ValueIterationResult(
                 values=v_next, policy=greedy_policy(q), sweeps=sweep, fallbacks=fallbacks,
                 residual=residual, residual_history=history, params=p,
@@ -492,11 +484,11 @@ class PolicyChooser:
 class MyopicChooser:
     """Approximate mode for joint spaces too large to enumerate.
 
-    One-step lookahead on the kernels, with c_S and c_U the expected losses
-    of S_n and U: selecting node n rather than leaving it to U changes this
-    slot's expected loss by c_S(s) - c_U(s) and, with every node left to U
-    in the next slot, that slot's by omega * ((S_n - U) c_U)(s); every
-    other node's terms cancel out of the argmin. Documented heuristic
+    One-step lookahead on the factors, rU the expected loss of U: selecting
+    node n rather than leaving it to U moves it by M_n first, which changes
+    this slot's expected loss plus the discounted loss of the next, every
+    node then left to U, by ((M_n - I) y)(s), y = rU + omega * (I x A) rU;
+    every other node's terms cancel out of the argmin. Documented heuristic
     stand-in for the exact policy; ties go to the longest queue, then the
     lowest battery, then the lowest index. A score depends only on the node
     and its own (battery, queue), so the sort keys are tabulated once. They
@@ -507,10 +499,11 @@ class MyopicChooser:
 
     def __init__(self, params: NetworkParams, profiles: list[NodeEnergyProfile]):
         model = kernel_model(params, profiles)
-        cost = model.expected(model.reward)
-        ahead = model.expected(cost[0][model.next_state])
-        score = (cost[1:] - cost[0]) + params.discount * (ahead[1:] - ahead[0])
+        arrival, moves = model.factors()
+        loss = model.expected(model.reward)[0]
         width = params.queue_cap + 1
+        y = loss + params.discount * (loss.reshape(-1, width) @ arrival.T).reshape(-1)
+        score = moves[1:] @ y - y
         keys = [
             [[(float(score[n, e * width + q]), -q, e, n) for q in range(width)]
              for e in range(params.battery_levels + 1)]

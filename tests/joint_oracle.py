@@ -12,7 +12,9 @@ This module writes the law the slow, direct way instead:
     solver can be checked against a plain sweep over those rows;
   * the node state (`NodeState`, range-checked by `check_node_state`) and
     the joint state indexing (`state_index`, `iter_joint_states`, ...) that
-    enumeration needs; the solver itself only ever indexes local states.
+    enumeration needs; the solver itself only ever indexes local states;
+  * `dense_kernel`, one of the solver's per-node kernels read off its sparse
+    rows into a matrix, to check the rows against the law and the factors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from rwsnsim.core import NetworkParams
 from rwsnsim.energy import NodeEnergyProfile, energy_profiles, packet_success_prob
-from rwsnsim.mdp import TIE_RTOL
+from rwsnsim.mdp import TIE_RTOL, TransitionModel
 
 
 class NodeState(NamedTuple):
@@ -325,3 +327,14 @@ def backward_induction(model: JointModel, omega: float, horizon: int):
                 best, best_a = q, a
         policy[s] = best_a
     return v, policy
+
+
+def dense_kernel(model: TransitionModel, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel j of `model` as a dense n_local x n_local matrix, with its expected loss per row."""
+    m = model.n_local
+    ptr = model.row_ptr[j * m:(j + 1) * m + 1]
+    lo, hi = ptr[0], ptr[-1]
+    rows = np.repeat(np.arange(m), np.diff(ptr))
+    matrix = np.zeros((m, m))
+    np.add.at(matrix, (rows, model.next_state[lo:hi]), model.prob[lo:hi])
+    return matrix, model.expected(model.reward)[j]

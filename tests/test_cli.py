@@ -95,10 +95,12 @@ def test_bad_strategy_value_exits_2_once(tmp_path, capsys, section, entry):
 
 
 @pytest.mark.parametrize("entry,message", [
-    ("minislot_len = 0", "minislot_len must be positive"),
+    ("minislot_len = 0", "minislot_len must be positive and finite"),
+    ("minislot_len = inf", "minislot_len must be positive and finite"),
     ("workers = -3", "workers must be >= 1"),
     ("seeds = -1, -2", "seeds must be >= 0"),
     ("budget = -5", "budget must be >= 0 (0 runs ehmdp in myopic mode)"),
+    ("seeds = 0-4, 9-7", "{cfg}: [experiment] seeds = '0-4, 9-7': descending range '9-7'"),
 ])
 def test_bad_spec_value_exits_2_once(tmp_path, capsys, entry, message):
     # a 2 x 2 grid: the value is refused once, not once per scenario
@@ -108,7 +110,7 @@ def test_bad_spec_value_exits_2_once(tmp_path, capsys, entry, message):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(cfg), str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == f"rwsnsim: error: {message}\n"
+    assert capsys.readouterr().err == f"rwsnsim: error: {message.format(cfg=cfg)}\n"
     assert not (tmp_path / "out").exists()
 
 

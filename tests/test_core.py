@@ -1,6 +1,7 @@
 """Parameter validation, the channel draw, config files, and the oracle's joint state indexing."""
 
 import itertools
+import math
 
 import pytest
 
@@ -91,13 +92,17 @@ class TestValidate:
 
     @pytest.mark.parametrize("period", [0.0, -1e-3, float("nan")])
     def test_non_positive_arrival_period_is_one_violation(self, period):
-        assert validate(make_params(arrival_period=period)) == ["arrival_period must be positive"]
+        expect = ["arrival_period must be positive and finite"]
+        assert validate(make_params(arrival_period=period)) == expect
 
-    @pytest.mark.parametrize("field", ["vi_tol", "kappa1", "kappa2", "bs_power", "bandwidth",
-                                       "slot_len", "battery_quantum", "channel_gain"])
-    def test_nan_is_one_violation_naming_its_field(self, field):
-        nan = float("nan")
-        problems = validate(make_params(**{field: (1.0, nan) if field == "channel_gain" else nan}))
+    @pytest.mark.parametrize("field,bad", [
+        pytest.param(field, bad, id=field + ("" if math.isnan(bad) else "-inf"))
+        for bad in (math.nan, math.inf)
+        for field in ("vi_tol", "kappa1", "kappa2", "bs_power", "bandwidth", "slot_len",
+                      "arrival_period", "battery_quantum", "channel_gain")
+    ])
+    def test_nan_is_one_violation_naming_its_field(self, field, bad):
+        problems = validate(make_params(**{field: (1.0, bad) if field == "channel_gain" else bad}))
         assert len(problems) == 1 and field in problems[0], problems
 
     def test_packet_must_fit_in_slot(self):

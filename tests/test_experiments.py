@@ -221,10 +221,10 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "value_iteration", no_solve)
         spec = tiny_spec(strategies=["ehmdp"],
                          network={"battery_levels": 2, "queue_cap": 2, "vi_tol": float("nan")})
-        with pytest.raises(ValueError, match="^vi_tol must be positive$"):
+        with pytest.raises(ValueError, match="^vi_tol must be positive and finite$"):
             spec.resolve_params(2, 10)
         res = run_experiment(spec)
-        assert [f["error"] for f in res.failures] == ["vi_tol must be positive"]
+        assert [f["error"] for f in res.failures] == ["vi_tol must be positive and finite"]
         assert res.raw_rows == []
 
     def test_trace_rows_gated(self):

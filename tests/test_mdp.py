@@ -16,6 +16,7 @@ from joint_oracle import (
     backward_induction,
     bellman_q,
     build_joint_model,
+    dense_kernel,
     iter_joint_states,
     joint_transition,
     joint_value_iteration,
@@ -92,7 +93,7 @@ def kernel_law(p, s, node=None):
     """Row s of node `node`'s selected kernel (of U when None): the next states'
     probabilities, merged over outcomes, and the row's expected loss."""
     model = kernel_model(p, energy_profiles(p))
-    matrix, cost = model.kernel(0 if node is None else 1 + node)
+    matrix, cost = dense_kernel(model, 0 if node is None else 1 + node)
     width = p.queue_cap + 1
     idx = s.battery * width + s.queue
     row = matrix[idx]
@@ -414,7 +415,7 @@ class TestBuildModel:
         model = kernel_model(p, profiles)
         width = p.queue_cap + 1
         for j in range(p.n_nodes + 1):
-            matrix, cost = model.kernel(j)
+            matrix, cost = dense_kernel(model, j)
             for idx in range(model.n_local):
                 s = NodeState(*divmod(idx, width))
                 law = node_law(s, p, profiles[max(j - 1, 0)], selected=j > 0)
@@ -433,19 +434,15 @@ class TestValueIteration:
         assert np.allclose(res.values, 0.0)
 
     def test_self_loop_geometric_series(self):
-        # one node whose every local state loops to itself: U costs nothing,
-        # S_0 costs 2.5 a slot
-        p = make_params(n_nodes=1, battery_levels=1, queue_cap=1, discount=0.9, vi_tol=1e-10)
-        m = p.per_node_states
-        # in factors: no arrival, and S_0 neither moves the battery nor departs
-        model = TransitionModel(
-            params=p, row_ptr=np.arange(2 * m + 1), next_state=np.tile(np.arange(m), 2),
-            prob=np.ones(2 * m), reward=np.repeat([0.0, 2.5], m),
-            after=np.tile(np.arange(m) // 2, (2, 1)), departs=np.zeros((2, m)),
-            arrivals=np.ones(1),
-        )
-        res = value_iteration(model)
-        assert res.values[0] == pytest.approx(2.5 / 0.1, rel=1e-9)
+        # one node whose packets never get through and that receives one
+        # every slot: a full queue drops one a slot from now on, an empty
+        # one from the next slot
+        p = sure_failure_params(arrival_prob=1.0, battery_levels=1, queue_cap=1,
+                                discount=0.9, vi_tol=1e-10)
+        res = value_iteration(build_model(p))
+        full, empty = res.values[1::2], res.values[0::2]
+        assert full == pytest.approx([1 / 0.1] * 2, rel=1e-9)
+        assert empty == pytest.approx([0.9 / 0.1] * 2, rel=1e-9)
 
     def test_policy_matches_backward_induction_oracle(self):
         p = make_params(
@@ -557,6 +554,27 @@ class TestChoosers:
             expect = min(tied, key=lambda n: (-s[n].queue, s[n].battery, n))
             assert choose([ns.battery for ns in s], [ns.queue for ns in s]) == expect, s
 
+    @pytest.mark.parametrize("n", [10, 50])
+    @pytest.mark.parametrize("extra", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
+    def test_myopic_ranks_match_the_gather_through_the_rows(self, n, extra):
+        # the score read through the sparse rows, as c_S - c_U plus omega
+        # times (S_n - U) c_U, tabulated and sorted like the chooser's keys
+        p = make_params(n_nodes=n, channel_gain=draw_channel_gains(n), **extra)
+        profiles = energy_profiles(p)
+        model = kernel_model(p, profiles)
+        cost = model.expected(model.reward)
+        ahead = model.expected(cost[0][model.next_state])
+        score = (cost[1:] - cost[0]) + p.discount * (ahead[1:] - ahead[0])
+        width = p.queue_cap + 1
+        keys = [(float(score[node, s]), -(s % width), s // width, node)
+                for node in range(n) for s in range(model.n_local)]
+        order = sorted(keys)
+        rank = {k: r for r, k in enumerate(order)}
+        choose = MyopicChooser(p, profiles)
+        assert choose.node_of == [k[3] for k in order]
+        # keys run node by node, then battery, then queue, as the ranks do
+        assert choose.ranks == np.reshape([rank[k] for k in keys], (n, -1, width)).tolist()
+
 
 def pipeline_n3_params(**kw):
     """N=3 with every default, channel gains from the default path-loss draw."""
@@ -580,12 +598,16 @@ def test_kernels_are_the_moves_then_the_arrivals(p):
     model = build_model(p)
     arrival, moves = model.factors()
     queue_only = np.kron(np.eye(p.battery_levels + 1), arrival)
-    assert np.max(np.abs(queue_only - model.kernel(0)[0])) <= 1e-15
+    assert np.max(np.abs(queue_only - dense_kernel(model, 0)[0])) <= 1e-15
     assert moves.shape == (p.n_nodes + 1, model.n_local, model.n_local)
     assert (moves >= 0).all()
     assert np.max(np.abs(moves.sum(axis=2) - 1.0)) <= 1e-15
+    # every drop is an arrival after the move, so rS_k = M_k rU: the backup
+    # and the myopic chooser read each selected loss off the moves
+    cost = model.expected(model.reward)
     for k in range(p.n_nodes):
-        assert np.max(np.abs(moves[1 + k] @ queue_only - model.kernel(1 + k)[0])) <= 1e-15
+        assert np.max(np.abs(moves[1 + k] @ queue_only - dense_kernel(model, 1 + k)[0])) <= 1e-15
+        assert np.max(np.abs(moves[1 + k] @ cost[0] - cost[1 + k])) <= 1e-15
 
 
 class TestTieRule:
@@ -692,7 +714,7 @@ class TestMacQueenStop:
     def test_policy_and_sweeps_do_not_depend_on_blas_threads(self, extra, same_sweeps):
         # the values differ in their last bits between BLAS thread counts;
         # the policy must not, nor the stopping sweep at the defaults (in the
-        # scarce network the mixed iterates part enough for one sweep more at
+        # scarce network the mixed iterates part enough for two sweeps more at
         # one thread than at two)
         code = ("import hashlib; from rwsnsim.core import NetworkParams, draw_channel_gains; "
                 "from rwsnsim.mdp import build_model, value_iteration; "
@@ -718,8 +740,7 @@ class TestAnderson:
 
     @staticmethod
     def backup_q(model, v):
-        backup = mdp._Backup(model)
-        return (backup(v) + backup.common).T
+        return mdp._Backup(model)(v).T
 
     @pytest.mark.parametrize("n,k,q", DESK_N4)
     def test_backup_is_the_joint_bellman_operator(self, n, k, q, desk_joint):
