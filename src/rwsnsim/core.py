@@ -1,4 +1,4 @@
-"""Shared model types: network parameters, their validation, channel draws.
+"""Shared model types: network parameters, their validation, the arrival law, channel draws.
 
 Everything here is immutable after construction and safe to share across
 workers. Parameter validation is a total function that reports all
@@ -8,7 +8,7 @@ violations instead of raising on the first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import comb, inf
 
 import numpy as np
 
@@ -72,6 +72,14 @@ class NetworkParams:
     @property
     def joint_state_count(self) -> int:
         return self.per_node_states**self.n_nodes
+
+
+def arrival_pmf(params: NetworkParams) -> np.ndarray:
+    """P(X = x), x = 0..k: the packets one node receives over a slot, Binomial(k, lambda),
+    k `arrivals_per_slot` draws of `arrival_prob` as the simulator makes them;
+    the law the MDP's kernels and EQAT's clean-slot mass read."""
+    k, lam = params.arrivals_per_slot, params.arrival_prob
+    return np.array([comb(k, x) * lam**x * (1.0 - lam) ** (k - x) for x in range(k + 1)])
 
 
 def validate(params: NetworkParams) -> list[str]:
@@ -142,8 +150,18 @@ def draw_channel_gains(
     Nodes are placed uniformly in [min_dist, max_dist] metres from the
     base station; gain_i = reference_gain * (reference_dist / d_i)**pathloss_exp.
     The draw is deterministic in (seed, n_nodes) so a scenario resolves to
-    the same network every time.
+    the same network every time. Raises one ValueError naming every bad argument.
     """
+    bad = [f"{name} must be positive and finite" for name, x in (
+        ("reference_gain", reference_gain), ("reference_dist", reference_dist),
+        ("min_dist", min_dist), ("max_dist", max_dist), ("pathloss_exp", pathloss_exp),
+    ) if not 0 < x < inf]
+    if min_dist > max_dist:
+        bad.append("min_dist must be <= max_dist")
+    if seed < 0:
+        bad.append("seed must be >= 0")
+    if bad:
+        raise ValueError("; ".join(bad))
     rng = np.random.default_rng([seed, n_nodes])
     dist = rng.uniform(min_dist, max_dist, size=n_nodes)
     gains = reference_gain * (reference_dist / dist) ** pathloss_exp

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 
 from .core import NetworkParams
 
@@ -34,29 +35,33 @@ class TxProbDesign:
     def __post_init__(self):
         if self.kind not in ("exponential", "sigmoid", "gamma"):
             raise ValueError(f"unknown design kind {self.kind!r}")
-        if self.kind == "exponential" and (self.rate_q <= 0 or self.rate_e <= 0):
-            raise ValueError("exponential rates must be positive")
-        if self.kind == "gamma" and (self.shape <= 0 or self.scale <= 0):
-            raise ValueError("gamma shape and scale must be positive")
+        # written `not 0 < x < inf`, so a NaN fails them too
+        if self.kind == "exponential" and not (0 < self.rate_q < inf and 0 < self.rate_e < inf):
+            raise ValueError("exponential rates must be positive and finite")
+        if self.kind == "gamma" and not (0 < self.shape < inf and 0 < self.scale < inf):
+            raise ValueError("gamma shape and scale must be positive and finite")
 
     @classmethod
     def parse(cls, token: str) -> "TxProbDesign":
         """Parse CLI/config tokens: sigmoid | exp:RATE | exp:RQ:RE | gamma:SHAPE:SCALE.
 
-        exp:RATE sets both per-unit rates to RATE. Any other token raises
-        ValueError.
+        exp:RATE sets both per-unit rates to RATE. Any other token, or one
+        whose values the family refuses, raises ValueError naming the token.
         """
         name, *args = token.strip().lower().split(":")
         try:
             values = [float(x) for x in args]
         except ValueError:
             values = []
-        if name == "sigmoid" and not args:
-            return cls("sigmoid")
-        if name == "exp" and len(values) in (1, 2):
-            return cls("exponential", rate_q=values[0], rate_e=values[-1])
-        if name == "gamma" and len(values) == 2:
-            return cls("gamma", shape=values[0], scale=values[1])
+        try:
+            if name == "sigmoid" and not args:
+                return cls("sigmoid")
+            if name == "exp" and len(values) in (1, 2):
+                return cls("exponential", rate_q=values[0], rate_e=values[-1])
+            if name == "gamma" and len(values) == 2:
+                return cls("gamma", shape=values[0], scale=values[1])
+        except ValueError as e:
+            raise ValueError(f"design token {token!r}: {e}") from None
         raise ValueError(f"unknown design token {token!r}")
 
     @property

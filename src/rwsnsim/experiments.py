@@ -24,7 +24,8 @@ and each value converts by its declared type: [experiment] the
 and slot_len (the grid sets them), [channel] the `draw_channel_gains`
 parameters but n_nodes, [eqat] and [rc] the strategy constructors'
 parameters but eqat's design (set by designs). `ExperimentSpec.validate`
-checks a spec's every value against the same declared type.
+checks a spec's every value against the same declared type, then the
+[channel], [eqat] and [rc] ranges by a draw and the constructors.
 """
 
 from __future__ import annotations
@@ -119,16 +120,18 @@ class ExperimentSpec:
         for name in ("network", "channel", "eqat", "rc"):
             overrides = getattr(self, name)
             unknown = sorted(set(overrides) - set(_SPEC_SCHEMA[name]))
-            if unknown:
-                v.append(f"[{name}] unknown keys: {', '.join(unknown)}")
+            wrong = ([f"[{name}] unknown keys: {', '.join(unknown)}"] if unknown
+                     else _wrong_types(name, overrides))
+            if wrong:
+                v += wrong   # the ranges below take known keys of their declared types
                 continue
-            try:
-                if name in STRATEGIES:
-                    STRATEGIES[name](**overrides)   # its ranges, in its own words
-            except (TypeError, ValueError) as e:
+            try:   # the ranges, in their own words: one draw, or the strategy's constructor
+                if name == "channel":
+                    draw_channel_gains(1, **overrides)
+                elif name in STRATEGIES:
+                    STRATEGIES[name](**overrides)
+            except ValueError as e:
                 v.append(f"[{name}] {e}")
-            else:
-                v += _wrong_types(name, overrides)
         return v
 
     def resolve_params(self, n: int, t_hat: int) -> NetworkParams:

@@ -6,7 +6,7 @@ cost of a slot is the number of packets dropped to buffer overflow, so the
 solved value function reads as expected discounted packet loss.
 
 The per-node law, written once in `kernel_model`. Over a slot a node
-receives X ~ Binomial(k, lambda) packets (`arrival_pmf`: k =
+receives X ~ Binomial(k, lambda) packets (`core.arrival_pmf`: k =
 `arrivals_per_slot` opportunities of probability `arrival_prob` each, as
 the simulator draws them). A selected node that can transmit departs
 D = 1 packet with probability ps and D = 0 otherwise, its battery moving by
@@ -20,13 +20,14 @@ sum of prob * reward is the expected loss by construction.
 Product form. Under action k, node k moves by its selected kernel S_k and
 every other node by the shared arrival-only kernel U, independently, and
 the cost is a sum over nodes. So the joint law is never enumerated:
-`build_model` stores the N+1 per-node kernels U, S_0, ..., S_{N-1} as
-sparse rows over the m = (K+1)(Q+1) local states (row = kernel * m + local
-state). The arrivals come after the departure and touch the queue alone,
-so the kernels factor further: U = I x A and S_k = M_k (I x A), where A is
-the (Q+1) x (Q+1) arrival kernel of one queue, I spans the K+1 battery
-levels and M_k is node k's battery move and departure (`factors`, built
-from the per-node arrays `kernel_model` stores beside the rows).
+`build_model` holds the N+1 per-node kernels U, S_0, ..., S_{N-1} over the
+m = (K+1)(Q+1) local states. The arrivals come after the departure and
+touch the queue alone, so the kernels factor further: U = I x A and
+S_k = M_k (I x A), where A is the (Q+1) x (Q+1) arrival kernel of one
+queue, I spans the K+1 battery levels and M_k is node k's battery move and
+departure. The solve and the myopic chooser read A, the M_k and rU (below)
+as `kernel_model` stored them; its sparse rows serve the benchmark and the
+test oracles.
 
 Every drop is a packet that arrives after the slot's departure and battery
 move and finds the queue full. So a selected node's expected loss is its
@@ -88,7 +89,7 @@ to rounding do not get ordered by summation order.
 Budget. `check_budget`, which `build_model` applies, refuses a joint state
 count m^N above its budget (200,000 states by default: N=3 has 74,088 at
 the defaults, N=4 has 3.1 M).
-`kernel_model` itself has none: the kernels are O(N m) at any N.
+`kernel_model` itself has none: O(N m^2) at any N (0.72 MB at N=50).
 
 Boundary conventions (the interior cases follow the law above; the
 boundaries need explicit choices):
@@ -100,12 +101,11 @@ boundaries need explicit choices):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NetworkParams
+from .core import NetworkParams, arrival_pmf
 from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 
 DEFAULT_STATE_BUDGET = 200_000
@@ -136,24 +136,15 @@ class ValueIterationError(RuntimeError):
     pass
 
 
-def arrival_pmf(params: NetworkParams) -> np.ndarray:
-    """P(X = x), x = 0..k: the packets one node receives over a slot, Binomial(k, lambda)."""
-    k, lam = params.arrivals_per_slot, params.arrival_prob
-    return np.array([math.comb(k, x) * lam**x * (1.0 - lam) ** (k - x) for x in range(k + 1)])
-
-
 @dataclass
 class TransitionModel:
-    """The N+1 per-node kernels whose products make up the joint law.
-
-    Kernel 0 is the arrival-only kernel U shared by every unselected node;
-    kernel 1 + k is node k's selected kernel S_k. Each spans the n_local
-    per-node states, and row r = kernel * n_local + local state spans
-    entries [row_ptr[r], row_ptr[r+1]) of (local next state, probability,
-    packets dropped), one entry per (departure, arrivals) outcome. The sizes
-    are those of `params`. The solve reads the same law in factors
-    (`factors`): per kernel and local state the battery level after the slot
-    (`after`) and P(D = 1) (`departs`), and the arrivals' pmf (`arrivals`).
+    """The per-node kernels U, S_0, ..., S_{N-1}, kernel j = M_j (I x A), in the
+    factors the solve reads: `arrival` A, (Q+1) x (Q+1); `moves` M, per kernel
+    the dense m x m move of the battery and the departure (M_0 = I); `loss`
+    rU, U's expected loss per local state. The benchmark and the test oracles
+    read the sparse rows: row r = j * m + local state spans entries
+    [row_ptr[r], row_ptr[r+1]) of (local next state, probability, packets
+    dropped), one per (departure, arrivals) outcome. Sizes are `params`'.
     """
 
     params: NetworkParams
@@ -161,58 +152,28 @@ class TransitionModel:
     next_state: np.ndarray
     prob: np.ndarray
     reward: np.ndarray
-    after: np.ndarray
-    departs: np.ndarray
-    arrivals: np.ndarray
+    arrival: np.ndarray
+    moves: np.ndarray
+    loss: np.ndarray
 
     @property
     def n_actions(self) -> int:
         return self.params.n_nodes
 
     @property
-    def n_local(self) -> int:
-        return self.params.per_node_states
-
-    @property
     def n_states(self) -> int:
         return self.params.joint_state_count
 
-    def expected(self, values: np.ndarray) -> np.ndarray:
-        """Per kernel (rows) and local state (columns), the mean of per-entry `values`."""
-        rows = np.repeat(np.arange(self.row_ptr.size - 1), np.diff(self.row_ptr))
-        sums = np.bincount(rows, weights=self.prob * values, minlength=self.row_ptr.size - 1)
-        return sums.reshape(-1, self.n_local)
-
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The arrival kernel A over one queue's Q+1 lengths, and per kernel j
-        the n_local x n_local move M_j of the battery and the departure, dense.
-
-        The departure comes before the slot's arrivals, which touch the queue
-        alone, so kernel j is M_j (I x A), I over the battery levels.
-        """
-        cap = self.params.queue_cap
-        length = np.arange(cap + 1)[:, None]
-        arrival = np.zeros((cap + 1, cap + 1))
-        np.add.at(arrival, (length, np.minimum(length + np.arange(self.arrivals.size), cap)),
-                  self.arrivals)
-        kernels, m = self.departs.shape
-        queue = np.arange(m) % (cap + 1)
-        moves = np.zeros((kernels, m, m))
-        for d, prob in ((0, 1.0 - self.departs), (1, self.departs)):
-            # D = 1 has probability 0 wherever the queue is empty
-            target = self.after * (cap + 1) + np.maximum(queue - d, 0)
-            np.add.at(moves, (np.arange(kernels)[:, None], np.arange(m), target), prob)
-        return arrival, moves
-
 
 def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> TransitionModel:
-    """The kernels U, S_0, ..., S_{N-1} of the per-node law, as rows and in
-    factors; O(N * per-node states)."""
+    """The kernels U, S_0, ..., S_{N-1} of the per-node law, in factors and as
+    rows; O(N * per-node states^2)."""
     K, Q = params.battery_levels, params.queue_cap
-    battery, queue = np.divmod(np.arange(params.per_node_states), Q + 1)
+    m = params.per_node_states
+    battery, queue = np.divmod(np.arange(m), Q + 1)
     ps = packet_success_prob(params)
     # per kernel and local state: the battery after the slot, and P(D = 1)
-    after, departs = [battery], [np.zeros(battery.size)]
+    after, departs = [battery], [np.zeros(m)]
     for prof in profiles:
         tx = (queue >= 1) & (battery >= prof.min_tx_level)
         gain = np.where(tx, prof.delta_levels, prof.harvest_only_levels)
@@ -229,19 +190,31 @@ def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> Tr
     prob, nxt, dropped = (a.reshape(-1, 2 * pmf.size) for a in (prob, nxt, dropped))
     keep = prob > 0.0
     row_ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    sums = np.add.reduceat(prob[keep], row_ptr[:-1])
+    prob, reward = prob[keep], dropped[keep].astype(np.float64)
+    sums = np.add.reduceat(prob, row_ptr[:-1])
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
     if bad.size:
         raise AssertionError(f"kernel row {bad[0]} sums to {sums[bad[0]]!r}")
+    # rU, each row's entries summed in order; U's rows come first
+    rows = np.repeat(np.arange(row_ptr.size - 1), np.diff(row_ptr))
+    loss = np.bincount(rows, weights=prob * reward)[:m]
+    length = np.arange(Q + 1)[:, None]
+    arrival = np.zeros((Q + 1, Q + 1))
+    np.add.at(arrival, (length, np.minimum(length + np.arange(pmf.size), Q)), pmf)
+    moves = np.zeros((len(after), m, m))
+    for d, p_d in ((0, 1.0 - departs), (1, departs)):
+        # D = 1 has probability 0 wherever the queue is empty
+        target = after * (Q + 1) + np.maximum(queue - d, 0)
+        np.add.at(moves, (np.arange(len(after))[:, None], np.arange(m), target), p_d)
     return TransitionModel(
         params=params,
         row_ptr=row_ptr.astype(np.int64),
         next_state=nxt[keep].astype(np.int64),
-        prob=prob[keep],
-        reward=dropped[keep].astype(np.float64),
-        after=after,
-        departs=departs,
-        arrivals=pmf,
+        prob=prob,
+        reward=reward,
+        arrival=arrival,
+        moves=moves,
+        loss=loss,
     )
 
 
@@ -296,13 +269,12 @@ class _Backup:
 
     def __init__(self, model: TransitionModel):
         n = model.n_actions
-        self.arrival, moves = model.factors()
-        self.discounted = model.params.discount * self.arrival
-        loss = model.expected(model.reward)[0]
+        self.arrival = model.arrival
+        self.discounted = model.params.discount * model.arrival
         self.common = np.zeros(1)
         for _ in range(n):
-            self.common = np.add.outer(self.common, loss).reshape(-1)
-        self.moves = moves[1:]
+            self.common = np.add.outer(self.common, model.loss).reshape(-1)
+        self.moves = model.moves[1:]
         # sweeps write into these: allocating fresh joint-sized arrays each sweep
         # costs about as much as the kernel products themselves
         self.q = np.empty((n, model.n_states))
@@ -499,11 +471,9 @@ class MyopicChooser:
 
     def __init__(self, params: NetworkParams, profiles: list[NodeEnergyProfile]):
         model = kernel_model(params, profiles)
-        arrival, moves = model.factors()
-        loss = model.expected(model.reward)[0]
-        width = params.queue_cap + 1
-        y = loss + params.discount * (loss.reshape(-1, width) @ arrival.T).reshape(-1)
-        score = moves[1:] @ y - y
+        loss, width = model.loss, params.queue_cap + 1
+        y = loss + params.discount * (loss.reshape(-1, width) @ model.arrival.T).reshape(-1)
+        score = model.moves[1:] @ y - y
         keys = [
             [[(float(score[n, e * width + q]), -q, e, n) for q in range(width)]
              for e in range(params.battery_levels + 1)]

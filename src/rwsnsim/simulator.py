@@ -56,10 +56,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NetworkParams
+from .core import NetworkParams, arrival_pmf
 from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
-from .mdp import MyopicChooser, arrival_pmf
 
 # values fetched per refill of a block-fetched stream (uniforms, or arrival
 # opportunities of N uniforms each); bounds the memory it holds
@@ -339,21 +338,17 @@ class RandomSelectionStrategy(Strategy):
 
 
 class EhmdpStrategy(Strategy):
-    """Scheduler driven by a chooser: `mdp.PolicyChooser` of the solved policy,
-    or `mdp.MyopicChooser`, its stand-in, built in `bind` when none is given."""
+    """Scheduler driven by the chooser `run_experiment` builds once per scenario,
+    from kernels whose arrivals are `core.arrival_pmf`: `mdp.PolicyChooser` of
+    the solved policy, or `mdp.MyopicChooser`, its stand-in above the budget."""
 
     name = "ehmdp"
 
-    def __init__(self, chooser=None):
+    def __init__(self, chooser: Callable[[list[int], list[int]], int]):
         self.chooser = chooser
 
-    def bind(self, sim: Simulation):
-        # the myopic scores come from the run's own energy profiles
-        self._choose = (self.chooser if self.chooser is not None
-                        else MyopicChooser(sim.params, sim.profiles))
-
     def select(self, sim):
-        return [self._choose(sim.batteries, sim.queues)]
+        return [self.chooser(sim.batteries, sim.queues)]
 
 
 class DecentralizedFullQueueStrategy(Strategy):
@@ -410,7 +405,7 @@ class EqatStrategy(Strategy):
     contenders alone and equal the products over all N factors bit for bit.
     A nominee is vetoed when the mass of its intended move, ps * P(no
     arrival over the slot) * prod(1 - competitors' beacons), falls below
-    ``threshold``; P(no arrival) is `mdp.arrival_pmf`'s first term.
+    ``threshold``; P(no arrival) is `core.arrival_pmf`'s first term.
     """
 
     name = "eqat"

@@ -13,8 +13,10 @@ This module writes the law the slow, direct way instead:
   * the node state (`NodeState`, range-checked by `check_node_state`) and
     the joint state indexing (`state_index`, `iter_joint_states`, ...) that
     enumeration needs; the solver itself only ever indexes local states;
-  * `dense_kernel`, one of the solver's per-node kernels read off its sparse
-    rows into a matrix, to check the rows against the law and the factors.
+  * `expected`, the mean of a per-entry quantity over each of the solver's
+    sparse rows, and `dense_kernel`, one of its per-node kernels read off
+    those rows into a matrix, to check the rows against the law and the
+    stored factors.
 """
 
 from __future__ import annotations
@@ -329,12 +331,20 @@ def backward_induction(model: JointModel, omega: float, horizon: int):
     return v, policy
 
 
+def expected(model: TransitionModel, values: np.ndarray) -> np.ndarray:
+    """Per kernel (rows) and local state (columns), the mean of per-entry `values`."""
+    rows = np.repeat(np.arange(model.row_ptr.size - 1), np.diff(model.row_ptr))
+    sums = np.bincount(rows, weights=model.prob * values, minlength=model.row_ptr.size - 1)
+    return sums.reshape(-1, model.params.per_node_states)
+
+
 def dense_kernel(model: TransitionModel, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel j of `model` as a dense n_local x n_local matrix, with its expected loss per row."""
-    m = model.n_local
+    """Kernel j of `model` as a dense m x m matrix, m the local states, with
+    its expected loss per row."""
+    m = model.params.per_node_states
     ptr = model.row_ptr[j * m:(j + 1) * m + 1]
     lo, hi = ptr[0], ptr[-1]
     rows = np.repeat(np.arange(m), np.diff(ptr))
     matrix = np.zeros((m, m))
     np.add.at(matrix, (rows, model.next_state[lo:hi]), model.prob[lo:hi])
-    return matrix, model.expected(model.reward)[j]
+    return matrix, expected(model, model.reward)[j]

@@ -101,6 +101,10 @@ def test_bad_strategy_value_exits_2_once(tmp_path, capsys, section, entry):
     ("seeds = -1, -2", "seeds must be >= 0"),
     ("budget = -5", "budget must be >= 0 (0 runs ehmdp in myopic mode)"),
     ("seeds = 0-4, 9-7", "{cfg}: [experiment] seeds = '0-4, 9-7': descending range '9-7'"),
+    ("designs = exp:nan, exp:1",
+     "design token 'exp:nan': exponential rates must be positive and finite"),
+    ("[channel]\nmax_dist = inf", "[channel] max_dist must be positive and finite"),
+    ("[channel]\nmin_dist = 50\nmax_dist = 40", "[channel] min_dist must be <= max_dist"),
 ])
 def test_bad_spec_value_exits_2_once(tmp_path, capsys, entry, message):
     # a 2 x 2 grid: the value is refused once, not once per scenario

@@ -111,6 +111,19 @@ class TestValidate:
 
 
 class TestChannelModel:
+    @pytest.mark.parametrize("kw,message", [
+        ({"max_dist": math.inf}, "max_dist must be positive and finite"),
+        ({"min_dist": 50.0, "max_dist": 40.0}, "min_dist must be <= max_dist"),
+        ({"reference_gain": 0.0, "pathloss_exp": math.nan},
+         "reference_gain must be positive and finite; pathloss_exp must be positive and finite"),
+        ({"reference_dist": -10.0}, "reference_dist must be positive and finite"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ])
+    def test_bad_arguments_named_in_one_error(self, kw, message):
+        with pytest.raises(ValueError) as exc:
+            draw_channel_gains(3, **kw)
+        assert str(exc.value) == message
+
     def test_draw_is_deterministic_in_seed_and_n(self):
         a = draw_channel_gains(5, seed=7)
         b = draw_channel_gains(5, seed=7)

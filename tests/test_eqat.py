@@ -112,6 +112,16 @@ class TestTxProb:
         with pytest.raises(ValueError):
             TxProbDesign(kind="nope")
 
+    @pytest.mark.parametrize("token,family", [
+        ("exp:nan", "exponential rates"), ("exp:inf", "exponential rates"),
+        ("exp:1:nan", "exponential rates"), ("gamma:2:inf", "gamma shape and scale"),
+    ])
+    def test_parse_rejects_non_finite_values_naming_the_token(self, token, family):
+        # a NaN rate made tx_prob NaN, so no node ever nominated itself
+        with pytest.raises(ValueError) as exc:
+            TxProbDesign.parse(token)
+        assert str(exc.value) == f"design token {token!r}: {family} must be positive and finite"
+
     def test_parse_tokens(self):
         assert TxProbDesign.parse("sigmoid").kind == "sigmoid"
         d = TxProbDesign.parse("exp:0.5")

@@ -8,6 +8,7 @@ import pytest
 
 from rwsnsim import experiments
 from rwsnsim.core import NetworkParams, draw_channel_gains
+from rwsnsim.energy import energy_profiles
 from rwsnsim.eqat import TxProbDesign
 from rwsnsim.experiments import (
     _SPEC_SCHEMA,
@@ -22,6 +23,7 @@ from rwsnsim.experiments import (
     spec_from_config,
     write_outputs,
 )
+from rwsnsim.mdp import MyopicChooser
 from rwsnsim.simulator import EqatStrategy, RandomContentionStrategy, make_strategy, simulate_run
 
 
@@ -121,9 +123,10 @@ class TestRunExperiment:
         assert len(problems) == 2
         assert problems[0].startswith("[eqat] alpha")
         assert problems[1].startswith("[rc] ") and "contention" in problems[1]
-        # a fractional backoff window is refused once, by the eqat constructor
+        # a fractional backoff window is refused once, by its declared type,
+        # before the constructor compares it
         assert tiny_spec(eqat={"backoff_window": 2.5}).validate() == [
-            "[eqat] backoff_window must be an integer, got 2.5"]
+            "[eqat] backoff_window: expected int, got 2.5"]
 
     def test_unknown_override_keys_refused_once_before_any_task(self, monkeypatch):
         # two scenarios: each bad set is named once, not once per scenario;
@@ -205,12 +208,14 @@ class TestRunExperiment:
         assert serial.raw_rows == pooled.raw_rows
 
     def test_shipped_myopic_chooser_gives_the_rows_of_one_built_per_run(self):
-        spec = tiny_spec(strategies=["ehmdp"], n_nodes=[3], budget=100, seeds=[0, 1])
+        # two workers: the scenario's chooser crosses to them pickled
+        spec = tiny_spec(strategies=["ehmdp"], n_nodes=[3], budget=100, seeds=[0, 1], workers=2)
         res = run_experiment(spec)
         assert res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
         params = spec.resolve_params(3, 10)
         for row in res.raw_rows:
-            m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"])
+            chooser = MyopicChooser(params, energy_profiles(params))
+            m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"], chooser=chooser)
             assert (row["generated"], row["delivered"], row["dropped"]) == (
                 m.generated, m.delivered, m.dropped)
 

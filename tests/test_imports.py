@@ -39,6 +39,18 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def test_simulator_does_not_import_the_mdp():
+    # the scenario ships the ehmdp chooser, so the slot loop needs no solver
+    imported = set()   # modules, and names imported from them (`from . import mdp`)
+    for node in ast.walk(ast.parse((PACKAGE / "simulator.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.name for alias in node.names}
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert "core" in imported   # the scan sees the relative imports
+    assert [name for name in imported if name.split(".")[-1] == "mdp"] == []
+
+
 def _names_read(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}

@@ -17,6 +17,7 @@ from joint_oracle import (
     bellman_q,
     build_joint_model,
     dense_kernel,
+    expected,
     iter_joint_states,
     joint_transition,
     joint_value_iteration,
@@ -304,7 +305,7 @@ class TestJointTransition:
 
 def kernel_rows(model: TransitionModel, kernel: int):
     """Per local state, the (next local state, probability, reward) entries of one kernel."""
-    m = model.n_local
+    m = model.params.per_node_states
     out = []
     for r in range(kernel * m, (kernel + 1) * m):
         lo, hi = model.row_ptr[r], model.row_ptr[r + 1]
@@ -325,7 +326,7 @@ def assert_kernel_rows_stochastic(model: TransitionModel):
 def product_row(model: TransitionModel, state: int, action: int) -> dict[int, tuple[float, float]]:
     """Joint row of (state, action) composed from the kernels, merged by next
     state: next -> (probability, probability-weighted drops)."""
-    m, n = model.n_local, model.n_actions
+    m, n = model.params.per_node_states, model.n_actions
     digits = [(state // m ** (n - 1 - i)) % m for i in range(n)]
     acc = [(0, 1.0, 0.0)]
     for i, d in enumerate(digits):
@@ -398,7 +399,7 @@ class TestBuildModel:
     def test_stores_one_kernel_per_node_plus_the_arrival_kernel(self):
         p = make_params(n_nodes=3)
         m = build_model(p)
-        assert m.n_local == p.per_node_states == 42
+        assert p.per_node_states == 42
         assert m.row_ptr.size == 4 * 42 + 1
         # one entry per (departure, arrivals) outcome: at most 2 x 2 a row
         assert m.prob.size <= 4 * 42 * 4
@@ -416,10 +417,10 @@ class TestBuildModel:
         width = p.queue_cap + 1
         for j in range(p.n_nodes + 1):
             matrix, cost = dense_kernel(model, j)
-            for idx in range(model.n_local):
+            for idx in range(p.per_node_states):
                 s = NodeState(*divmod(idx, width))
                 law = node_law(s, p, profiles[max(j - 1, 0)], selected=j > 0)
-                expect = np.zeros(model.n_local)
+                expect = np.zeros(p.per_node_states)
                 for ns, pr, _ in law:
                     expect[ns.battery * width + ns.queue] += pr
                 assert matrix[idx] == pytest.approx(expect, abs=1e-15)
@@ -562,12 +563,12 @@ class TestChoosers:
         p = make_params(n_nodes=n, channel_gain=draw_channel_gains(n), **extra)
         profiles = energy_profiles(p)
         model = kernel_model(p, profiles)
-        cost = model.expected(model.reward)
-        ahead = model.expected(cost[0][model.next_state])
+        cost = expected(model, model.reward)
+        ahead = expected(model, cost[0][model.next_state])
         score = (cost[1:] - cost[0]) + p.discount * (ahead[1:] - ahead[0])
         width = p.queue_cap + 1
         keys = [(float(score[node, s]), -(s % width), s // width, node)
-                for node in range(n) for s in range(model.n_local)]
+                for node in range(n) for s in range(p.per_node_states)]
         order = sorted(keys)
         rank = {k: r for r, k in enumerate(order)}
         choose = MyopicChooser(p, profiles)
@@ -594,17 +595,21 @@ def n3_oracle():
     pipeline_n3_params(), pipeline_n3_params(bs_power=1.0), pipeline_n3_params(**TWO_ARRIVALS),
 ], ids=[*(f"desk{n}{k}{q}" for n, k, q in DESK), "n3", "n3-scarce", "n3-k2"])
 def test_kernels_are_the_moves_then_the_arrivals(p):
-    # the solver's factors against the sparse rows: U = I x A, S_k = M_k (I x A)
+    # the solver's stored factors against the sparse rows: U = I x A, S_k = M_k (I x A)
     model = build_model(p)
-    arrival, moves = model.factors()
+    arrival, moves, m = model.arrival, model.moves, p.per_node_states
     queue_only = np.kron(np.eye(p.battery_levels + 1), arrival)
+    assert arrival.shape == (p.queue_cap + 1, p.queue_cap + 1)
     assert np.max(np.abs(queue_only - dense_kernel(model, 0)[0])) <= 1e-15
-    assert moves.shape == (p.n_nodes + 1, model.n_local, model.n_local)
+    assert moves.shape == (p.n_nodes + 1, m, m)
     assert (moves >= 0).all()
     assert np.max(np.abs(moves.sum(axis=2) - 1.0)) <= 1e-15
+    # rU is the rows' mean loss of U, bit for bit
+    cost = expected(model, model.reward)
+    assert model.loss.shape == (m,)
+    assert (model.loss == cost[0]).all()
     # every drop is an arrival after the move, so rS_k = M_k rU: the backup
     # and the myopic chooser read each selected loss off the moves
-    cost = model.expected(model.reward)
     for k in range(p.n_nodes):
         assert np.max(np.abs(moves[1 + k] @ queue_only - dense_kernel(model, 1 + k)[0])) <= 1e-15
         assert np.max(np.abs(moves[1 + k] @ cost[0] - cost[1 + k])) <= 1e-15

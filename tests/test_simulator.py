@@ -8,7 +8,7 @@ from joint_oracle import NodeState
 from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
-from rwsnsim.mdp import PolicyChooser
+from rwsnsim.mdp import MyopicChooser, PolicyChooser
 from rwsnsim.simulator import (
     BLOCK,
     EqatStrategy,
@@ -36,6 +36,15 @@ def sure_success_params(n_nodes=1, **kw):
 ALL_STRATEGIES = ["fq", "rs", "ehmdp", "dfq", "rc", "eqat"]
 
 
+def strategy_kw(p, name, **kw):
+    """Strategy `name`'s constructor keywords `kw`; ehmdp gets the myopic
+    chooser of `p` unless `kw` holds a chooser, as a scenario above the state
+    budget ships it."""
+    if name == "ehmdp":
+        kw.setdefault("chooser", MyopicChooser(p, energy_profiles(p)))
+    return kw
+
+
 class TestBasics:
     def test_zero_slots_zero_metrics(self):
         m, _ = simulate_run(make_params(), "fq", slots=0, seed=1)
@@ -61,6 +70,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             simulate_run(make_params(), "greedy", slots=1, seed=0)
 
+    def test_ehmdp_needs_the_scenario_chooser(self):
+        # the simulator builds no chooser of its own
+        with pytest.raises(TypeError, match="chooser"):
+            make_strategy("ehmdp")
+
     @pytest.mark.parametrize("name,kw", [
         ("rc", {"contention_prob": 1.7}), ("rc", {"contention_prob": -0.1}),
         ("eqat", {"alpha": -0.5}), ("eqat", {"alpha": float("nan")}),
@@ -74,8 +88,8 @@ class TestBasics:
     def test_same_seed_bit_identical(self):
         p = make_params(n_nodes=4, arrival_prob=0.2)
         for name in ALL_STRATEGIES:
-            a, _ = simulate_run(p, name, slots=500, seed=11)
-            b, _ = simulate_run(p, name, slots=500, seed=11)
+            a, _ = simulate_run(p, name, slots=500, seed=11, **strategy_kw(p, name))
+            b, _ = simulate_run(p, name, slots=500, seed=11, **strategy_kw(p, name))
             assert a == b, name
 
     def test_metrics_count_every_slot_stepped(self):
@@ -83,15 +97,16 @@ class TestBasics:
         # and the metrics are current after every call
         p = make_params(n_nodes=3, arrival_prob=0.3)
         for name in ALL_STRATEGIES:
-            sim = Simulation(p, make_strategy(name), seed=2)
+            kw = strategy_kw(p, name)
+            sim = Simulation(p, make_strategy(name, **kw), seed=2)
             for k in (1, 2):
                 sim.step()
-                assert sim.metrics == simulate_run(p, name, slots=k, seed=2)[0], (name, k)
+                assert sim.metrics == simulate_run(p, name, slots=k, seed=2, **kw)[0], (name, k)
             sim.run(100)
             m = sim.run(100)
             assert m.slots == sim.slot == 202
             assert m.throughput_pps == m.delivered / (202 * p.slot_len)
-            whole, _ = simulate_run(p, name, slots=202, seed=2)
+            whole, _ = simulate_run(p, name, slots=202, seed=2, **kw)
             assert m == whole, name
             assert m.throughput_pps == whole.throughput_pps
 
@@ -144,7 +159,7 @@ class TestGoldenMetrics:
         p = golden_params(n_nodes)
         assert p.arrivals_per_slot == 2
         exact = name == "ehmdp" and n_nodes == 3
-        kw = {"chooser": PolicyChooser(golden_n3_solve)} if exact else {}
+        kw = {"chooser": PolicyChooser(golden_n3_solve)} if exact else strategy_kw(p, name)
         m, _ = simulate_run(p, name, slots=2_500, seed=4, **kw)
         got = (m.generated, m.delivered, m.dropped, m.in_queue_final)
         assert got == GOLDEN[(name, n_nodes)]
@@ -154,13 +169,13 @@ class TestInvariants:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_packet_conservation(self, name):
         p = make_params(n_nodes=4, arrival_prob=0.3, channel_gain=(1.3, 1.0, 0.8, 0.6))
-        m, _ = simulate_run(p, name, slots=2000, seed=7)
+        m, _ = simulate_run(p, name, slots=2000, seed=7, **strategy_kw(p, name))
         assert m.generated == m.delivered + m.dropped + m.in_queue_final
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_battery_and_queue_bounds(self, name):
         p = make_params(n_nodes=3, arrival_prob=0.4, channel_gain=(1.2, 0.9, 0.5))
-        _, traces = simulate_run(p, name, slots=1500, seed=9, trace=True)
+        _, traces = simulate_run(p, name, slots=1500, seed=9, trace=True, **strategy_kw(p, name))
         for t in traces:
             assert all(0 <= b <= p.battery_levels for b in t.batteries)
             assert all(0 <= q <= p.queue_cap for q in t.queues)
@@ -168,7 +183,7 @@ class TestInvariants:
     @pytest.mark.parametrize("name", ["fq", "rs", "ehmdp"])
     def test_centralized_never_collides(self, name):
         p = make_params(n_nodes=4, arrival_prob=0.5)
-        _, traces = simulate_run(p, name, slots=1500, seed=2, trace=True)
+        _, traces = simulate_run(p, name, slots=1500, seed=2, trace=True, **strategy_kw(p, name))
         assert all(t.outcome != "collision" for t in traces)
         assert all(len(t.transmitters) <= 1 for t in traces)
 
@@ -244,7 +259,7 @@ class TestIncrementalBookkeeping:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_powered_list_matches_brute_force_every_slot(self, name, n_nodes):
         p = drain_params(n_nodes)
-        sim = Simulation(p, make_strategy(name), seed=3, trace=True)
+        sim = Simulation(p, make_strategy(name, **strategy_kw(p, name)), seed=3, trace=True)
         drained = recharged = False
         for _ in range(1500):
             before = len(sim.powered)
@@ -362,6 +377,7 @@ class TestOneSlotLoop:
                              ids=[f"{n}-{kw}" if kw else n for n, kw in LOOP_CASES])
     def test_steps_and_one_run_leave_identical_state(self, name, kw):
         p = busy_params(4)
+        kw = strategy_kw(p, name, **kw)
         stepped = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
         for _ in range(400):
             stepped.step()
@@ -387,8 +403,9 @@ class TestOneSlotLoop:
 
         monkeypatch.setattr(Strategy, "on_outcome", called)
         monkeypatch.setattr(Strategy, "end_of_slot", called)
+        p = busy_params(3)
         for name in ALL_STRATEGIES:
-            simulate_run(busy_params(3), name, slots=200, seed=1)
+            simulate_run(p, name, slots=200, seed=1, **strategy_kw(p, name))
 
     def test_rebinds_what_the_caller_replaced_between_calls(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
