@@ -3,7 +3,8 @@
 Covers downlink transfer power, BER-constrained uplink transmit power,
 the a-priori optimal modulation order (net-energy argmax, found by an
 ascending scan that stops where the unimodal balance stops improving),
-and the quantized battery deltas the scheduler and simulator apply.
+and the quantized battery moves: the one place the per-node slot law's
+battery half is written, which the MDP's kernels and the simulator read.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ class ModulationInfeasibleError(ValueError):
 class NodeEnergyProfile:
     """Per-node quantized energy figures, precomputed once per scenario.
 
-    delta_levels may be negative (transmit cost can exceed harvest);
-    callers clamp the battery to [0, K] on application.
+    delta_levels may be negative (transmit cost can exceed harvest). Each
+    `after_*` table gives the level after such a slot from each level 0..K.
     """
 
     order: int                 # modulation order, see `optimal_modulation`
@@ -33,6 +34,9 @@ class NodeEnergyProfile:
     delta_levels: int          # net battery gain of a clean scheduled slot
     harvest_only_levels: int   # gain of a slot spent charging only
     min_tx_level: int          # levels required to afford one transmission
+    after_tx: tuple[int, ...]         # a transmission, delivered or not: + delta_levels
+    after_charge: tuple[int, ...]     # a slot spent charging only: + harvest_only_levels
+    after_collision: tuple[int, ...]  # a collision, transmit cost with no charge: - min_tx_level
 
 
 def transfer_power(params: NetworkParams, node: int) -> float:
@@ -98,17 +102,17 @@ def node_energy_profile(params: NetworkParams, node: int) -> NodeEnergyProfile:
     tx_duration = params.packet_bits / (rho * params.bandwidth)
     tx_energy = tx_duration * transmit_power(params, node, rho)
     net_energy = _net_energy(params, node, rho)
-    quantum = params.battery_quantum
+    quantum, top = params.battery_quantum, params.battery_levels
+    delta = quantize_levels(net_energy, quantum)
+    harvest = quantize_levels(params.slot_len * transfer_power(params, node), quantum)
+    cost = math.ceil(tx_energy / quantum)   # a ceiling: a transmission's cost is never understated
+    # each battery move, clamped to [0, K] here and nowhere else (overcharge is wasted)
+    after_tx, after_charge, after_collision = (
+        tuple(min(max(b + g, 0), top) for b in range(top + 1)) for g in (delta, harvest, -cost))
     return NodeEnergyProfile(
-        order=rho,
-        tx_duration=tx_duration,
-        tx_energy=tx_energy,
-        net_energy=net_energy,
-        delta_levels=quantize_levels(net_energy, quantum),
-        harvest_only_levels=quantize_levels(params.slot_len * transfer_power(params, node), quantum),
-        # ceiling, so the cost of a transmission is never understated
-        min_tx_level=math.ceil(tx_energy / quantum),
-    )
+        order=rho, tx_duration=tx_duration, tx_energy=tx_energy, net_energy=net_energy,
+        delta_levels=delta, harvest_only_levels=harvest, min_tx_level=cost,
+        after_tx=after_tx, after_charge=after_charge, after_collision=after_collision)
 
 
 def energy_profiles(params: NetworkParams) -> list[NodeEnergyProfile]:

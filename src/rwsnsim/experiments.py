@@ -291,9 +291,9 @@ class ExperimentResult:
 
 
 def _run_one(args):
-    params, strategy, slots, seed, trace, profiles, strategy_kw = args
+    params, strategy, slots, seed, trace, profiles, kw = args
     try:
-        return simulate_run(params, strategy, slots, seed, trace, profiles, **strategy_kw)
+        return simulate_run(params, strategy, slots, seed, trace, profiles=profiles, **kw)
     except Exception as e:  # reported per task; the grid keeps running
         return ("error", f"{type(e).__name__}: {e}")
 

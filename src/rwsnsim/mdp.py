@@ -5,17 +5,18 @@ the selected node (modulation is pre-folded, see the energy module). The
 cost of a slot is the number of packets dropped to buffer overflow, so the
 solved value function reads as expected discounted packet loss.
 
-The per-node law, written once in `kernel_model`. Over a slot a node
-receives X ~ Binomial(k, lambda) packets (`core.arrival_pmf`: k =
-`arrivals_per_slot` opportunities of probability `arrival_prob` each, as
-the simulator draws them). A selected node that can transmit departs
-D = 1 packet with probability ps and D = 0 otherwise, its battery moving by
-the net harvest quantum either way (the downlink charges the node even
-after a corrupted packet); every other node departs none. The packet leaves
-before the slot's arrivals, so the next queue is min(Q, q - D + X) and the
-slot drops max(0, q - D + X - Q) packets. Each kernel row stores one entry
-per (D, X) outcome with that drop count as its reward, so the row's
-sum of prob * reward is the expected loss by construction.
+The per-node law, written once in `kernel_model` on the battery moves that
+`energy` tabulates and the simulator reads. Over a slot a node receives
+X ~ Binomial(k, lambda) packets (`core.arrival_pmf`: k = `arrivals_per_slot`
+opportunities of probability `arrival_prob` each, as the simulator draws
+them). A selected node that can transmit departs D = 1 packet with
+probability ps and D = 0 otherwise, its battery moving by the net harvest
+quantum either way (the downlink charges the node even after a corrupted
+packet); every other node departs none. The packet leaves before the slot's
+arrivals, so the next queue is min(Q, q - D + X) and the slot drops
+max(0, q - D + X - Q) packets. Each kernel row stores one entry per (D, X)
+outcome with that drop count as its reward, so the row's sum of
+prob * reward is the expected loss by construction.
 
 Product form. Under action k, node k moves by its selected kernel S_k and
 every other node by the shared arrival-only kernel U, independently, and
@@ -96,7 +97,7 @@ boundaries need explicit choices):
   * a selected node with an empty queue, or with too little battery to
     afford one transmission, spends the slot charging only: it departs
     nothing and its battery jumps by the full-slot harvest quantum;
-  * batteries clamp to [0, K] (overcharge is wasted).
+  * batteries clamp to [0, K] (overcharge is wasted), in `energy`'s tables.
 """
 
 from __future__ import annotations
@@ -168,16 +169,15 @@ class TransitionModel:
 def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> TransitionModel:
     """The kernels U, S_0, ..., S_{N-1} of the per-node law, in factors and as
     rows; O(N * per-node states^2)."""
-    K, Q = params.battery_levels, params.queue_cap
-    m = params.per_node_states
+    Q, m = params.queue_cap, params.per_node_states
     battery, queue = np.divmod(np.arange(m), Q + 1)
     ps = packet_success_prob(params)
     # per kernel and local state: the battery after the slot, and P(D = 1)
     after, departs = [battery], [np.zeros(m)]
     for prof in profiles:
         tx = (queue >= 1) & (battery >= prof.min_tx_level)
-        gain = np.where(tx, prof.delta_levels, prof.harvest_only_levels)
-        after.append(np.clip(battery + gain, 0, K))
+        after.append(np.where(tx, np.take(prof.after_tx, battery),
+                              np.take(prof.after_charge, battery)))
         departs.append(np.where(tx, ps, 0.0))
     after, departs = np.array(after), np.array(departs)
     pmf = arrival_pmf(params)

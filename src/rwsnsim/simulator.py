@@ -12,16 +12,16 @@ in strategy see identical arrival processes.
 
 One slot loop. `Simulation.run(slots)` is the only code that plays a slot;
 `step()` is ``run(1)``. At the start of each call the loop binds to locals
-what stays fixed from slot to slot: the queue and battery lists, the
-per-node transmit costs and battery-move tables, the draw functions, the
-strategy's bound `select` and hooks, and the trace list. It counts generated,
-delivered and dropped packets in locals and, when the call ends, writes
-them to `metrics` together with `slots`, `in_queue_final` and the two rates,
-so `metrics` is current after every call (`slot` is kept current during
-the call, for the strategy). Binding per call, not per run, lets a caller
-replace `queues` or `traces` between calls, and lets a `select` patched
-onto the strategy's class after construction (the benchmark's tracer does
-this) take effect.
+what stays fixed from slot to slot: the queue, battery and powered lists,
+the per-node transmit costs and battery-move tables, the draw functions,
+the strategy's bound `select` and hooks, and the trace list. It counts
+packets, slot outcomes and energy-dead node-slots in locals and, when the
+call ends, writes them to `metrics` together with `slots`,
+`in_queue_final` and the two rates, so `metrics` is current after every
+call (`slot` is kept current during the call, for the strategy). Binding
+per call, not per run, lets a caller replace `queues` or `traces` between
+calls, and lets a `select` patched onto the strategy's class after
+construction (the benchmark's tracer does this) take effect.
 
 Hook contract. A strategy implements `select`; it may override `bind`
 (called once, from the constructor), `on_outcome` and `end_of_slot`. The
@@ -32,13 +32,12 @@ loop calls the last two only when the strategy's class overrides
 Per-slot work scales with the nodes that can act, not with N.
 `Simulation.powered` holds the nodes whose battery affords one
 transmission, in index order, and `transmit_ready` filters it by the live
-queues. Only `Simulation._apply_levels` changes a node's membership. The
-loop moves a battery by table lookup (the level after a transmission, a
-charge-only slot or a collision, clamped to [0, K], tabulated per node) and
-writes it directly when the move leaves the node on the same side of its
-transmit cost; a move that crosses it goes through `_apply_levels`. So
-code may assign `queues` freely but must write `batteries` only through
-`_apply_levels`.
+queues. Only `Simulation._set_level` changes a node's membership. The loop
+looks a battery's next level up in the node's profile (the per-node law,
+written once in `energy`) and writes it directly when the move leaves the
+node on the same side of its transmit cost; a move that crosses it goes
+through `_set_level`. So code may assign `queues` freely but must write
+`batteries` only through `_set_level`.
 
 Random draws are fetched in blocks and handed out one by one in the order
 a per-slot draw would have consumed them, so the numbers are those of
@@ -60,6 +59,8 @@ from .core import NetworkParams, arrival_pmf
 from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
 
+_LOOKED_UP_HERE = (energy_profiles,)   # as `simulator.energy_profiles`, by run_experiment
+
 # values fetched per refill of a block-fetched stream (uniforms, or arrival
 # opportunities of N uniforms each); bounds the memory it holds
 BLOCK = 1024
@@ -73,7 +74,8 @@ class RunMetrics:
 
     Conservation: generated == delivered + dropped + in_queue_final
     (nothing is in flight at the end of a slot; collided and corrupted
-    packets stay queued and are retried).
+    packets stay queued and are retried). Every slot has one outcome, so
+    the five outcome counts sum to slots, and successes == delivered.
     """
 
     slots: int = 0
@@ -83,13 +85,21 @@ class RunMetrics:
     in_queue_final: int = 0
     throughput_pps: float = 0.0  # delivered per second simulated; 0.0 for no slots
     loss_rate: float = 0.0  # dropped / generated; 0.0 for none generated
+    successes: int = 0  # a lone transmitter's packet delivered
+    ber_failures: int = 0  # a lone transmitter's packet corrupted
+    collisions: int = 0  # two or more transmitters
+    charge_only_slots: int = 0  # one node selected that cannot transmit: it charges
+    idle_slots: int = 0  # no node selected
+    energy_dead_node_slots: int = 0  # per slot, the nodes below their transmit cost at its start
 
 
 @dataclass(frozen=True)
 class SlotTrace:
     """End-of-slot snapshot; energy_levels is the battery change applied to
     the charged node (net of transmit cost, after clamping). Its fields, in
-    order, are the columns of a trace CSV row after the run key."""
+    order, are the columns of a trace CSV row after the run key. The
+    outcome ``idle`` covers a charge-only slot as well as a slot with no
+    node selected; `RunMetrics` counts the two apart."""
 
     slot: int
     outcome: str  # success | ber_fail | collision | idle
@@ -157,26 +167,20 @@ def arrival_hits(rng: np.random.Generator, n_nodes: int, prob: float,
 
 class Simulation:
     def __init__(self, params: NetworkParams, strategy: "Strategy", seed: int,
-                 trace: bool = False, profiles: list[NodeEnergyProfile] | None = None):
-        """`profiles` are the network's energy profiles, computed from `params` when not given."""
+                 trace: bool = False, *, profiles: list[NodeEnergyProfile]):
+        """`profiles` are the network's energy profiles, `energy_profiles(params)`."""
         self.params = params
         self.strategy = strategy
         self.rng = Streams(seed)
-        self.profiles = profiles if profiles is not None else energy_profiles(params)
-        self.min_tx = [prof.min_tx_level for prof in self.profiles]
+        self.profiles = profiles
+        self.min_tx = [prof.min_tx_level for prof in profiles]
         self.ps = packet_success_prob(params)
         self._ber = uniforms(self.rng.ber)
         self._arrivals = arrival_hits(self.rng.arrival, params.n_nodes, params.arrival_prob,
                                       params.arrivals_per_slot)
-        levels = range(params.battery_levels + 1)
-
-        def moves(gains: list[int]) -> list[list[int]]:
-            # per node, the level after adding its gain to each level, clamped
-            return [[min(max(b + g, 0), params.battery_levels) for b in levels] for g in gains]
-
-        self._after_tx = moves([prof.delta_levels for prof in self.profiles])
-        self._after_charge = moves([prof.harvest_only_levels for prof in self.profiles])
-        self._after_collision = moves([-need for need in self.min_tx])
+        self._after_tx = [prof.after_tx for prof in profiles]
+        self._after_charge = [prof.after_charge for prof in profiles]
+        self._after_collision = [prof.after_collision for prof in profiles]
         n = params.n_nodes
         self.batteries = [params.initial_battery] * n
         self.queues = [0] * n
@@ -191,10 +195,9 @@ class Simulation:
         queues = self.queues
         return [i for i in self.powered if queues[i] >= 1]
 
-    def _apply_levels(self, node: int, delta: int):
-        """Add `delta` levels to a battery, clamped; the only write that changes `powered`."""
+    def _set_level(self, node: int, after: int):
+        """Set a battery to a level of its move tables; the only write that changes `powered`."""
         before = self.batteries[node]
-        after = min(max(before + delta, 0), self.params.battery_levels)
         self.batteries[node] = after
         need = self.min_tx[node]
         if (before >= need) != (after >= need):
@@ -210,10 +213,11 @@ class Simulation:
     def run(self, slots: int) -> RunMetrics:
         """Play `slots` more slots; returns `metrics`, current through the last one."""
         queues, batteries, min_tx = self.queues, self.batteries, self.min_tx
+        powered, n_nodes = self.powered, self.params.n_nodes
         after_tx, after_charge = self._after_tx, self._after_charge
         after_collision = self._after_collision
         ps, ber, arrivals = self.ps, self._ber, self._arrivals
-        cap, apply_levels, traces = self.params.queue_cap, self._apply_levels, self.traces
+        cap, set_level, traces = self.params.queue_cap, self._set_level, self.traces
         strategy = self.strategy
         select = strategy.select
         cls = type(strategy)
@@ -221,13 +225,16 @@ class Simulation:
         end_of_slot = strategy.end_of_slot if cls.end_of_slot is not Strategy.end_of_slot else None
         m = self.metrics
         generated, delivered, dropped = m.generated, m.delivered, m.dropped
+        successes, ber_failures, collisions = m.successes, m.ber_failures, m.collisions
+        charge_only, idle, dead = m.charge_only_slots, m.idle_slots, m.energy_dead_node_slots
         start = self.slot
         stop = start + max(slots, 0)
+        dead_now = n_nodes - len(powered)   # changes only when a move crosses a transmit cost
 
         for slot in range(start, stop):
             self.slot = slot   # the slot being played, for the strategy's hooks
+            dead += dead_now
             transmitters = select(self)
-            outcome = "idle"
             energy = 0
             if len(transmitters) == 1:
                 t = transmitters[0]
@@ -235,30 +242,40 @@ class Simulation:
                 if before >= need and queues[t] >= 1:
                     if ber() < ps:
                         outcome = "success"
+                        successes += 1
                         queues[t] -= 1
                         delivered += 1
                     else:
                         outcome = "ber_fail"
+                        ber_failures += 1
                     # downlink charges the node either way, net of transmit cost
                     after = after_tx[t][before]
                 else:
                     # a centrally selected node without a packet (or battery)
                     # gets the whole slot as charge
+                    outcome = "idle"
+                    charge_only += 1
                     after = after_charge[t][before]
                 energy = after - before
                 if (after >= need) == (before >= need):
                     batteries[t] = after
                 else:
-                    apply_levels(t, energy)
+                    set_level(t, after)
+                    dead_now = n_nodes - len(powered)
             elif transmitters:
                 outcome = "collision"
+                collisions += 1
                 for t in transmitters:
                     before, need = batteries[t], min_tx[t]
                     after = after_collision[t][before]
                     if (after >= need) == (before >= need):
                         batteries[t] = after
                     else:
-                        apply_levels(t, after - before)
+                        set_level(t, after)
+                        dead_now = n_nodes - len(powered)
+            else:
+                outcome = "idle"
+                idle += 1
 
             if on_outcome is not None:
                 on_outcome(self, transmitters, outcome)
@@ -281,6 +298,8 @@ class Simulation:
 
         self.slot = stop
         m.generated, m.delivered, m.dropped = generated, delivered, dropped
+        m.successes, m.ber_failures, m.collisions = successes, ber_failures, collisions
+        m.charge_only_slots, m.idle_slots, m.energy_dead_node_slots = charge_only, idle, dead
         m.slots = stop
         m.in_queue_final = sum(queues)
         m.throughput_pps = delivered / (stop * self.params.slot_len) if stop else 0.0
@@ -523,7 +542,8 @@ def simulate_run(
     slots: int,
     seed: int,
     trace: bool = False,
-    profiles: list[NodeEnergyProfile] | None = None,
+    *,
+    profiles: list[NodeEnergyProfile],
     **strategy_kw,
 ) -> tuple[RunMetrics, list[SlotTrace] | None]:
     """One run of a fresh strategy; `profiles` as for `Simulation`."""

@@ -208,3 +208,15 @@ class TestHarvestDelta:
         assert prof.harvest_only_levels >= 0
         # a charging-only slot beats a transmitting slot in raw battery terms
         assert prof.harvest_only_levels >= prof.delta_levels
+
+    def test_move_tables_clamp_each_gain_to_the_battery(self):
+        # a weak, a middling and a strong downlink: losses, gains and overcharge
+        p = make_params(n_nodes=3, channel_gain=(0.3, 1.0, 5.0), battery_levels=8)
+        top = p.battery_levels
+        for node in range(3):
+            prof = node_energy_profile(p, node)
+            for table, gain in ((prof.after_tx, prof.delta_levels),
+                                (prof.after_charge, prof.harvest_only_levels),
+                                (prof.after_collision, -prof.min_tx_level)):
+                assert table == tuple(min(max(b + gain, 0), top) for b in range(top + 1))
+                assert all(type(level) is int for level in table)

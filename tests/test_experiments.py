@@ -3,6 +3,7 @@
 import inspect
 import json
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,8 @@ from rwsnsim.experiments import (
     write_outputs,
 )
 from rwsnsim.mdp import MyopicChooser
-from rwsnsim.simulator import EqatStrategy, RandomContentionStrategy, make_strategy, simulate_run
+from rwsnsim.simulator import (STRATEGIES, EqatStrategy, RandomContentionStrategy, make_strategy,
+                               simulate_run)
 
 
 def tiny_spec(**kw):
@@ -214,8 +216,9 @@ class TestRunExperiment:
         assert res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
         params = spec.resolve_params(3, 10)
         for row in res.raw_rows:
-            chooser = MyopicChooser(params, energy_profiles(params))
-            m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"], chooser=chooser)
+            profiles = energy_profiles(params)
+            m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"], profiles=profiles,
+                                chooser=MyopicChooser(params, profiles))
             assert (row["generated"], row["delivered"], row["dropped"]) == (
                 m.generated, m.delivered, m.dropped)
 
@@ -245,40 +248,94 @@ class TestRunExperiment:
                 for name in ("raw.csv", "aggregate.csv", "traces.csv")}
         assert head == {
             "raw.csv": "n_nodes,t_hat,design,strategy,seed,slots,generated,delivered,dropped,"
-                       "in_queue_final,throughput_pps,loss_rate",
+                       "in_queue_final,throughput_pps,loss_rate,successes,ber_failures,"
+                       "collisions,charge_only_slots,idle_slots,energy_dead_node_slots",
             "aggregate.csv": "n_nodes,t_hat,design,strategy,n_seeds,generated_mean,"
                              "delivered_mean,dropped_mean,in_queue_final_mean,"
                              "throughput_pps_mean,throughput_pps_stderr,loss_rate_mean,"
-                             "loss_rate_stderr",
+                             "loss_rate_stderr,successes_mean,ber_failures_mean,"
+                             "collisions_mean,charge_only_slots_mean,idle_slots_mean,"
+                             "energy_dead_node_slots_mean",
             "traces.csv": "n_nodes,t_hat,design,strategy,seed,slot,outcome,transmitters,"
                           "energy_levels,batteries,queues",
         }
 
     def test_aggregate_is_the_mean_and_sample_stderr_over_seeds(self):
-        def raw(strategy, seed, generated, delivered, dropped, in_queue, tp, loss):
+        def raw(strategy, seed, generated, delivered, dropped, in_queue, tp, loss, ber, dead):
+            # 100 slots: a success per delivered packet, `ber` failures, the rest idle
             return {"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": strategy,
                     "seed": seed, "slots": 100, "generated": generated, "delivered": delivered,
                     "dropped": dropped, "in_queue_final": in_queue, "throughput_pps": tp,
-                    "loss_rate": loss}
+                    "loss_rate": loss, "successes": delivered, "ber_failures": ber,
+                    "collisions": 0, "charge_only_slots": 0, "idle_slots": 100 - delivered - ber,
+                    "energy_dead_node_slots": dead}
 
-        rows = aggregate_rows([raw("fq", 0, 10, 6, 1, 3, 1.0, 0.1),
-                               raw("rs", 0, 7, 5, 0, 2, 4.5, 0.25),
-                               raw("fq", 1, 12, 9, 2, 1, 2.0, 0.2),
-                               raw("fq", 2, 14, 12, 0, 2, 3.0, 0.6)])
+        rows = aggregate_rows([raw("fq", 0, 10, 6, 1, 3, 1.0, 0.1, 1, 0),
+                               raw("rs", 0, 7, 5, 0, 2, 4.5, 0.25, 0, 4),
+                               raw("fq", 1, 12, 9, 2, 1, 2.0, 0.2, 2, 10),
+                               raw("fq", 2, 14, 12, 0, 2, 3.0, 0.6, 6, 20)])
         assert rows == [
             {"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": "fq", "n_seeds": 3,
              "generated_mean": 12.0, "delivered_mean": 9.0, "dropped_mean": 1.0,
              "in_queue_final_mean": 2.0,
              "throughput_pps_mean": 2.0, "throughput_pps_stderr": pytest.approx((1 / 3) ** 0.5),
              "loss_rate_mean": pytest.approx(0.3),
-             "loss_rate_stderr": pytest.approx((0.14 / 2 / 3) ** 0.5)},
+             "loss_rate_stderr": pytest.approx((0.14 / 2 / 3) ** 0.5),
+             "successes_mean": 9.0, "ber_failures_mean": 3.0, "collisions_mean": 0.0,
+             "charge_only_slots_mean": 0.0, "idle_slots_mean": 88.0,
+             "energy_dead_node_slots_mean": 10.0},
             {"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": "rs", "n_seeds": 1,
              "generated_mean": 7.0, "delivered_mean": 5.0, "dropped_mean": 0.0,
              "in_queue_final_mean": 2.0,
              "throughput_pps_mean": 4.5, "throughput_pps_stderr": 0.0,
-             "loss_rate_mean": 0.25, "loss_rate_stderr": 0.0},
+             "loss_rate_mean": 0.25, "loss_rate_stderr": 0.0,
+             "successes_mean": 5.0, "ber_failures_mean": 0.0, "collisions_mean": 0.0,
+             "charge_only_slots_mean": 0.0, "idle_slots_mean": 95.0,
+             "energy_dead_node_slots_mean": 4.0},
         ]
         assert [list(row) for row in rows] == [list(AGG_COLUMNS)] * 2
+
+
+# Every raw row of `GOLDEN_SPEC`, columns 1-12. A change that moves a number
+# must change these rows on purpose.
+GOLDEN_SPEC = dict(n_nodes=[2, 10], t_hat=[10], slots=300, seeds=[0, 1])
+GOLDEN_COLUMNS = RAW_COLUMNS[:12]
+GOLDEN_ROWS = [
+    (2, 10, "-", "ehmdp", 0, 300, 160, 159, 0, 1, 53.0, 0.0),
+    (2, 10, "-", "ehmdp", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0),
+    (2, 10, "-", "fq", 0, 300, 160, 159, 0, 1, 53.0, 0.0),
+    (2, 10, "-", "fq", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0),
+    (2, 10, "-", "rs", 0, 300, 160, 159, 0, 1, 53.0, 0.0),
+    (2, 10, "-", "rs", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0),
+    (2, 10, "exp:1:0.05", "eqat", 0, 300, 160, 87, 67, 6, 29.0, 0.41875),
+    (2, 10, "exp:1:0.05", "eqat", 1, 300, 182, 96, 80, 6, 32.0, 0.43956043956043955),
+    (2, 10, "-", "dfq", 0, 300, 160, 75, 74, 11, 25.0, 0.4625),
+    (2, 10, "-", "dfq", 1, 300, 182, 85, 86, 11, 28.333333333333332, 0.4725274725274725),
+    (2, 10, "-", "rc", 0, 300, 160, 83, 71, 6, 27.666666666666668, 0.44375),
+    (2, 10, "-", "rc", 1, 300, 182, 99, 77, 6, 33.0, 0.4230769230769231),
+    (10, 10, "-", "ehmdp", 0, 300, 894, 272, 564, 58, 90.66666666666667, 0.6308724832214765),
+    (10, 10, "-", "ehmdp", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882),
+    (10, 10, "-", "fq", 0, 300, 894, 272, 564, 58, 90.66666666666667, 0.6308724832214765),
+    (10, 10, "-", "fq", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882),
+    (10, 10, "-", "rs", 0, 300, 894, 272, 565, 57, 90.66666666666667, 0.6319910514541387),
+    (10, 10, "-", "rs", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882),
+    (10, 10, "exp:1:0.05", "eqat", 0, 300, 894, 94, 746,
+     54, 31.333333333333332, 0.8344519015659956),
+    (10, 10, "exp:1:0.05", "eqat", 1, 300, 919, 95, 769,
+     55, 31.666666666666668, 0.8367791077257889),
+    (10, 10, "-", "dfq", 0, 300, 894, 91, 743, 60, 30.333333333333332, 0.831096196868009),
+    (10, 10, "-", "dfq", 1, 300, 919, 88, 771, 60, 29.333333333333332, 0.8389553862894451),
+    (10, 10, "-", "rc", 0, 300, 894, 85, 754, 55, 28.333333333333332, 0.843400447427293),
+    (10, 10, "-", "rc", 1, 300, 919, 88, 776, 55, 29.333333333333332, 0.8443960826985855),
+]
+
+
+class TestGoldenRows:
+    def test_raw_rows_pinned(self):
+        res = run_experiment(ExperimentSpec(**GOLDEN_SPEC))
+        assert res.failures == []
+        assert GOLDEN_COLUMNS[-1] == "loss_rate"
+        assert [tuple(row[c] for c in GOLDEN_COLUMNS) for row in res.raw_rows] == GOLDEN_ROWS
 
 
 class TestDeterminism:
@@ -430,6 +487,26 @@ def declared(obj):
         return {f.name: (f.type, f.default) for f in fields(obj)}
     return {name: (par.annotation, par.default)
             for name, par in inspect.signature(obj).parameters.items()}
+
+
+# the example configs README.md runs, by file name: each network's overrides
+EXAMPLES = {"defaults.ini": {}, "scarce.ini": {"bs_power": 1.0}}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestExampleConfigs:
+    def test_every_example_is_checked(self):
+        assert sorted(p.name for p in CONFIGS.glob("*.ini")) == sorted(EXAMPLES)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_example_parses_and_runs_cut_down(self, name):
+        spec = spec_from_config(str(CONFIGS / name))
+        assert spec.validate() == []
+        assert (spec.n_nodes, spec.strategies, spec.network) == (
+            [2, 3, 10], list(STRATEGIES), EXAMPLES[name])
+        res = run_experiment(replace(spec, slots=50, seeds=spec.seeds[:1], workers=1))
+        assert res.failures == []
+        assert len(res.raw_rows) == 3 * len(STRATEGIES)
 
 
 class TestSchema:

@@ -230,7 +230,7 @@ class TestArrivalLaw:
         increment = sum(pr * (ns.queue - s.queue) for ns, pr in law.items())
         assert increment == pytest.approx(2 * lam, abs=1e-15)
         slots = 20_000
-        m, _ = simulate_run(p, "fq", slots=slots, seed=0)
+        m, _ = simulate_run(p, "fq", slots=slots, seed=0, profiles=energy_profiles(p))
         per_node_slot = m.generated / (slots * p.n_nodes)
         # 2 * slots * n_nodes Bernoulli(lam) opportunities
         sigma = (2 * lam * (1 - lam) / (slots * p.n_nodes)) ** 0.5

@@ -8,7 +8,7 @@ from joint_oracle import NodeState
 from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
-from rwsnsim.mdp import MyopicChooser, PolicyChooser
+from rwsnsim.mdp import MyopicChooser, PolicyChooser, kernel_model
 from rwsnsim.simulator import (
     BLOCK,
     EqatStrategy,
@@ -47,20 +47,21 @@ def strategy_kw(p, name, **kw):
 
 class TestBasics:
     def test_zero_slots_zero_metrics(self):
-        m, _ = simulate_run(make_params(), "fq", slots=0, seed=1)
+        p = make_params()
+        m, _ = simulate_run(p, "fq", slots=0, seed=1, profiles=energy_profiles(p))
         assert (m.generated, m.delivered, m.dropped, m.in_queue_final) == (0, 0, 0, 0)
         assert m.loss_rate == 0.0
         assert m.throughput_pps == 0.0
 
     def test_no_arrivals_all_idle(self):
         p = make_params(arrival_prob=0.0)
-        m, traces = simulate_run(p, "fq", slots=200, seed=1, trace=True)
+        m, traces = simulate_run(p, "fq", slots=200, seed=1, trace=True, profiles=energy_profiles(p))
         assert m.generated == m.delivered == m.dropped == 0
         assert all(t.outcome == "idle" for t in traces)
 
     def test_single_node_centralized_lossless(self):
         p = sure_success_params(arrival_prob=0.4)
-        m, _ = simulate_run(p, "fq", slots=5000, seed=3)
+        m, _ = simulate_run(p, "fq", slots=5000, seed=3, profiles=energy_profiles(p))
         assert m.dropped == 0
         assert m.loss_rate == 0.0
         assert m.delivered == m.generated - m.in_queue_final
@@ -68,7 +69,8 @@ class TestBasics:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            simulate_run(make_params(), "greedy", slots=1, seed=0)
+            p = make_params()
+            simulate_run(p, "greedy", slots=1, seed=0, profiles=energy_profiles(p))
 
     def test_ehmdp_needs_the_scenario_chooser(self):
         # the simulator builds no chooser of its own
@@ -88,32 +90,35 @@ class TestBasics:
     def test_same_seed_bit_identical(self):
         p = make_params(n_nodes=4, arrival_prob=0.2)
         for name in ALL_STRATEGIES:
-            a, _ = simulate_run(p, name, slots=500, seed=11, **strategy_kw(p, name))
-            b, _ = simulate_run(p, name, slots=500, seed=11, **strategy_kw(p, name))
+            kw = strategy_kw(p, name)
+            a, _ = simulate_run(p, name, slots=500, seed=11, profiles=energy_profiles(p), **kw)
+            b, _ = simulate_run(p, name, slots=500, seed=11, profiles=energy_profiles(p), **kw)
             assert a == b, name
 
     def test_metrics_count_every_slot_stepped(self):
         # manual steps and repeated run() calls add up to one run of the sum,
         # and the metrics are current after every call
         p = make_params(n_nodes=3, arrival_prob=0.3)
+        profiles = energy_profiles(p)
         for name in ALL_STRATEGIES:
             kw = strategy_kw(p, name)
-            sim = Simulation(p, make_strategy(name, **kw), seed=2)
+            sim = Simulation(p, make_strategy(name, **kw), seed=2, profiles=profiles)
             for k in (1, 2):
                 sim.step()
-                assert sim.metrics == simulate_run(p, name, slots=k, seed=2, **kw)[0], (name, k)
+                ran, _ = simulate_run(p, name, slots=k, seed=2, profiles=profiles, **kw)
+                assert sim.metrics == ran, (name, k)
             sim.run(100)
             m = sim.run(100)
             assert m.slots == sim.slot == 202
             assert m.throughput_pps == m.delivered / (202 * p.slot_len)
-            whole, _ = simulate_run(p, name, slots=202, seed=2, **kw)
+            whole, _ = simulate_run(p, name, slots=202, seed=2, profiles=profiles, **kw)
             assert m == whole, name
             assert m.throughput_pps == whole.throughput_pps
 
     def test_different_seed_differs(self):
         p = make_params(n_nodes=4, arrival_prob=0.2)
-        a, _ = simulate_run(p, "rs", slots=500, seed=11)
-        b, _ = simulate_run(p, "rs", slots=500, seed=12)
+        a, _ = simulate_run(p, "rs", slots=500, seed=11, profiles=energy_profiles(p))
+        b, _ = simulate_run(p, "rs", slots=500, seed=12, profiles=energy_profiles(p))
         assert a != b
 
 
@@ -160,7 +165,7 @@ class TestGoldenMetrics:
         assert p.arrivals_per_slot == 2
         exact = name == "ehmdp" and n_nodes == 3
         kw = {"chooser": PolicyChooser(golden_n3_solve)} if exact else strategy_kw(p, name)
-        m, _ = simulate_run(p, name, slots=2_500, seed=4, **kw)
+        m, _ = simulate_run(p, name, slots=2_500, seed=4, **kw, profiles=energy_profiles(p))
         got = (m.generated, m.delivered, m.dropped, m.in_queue_final)
         assert got == GOLDEN[(name, n_nodes)]
 
@@ -169,13 +174,15 @@ class TestInvariants:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_packet_conservation(self, name):
         p = make_params(n_nodes=4, arrival_prob=0.3, channel_gain=(1.3, 1.0, 0.8, 0.6))
-        m, _ = simulate_run(p, name, slots=2000, seed=7, **strategy_kw(p, name))
+        m, _ = simulate_run(p, name, slots=2000, seed=7, profiles=energy_profiles(p),
+                            **strategy_kw(p, name))
         assert m.generated == m.delivered + m.dropped + m.in_queue_final
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_battery_and_queue_bounds(self, name):
         p = make_params(n_nodes=3, arrival_prob=0.4, channel_gain=(1.2, 0.9, 0.5))
-        _, traces = simulate_run(p, name, slots=1500, seed=9, trace=True, **strategy_kw(p, name))
+        _, traces = simulate_run(p, name, slots=1500, seed=9, trace=True,
+                                 profiles=energy_profiles(p), **strategy_kw(p, name))
         for t in traces:
             assert all(0 <= b <= p.battery_levels for b in t.batteries)
             assert all(0 <= q <= p.queue_cap for q in t.queues)
@@ -183,19 +190,41 @@ class TestInvariants:
     @pytest.mark.parametrize("name", ["fq", "rs", "ehmdp"])
     def test_centralized_never_collides(self, name):
         p = make_params(n_nodes=4, arrival_prob=0.5)
-        _, traces = simulate_run(p, name, slots=1500, seed=2, trace=True, **strategy_kw(p, name))
+        _, traces = simulate_run(p, name, slots=1500, seed=2, trace=True,
+                                 profiles=energy_profiles(p), **strategy_kw(p, name))
         assert all(t.outcome != "collision" for t in traces)
         assert all(len(t.transmitters) <= 1 for t in traces)
 
     def test_collision_iff_multiple_transmitters(self):
         p = make_params(n_nodes=4, arrival_prob=0.6)
         _, traces = simulate_run(p, "rc", slots=1500, seed=4, trace=True,
-                                 contention_prob=0.5)
+                                 contention_prob=0.5, profiles=energy_profiles(p))
         saw_collision = False
         for t in traces:
             assert (t.outcome == "collision") == (len(t.transmitters) >= 2)
             saw_collision |= t.outcome == "collision"
         assert saw_collision
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_outcome_and_energy_dead_counters(self, name):
+        p = drain_params(4)
+        profiles = energy_profiles(p)
+        m, traces = simulate_run(p, name, slots=1500, seed=3, trace=True, profiles=profiles,
+                                 **strategy_kw(p, name))
+        assert (m.successes + m.ber_failures + m.collisions + m.charge_only_slots
+                + m.idle_slots) == m.slots
+        assert m.successes == m.delivered
+        traced = [t.outcome for t in traces]
+        assert (m.successes, m.ber_failures, m.collisions) == (
+            traced.count("success"), traced.count("ber_fail"), traced.count("collision"))
+        # the traces call a charge-only slot idle; an idle slot selects no node
+        assert m.charge_only_slots + m.idle_slots == traced.count("idle")
+        assert m.idle_slots == sum(not t.transmitters for t in traces)
+        # a node is energy-dead in a slot when it starts it below its transmit cost
+        starts = [(p.initial_battery,) * p.n_nodes] + [t.batteries for t in traces[:-1]]
+        assert m.energy_dead_node_slots == sum(
+            b < prof.min_tx_level for levels in starts for b, prof in zip(levels, profiles))
+        assert m.energy_dead_node_slots > 0
 
 
 def brute_force_ready(sim):
@@ -259,7 +288,8 @@ class TestIncrementalBookkeeping:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_powered_list_matches_brute_force_every_slot(self, name, n_nodes):
         p = drain_params(n_nodes)
-        sim = Simulation(p, make_strategy(name, **strategy_kw(p, name)), seed=3, trace=True)
+        sim = Simulation(p, make_strategy(name, **strategy_kw(p, name)), seed=3, trace=True,
+                         profiles=energy_profiles(p))
         drained = recharged = False
         for _ in range(1500):
             before = len(sim.powered)
@@ -282,12 +312,12 @@ class TestIncrementalBookkeeping:
         # a contention run never recharges a drained node, so order on
         # re-entry is checked directly
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq"), seed=0)
+        sim = Simulation(p, make_strategy("fq"), seed=0, profiles=energy_profiles(p))
         for node in (2, 0, 1):
-            sim._apply_levels(node, -p.battery_levels)
+            sim._set_level(node, 0)
         assert sim.powered == []
         for node in (2, 0):
-            sim._apply_levels(node, p.battery_levels)
+            sim._set_level(node, p.battery_levels)
         assert sim.powered == [0, 2]
 
     @pytest.mark.parametrize("n_nodes", [4, 10])
@@ -295,7 +325,7 @@ class TestIncrementalBookkeeping:
         p = busy_params(n_nodes)
         design = TxProbDesign("exponential", rate_q=1.0, rate_e=0.05)
         strategy = EqatStrategy(design, backoff_window=4)
-        sim = Simulation(p, strategy, seed=5, trace=True)
+        sim = Simulation(p, strategy, seed=5, trace=True, profiles=energy_profiles(p))
         shadow = shadow_controllers(strategy, n_nodes)
         shadow_backoff = Streams(5).backoff
         collided = 0
@@ -372,16 +402,84 @@ class CountingStrategy(Strategy):
         self.calls.append(("end_of_slot", sim.slot))
 
 
+class ScriptedStrategy(Strategy):
+    """Selects the given nodes every slot, whatever their state."""
+
+    name = "scripted"
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+
+    def select(self, sim):
+        return list(self.nodes)
+
+
+# the default network at N=3, and the scarce one (bs_power 1.0)
+SLOT_LAW_PARAMS = {
+    "defaults": make_params(n_nodes=3, channel_gain=draw_channel_gains(3)),
+    "scarce": make_params(n_nodes=3, channel_gain=draw_channel_gains(3), bs_power=1.0),
+}
+
+
+class TestOneSlotLaw:
+    """The kernel and the simulator move a battery by the profiles' tables."""
+
+    @pytest.mark.parametrize("network", sorted(SLOT_LAW_PARAMS))
+    def test_kernel_moves_read_the_tables(self, network):
+        p = SLOT_LAW_PARAMS[network]
+        profiles = energy_profiles(p)
+        model = kernel_model(p, profiles)
+        width, m = p.queue_cap + 1, p.per_node_states
+        for node, prof in enumerate(profiles):
+            for level in range(p.battery_levels + 1):
+                for queue in range(width):
+                    tx = queue >= 1 and level >= prof.min_tx_level
+                    want = {prof.after_tx[level] if tx else prof.after_charge[level]}
+                    s = level * width + queue
+                    # the dense move M and the sparse rows of the selected kernel
+                    assert set(np.flatnonzero(model.moves[node + 1, s]) // width) == want
+                    r = (node + 1) * m + s
+                    row = model.next_state[model.row_ptr[r]:model.row_ptr[r + 1]]
+                    assert set(row // width) == want
+
+    @pytest.mark.parametrize("network", sorted(SLOT_LAW_PARAMS))
+    def test_a_forced_slot_lands_on_the_table(self, network):
+        p = SLOT_LAW_PARAMS[network]
+        profiles = energy_profiles(p)
+        for node, prof in enumerate(profiles):
+            other = (node + 1) % p.n_nodes
+            for level in range(p.battery_levels + 1):
+                can_send = level >= prof.min_tx_level
+                cases = [  # (selected, queue, outcomes, table)
+                    ([node], 0, {"idle"}, prof.after_charge),
+                    ([node], 1, {"success", "ber_fail"} if can_send else {"idle"},
+                     prof.after_tx if can_send else prof.after_charge),
+                    ([node, other], 1, {"collision"}, prof.after_collision),
+                ]
+                for selected, queue, outcomes, table in cases:
+                    sim = Simulation(p, ScriptedStrategy(selected), seed=level, trace=True,
+                                     profiles=profiles)
+                    sim._set_level(node, level)
+                    sim.queues[node] = queue
+                    sim.step()
+                    assert sim.traces[0].outcome in outcomes
+                    assert sim.batteries[node] == table[level], (node, level, selected)
+                    assert sim.powered == [i for i, prof_i in enumerate(profiles)
+                                           if sim.batteries[i] >= prof_i.min_tx_level]
+
+
 class TestOneSlotLoop:
     @pytest.mark.parametrize("name,kw", LOOP_CASES,
                              ids=[f"{n}-{kw}" if kw else n for n, kw in LOOP_CASES])
     def test_steps_and_one_run_leave_identical_state(self, name, kw):
         p = busy_params(4)
         kw = strategy_kw(p, name, **kw)
-        stepped = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
+        stepped = Simulation(p, make_strategy(name, **kw), seed=8, trace=True,
+                             profiles=energy_profiles(p))
         for _ in range(400):
             stepped.step()
-        whole = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
+        whole = Simulation(p, make_strategy(name, **kw), seed=8, trace=True,
+                           profiles=energy_profiles(p))
         whole.run(400)
         assert len(whole.traces) == 400
         assert run_state(stepped) == run_state(whole)
@@ -389,7 +487,8 @@ class TestOneSlotLoop:
 
     def test_overridden_hooks_run_once_per_slot_in_order(self):
         strategy = CountingStrategy()
-        sim = Simulation(make_params(n_nodes=3, arrival_prob=0.3), strategy, seed=4)
+        p = make_params(n_nodes=3, arrival_prob=0.3)
+        sim = Simulation(p, strategy, seed=4, profiles=energy_profiles(p))
         for _ in range(3):
             sim.step()
         sim.run(5)
@@ -405,11 +504,12 @@ class TestOneSlotLoop:
         monkeypatch.setattr(Strategy, "end_of_slot", called)
         p = busy_params(3)
         for name in ALL_STRATEGIES:
-            simulate_run(p, name, slots=200, seed=1, **strategy_kw(p, name))
+            simulate_run(p, name, slots=200, seed=1, profiles=energy_profiles(p),
+                         **strategy_kw(p, name))
 
     def test_rebinds_what_the_caller_replaced_between_calls(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
-        sim = Simulation(p, make_strategy("fq"), seed=0, trace=True)
+        sim = Simulation(p, make_strategy("fq"), seed=0, trace=True, profiles=energy_profiles(p))
         sim.step()
         sim.queues = [0, 2, 0]
         sim.traces = []
@@ -421,19 +521,19 @@ class TestOneSlotLoop:
 class TestStrategies:
     def test_fq_picks_unique_longest(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq"), seed=0)
+        sim = Simulation(p, make_strategy("fq"), seed=0, profiles=energy_profiles(p))
         sim.queues = [2, 5, 3]
         assert sim.strategy.select(sim) == [1]
 
     def test_fq_ties_to_lowest_index(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq"), seed=0)
+        sim = Simulation(p, make_strategy("fq"), seed=0, profiles=energy_profiles(p))
         sim.queues = [4, 4, 1]
         assert sim.strategy.select(sim) == [0]
 
     def test_rs_skips_empty_queues(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("rs"), seed=0)
+        sim = Simulation(p, make_strategy("rs"), seed=0, profiles=energy_profiles(p))
         sim.queues = [0, 0, 0]
         assert sim.strategy.select(sim) == []
         sim.queues = [0, 2, 0]
@@ -441,7 +541,7 @@ class TestStrategies:
 
     def test_rs_uniform_within_3_sigma(self):
         p = make_params(n_nodes=5)
-        sim = Simulation(p, make_strategy("rs"), seed=17)
+        sim = Simulation(p, make_strategy("rs"), seed=17, profiles=energy_profiles(p))
         sim.queues = [3, 3, 0, 3, 3]
         draws = 100_000
         counts = {0: 0, 1: 0, 3: 0, 4: 0}
@@ -456,7 +556,8 @@ class TestStrategies:
     def test_eqat_backoff_uniform_within_3_sigma(self):
         window = 5
         strategy = make_strategy("eqat", backoff_window=window)
-        sim = Simulation(make_params(n_nodes=2), strategy, seed=17)
+        p = make_params(n_nodes=2)
+        sim = Simulation(p, strategy, seed=17, profiles=energy_profiles(p))
         counts = dict.fromkeys(range(1, window + 1), 0)
         collisions = 50_000
         for _ in range(collisions):
@@ -474,7 +575,8 @@ class TestStrategies:
         # after it are the other run's, one uniform later
         picks = []
         for lone_first in (True, False):
-            sim = Simulation(make_params(n_nodes=3), make_strategy("rs"), seed=11)
+            p = make_params(n_nodes=3)
+            sim = Simulation(p, make_strategy("rs"), seed=11, profiles=energy_profiles(p))
             if lone_first:
                 sim.queues = [0, 2, 0]
                 assert sim.strategy.select(sim) == [1]
@@ -486,7 +588,8 @@ class TestStrategies:
     def test_eqat_backoff_one_uniform_per_transmitter_in_order(self):
         window = 8
         strategy = make_strategy("eqat", backoff_window=window)
-        sim = Simulation(make_params(n_nodes=3), strategy, seed=6)
+        p = make_params(n_nodes=3)
+        sim = Simulation(p, strategy, seed=6, profiles=energy_profiles(p))
         strategy.on_outcome(sim, [2, 0], "collision")
         strategy.on_outcome(sim, [1, 2], "collision")
         u = uniforms(Streams(6).backoff)
@@ -499,14 +602,15 @@ class TestStrategies:
         # the scaled uniform has no range limit of its own
         window = 2**32 + 1
         strategy = make_strategy("eqat", backoff_window=window)
-        sim = Simulation(make_params(n_nodes=2), strategy, seed=3)
+        p = make_params(n_nodes=2)
+        sim = Simulation(p, strategy, seed=3, profiles=energy_profiles(p))
         for _ in range(100):
             strategy.on_outcome(sim, [0, 1], "collision")
             assert all(1 <= b <= window for b in strategy.backoff)
 
     def test_dfq_two_full_nodes_collide(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
-        sim = Simulation(p, make_strategy("dfq"), seed=0)
+        sim = Simulation(p, make_strategy("dfq"), seed=0, profiles=energy_profiles(p))
         sim.queues = [p.queue_cap, p.queue_cap, 2]
         assert sim.strategy.select(sim) == [0, 1]
         sim.step()
@@ -516,7 +620,7 @@ class TestStrategies:
     def test_rc_certain_contention_never_delivers(self):
         p = make_params(n_nodes=2, arrival_prob=1.0)
         m, traces = simulate_run(p, "rc", slots=400, seed=5, trace=True,
-                                 contention_prob=1.0)
+                                 contention_prob=1.0, profiles=energy_profiles(p))
         assert m.delivered == 0
         assert any(t.outcome == "collision" for t in traces)
 
@@ -527,9 +631,10 @@ class TestStrategies:
                         channel_gain=(1.0, 0.7))
         res = value_iteration(build_model(p))
         m, traces = simulate_run(p, "ehmdp", slots=300, seed=6, trace=True,
-                                 chooser=PolicyChooser(res))
+                                 chooser=PolicyChooser(res), profiles=energy_profiles(p))
         # replay: every pick must match the policy at the pre-slot state
-        sim = Simulation(p, make_strategy("ehmdp", chooser=PolicyChooser(res)), seed=6)
+        sim = Simulation(p, make_strategy("ehmdp", chooser=PolicyChooser(res)), seed=6,
+                         profiles=energy_profiles(p))
         for t in traces:
             expect = sim.strategy.select(sim)
             assert list(t.transmitters) in ([], expect)
@@ -541,8 +646,8 @@ class TestEqatIntegration:
         p = make_params(n_nodes=3, arrival_prob=0.3, channel_gain=(1.2, 1.0, 0.8))
         design = TxProbDesign("sigmoid")
         strategy = EqatStrategy(design, threshold=0.05)
-        sim = Simulation(p, strategy, seed=21)
         profiles = energy_profiles(p)
+        sim = Simulation(p, strategy, seed=21, profiles=profiles)
         shadow_rng = Streams(21).strategy
         shadow_backoff = Streams(21).backoff
         ctls = shadow_controllers(strategy, p.n_nodes)
@@ -565,11 +670,11 @@ class TestEqatIntegration:
                 outcome = "success" if sim.rng.ber.random() < sim.ps else "ber_fail"
                 if outcome == "success":
                     sim.queues[got[0]] -= 1
-                sim._apply_levels(got[0], profiles[got[0]].delta_levels)
+                sim._set_level(got[0], profiles[got[0]].after_tx[sim.batteries[got[0]]])
             elif len(got) >= 2:
                 outcome = "collision"
                 for t in got:
-                    sim._apply_levels(t, -profiles[t].min_tx_level)
+                    sim._set_level(t, profiles[t].after_collision[sim.batteries[t]])
             strategy.on_outcome(sim, got, outcome)
             shadow_outcome(ctls, got, outcome, shadow_backoff)
             # hold escalations must agree too
@@ -591,8 +696,8 @@ class TestEqatIntegration:
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)
         for seed in range(10):
             a, _ = simulate_run(p, "eqat", slots=3000, seed=seed, design=design,
-                                threshold=0.0)
-            b, _ = simulate_run(p, "rs", slots=3000, seed=seed)
+                                threshold=0.0, profiles=energy_profiles(p))
+            b, _ = simulate_run(p, "rs", slots=3000, seed=seed, profiles=energy_profiles(p))
             assert a == b, seed
 
     def test_threshold_gate_counts_every_arrival_opportunity(self):
@@ -605,9 +710,9 @@ class TestEqatIntegration:
         clean = packet_success_prob(p) * (1 - p.arrival_prob) ** 2
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)
         held, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
-                               threshold=clean * (1 + 1e-9))
+                               threshold=clean * (1 + 1e-9), profiles=energy_profiles(p))
         sent, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
-                               threshold=clean * (1 - 1e-9))
+                               threshold=clean * (1 - 1e-9), profiles=energy_profiles(p))
         assert held.generated > 0
         assert held.delivered == 0
         assert sent.delivered > 0
@@ -618,7 +723,7 @@ class TestEqatIntegration:
         # batteries, backoffs and fail counts as they are when it starts
         p = make_params(n_nodes=3)
         strategy = EqatStrategy()
-        sim = Simulation(p, strategy, seed=0, trace=True)
+        sim = Simulation(p, strategy, seed=0, trace=True, profiles=energy_profiles(p))
         shadow = uniforms(Streams(0).strategy)
         for queues in ([p.queue_cap] * 3, [0, 2, 0], [1, 0, p.queue_cap]):
             sim.queues = list(queues)
@@ -637,7 +742,7 @@ class TestEqatIntegration:
         p = make_params(n_nodes=2, arrival_prob=0.9, channel_gain=(1e4, 1e4))
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)  # both contend hard
         strategy = EqatStrategy(design, threshold=0.0, backoff_window=5)
-        sim = Simulation(p, strategy, seed=13)
+        sim = Simulation(p, strategy, seed=13, profiles=energy_profiles(p))
         saw = False
         for _ in range(200):
             before = list(strategy.backoff)
@@ -660,7 +765,7 @@ class TestSelectedNodeLawFrequencies:
             0: (1 - ps) * (1 - lam) + ps * lam,
         }
         strategy = make_strategy("fq")
-        sim = Simulation(p, strategy, seed=31)
+        sim = Simulation(p, strategy, seed=31, profiles=energy_profiles(p))
         counts = {+1: 0, -1: 0, 0: 0}
         n_obs = 0
         for _ in range(120_000):
@@ -686,7 +791,8 @@ class TestCollidedNodeLawFrequencies:
         # runs of collisions from draining either node.
         cp = 0.5
         p = make_params(arrival_prob=0.3, battery_levels=20, channel_gain=(1e4, 1e4))
-        sim = Simulation(p, make_strategy("rc", contention_prob=cp), seed=7, trace=True)
+        sim = Simulation(p, make_strategy("rc", contention_prob=cp), seed=7, trace=True,
+                         profiles=energy_profiles(p))
         counts, expect, laws = {}, {}, {}
         n_obs = 0
         for _ in range(120_000):
@@ -720,11 +826,13 @@ class TestMonteCarloOrdering:
         from rwsnsim.mdp import build_model, value_iteration
 
         chooser = PolicyChooser(value_iteration(build_model(p)))
+        profiles = energy_profiles(p)
         loss_ehmdp = []
         loss_rs = []
         for seed in range(20):
-            a, _ = simulate_run(p, "ehmdp", slots=10_000, seed=seed, chooser=chooser)
-            b, _ = simulate_run(p, "rs", slots=10_000, seed=seed)
+            a, _ = simulate_run(p, "ehmdp", slots=10_000, seed=seed, profiles=profiles,
+                                chooser=chooser)
+            b, _ = simulate_run(p, "rs", slots=10_000, seed=seed, profiles=profiles)
             loss_ehmdp.append(a.loss_rate)
             loss_rs.append(b.loss_rate)
         assert np.mean(loss_ehmdp) <= np.mean(loss_rs)
@@ -737,7 +845,9 @@ class TestCentralizedLock:
     (bs_power 1.0) at N=6 that leaves node 0 a net change of -1 per
     transmitting slot and no harvest in a charge-only slot, so once it drains
     below its transmit cost it never recovers. `fq` ties to the lowest index
-    among full queues and keeps picking it: the channel idles for good.
+    among full queues and keeps picking it: every slot is a charge-only slot
+    of an energy-dead node. The traces call such a slot idle; the outcome
+    counters tell it apart from a slot with no node selected.
     """
 
     def test_fq_locks_on_the_drained_node(self):
@@ -745,8 +855,12 @@ class TestCentralizedLock:
                         channel_gain=draw_channel_gains(6))
         prof = energy_profiles(p)[0]
         assert (prof.min_tx_level, prof.delta_levels, prof.harvest_only_levels) == (2, -1, 0)
-        _, traces = simulate_run(p, "fq", 2000, 0, trace=True)
+        m, traces = simulate_run(p, "fq", 2000, 0, trace=True, profiles=energy_profiles(p))
         last = traces[-1000:]
         assert all(t.transmitters == (0,) for t in last)
         assert all(t.outcome == "idle" for t in last)
         assert all(t.batteries[0] < prof.min_tx_level for t in last)
+        # every slot traced idle was node 0 charging, none had no node selected
+        assert m.idle_slots == 0
+        assert m.charge_only_slots == sum(t.outcome == "idle" for t in traces) >= len(last)
+        assert m.energy_dead_node_slots >= len(last)
