@@ -3,9 +3,9 @@
     rwsnsim run CONFIG OUTDIR   run the grid CONFIG describes and write
                                 raw.csv, aggregate.csv and manifest.json
                                 (and traces.csv when tracing) to OUTDIR
-    rwsnsim report OUTDIR       print the strategy rankings per scenario and
-                                the trends over slot length of OUTDIR's
-                                aggregate.csv
+    rwsnsim report OUTDIR       print OUTDIR's strategy rankings per scenario,
+                                with where the slots went, and the trends
+                                over slot length (from its aggregate.csv)
 
 `run` exits 1 when a scenario or a run failed; the outputs of the rest are
 still written and every failure is listed on standard error.

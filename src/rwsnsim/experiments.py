@@ -46,8 +46,7 @@ from typing import Callable
 from . import simulator
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
-from .mdp import (DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, StateSpaceBudgetError,
-                  build_model, check_budget, value_iteration)
+from .mdp import DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, build_model, value_iteration
 from .simulator import (STRATEGIES, EqatStrategy, RandomContentionStrategy, RunMetrics,
                         SlotTrace, simulate_run)
 
@@ -317,27 +316,24 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             except Exception as e:
                 failures.append({"n_nodes": n, "t_hat": t_hat, "error": str(e)})
                 continue
-            ehmdp_mode = None
-            vi_result = None
-            solve_s = None
-            chooser = None   # built once here, shipped to every ehmdp task
+            # the chooser is built once here and shipped to every ehmdp task
+            ehmdp_mode = vi_result = solve_s = chooser = None
             if "ehmdp" in spec.strategies:
-                try:
-                    # checked before build_model is entered, so every build_model
-                    # call returns a model (the benchmark's traced spans describe it)
-                    check_budget(params, spec.budget)
-                    solve_start = time.perf_counter()
-                    vi_result = value_iteration(build_model(params, budget=spec.budget))
-                    solve_s = time.perf_counter() - solve_start
-                    chooser = PolicyChooser(vi_result)
-                    ehmdp_mode = "exact"
-                except StateSpaceBudgetError as e:
-                    log.info("scenario N=%d T=%d: %s; ehmdp runs in myopic mode", n, t_hat, e)
-                    ehmdp_mode = "myopic"
-                except Exception as e:
-                    failures.append({"n_nodes": n, "t_hat": t_hat,
-                                     "strategy": "ehmdp", "error": str(e)})
-                    ehmdp_mode = "myopic"
+                ehmdp_mode = "myopic"
+                # decided here, so the benchmark's traced build_model always returns a model
+                if params.joint_state_count > spec.budget:
+                    log.info("scenario N=%d T=%d: %d joint states, over the budget: ehmdp runs "
+                             "in myopic mode", n, t_hat, params.joint_state_count)
+                else:
+                    try:
+                        solve_start = time.perf_counter()
+                        vi_result = value_iteration(build_model(params, budget=spec.budget))
+                        solve_s = time.perf_counter() - solve_start
+                        chooser = PolicyChooser(vi_result)
+                        ehmdp_mode = "exact"
+                    except Exception as e:
+                        failures.append({"n_nodes": n, "t_hat": t_hat,
+                                         "strategy": "ehmdp", "error": str(e)})
                 if chooser is None:
                     chooser = MyopicChooser(params, profiles)
             scenarios.append({
@@ -478,7 +474,9 @@ def report(agg_rows: list[dict]) -> dict:
     """Ordering tables per scenario and monotone-trend flags per strategy.
 
     Two strategies whose means differ by less than one joint standard error
-    are reported as tied rather than silently ordered.
+    are reported as tied rather than silently ordered. Each entry also gives
+    the charge-only, collision and idle shares of its slots (the five outcome
+    means summed) and the energy-dead share of its node-slots; 0.0 without slots.
     """
     scenarios: dict[tuple, list[dict]] = {}
     for row in agg_rows:
@@ -495,6 +493,8 @@ def report(agg_rows: list[dict]) -> dict:
         by_tp = sorted(rows, key=lambda r: -r["throughput_pps_mean"])
         ranking = []
         for i, r in enumerate(by_tp):
+            slots = sum(r[f"{name}_mean"] for name in ("successes", "ber_failures", "collisions",
+                                                         "charge_only_slots", "idle_slots")) or 1.0
             tie = False
             if i > 0:
                 prev = by_tp[i - 1]
@@ -505,6 +505,10 @@ def report(agg_rows: list[dict]) -> dict:
                 "throughput_pps": r["throughput_pps_mean"],
                 "loss_rate": r["loss_rate_mean"],
                 "tied_with_previous": tie,
+                "charge_only_share": r["charge_only_slots_mean"] / slots,
+                "collision_share": r["collisions_mean"] / slots,
+                "idle_share": r["idle_slots_mean"] / slots,
+                "energy_dead_share": r["energy_dead_node_slots_mean"] / (slots * n),
             })
         tables.append({"n_nodes": n, "t_hat": t_hat, "by_throughput": ranking})
         lines.append(f"scenario N={n} T={t_hat}:")
@@ -513,7 +517,9 @@ def report(agg_rows: list[dict]) -> dict:
             lines.append(
                 f"  {marker:>2} {entry['strategy']:<18} "
                 f"throughput={entry['throughput_pps']:.3f} pps "
-                f"loss={entry['loss_rate']:.4f}"
+                f"loss={entry['loss_rate']:.4f} charge-only={entry['charge_only_share']:.3f} "
+                f"collision={entry['collision_share']:.3f} idle={entry['idle_share']:.3f} "
+                f"energy-dead={entry['energy_dead_share']:.3f}"
             )
 
     trends = []

@@ -5,7 +5,7 @@ the selected node (modulation is pre-folded, see the energy module). The
 cost of a slot is the number of packets dropped to buffer overflow, so the
 solved value function reads as expected discounted packet loss.
 
-The per-node law, written once in `kernel_model` on the battery moves that
+The per-node law, applied once in `kernel_model` to the battery moves that
 `energy` tabulates and the simulator reads. Over a slot a node receives
 X ~ Binomial(k, lambda) packets (`core.arrival_pmf`: k = `arrivals_per_slot`
 opportunities of probability `arrival_prob` each, as the simulator draws
@@ -14,9 +14,7 @@ probability ps and D = 0 otherwise, its battery moving by the net harvest
 quantum either way (the downlink charges the node even after a corrupted
 packet); every other node departs none. The packet leaves before the slot's
 arrivals, so the next queue is min(Q, q - D + X) and the slot drops
-max(0, q - D + X - Q) packets. Each kernel row stores one entry per (D, X)
-outcome with that drop count as its reward, so the row's sum of
-prob * reward is the expected loss by construction.
+max(0, q - D + X - Q) packets.
 
 Product form. Under action k, node k moves by its selected kernel S_k and
 every other node by the shared arrival-only kernel U, independently, and
@@ -26,9 +24,11 @@ m = (K+1)(Q+1) local states. The arrivals come after the departure and
 touch the queue alone, so the kernels factor further: U = I x A and
 S_k = M_k (I x A), where A is the (Q+1) x (Q+1) arrival kernel of one
 queue, I spans the K+1 battery levels and M_k is node k's battery move and
-departure. The solve and the myopic chooser read A, the M_k and rU (below)
-as `kernel_model` stored them; its sparse rows serve the benchmark and the
-test oracles.
+departure. `kernel_model` applies the tables once, assembling A and the
+M_k, and derives the rest from the M_k and the arrival law: rU (below),
+and the sparse rows, one entry per (nonzero of M_k, arrival count X) with
+the packets it drops as its reward. The solve and the myopic chooser read
+A, the M_k and rU; only the benchmark and the test oracles read the rows.
 
 Every drop is a packet that arrives after the slot's departure and battery
 move and finds the queue full. So a selected node's expected loss is its
@@ -87,10 +87,10 @@ Ties. The policy takes the lowest node index among the actions whose Q
 lies within TIE_RTOL * max(1, |min Q|) of the minimum, so actions equal up
 to rounding do not get ordered by summation order.
 
-Budget. `check_budget`, which `build_model` applies, refuses a joint state
-count m^N above its budget (200,000 states by default: N=3 has 74,088 at
-the defaults, N=4 has 3.1 M).
-`kernel_model` itself has none: O(N m^2) at any N (0.72 MB at N=50).
+Budget. `build_model` refuses a joint state count m^N above its budget
+(200,000 states by default: N=3 has 74,088 at the defaults, N=4 has
+3.1 M). `kernel_model` itself has none: O(N m^2) at any N (0.72 MB at
+N=50).
 
 Boundary conventions (the interior cases follow the law above; the
 boundaries need explicit choices):
@@ -142,10 +142,11 @@ class TransitionModel:
     """The per-node kernels U, S_0, ..., S_{N-1}, kernel j = M_j (I x A), in the
     factors the solve reads: `arrival` A, (Q+1) x (Q+1); `moves` M, per kernel
     the dense m x m move of the battery and the departure (M_0 = I); `loss`
-    rU, U's expected loss per local state. The benchmark and the test oracles
-    read the sparse rows: row r = j * m + local state spans entries
-    [row_ptr[r], row_ptr[r+1]) of (local next state, probability, packets
-    dropped), one per (departure, arrivals) outcome. Sizes are `params`'.
+    rU, U's expected loss per local state. The sparse rows are derived from
+    M and the arrival law, for the benchmark and the test oracles: row
+    r = j * m + local state spans entries [row_ptr[r], row_ptr[r+1]) of
+    (local next state, probability, packets dropped), one per nonzero of M
+    and arrival count. Sizes are `params`'.
     """
 
     params: NetworkParams
@@ -181,53 +182,47 @@ def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> Tr
         departs.append(np.where(tx, ps, 0.0))
     after, departs = np.array(after), np.array(departs)
     pmf = arrival_pmf(params)
-    # outcome axes after the local state: departure D in (0, 1), then arrivals X
-    level = queue[:, None, None] - np.array([0, 1])[:, None] + np.arange(pmf.size)
-    d1 = departs[..., None, None]
-    prob = np.concatenate([1.0 - d1, d1], axis=2) * pmf
-    nxt = after[..., None, None] * (Q + 1) + np.minimum(level, Q)
-    dropped = np.broadcast_to(np.maximum(level - Q, 0), prob.shape)
-    prob, nxt, dropped = (a.reshape(-1, 2 * pmf.size) for a in (prob, nxt, dropped))
-    keep = prob > 0.0
-    row_ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    prob, reward = prob[keep], dropped[keep].astype(np.float64)
-    sums = np.add.reduceat(prob, row_ptr[:-1])
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
-    if bad.size:
-        raise AssertionError(f"kernel row {bad[0]} sums to {sums[bad[0]]!r}")
-    # rU, each row's entries summed in order; U's rows come first
-    rows = np.repeat(np.arange(row_ptr.size - 1), np.diff(row_ptr))
-    loss = np.bincount(rows, weights=prob * reward)[:m]
+    # A: a queue of each length gains X packets, capped at Q
     length = np.arange(Q + 1)[:, None]
     arrival = np.zeros((Q + 1, Q + 1))
     np.add.at(arrival, (length, np.minimum(length + np.arange(pmf.size), Q)), pmf)
+    # M: departure D = 0, then D = 1 (probability 0 wherever the queue is empty)
+    target = after * (Q + 1) + np.maximum(queue - np.array([0, 1])[:, None, None], 0)
     moves = np.zeros((len(after), m, m))
-    for d, p_d in ((0, 1.0 - departs), (1, departs)):
-        # D = 1 has probability 0 wherever the queue is empty
-        target = after * (Q + 1) + np.maximum(queue - d, 0)
-        np.add.at(moves, (np.arange(len(after))[:, None], np.arange(m), target), p_d)
+    np.add.at(moves, (np.arange(len(after))[:, None], np.arange(m), target),
+              np.array([1.0 - departs, departs]))
+    for name, kernel in (("A", arrival), ("M", moves)):
+        off = np.abs(kernel.sum(axis=-1) - 1.0)
+        if off.max() > 1e-12:
+            raise AssertionError(f"a row of {name} sums to 1 +- {off.max()!r}")
+    # rU: U's expected overflow per queue length, the arrivals summed in order
+    over = np.maximum(length + np.arange(pmf.size) - Q, 0)
+    loss = np.tile(np.add.accumulate(over * pmf, axis=1)[:, -1], params.battery_levels + 1)
+    # the rows, for the benchmark and the oracles: each nonzero of M times each
+    # arrival count, then the queue capped at Q and the overflow dropped
+    j, s, mid = np.nonzero(moves)
+    prob = moves[j, s, mid][:, None] * pmf
+    level = (mid % (Q + 1))[:, None] + np.arange(pmf.size)
+    nxt = (mid - mid % (Q + 1))[:, None] + np.minimum(level, Q)
+    keep = prob > 0.0
+    rows = np.repeat(j * m + s, keep.sum(axis=1))
     return TransitionModel(
         params=params,
-        row_ptr=row_ptr.astype(np.int64),
+        row_ptr=np.searchsorted(rows, np.arange(len(after) * m + 1)).astype(np.int64),
         next_state=nxt[keep].astype(np.int64),
-        prob=prob,
-        reward=reward,
+        prob=prob[keep],
+        reward=np.maximum(level - Q, 0)[keep].astype(np.float64),
         arrival=arrival,
         moves=moves,
         loss=loss,
     )
 
 
-def check_budget(params: NetworkParams, budget: int) -> None:
-    """Raise StateSpaceBudgetError when the joint state space exceeds `budget`."""
-    n_states = params.joint_state_count
-    if n_states > budget:
-        raise StateSpaceBudgetError(n_states, budget)
-
-
 def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> TransitionModel:
-    """The kernels of an exactly solvable model; refuses joint spaces above `budget`."""
-    check_budget(params, budget)
+    """The kernels of an exactly solvable model; raises StateSpaceBudgetError
+    for a joint state space above `budget`."""
+    if params.joint_state_count > budget:
+        raise StateSpaceBudgetError(params.joint_state_count, budget)
     return kernel_model(params, energy_profiles(params))
 
 

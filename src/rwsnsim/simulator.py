@@ -32,12 +32,14 @@ loop calls the last two only when the strategy's class overrides
 Per-slot work scales with the nodes that can act, not with N.
 `Simulation.powered` holds the nodes whose battery affords one
 transmission, in index order, and `transmit_ready` filters it by the live
-queues. Only `Simulation._set_level` changes a node's membership. The loop
-looks a battery's next level up in the node's profile (the per-node law,
-written once in `energy`) and writes it directly when the move leaves the
-node on the same side of its transmit cost; a move that crosses it goes
-through `_set_level`. So code may assign `queues` freely but must write
-`batteries` only through `_set_level`.
+queues. Only `Simulation._set_level` changes a node's membership. A slot's
+branches pick its outcome and its move table (the per-node law, tabulated
+once in `energy`): `after_tx` or `after_charge` for a lone selected node,
+`after_collision` for colliders. One block, the loop's only battery write,
+then moves each transmitter by it: directly when the move leaves the node
+on the same side of its transmit cost, else through `_set_level`. So code
+may assign `queues` freely but must write `batteries` only through
+`_set_level`.
 
 Random draws are fetched in blocks and handed out one by one in the order
 a per-slot draw would have consumed them, so the numbers are those of
@@ -235,11 +237,9 @@ class Simulation:
             self.slot = slot   # the slot being played, for the strategy's hooks
             dead += dead_now
             transmitters = select(self)
-            energy = 0
             if len(transmitters) == 1:
                 t = transmitters[0]
-                before, need = batteries[t], min_tx[t]
-                if before >= need and queues[t] >= 1:
+                if batteries[t] >= min_tx[t] and queues[t] >= 1:
                     if ber() < ps:
                         outcome = "success"
                         successes += 1
@@ -249,33 +249,28 @@ class Simulation:
                         outcome = "ber_fail"
                         ber_failures += 1
                     # downlink charges the node either way, net of transmit cost
-                    after = after_tx[t][before]
+                    moves = after_tx
                 else:
                     # a centrally selected node without a packet (or battery)
                     # gets the whole slot as charge
                     outcome = "idle"
                     charge_only += 1
-                    after = after_charge[t][before]
-                energy = after - before
+                    moves = after_charge
+            elif transmitters:
+                outcome = "collision"
+                collisions += 1
+                moves = after_collision
+            else:
+                outcome = "idle"
+                idle += 1
+            for t in transmitters:   # the one battery write, by the branch's table
+                before, need = batteries[t], min_tx[t]
+                after = moves[t][before]
                 if (after >= need) == (before >= need):
                     batteries[t] = after
                 else:
                     set_level(t, after)
                     dead_now = n_nodes - len(powered)
-            elif transmitters:
-                outcome = "collision"
-                collisions += 1
-                for t in transmitters:
-                    before, need = batteries[t], min_tx[t]
-                    after = after_collision[t][before]
-                    if (after >= need) == (before >= need):
-                        batteries[t] = after
-                    else:
-                        set_level(t, after)
-                        dead_now = n_nodes - len(powered)
-            else:
-                outcome = "idle"
-                idle += 1
 
             if on_outcome is not None:
                 on_outcome(self, transmitters, outcome)
@@ -293,6 +288,8 @@ class Simulation:
                 end_of_slot(self)
 
             if traces is not None:
+                # a lone transmitter's move is the one charged; a collision charges none
+                energy = after - before if len(transmitters) == 1 else 0
                 traces.append(SlotTrace(slot, outcome, tuple(transmitters), energy,
                                         tuple(batteries), tuple(queues)))
 

@@ -569,19 +569,52 @@ class TestReport:
         assert "scenario N=2" in rep["text"]
 
     def test_equal_metrics_reported_as_tie(self):
+        # every aggregate column, the unnamed ones 0.0 (the report reads them all)
         rows = [
-            {"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": "a", "n_seeds": 2,
+            {**{col: 0.0 for col in AGG_COLUMNS},
+             "n_nodes": 2, "t_hat": 10, "design": "-", "strategy": name, "n_seeds": 2,
              "generated_mean": 1.0, "delivered_mean": 1.0, "dropped_mean": 0.0,
              "throughput_pps_mean": 5.0, "throughput_pps_stderr": 0.5,
-             "loss_rate_mean": 0.1, "loss_rate_stderr": 0.01},
-            {"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": "b", "n_seeds": 2,
-             "generated_mean": 1.0, "delivered_mean": 1.0, "dropped_mean": 0.0,
-             "throughput_pps_mean": 5.0, "throughput_pps_stderr": 0.5,
-             "loss_rate_mean": 0.1, "loss_rate_stderr": 0.01},
+             "loss_rate_mean": 0.1, "loss_rate_stderr": 0.01}
+            for name in ("a", "b")
         ]
         rep = report(rows)
         ranking = rep["tables"][0]["by_throughput"]
         assert ranking[1]["tied_with_previous"] is True
+
+    def test_slot_shares_match_the_raw_rows(self):
+        # contention at N=3 spends slots on every outcome and leaves nodes energy-dead
+        res = run_experiment(tiny_spec(n_nodes=[3], strategies=["fq", "dfq", "rc", "eqat"],
+                                       slots=400, seeds=[0, 1], network={}))
+        rep = report(res.agg_rows)
+        shares = {}
+        for entry in rep["tables"][0]["by_throughput"]:
+            name = entry["strategy"].split("(")[0]
+            rows = [r for r in res.raw_rows if r["strategy"] == name]
+            slots = sum(r["slots"] for r in rows)
+            expect = {
+                "charge_only_share": sum(r["charge_only_slots"] for r in rows) / slots,
+                "collision_share": sum(r["collisions"] for r in rows) / slots,
+                "idle_share": sum(r["idle_slots"] for r in rows) / slots,
+                "energy_dead_share": sum(r["energy_dead_node_slots"] for r in rows) / (3 * slots),
+            }
+            for key, value in expect.items():
+                assert entry[key] == pytest.approx(value, rel=1e-12, abs=1e-15), (name, key)
+            shares[name] = expect
+            assert (f"charge-only={expect['charge_only_share']:.3f} "
+                    f"collision={expect['collision_share']:.3f} "
+                    f"idle={expect['idle_share']:.3f} "
+                    f"energy-dead={expect['energy_dead_share']:.3f}") in rep["text"]
+        # not vacuous: fq charges, contention collides and kills nodes
+        assert shares["fq"]["charge_only_share"] > 0
+        assert all(shares[s]["collision_share"] > 0 for s in ("dfq", "rc", "eqat"))
+        assert all(shares[s]["energy_dead_share"] > 0.1 for s in ("dfq", "rc", "eqat"))
+
+    def test_slot_shares_of_runs_without_slots_are_zero(self):
+        rep = report(run_experiment(tiny_spec(slots=0)).agg_rows)
+        entry = rep["tables"][0]["by_throughput"][0]
+        assert [entry[k] for k in ("charge_only_share", "collision_share", "idle_share",
+                                   "energy_dead_share")] == [0.0] * 4
 
     def test_trend_flags_over_interval_sweep(self):
         res = run_experiment(tiny_spec(t_hat=[10, 20], strategies=["fq"], seeds=[0, 1]))

@@ -838,6 +838,99 @@ class TestMonteCarloOrdering:
         assert np.mean(loss_ehmdp) <= np.mean(loss_rs)
 
 
+def _push(kernel, x, before):
+    """The flat tensor x times `kernel` along the axis after `before` entries:
+    one forward step of a distribution, new[a, t, c] = sum_s x[a, s, c] kernel[s, t]."""
+    k = kernel.shape[0]
+    if x.size == before * k:   # the last axis: one gemm, about twice as fast at N=3
+        return (x.reshape(before, k) @ kernel).reshape(-1)
+    return (np.ascontiguousarray(kernel.T) @ x.reshape(before, k, -1)).reshape(-1)
+
+
+def closed_loop_delivered(model, policy, slots, tol=1e-9):
+    """Expected packets delivered per slot over the first `slots` slots of the
+    closed-loop chain of `policy`, from full batteries and empty queues, as
+    the simulator starts.
+
+    The joint distribution moves through the stored factors alone: the mass
+    of the states where the policy selects node k by M_k along node k's axis,
+    then all of it by A along every queue axis. A slot's expected delivery
+    is each state's mass times its selected node's expected departures, read
+    off M_k as the queue's expected drop. Once a step moves the distribution
+    by less than `tol` in L1, the remaining slots are taken at the rate it
+    has reached.
+    """
+    p = model.params
+    n, m, width = p.n_nodes, p.per_node_states, p.queue_cap + 1
+    queue = np.arange(m) % width
+    departs = (model.moves[1:] * (queue[:, None] - queue)).sum(axis=2)
+    local = np.indices((m,) * n).reshape(n, -1)
+    delivered = departs[policy, local[policy, np.arange(policy.size)]]
+    selects = [policy == k for k in range(n)]
+    pi = np.zeros(policy.size)
+    pi[np.ravel_multi_index((p.initial_battery * width,) * n, (m,) * n)] = 1.0
+    total = 0.0
+    for step in range(1, slots + 1):
+        total += pi @ delivered
+        nxt = sum(_push(model.moves[1 + k], np.where(selects[k], pi, 0.0), m ** k)
+                  for k in range(n))
+        for k in range(n):
+            nxt = _push(model.arrival, nxt, m ** k * (p.battery_levels + 1))
+        change = np.abs(nxt - pi).sum()
+        pi = nxt
+        if change < tol:
+            break
+    return (total + (slots - step) * (pi @ delivered)) / slots
+
+
+class TestModelAgreement:
+    """The model and the simulator agree at the policy level: the exact N=3
+    policy's closed-loop chain, pushed through A and the M_k, predicts the
+    delivered per slot that the simulator measures."""
+
+    @pytest.mark.parametrize("network", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
+    def test_predicted_delivery_within_3_stderr_of_simulation(self, network):
+        from rwsnsim.mdp import build_model, value_iteration
+
+        p = make_params(n_nodes=3, channel_gain=draw_channel_gains(3), **network)
+        model = build_model(p)
+        solve = value_iteration(model)
+        slots = 5_000
+        predicted = closed_loop_delivered(model, solve.policy, slots)
+        profiles, chooser = energy_profiles(p), PolicyChooser(solve)
+        per_seed = [simulate_run(p, "ehmdp", slots, seed, profiles=profiles,
+                                 chooser=chooser)[0].delivered / slots for seed in range(5)]
+        stderr = np.std(per_seed, ddof=1) / np.sqrt(len(per_seed))
+        assert abs(predicted - np.mean(per_seed)) <= 3 * stderr, (predicted, per_seed)
+
+
+class TestAbsorbingState:
+    """A modelling artefact, pinned until contention gets a charging rule
+    (ROADMAP item 1): under contention only a lone transmitter is charged,
+    so a node below its transmit cost never transmits and never charges."""
+
+    @pytest.mark.parametrize("name", ["dfq", "rc", "eqat"])
+    def test_a_node_below_its_cost_stays_there(self, name):
+        p = make_params(n_nodes=3, channel_gain=draw_channel_gains(3))
+        profiles = energy_profiles(p)
+        sim = Simulation(p, make_strategy(name), seed=7, trace=True, profiles=profiles)
+        node = 1
+        level = profiles[node].min_tx_level - 1
+        assert level >= 0
+        sim._set_level(node, level)
+        for _ in range(300):
+            below = [i for i, prof in enumerate(profiles) if sim.batteries[i] < prof.min_tx_level]
+            dead = sim.metrics.energy_dead_node_slots
+            sim.step()
+            assert node in below
+            assert sim.metrics.energy_dead_node_slots - dead == len(below)
+        assert all(node not in t.transmitters for t in sim.traces)
+        assert all(t.batteries[node] == level for t in sim.traces)
+        # not vacuous: its queue filled, and the other nodes transmitted
+        assert sim.queues[node] == p.queue_cap
+        assert sum(t.outcome in ("success", "ber_fail") for t in sim.traces) > 0
+
+
 class TestCentralizedLock:
     """A modelling artefact, pinned until the energy rounding changes (ROADMAP item 2).
 
