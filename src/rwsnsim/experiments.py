@@ -2,21 +2,25 @@
 
 A grid point resolves to a full parameter set (channel gains drawn
 deterministically per scenario, so every seed of a scenario sees the same
-network). Each (scenario, strategy, seed) run appends one raw row: the run
-key (`KEY_COLUMNS`), then the fields of its `simulator.RunMetrics`; with
-tracing, one trace row per slot: the key, then the fields of a
-`simulator.SlotTrace`, a tuple's items joined by ``|``. An aggregate row
-reduces a (scenario, strategy, design) group's seeds: its key, its seed
-count, ``<field>_mean`` of each `RunMetrics` field but slots (the run
-length), and ``<field>_stderr`` of each float field as well (the sample
-standard error, 0.0 for one seed). The manifest captures the spec and every
-resolved scenario, so a rerun of ``ExperimentSpec(**manifest["spec"])``
-reproduces the CSVs byte for byte; it also records how each ehmdp solve
-went (mode, and for an exact solve its sweep count, final residual, the
-sweeps that fell back from Anderson mixing to the plain step, and the
-build-plus-solve wall time, the one entry a rerun does not reproduce). A
-scenario whose parameters fail `core.validate` is reported once, as one
-failure, and skipped.
+network). One task, in process or on the worker pool, plays every run of a
+(scenario, seed) in spec order on one `simulator.ArrivalTape`, so the seed's
+arrivals are drawn once; a run that raises is one failure row, and the
+task goes on with the next run. Each (scenario, strategy, design, seed) run
+appends one raw row, in grid order (scenario, then strategy and design,
+then seed, whatever the tasks): the run key (`KEY_COLUMNS`), then the
+fields of its `simulator.RunMetrics`; with tracing, one trace row per slot:
+the key, then the fields of a `simulator.SlotTrace`, a tuple's items joined
+by ``|``. An aggregate row reduces a (scenario, strategy, design) group's
+seeds: its key, its seed count, ``<field>_mean`` of each `RunMetrics` field
+but slots (the run length), and ``<field>_stderr`` of each float field as
+well (the sample standard error, 0.0 for one seed). The manifest captures
+the spec and every resolved scenario, so a rerun of
+``ExperimentSpec(**manifest["spec"])`` reproduces the CSVs byte for byte;
+it also records how each ehmdp solve went (mode, and for an exact solve its
+sweep count, final residual, the sweeps that fell back from Anderson mixing
+to the plain step, and the build-plus-solve wall time, the one entry a
+rerun does not reproduce). A scenario whose parameters fail
+`core.validate` is reported once, as one failure, and skipped.
 
 A config file's keys are the declared names of what each section sets,
 and each value converts by its declared type: [experiment] the
@@ -25,7 +29,9 @@ and slot_len (the grid sets them), [channel] the `draw_channel_gains`
 parameters but n_nodes, [eqat] and [rc] the strategy constructors'
 parameters but eqat's design (set by designs). `ExperimentSpec.validate`
 checks a spec's every value against the same declared type, then the
-[channel], [eqat] and [rc] ranges by a draw and the constructors.
+[channel], [eqat] and [rc] ranges by a draw and the constructors. It also
+refuses a value repeated in n_nodes, t_hat, strategies, designs or seeds,
+which would run twice and count twice in its aggregate row.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ import json
 import logging
 import math
 import time
+from collections import Counter
 from collections.abc import Collection
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import NoneType
@@ -47,8 +53,8 @@ from . import simulator
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, build_model, value_iteration
-from .simulator import (STRATEGIES, EqatStrategy, RandomContentionStrategy, RunMetrics,
-                        SlotTrace, simulate_run)
+from .simulator import (STRATEGIES, ArrivalTape, EqatStrategy, RandomContentionStrategy,
+                        RunMetrics, SlotTrace, simulate_run)
 
 log = logging.getLogger(__name__)
 
@@ -96,6 +102,10 @@ class ExperimentSpec:
             v.append("strategies must be non-empty")
         if not self.seeds:
             v.append("at least one seed is required")
+        for name in ("n_nodes", "t_hat", "strategies", "designs", "seeds"):
+            repeated = [x for x, count in Counter(getattr(self, name)).items() if count > 1]
+            if repeated:
+                v.append(f"repeated {name}: {repeated}")
         if self.slots < 0:
             v.append("slots must be >= 0")
         if any(seed < 0 for seed in self.seeds):
@@ -290,11 +300,19 @@ class ExperimentResult:
 
 
 def _run_one(args):
-    params, strategy, slots, seed, trace, profiles, kw = args
-    try:
-        return simulate_run(params, strategy, slots, seed, trace, profiles=profiles, **kw)
-    except Exception as e:  # reported per task; the grid keeps running
-        return ("error", f"{type(e).__name__}: {e}")
+    """One task: every run of one (scenario, seed), in spec order, on one arrival
+    tape; each run's (metrics, traces), or ("error", message) for a run that raised."""
+    params, seed, slots, trace, profiles, runs = args
+    arrivals = ArrivalTape(params, seed)
+    outcomes = []
+    for strategy, kw in runs:
+        try:
+            # the tape by keyword: the benchmark's tracer reads params and strategy by position
+            outcomes.append(simulate_run(params, strategy, slots, seed, trace, profiles=profiles,
+                                         arrivals=arrivals, **kw))
+        except Exception as e:  # reported per run; the grid keeps running
+            outcomes.append(("error", f"{type(e).__name__}: {e}"))
+    return outcomes
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -302,7 +320,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if problems:
         raise ValueError("; ".join(problems))
 
-    tasks = []       # (scenario key, args) in deterministic grid order
+    grid = []        # every run's key, in grid order, the order of the raw rows
+    tasks = []       # (run keys, args) per (scenario, seed)
     scenarios = []
     failures: list[dict] = []
     for n in spec.n_nodes:
@@ -346,29 +365,37 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 "ehmdp_solve_s": solve_s,
                 "params": asdict(params),
             })
+            runs = []   # (design column, strategy, constructor kwargs), in spec order
             for strategy in spec.strategies:
-                # (design column, constructor kwargs) of each row group
                 if strategy == "eqat":
-                    groups = [(token, {**spec.eqat, "design": TxProbDesign.parse(token)})
-                              for token in spec.designs]
+                    runs += [(token, strategy, {**spec.eqat, "design": TxProbDesign.parse(token)})
+                             for token in spec.designs]
                 else:
                     kw = {"ehmdp": {"chooser": chooser}, "rc": spec.rc}.get(strategy, {})
-                    groups = [("-", kw)]
-                for design, kw in groups:
-                    for seed in spec.seeds:
-                        key = dict(zip(KEY_COLUMNS, (n, t_hat, design, strategy, seed)))
-                        tasks.append((key, (params, strategy, spec.slots, seed, spec.trace,
-                                            profiles, kw)))
+                    runs.append(("-", strategy, kw))
+            grid += [(n, t_hat, design, strategy, seed)
+                     for design, strategy, _ in runs for seed in spec.seeds]
+            for seed in spec.seeds:
+                tasks.append(([(n, t_hat, design, strategy, seed) for design, strategy, _ in runs],
+                              (params, seed, spec.slots, spec.trace, profiles,
+                               [(strategy, kw) for _, strategy, kw in runs])))
 
     raw_rows: list[dict] = []
     trace_rows: list[dict] = []
     if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a pool needs the import
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             outcomes = list(pool.map(_run_one, [a for _, a in tasks]))
     else:
         outcomes = [_run_one(a) for _, a in tasks]
 
-    for (key, args), (metrics, traces) in zip(tasks, outcomes):
+    # keys are unique, as validate refuses repeated grid values
+    outcome_of = {key: out for (keys, _), outs in zip(tasks, outcomes)
+                  for key, out in zip(keys, outs)}
+    for key in grid:
+        metrics, traces = outcome_of[key]
+        key = dict(zip(KEY_COLUMNS, key))
         if metrics == "error":
             failures.append({**key, "error": traces})
             continue

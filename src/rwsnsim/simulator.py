@@ -8,15 +8,25 @@ are applied, dropping on full queues; finally the strategy closes the slot
 (EQAT counts down its backoffs). A run is strictly sequential and
 deterministic given its seed: arrivals, strategy choices, error draws, and
 backoff draws each consume their own substream, so runs that differ only
-in strategy see identical arrival processes.
+in strategy see identical arrival processes (common random numbers).
+
+Those arrivals are drawn once per seed and network. An `ArrivalTape` owns
+the arrival substream and keeps each slot's hits; every run of that seed
+reads the same tape (`run_experiment` gives one to all the runs of a
+(scenario, seed)), and a run given none draws a private one. The tape keeps
+every slot it has drawn until its last reader is gone: about 90 B a slot at
+N=10 and 185 B at N=50 at the default arrival probability of 0.3, so 0.37 MB
+for 2,000 slots at N=50 and 18.5 MB for 100,000, where a stream drawn per
+run would hold one block.
 
 One slot loop. `Simulation.run(slots)` is the only code that plays a slot;
 `step()` is ``run(1)``. At the start of each call the loop binds to locals
 what stays fixed from slot to slot: the queue, battery and powered lists,
 the per-node transmit costs and battery-move tables, the draw functions,
-the strategy's bound `select` and hooks, and the trace list. It counts
-packets, slot outcomes and energy-dead node-slots in locals and, when the
-call ends, writes them to `metrics` together with `slots`,
+the arrival tape's slots (drawn through the call's last slot, and read by
+slot index), the strategy's bound `select` and hooks, and the trace list.
+It counts packets, slot outcomes and energy-dead node-slots in locals and,
+when the call ends, writes them to `metrics` together with `slots`,
 `in_queue_final` and the two rates, so `metrics` is current after every
 call (`slot` is kept current during the call, for the strategy). Binding
 per call, not per run, lets a caller replace `queues` or `traces` between
@@ -64,7 +74,8 @@ from .eqat import TxProbDesign, escalate, tx_prob
 _LOOKED_UP_HERE = (energy_profiles,)   # as `simulator.energy_profiles`, by run_experiment
 
 # values fetched per refill of a block-fetched stream (uniforms, or arrival
-# opportunities of N uniforms each); bounds the memory it holds
+# opportunities of N uniforms each); bounds the memory a `uniforms` stream
+# holds, while an `ArrivalTape` keeps every block it has drawn
 BLOCK = 1024
 
 
@@ -112,12 +123,13 @@ class SlotTrace:
 
 
 class Streams:
-    """Named rng substreams so different random purposes never interleave.
+    """A run's own rng substreams, so different random purposes never interleave.
 
-    Each substream is consumed in exactly one form during a run, and every
-    form fetches its draws in blocks:
+    Substream ``[seed, 0]`` is the arrivals'; the run's `ArrivalTape` owns
+    it, since runs of one seed share it. Each substream is consumed in
+    exactly one form, and every form fetches its draws in blocks:
 
-      * ``arrival``: `arrival_hits`, N uniforms per arrival opportunity;
+      * ``[seed, 0]``: `ArrivalTape`, N uniforms per arrival opportunity;
       * ``ber``, ``strategy`` and ``backoff``: `uniforms`. A choice among k
         values scales one uniform u to ``int(u * k)``: ``rs``'s index into
         the backlogged nodes, and an EQAT backoff ``1 + int(u * W)``.
@@ -130,7 +142,6 @@ class Streams:
     """
 
     def __init__(self, seed: int):
-        self.arrival = np.random.default_rng([seed, 0])
         self.strategy = np.random.default_rng([seed, 1])
         self.ber = np.random.default_rng([seed, 2])
         self.backoff = np.random.default_rng([seed, 3])
@@ -145,41 +156,64 @@ def uniforms(rng: np.random.Generator) -> Callable[[], float]:
     return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None)).__next__
 
 
-def arrival_hits(rng: np.random.Generator, n_nodes: int, prob: float,
-                 per_slot: int) -> Callable[[], list[int]]:
-    """A function returning, per slot, the nodes with an arrival.
+class ArrivalTape:
+    """Each slot's arrivals for one seed and network, drawn once for all its runs.
 
-    Each of the slot's `per_slot` arrival opportunities draws
-    ``rng.random(n_nodes)``, and node n has an arrival when its uniform is
-    below `prob`. The slot's list is its opportunities' hits concatenated
-    in draw order, so a node appears once per arrival. About BLOCK
-    opportunities are drawn at a time.
+    Each of a slot's ``arrivals_per_slot`` arrival opportunities draws
+    ``rng.random(n_nodes)`` from substream ``[seed, 0]``, and node n has an
+    arrival when its uniform is below ``arrival_prob``. A slot's hits are its
+    opportunities' hits concatenated in draw order, so a node appears once
+    per arrival. The tape draws about BLOCK opportunities at a time, as far
+    as its readers have reached, and keeps them all (see the module
+    docstring for the memory).
     """
-    slots = max(1, BLOCK // per_slot)
-    width = per_slot * n_nodes   # uniforms per slot
 
-    def block() -> list[list[int]]:
-        hits = np.flatnonzero(rng.random(slots * width) < prob)
-        ends = np.searchsorted(hits, np.arange(width, (slots + 1) * width, width)).tolist()
-        nodes = (hits % n_nodes).tolist()
-        return [nodes[start:end] for start, end in zip([0, *ends], ends)]
+    def __init__(self, params: NetworkParams, seed: int):
+        self.key = self.key_of(params, seed)
+        _, n_nodes, _, per_slot = self.key
+        self.rng = np.random.default_rng([seed, 0])
+        self.slots: list[list[int]] = []   # the nodes with an arrival, per slot drawn
+        self._block = max(1, BLOCK // per_slot)   # slots per draw
+        self._width = per_slot * n_nodes          # uniforms per slot
 
-    return chain.from_iterable(iter(block, None)).__next__
+    @staticmethod
+    def key_of(params: NetworkParams, seed: int) -> tuple:
+        """What fixes a tape's hits: (seed, n_nodes, arrival_prob, arrivals_per_slot)."""
+        return seed, params.n_nodes, params.arrival_prob, params.arrivals_per_slot
+
+    def upto(self, slots: int) -> list[list[int]]:
+        """Every slot's hits drawn so far, after drawing at least `slots` of them."""
+        n_nodes, prob = self.key[1], self.key[2]
+        block, width = self._block, self._width
+        while len(self.slots) < slots:
+            hits = np.flatnonzero(self.rng.random(block * width) < prob)
+            ends = np.searchsorted(hits, np.arange(width, (block + 1) * width, width)).tolist()
+            nodes = (hits % n_nodes).tolist()
+            self.slots += [nodes[start:end] for start, end in zip([0, *ends], ends)]
+        return self.slots
 
 
 class Simulation:
     def __init__(self, params: NetworkParams, strategy: "Strategy", seed: int,
-                 trace: bool = False, *, profiles: list[NodeEnergyProfile]):
-        """`profiles` are the network's energy profiles, `energy_profiles(params)`."""
+                 trace: bool = False, *, profiles: list[NodeEnergyProfile],
+                 arrivals: ArrivalTape | None = None):
+        """`profiles` are the network's energy profiles, `energy_profiles(params)`.
+        `arrivals` is ``ArrivalTape(params, seed)`` shared with other runs of
+        `seed` on this network; without it the run draws its own. A tape of
+        another seed or network raises ValueError."""
+        if arrivals is None:
+            arrivals = ArrivalTape(params, seed)
+        elif arrivals.key != ArrivalTape.key_of(params, seed):
+            raise ValueError(f"arrival tape of (seed, n_nodes, arrival_prob, arrivals_per_slot) "
+                             f"{arrivals.key}, not {ArrivalTape.key_of(params, seed)}")
         self.params = params
         self.strategy = strategy
         self.rng = Streams(seed)
+        self.arrivals = arrivals
         self.profiles = profiles
         self.min_tx = [prof.min_tx_level for prof in profiles]
         self.ps = packet_success_prob(params)
         self._ber = uniforms(self.rng.ber)
-        self._arrivals = arrival_hits(self.rng.arrival, params.n_nodes, params.arrival_prob,
-                                      params.arrivals_per_slot)
         self._after_tx = [prof.after_tx for prof in profiles]
         self._after_charge = [prof.after_charge for prof in profiles]
         self._after_collision = [prof.after_collision for prof in profiles]
@@ -218,7 +252,7 @@ class Simulation:
         powered, n_nodes = self.powered, self.params.n_nodes
         after_tx, after_charge = self._after_tx, self._after_charge
         after_collision = self._after_collision
-        ps, ber, arrivals = self.ps, self._ber, self._arrivals
+        ps, ber = self.ps, self._ber
         cap, set_level, traces = self.params.queue_cap, self._set_level, self.traces
         strategy = self.strategy
         select = strategy.select
@@ -231,6 +265,7 @@ class Simulation:
         charge_only, idle, dead = m.charge_only_slots, m.idle_slots, m.energy_dead_node_slots
         start = self.slot
         stop = start + max(slots, 0)
+        arrivals = self.arrivals.upto(stop)
         dead_now = n_nodes - len(powered)   # changes only when a move crosses a transmit cost
 
         for slot in range(start, stop):
@@ -276,7 +311,7 @@ class Simulation:
                 on_outcome(self, transmitters, outcome)
 
             # the slot's arrivals, opportunity by opportunity
-            hits = arrivals()
+            hits = arrivals[slot]
             generated += len(hits)
             for n in hits:
                 if queues[n] >= cap:
@@ -541,10 +576,12 @@ def simulate_run(
     trace: bool = False,
     *,
     profiles: list[NodeEnergyProfile],
+    arrivals: ArrivalTape | None = None,
     **strategy_kw,
 ) -> tuple[RunMetrics, list[SlotTrace] | None]:
-    """One run of a fresh strategy; `profiles` as for `Simulation`."""
+    """One run of a fresh strategy; `profiles` and `arrivals` as for `Simulation`."""
     strategy = make_strategy(strategy_name, **strategy_kw)
-    sim = Simulation(params, strategy, seed=seed, trace=trace, profiles=profiles)
+    sim = Simulation(params, strategy, seed=seed, trace=trace, profiles=profiles,
+                     arrivals=arrivals)
     metrics = sim.run(slots)
     return metrics, sim.traces

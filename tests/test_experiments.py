@@ -209,6 +209,31 @@ class TestRunExperiment:
         assert serial.failures == pooled.failures == []
         assert serial.raw_rows == pooled.raw_rows
 
+    def test_a_run_that_raises_fails_alone_in_its_group(self, monkeypatch):
+        # rc raises halfway through seed 1, after the group's tape was drawn;
+        # rs, which runs after it on that tape, and every other run keep their rows
+        spec = tiny_spec(strategies=["fq", "rc", "rs"], seeds=[0, 1, 2])
+        clean = run_experiment(spec)
+        select = RandomContentionStrategy.select
+
+        def flaky(self, sim):
+            if sim.arrivals.key[0] == 1 and sim.slot == 100:
+                raise RuntimeError("boom")
+            return select(self, sim)
+
+        monkeypatch.setattr(RandomContentionStrategy, "select", flaky)
+        res = run_experiment(spec)
+        assert res.failures == [{"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": "rc",
+                                 "seed": 1, "error": "RuntimeError: boom"}]
+        assert res.raw_rows == [r for r in clean.raw_rows if (r["strategy"], r["seed"]) != ("rc", 1)]
+
+    def test_repeated_grid_values_refused_once_per_field(self):
+        spec = tiny_spec(n_nodes=[2, 3, 2, 2], t_hat=[10, 10], strategies=["fq", "eqat", "fq"],
+                         designs=["sigmoid", "exp:1:0.05", "sigmoid"], seeds=[0, 0, 1, 2, 1])
+        assert spec.validate() == [
+            "repeated n_nodes: [2]", "repeated t_hat: [10]", "repeated strategies: ['fq']",
+            "repeated designs: ['sigmoid']", "repeated seeds: [0, 1]"]
+
     def test_shipped_myopic_chooser_gives_the_rows_of_one_built_per_run(self):
         # two workers: the scenario's chooser crosses to them pickled
         spec = tiny_spec(strategies=["ehmdp"], n_nodes=[3], budget=100, seeds=[0, 1], workers=2)

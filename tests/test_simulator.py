@@ -1,5 +1,7 @@
 """Slot engine semantics: conservation, determinism, strategy behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import MyopicChooser, PolicyChooser, kernel_model
 from rwsnsim.simulator import (
     BLOCK,
+    ArrivalTape,
     EqatStrategy,
     Simulation,
     Strategy,
     Streams,
-    arrival_hits,
     make_strategy,
     simulate_run,
     uniforms,
@@ -356,16 +358,21 @@ class TestBlockDraws:
             assert draw() == rng.random()
 
     @pytest.mark.parametrize("per_slot", [1, 2, 4])
-    def test_arrival_lists_equal_per_opportunity_hits(self, per_slot):
-        n_nodes, prob = 5, 0.3
-        hits = arrival_hits(np.random.default_rng(6), n_nodes, prob, per_slot)
-        rng = np.random.default_rng(6)
-        # enough slots to cross two block boundaries
-        for _ in range(2 * BLOCK // per_slot + 3):
+    def test_arrival_tape_equals_per_opportunity_hits(self, per_slot):
+        p = make_params(n_nodes=5, arrival_prob=0.3, arrival_period=1e-2 / per_slot)
+        assert p.arrivals_per_slot == per_slot
+        tape = ArrivalTape(p, seed=6)
+        rng = np.random.default_rng([6, 0])
+        # enough slots to cross two block boundaries, drawn in three reaches
+        slots = 2 * BLOCK // per_slot + 3
+        for reach in (1, slots // 2, slots):
+            tape.upto(reach)
+        assert len(tape.slots) >= slots
+        for hits in tape.slots[:slots]:
             expected = []
             for _ in range(per_slot):
-                expected += np.flatnonzero(rng.random(n_nodes) < prob).tolist()
-            assert hits() == expected
+                expected += np.flatnonzero(rng.random(p.n_nodes) < p.arrival_prob).tolist()
+            assert hits == expected
 
 
 # every strategy, and EQAT once more with its threshold gate on
@@ -419,6 +426,43 @@ SLOT_LAW_PARAMS = {
     "defaults": make_params(n_nodes=3, channel_gain=draw_channel_gains(3)),
     "scarce": make_params(n_nodes=3, channel_gain=draw_channel_gains(3), bs_power=1.0),
 }
+
+
+class TestSharedArrivals:
+    @pytest.mark.parametrize("n_nodes", [2, 10])
+    def test_runs_on_one_tape_equal_runs_on_their_own(self, n_nodes):
+        # every loop case reads one tape in three calls of 700 slots each,
+        # taking turns, so the tape grows while the other readers lag behind
+        p = busy_params(n_nodes)
+        profiles = energy_profiles(p)
+        tape = ArrivalTape(p, seed=3)
+        cases = [(name, strategy_kw(p, name, **kw)) for name, kw in LOOP_CASES]
+        shared = [Simulation(p, make_strategy(name, **kw), seed=3, trace=True, profiles=profiles,
+                             arrivals=tape) for name, kw in cases]
+        for _ in range(3):
+            for sim in shared:
+                sim.run(700)
+        assert len(tape.slots) == -(-2100 // BLOCK) * BLOCK   # drawn once for every reader
+        for sim, (name, kw) in zip(shared, cases):
+            alone = Simulation(p, make_strategy(name, **kw), seed=3, trace=True, profiles=profiles)
+            alone.run(2100)
+            assert alone.arrivals is not tape
+            assert run_state(sim) == run_state(alone), name
+            assert sim.metrics == alone.metrics, name
+
+    def test_a_tape_of_another_seed_or_network_is_refused(self):
+        p = make_params(n_nodes=3, arrival_prob=0.3)
+        tape = ArrivalTape(p, seed=4)
+        others = [(p, 5), (make_params(n_nodes=2, arrival_prob=0.3), 4),
+                  (replace(p, arrival_prob=0.4), 4), (replace(p, arrival_period=5e-3), 4)]
+        for params, seed in others:
+            with pytest.raises(ValueError, match=r"^arrival tape of .* not \(" + str(seed)):
+                simulate_run(params, "fq", 10, seed, profiles=energy_profiles(params),
+                             arrivals=tape)
+        # what the arrivals do not depend on may differ
+        scarce = replace(p, bs_power=1.0)
+        m, _ = simulate_run(scarce, "fq", 10, 4, profiles=energy_profiles(scarce), arrivals=tape)
+        assert m.slots == 10
 
 
 class TestOneSlotLaw:
@@ -681,7 +725,7 @@ class TestEqatIntegration:
             for mine, theirs in zip(strategy.fails, fails_before):
                 if outcome == "idle":
                     assert mine == theirs
-            draws = sim.rng.arrival.random(p.n_nodes)
+            draws = sim.arrivals.rng.random(p.n_nodes)
             for n in range(p.n_nodes):
                 if draws[n] < p.arrival_prob and sim.queues[n] < p.queue_cap:
                     sim.queues[n] += 1
