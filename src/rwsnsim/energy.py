@@ -4,13 +4,15 @@ Covers downlink transfer power, BER-constrained uplink transmit power,
 the a-priori optimal modulation order (net-energy argmax, found by an
 ascending scan that stops where the unimodal balance stops improving),
 and the quantized battery moves: the one place the per-node slot law's
-battery half is written, which the MDP's kernels and the simulator read.
+battery half is written, which the MDP's kernels and the simulator read,
+each looking them up by its params (`energy_profiles` is memoized).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .core import NetworkParams
 
@@ -21,7 +23,7 @@ class ModulationInfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class NodeEnergyProfile:
-    """Per-node quantized energy figures, precomputed once per scenario.
+    """Per-node quantized energy figures, computed once per network (`energy_profiles`).
 
     delta_levels may be negative (transmit cost can exceed harvest). Each
     `after_*` table gives the level after such a slot from each level 0..K.
@@ -115,5 +117,8 @@ def node_energy_profile(params: NetworkParams, node: int) -> NodeEnergyProfile:
         after_tx=after_tx, after_charge=after_charge, after_collision=after_collision)
 
 
-def energy_profiles(params: NetworkParams) -> list[NodeEnergyProfile]:
-    return [node_energy_profile(params, n) for n in range(params.n_nodes)]
+@cache
+def energy_profiles(params: NetworkParams) -> tuple[NodeEnergyProfile, ...]:
+    """Every node's profile; equal params share one tuple, as `NetworkParams`
+    and the profiles are immutable (an entry per network: 2 KB at N=3, 24 KB at N=50)."""
+    return tuple(node_energy_profile(params, n) for n in range(params.n_nodes))

@@ -5,12 +5,13 @@ deterministically per scenario, so every seed of a scenario sees the same
 network). One task, in process or on the worker pool, plays every run of a
 (scenario, seed) in spec order on one `simulator.ArrivalTape`, so the seed's
 arrivals are drawn once; a run that raises is one failure row, and the
-task goes on with the next run. Each (scenario, strategy, design, seed) run
-appends one raw row, in grid order (scenario, then strategy and design,
-then seed, whatever the tasks): the run key (`KEY_COLUMNS`), then the
-fields of its `simulator.RunMetrics`; with tracing, one trace row per slot:
-the key, then the fields of a `simulator.SlotTrace`, a tuple's items joined
-by ``|``. An aggregate row reduces a (scenario, strategy, design) group's
+task goes on with the next run; each process computes a network's energy
+profiles once. Each (scenario, strategy, design, seed) run appends one raw
+row, in grid order (scenario, then strategy and design, then seed,
+whatever the tasks): the run key (`KEY_COLUMNS`), then the fields of its
+`simulator.RunMetrics`; with tracing, one trace row per slot: the key,
+then the fields of a `simulator.SlotTrace`, a tuple's items joined by
+``|``. An aggregate row reduces a (scenario, strategy, design) group's
 seeds: its key, its seed count, ``<field>_mean`` of each `RunMetrics` field
 but slots (the run length), and ``<field>_stderr`` of each float field as
 well (the sample standard error, 0.0 for one seed). The manifest captures
@@ -19,7 +20,7 @@ the spec and every resolved scenario, so a rerun of
 it also records how each ehmdp solve went (mode, and for an exact solve its
 sweep count, final residual, the sweeps that fell back from Anderson mixing
 to the plain step, and the build-plus-solve wall time, the one entry a
-rerun does not reproduce). A scenario whose parameters fail
+rerun does not reproduce). A scenario whose parameters alone fail
 `core.validate` is reported once, as one failure, and skipped.
 
 A config file's keys are the declared names of what each section sets,
@@ -29,9 +30,11 @@ and slot_len (the grid sets them), [channel] the `draw_channel_gains`
 parameters but n_nodes, [eqat] and [rc] the strategy constructors'
 parameters but eqat's design (set by designs). `ExperimentSpec.validate`
 checks a spec's every value against the same declared type, then the
-[channel], [eqat] and [rc] ranges by a draw and the constructors. It also
-refuses a value repeated in n_nodes, t_hat, strategies, designs or seeds,
-which would run twice and count twice in its aggregate row.
+[channel], [eqat] and [rc] ranges by a draw and the constructors, and,
+when all of that holds, a `core.validate` problem of every grid point's
+parameters. It also refuses a grid size below 1, and a value repeated in
+n_nodes, t_hat, strategies, designs or seeds, which would run twice and
+count twice in its aggregate row.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from pathlib import Path
 from types import NoneType
 from typing import Callable
 
-from . import simulator
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, build_model, value_iteration
@@ -94,10 +96,11 @@ class ExperimentSpec:
         v = _wrong_types("experiment", vars(self))
         if v:
             return v   # the checks below compare and iterate these values
-        if not self.n_nodes:
-            v.append("n_nodes grid must be non-empty")
-        if not self.t_hat:
-            v.append("t_hat grid must be non-empty")
+        for name in ("n_nodes", "t_hat"):
+            if not getattr(self, name):
+                v.append(f"{name} grid must be non-empty")
+            if any(size < 1 for size in getattr(self, name)):
+                v.append(f"{name} must be >= 1")
         if not self.strategies:
             v.append("strategies must be non-empty")
         if not self.seeds:
@@ -141,18 +144,22 @@ class ExperimentSpec:
                     STRATEGIES[name](**overrides)
             except ValueError as e:
                 v.append(f"[{name}] {e}")
+        if not v:   # each grid point's params build: a problem of them all is the spec's
+            problems = [validate(self._params(n, t)) for n in self.n_nodes for t in self.t_hat]
+            v += [x for x in problems[0] if all(x in other for other in problems[1:])]
         return v
 
-    def resolve_params(self, n: int, t_hat: int) -> NetworkParams:
-        """The scenario's parameters; raises ValueError listing every violated invariant."""
-        overrides = dict(self.network)
-        overrides["n_nodes"] = n
-        overrides["slot_len"] = t_hat * self.minislot_len
+    def _params(self, n: int, t_hat: int) -> NetworkParams:
+        """The scenario's parameters, unvalidated."""
+        overrides = {**self.network, "n_nodes": n, "slot_len": t_hat * self.minislot_len}
         if "channel_gain" not in overrides:
             overrides["channel_gain"] = draw_channel_gains(n, **self.channel)
-        params = NetworkParams(**overrides)
-        problems = validate(params)
-        if problems:
+        return NetworkParams(**overrides)
+
+    def resolve_params(self, n: int, t_hat: int) -> NetworkParams:
+        """The scenario's parameters; raises ValueError listing every `core.validate` problem."""
+        params = self._params(n, t_hat)
+        if problems := validate(params):
             raise ValueError("; ".join(problems))
         return params
 
@@ -302,13 +309,13 @@ class ExperimentResult:
 def _run_one(args):
     """One task: every run of one (scenario, seed), in spec order, on one arrival
     tape; each run's (metrics, traces), or ("error", message) for a run that raised."""
-    params, seed, slots, trace, profiles, runs = args
+    params, seed, slots, trace, runs = args
     arrivals = ArrivalTape(params, seed)
     outcomes = []
     for strategy, kw in runs:
         try:
             # the tape by keyword: the benchmark's tracer reads params and strategy by position
-            outcomes.append(simulate_run(params, strategy, slots, seed, trace, profiles=profiles,
+            outcomes.append(simulate_run(params, strategy, slots, seed, trace,
                                          arrivals=arrivals, **kw))
         except Exception as e:  # reported per run; the grid keeps running
             outcomes.append(("error", f"{type(e).__name__}: {e}"))
@@ -316,8 +323,7 @@ def _run_one(args):
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    problems = spec.validate()
-    if problems:
+    if problems := spec.validate():
         raise ValueError("; ".join(problems))
 
     grid = []        # every run's key, in grid order, the order of the raw rows
@@ -328,10 +334,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         for t_hat in spec.t_hat:
             try:
                 params = spec.resolve_params(n, t_hat)
-                # computed once here, shipped to every task and the myopic
-                # chooser; looked up on `simulator`, where the benchmark's
-                # tracer counts the calls
-                profiles = simulator.energy_profiles(params)
             except Exception as e:
                 failures.append({"n_nodes": n, "t_hat": t_hat, "error": str(e)})
                 continue
@@ -354,16 +356,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         failures.append({"n_nodes": n, "t_hat": t_hat,
                                          "strategy": "ehmdp", "error": str(e)})
                 if chooser is None:
-                    chooser = MyopicChooser(params, profiles)
+                    chooser = MyopicChooser(params)
             scenarios.append({
-                "n_nodes": n,
-                "t_hat": t_hat,
-                "ehmdp_mode": ehmdp_mode,
-                "ehmdp_sweeps": vi_result.sweeps if vi_result is not None else None,
-                "ehmdp_residual": vi_result.residual if vi_result is not None else None,
-                "ehmdp_fallbacks": vi_result.fallbacks if vi_result is not None else None,
-                "ehmdp_solve_s": solve_s,
-                "params": asdict(params),
+                "n_nodes": n, "t_hat": t_hat, "ehmdp_mode": ehmdp_mode,
+                # an exact solve's figures, else None
+                **{f"ehmdp_{key}": getattr(vi_result, key, None)
+                   for key in ("sweeps", "residual", "fallbacks")},
+                "ehmdp_solve_s": solve_s, "params": asdict(params),
             })
             runs = []   # (design column, strategy, constructor kwargs), in spec order
             for strategy in spec.strategies:
@@ -377,7 +376,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                      for design, strategy, _ in runs for seed in spec.seeds]
             for seed in spec.seeds:
                 tasks.append(([(n, t_hat, design, strategy, seed) for design, strategy, _ in runs],
-                              (params, seed, spec.slots, spec.trace, profiles,
+                              (params, seed, spec.slots, spec.trace,
                                [(strategy, kw) for _, strategy, kw in runs])))
 
     raw_rows: list[dict] = []
@@ -471,9 +470,12 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> dict[str, str]:
     paths["raw"].write_text(format_csv(result.raw_rows, RAW_COLUMNS))
     paths["aggregate"].write_text(format_csv(result.agg_rows, AGG_COLUMNS))
     paths["manifest"].write_text(json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")
-    if result.trace_rows:
-        paths["trace"] = out / "traces.csv"
-        paths["trace"].write_text(format_csv(result.trace_rows, TRACE_COLUMNS))
+    trace = out / "traces.csv"
+    if result.manifest["spec"]["trace"]:   # header only without slots
+        paths["trace"] = trace
+        trace.write_text(format_csv(result.trace_rows, TRACE_COLUMNS))
+    else:   # an earlier traced run's, which would not match raw.csv
+        trace.unlink(missing_ok=True)
     return {k: str(v) for k, v in paths.items()}
 
 

@@ -107,7 +107,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NetworkParams, arrival_pmf
-from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
+from .energy import energy_profiles, packet_success_prob
 
 DEFAULT_STATE_BUDGET = 200_000
 # value_iteration raises ValueIterationError after this many sweeps
@@ -167,15 +167,15 @@ class TransitionModel:
         return self.params.joint_state_count
 
 
-def kernel_model(params: NetworkParams, profiles: list[NodeEnergyProfile]) -> TransitionModel:
-    """The kernels U, S_0, ..., S_{N-1} of the per-node law, in factors and as
-    rows; O(N * per-node states^2)."""
+def kernel_model(params: NetworkParams) -> TransitionModel:
+    """The kernels U, S_0, ..., S_{N-1} of the per-node law, from the energy
+    profiles of `params`, in factors and as rows; O(N * per-node states^2)."""
     Q, m = params.queue_cap, params.per_node_states
     battery, queue = np.divmod(np.arange(m), Q + 1)
     ps = packet_success_prob(params)
     # per kernel and local state: the battery after the slot, and P(D = 1)
     after, departs = [battery], [np.zeros(m)]
-    for prof in profiles:
+    for prof in energy_profiles(params):
         tx = (queue >= 1) & (battery >= prof.min_tx_level)
         after.append(np.where(tx, np.take(prof.after_tx, battery),
                               np.take(prof.after_charge, battery)))
@@ -223,7 +223,7 @@ def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> Tr
     for a joint state space above `budget`."""
     if params.joint_state_count > budget:
         raise StateSpaceBudgetError(params.joint_state_count, budget)
-    return kernel_model(params, energy_profiles(params))
+    return kernel_model(params)
 
 
 @dataclass
@@ -461,11 +461,11 @@ class MyopicChooser:
     and its own (battery, queue), so the sort keys are tabulated once. They
     are distinct (each carries its node), so one sort turns them into
     integer ranks, and a choice is the node of the least rank among N
-    lookups. `profiles` are the energy profiles of `params`.
+    lookups.
     """
 
-    def __init__(self, params: NetworkParams, profiles: list[NodeEnergyProfile]):
-        model = kernel_model(params, profiles)
+    def __init__(self, params: NetworkParams):
+        model = kernel_model(params)
         loss, width = model.loss, params.queue_cap + 1
         y = loss + params.discount * (loss.reshape(-1, width) @ model.arrival.T).reshape(-1)
         score = model.moves[1:] @ y - y

@@ -7,8 +7,10 @@ outcome (EQAT updates its fail counts and draws backoffs); then arrivals
 are applied, dropping on full queues; finally the strategy closes the slot
 (EQAT counts down its backoffs). A run is strictly sequential and
 deterministic given its seed: arrivals, strategy choices, error draws, and
-backoff draws each consume their own substream, so runs that differ only
-in strategy see identical arrival processes (common random numbers).
+backoff draws each consume their own substream (see `Simulation`), so runs
+that differ only in strategy see identical arrival processes (common random
+numbers). A run derives every input it can from (params, seed); its caller
+passes only what runs share: the arrival tape and the ehmdp chooser.
 
 Those arrivals are drawn once per seed and network. An `ArrivalTape` owns
 the arrival substream and keeps each slot's hits; every run of that seed
@@ -37,7 +39,7 @@ Hook contract. A strategy implements `select`; it may override `bind`
 (called once, from the constructor), `on_outcome` and `end_of_slot`. The
 loop calls the last two only when the strategy's class overrides
 `Strategy`'s no-op, decided once per call; of the shipped strategies only
-`EqatStrategy` does.
+`EqatStrategy` does. A strategy draws from the run's uniforms, not its own.
 
 Per-slot work scales with the nodes that can act, not with N.
 `Simulation.powered` holds the nodes whose battery affords one
@@ -50,11 +52,6 @@ then moves each transmitter by it: directly when the move leaves the node
 on the same side of its transmit cost, else through `_set_level`. So code
 may assign `queues` freely but must write `batteries` only through
 `_set_level`.
-
-Random draws are fetched in blocks and handed out one by one in the order
-a per-slot draw would have consumed them, so the numbers are those of
-drawing each value when it is needed. Which form each substream is
-consumed in is listed on `Streams`.
 """
 
 from __future__ import annotations
@@ -68,10 +65,8 @@ from typing import Callable
 import numpy as np
 
 from .core import NetworkParams, arrival_pmf
-from .energy import NodeEnergyProfile, energy_profiles, packet_success_prob
+from .energy import energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
-
-_LOOKED_UP_HERE = (energy_profiles,)   # as `simulator.energy_profiles`, by run_experiment
 
 # values fetched per refill of a block-fetched stream (uniforms, or arrival
 # opportunities of N uniforms each); bounds the memory a `uniforms` stream
@@ -122,31 +117,6 @@ class SlotTrace:
     queues: tuple[int, ...]
 
 
-class Streams:
-    """A run's own rng substreams, so different random purposes never interleave.
-
-    Substream ``[seed, 0]`` is the arrivals'; the run's `ArrivalTape` owns
-    it, since runs of one seed share it. Each substream is consumed in
-    exactly one form, and every form fetches its draws in blocks:
-
-      * ``[seed, 0]``: `ArrivalTape`, N uniforms per arrival opportunity;
-      * ``ber``, ``strategy`` and ``backoff``: `uniforms`. A choice among k
-        values scales one uniform u to ``int(u * k)``: ``rs``'s index into
-        the backlogged nodes, and an EQAT backoff ``1 + int(u * W)``.
-
-    A block form gives the values of drawing one at a time, since PCG64
-    gives the same uniforms whether drawn singly or in an array. It reads
-    past the last value it handed out, so no stream may be consumed in two
-    forms: a second form would see other values than a per-slot draw would
-    have seen.
-    """
-
-    def __init__(self, seed: int):
-        self.strategy = np.random.default_rng([seed, 1])
-        self.ber = np.random.default_rng([seed, 2])
-        self.backoff = np.random.default_rng([seed, 3])
-
-
 def uniforms(rng: np.random.Generator) -> Callable[[], float]:
     """A function returning the next uniform of `rng` on each call.
 
@@ -194,13 +164,27 @@ class ArrivalTape:
 
 
 class Simulation:
+    """One run of `strategy` on the network `params`, from `seed`.
+
+    It looks up the network's energy profiles (`energy_profiles`) and opens
+    one rng substream per random purpose, once, in the one form it is read in:
+
+      * ``[seed, 0]``: arrivals, N uniforms per opportunity, in the
+        `ArrivalTape` that owns it, since runs of one seed share it;
+      * ``[seed, 1]``, ``[seed, 2]`` and ``[seed, 3]``: the `uniforms`
+        `strategy_uniform` (``rs``'s pick, contention draws), `ber_uniform`
+        (a lone transmitter's packet-error draw) and `backoff_uniform`.
+
+    A choice among k values scales one uniform u to ``int(u * k)``, as an
+    EQAT backoff ``1 + int(u * W)``. Every form fetches blocks, which PCG64
+    fills with the values of drawing one at a time; as it reads past the
+    last value handed out, a second form of a stream would see other values.
+    """
+
     def __init__(self, params: NetworkParams, strategy: "Strategy", seed: int,
-                 trace: bool = False, *, profiles: list[NodeEnergyProfile],
-                 arrivals: ArrivalTape | None = None):
-        """`profiles` are the network's energy profiles, `energy_profiles(params)`.
-        `arrivals` is ``ArrivalTape(params, seed)`` shared with other runs of
-        `seed` on this network; without it the run draws its own. A tape of
-        another seed or network raises ValueError."""
+                 trace: bool = False, *, arrivals: ArrivalTape | None = None):
+        """`arrivals` is an ``ArrivalTape(params, seed)`` shared with other runs, else
+        the run draws its own; a tape of another seed or network raises ValueError."""
         if arrivals is None:
             arrivals = ArrivalTape(params, seed)
         elif arrivals.key != ArrivalTape.key_of(params, seed):
@@ -208,12 +192,12 @@ class Simulation:
                              f"{arrivals.key}, not {ArrivalTape.key_of(params, seed)}")
         self.params = params
         self.strategy = strategy
-        self.rng = Streams(seed)
         self.arrivals = arrivals
-        self.profiles = profiles
+        self.strategy_uniform, self.ber_uniform, self.backoff_uniform = (
+            uniforms(np.random.default_rng([seed, k])) for k in (1, 2, 3))
+        profiles = energy_profiles(params)
         self.min_tx = [prof.min_tx_level for prof in profiles]
         self.ps = packet_success_prob(params)
-        self._ber = uniforms(self.rng.ber)
         self._after_tx = [prof.after_tx for prof in profiles]
         self._after_charge = [prof.after_charge for prof in profiles]
         self._after_collision = [prof.after_collision for prof in profiles]
@@ -252,7 +236,7 @@ class Simulation:
         powered, n_nodes = self.powered, self.params.n_nodes
         after_tx, after_charge = self._after_tx, self._after_charge
         after_collision = self._after_collision
-        ps, ber = self.ps, self._ber
+        ps, ber = self.ps, self.ber_uniform
         cap, set_level, traces = self.params.queue_cap, self._set_level, self.traces
         strategy = self.strategy
         select = strategy.select
@@ -376,16 +360,13 @@ class RandomSelectionStrategy(Strategy):
 
     name = "rs"
 
-    def bind(self, sim: Simulation):
-        self._uniform = uniforms(sim.rng.strategy)
-
     def select(self, sim):
         # queue lengths are non-negative, so the non-zero ones are the backlogged
         queues = sim.queues
         eligible = list(compress(range(len(queues)), queues))
         if not eligible:
             return []
-        return [eligible[int(self._uniform() * len(eligible))]]
+        return [eligible[int(sim.strategy_uniform() * len(eligible))]]
 
 
 class EhmdpStrategy(Strategy):
@@ -423,11 +404,8 @@ class RandomContentionStrategy(Strategy):
             raise ValueError(f"contention_prob must be in [0, 1], got {contention_prob}")
         self.contention_prob = contention_prob
 
-    def bind(self, sim: Simulation):
-        self._uniform = uniforms(sim.rng.strategy)
-
     def select(self, sim):
-        uniform, p = self._uniform, self.contention_prob
+        uniform, p = sim.strategy_uniform, self.contention_prob
         return [i for i in sim.transmit_ready() if uniform() < p]
 
 
@@ -479,8 +457,6 @@ class EqatStrategy(Strategy):
 
     def bind(self, sim: Simulation):
         p = sim.params
-        self._uniform = uniforms(sim.rng.strategy)
-        self._backoff_uniform = uniforms(sim.rng.backoff)
         self._ps_clean = sim.ps * float(arrival_pmf(p)[0])
         self.fails = [0] * p.n_nodes
         self.backoff = [0] * p.n_nodes
@@ -510,7 +486,7 @@ class EqatStrategy(Strategy):
 
     def select(self, sim):
         contenders, probs = self.beacons(sim)
-        uniform = self._uniform
+        uniform = sim.strategy_uniform
         # one uniform per contender, in index order
         nominees = [k for k, p in enumerate(probs) if uniform() < p]
         if not nominees or self.threshold <= 0.0:
@@ -529,7 +505,7 @@ class EqatStrategy(Strategy):
 
     def on_outcome(self, sim, transmitters, outcome):
         if outcome == "collision":
-            uniform, window = self._backoff_uniform, self.backoff_window
+            uniform, window = sim.backoff_uniform, self.backoff_window
             for t in transmitters:
                 self.fails[t] += 1
                 self.backoff[t] = 1 + int(uniform() * window)
@@ -562,26 +538,16 @@ def make_strategy(name: str, **kw) -> Strategy:
     `kw` are the constructor's overrides; an out-of-range value raises
     ValueError and an unknown keyword TypeError.
     """
-    cls = STRATEGIES.get(name.lower())
+    cls = STRATEGIES.get(name)
     if cls is None:
         raise ValueError(f"unknown strategy {name!r}; expected one of {tuple(STRATEGIES)}")
     return cls(**kw)
 
 
-def simulate_run(
-    params: NetworkParams,
-    strategy_name: str,
-    slots: int,
-    seed: int,
-    trace: bool = False,
-    *,
-    profiles: list[NodeEnergyProfile],
-    arrivals: ArrivalTape | None = None,
-    **strategy_kw,
-) -> tuple[RunMetrics, list[SlotTrace] | None]:
-    """One run of a fresh strategy; `profiles` and `arrivals` as for `Simulation`."""
-    strategy = make_strategy(strategy_name, **strategy_kw)
-    sim = Simulation(params, strategy, seed=seed, trace=trace, profiles=profiles,
+def simulate_run(params: NetworkParams, strategy_name: str, slots: int, seed: int,
+                 trace: bool = False, *, arrivals: ArrivalTape | None = None,
+                 **strategy_kw) -> tuple[RunMetrics, list[SlotTrace] | None]:
+    """One run of a fresh strategy; `arrivals` as for `Simulation`."""
+    sim = Simulation(params, make_strategy(strategy_name, **strategy_kw), seed, trace,
                      arrivals=arrivals)
-    metrics = sim.run(slots)
-    return metrics, sim.traces
+    return sim.run(slots), sim.traces

@@ -107,12 +107,20 @@ def test_bad_strategy_value_exits_2_once(tmp_path, capsys, section, entry):
      "design token 'exp:nan': exponential rates must be positive and finite"),
     ("[channel]\nmax_dist = inf", "[channel] max_dist must be positive and finite"),
     ("[channel]\nmin_dist = 50\nmax_dist = 40", "[channel] min_dist must be <= max_dist"),
+    ("n_nodes = -1, 0", "n_nodes must be >= 1"),
+    ("n_nodes = 2, -3\nt_hat = 0, 10", "n_nodes must be >= 1; t_hat must be >= 1"),
+    ("[network]\nbs_power = -1", "bs_power must be non-negative and finite"),
+    ("[network]\nvi_tol = nan\nqueue_cap = 0",
+     "queue_cap must be >= 1; vi_tol must be positive and finite"),
 ])
 def test_bad_spec_value_exits_2_once(tmp_path, capsys, entry, message):
-    # a 2 x 2 grid: the value is refused once, not once per scenario
+    # a 2 x 2 grid unless the entry sets it: the value is refused once, not
+    # once per scenario
+    grid = "".join(f"{key} = {value}\n"
+                   for key, value in (("n_nodes", "2, 3"), ("t_hat", "10, 20"))
+                   if f"{key} =" not in entry)
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[experiment]\nn_nodes = 2, 3\nt_hat = 10, 20\nstrategies = fq\n"
-                   f"slots = 10\n{entry}\n")
+    cfg.write_text(f"[experiment]\n{grid}strategies = fq\nslots = 10\n{entry}\n")
     with pytest.raises(SystemExit) as exc:
         main(["run", str(cfg), str(tmp_path / "out")])
     assert exc.value.code == 2

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rwsnsim.core import NetworkParams
+from rwsnsim.core import NetworkParams, validate
 from rwsnsim.energy import (
     ModulationInfeasibleError,
+    energy_profiles,
     node_energy_profile,
     optimal_modulation,
     packet_success_prob,
@@ -15,6 +16,7 @@ from rwsnsim.energy import (
     transfer_power,
     transmit_power,
 )
+from rwsnsim.mdp import MyopicChooser
 
 # ln(0.2 / 5e-4) / 3, evaluated at 40 digits
 PD_RHO1_UNIT_GAIN = 1.997154849035994
@@ -220,3 +222,37 @@ class TestHarvestDelta:
                                 (prof.after_collision, -prof.min_tx_level)):
                 assert table == tuple(min(max(b + gain, 0), top) for b in range(top + 1))
                 assert all(type(level) is int for level in table)
+
+
+class TestProfiles:
+    def test_equal_params_share_one_tuple(self):
+        p = make_params(n_nodes=3, channel_gain=(0.5, 1.0, 2.0))
+        profiles = energy_profiles(p)
+        assert isinstance(profiles, tuple)
+        assert energy_profiles(make_params(n_nodes=3, channel_gain=(0.5, 1.0, 2.0))) is profiles
+        assert profiles == tuple(node_energy_profile(p, n) for n in range(3))
+        assert energy_profiles(make_params(n_nodes=3, channel_gain=(0.5, 1.0, 2.5))) != profiles
+
+    def test_params_that_validate_give_profiles_and_a_myopic_chooser(self):
+        # core.validate's fit check is stricter than optimal_modulation's, so
+        # a scenario that passes it never fails on its profiles; exactly at
+        # packet_bits == slot_len * bandwidth * max_modulation both accept
+        exact = make_params(n_nodes=2, slot_len=2.0**-6, bandwidth=2.0**14, max_modulation=1)
+        assert exact.slot_len * exact.bandwidth * exact.max_modulation == exact.packet_bits
+        assert validate(exact) == []
+        assert [prof.order for prof in energy_profiles(exact)] == [1, 1]
+        MyopicChooser(exact)
+        # a few ulps either side of the defaults' edge, where the product rounds
+        below = above = edge = 256 / (5 * 250e3)
+        slot_lens = [edge]
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            slot_lens += [float(below), float(above)]
+        verdicts = set()
+        for slot_len in slot_lens:
+            p = make_params(n_nodes=2, slot_len=slot_len)
+            verdicts.add(validate(p) == [])
+            if validate(p) == []:
+                assert len(energy_profiles(p)) == 2
+                MyopicChooser(p)
+        assert verdicts == {True, False}

@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from rwsnsim import experiments
+from rwsnsim import energy, experiments
 from rwsnsim.core import NetworkParams, draw_channel_gains
-from rwsnsim.energy import energy_profiles
 from rwsnsim.eqat import TxProbDesign
 from rwsnsim.experiments import (
     _SPEC_SCHEMA,
@@ -227,6 +226,41 @@ class TestRunExperiment:
                                  "seed": 1, "error": "RuntimeError: boom"}]
         assert res.raw_rows == [r for r in clean.raw_rows if (r["strategy"], r["seed"]) != ("rc", 1)]
 
+    def test_grid_sizes_below_one_refused_once_per_field(self):
+        assert ExperimentSpec(n_nodes=[-1, 0], t_hat=[0]).validate() == [
+            "n_nodes must be >= 1", "t_hat must be >= 1"]
+
+    def test_network_problem_of_every_point_refused_once(self):
+        # a 2 x 2 grid: a problem every point's params have is refused before
+        # any scenario, in the first point's order; one of some points is not
+        spec = tiny_spec(n_nodes=[2, 3], t_hat=[10, 20],
+                         network={"bs_power": -1.0, "arrival_prob": 2.0, "bandwidth": 20e3,
+                                  "max_modulation": 1})
+        assert spec.validate() == ["bs_power must be non-negative and finite",
+                                   "arrival_prob must lie in [0, 1]"]
+        # a 10 ms slot holds 200 bits at 20 kHz, too few; a 20 ms slot holds 400
+        spec = replace(spec, network={"bandwidth": 20e3, "max_modulation": 1})
+        assert spec.validate() == []
+        res = run_experiment(spec)
+        assert [(f["n_nodes"], f["t_hat"]) for f in res.failures] == [(2, 10), (3, 10)]
+
+    def test_one_worker_grid_computes_each_scenarios_profiles_once(self, monkeypatch):
+        calls = []
+        build = energy.node_energy_profile
+
+        def counted(params, node):
+            calls.append((params.n_nodes, params.slot_len))
+            return build(params, node)
+
+        monkeypatch.setattr(energy, "node_energy_profile", counted)
+        energy.energy_profiles.cache_clear()   # earlier tests may hold these networks
+        # N=2 solved exactly, N=3 myopic, and every other strategy on both
+        spec = tiny_spec(n_nodes=[2, 3], t_hat=[10, 20], strategies=list(STRATEGIES),
+                         seeds=[0, 1], budget=100)
+        assert run_experiment(spec).failures == []
+        assert sorted(calls) == sorted((n, t * spec.minislot_len) for n in (2, 3)
+                                       for t in (10, 20) for _ in range(n))
+
     def test_repeated_grid_values_refused_once_per_field(self):
         spec = tiny_spec(n_nodes=[2, 3, 2, 2], t_hat=[10, 10], strategies=["fq", "eqat", "fq"],
                          designs=["sigmoid", "exp:1:0.05", "sigmoid"], seeds=[0, 0, 1, 2, 1])
@@ -241,9 +275,8 @@ class TestRunExperiment:
         assert res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
         params = spec.resolve_params(3, 10)
         for row in res.raw_rows:
-            profiles = energy_profiles(params)
-            m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"], profiles=profiles,
-                                chooser=MyopicChooser(params, profiles))
+            m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"],
+                                chooser=MyopicChooser(params))
             assert (row["generated"], row["delivered"], row["dropped"]) == (
                 m.generated, m.delivered, m.dropped)
 
@@ -256,14 +289,25 @@ class TestRunExperiment:
                          network={"battery_levels": 2, "queue_cap": 2, "vi_tol": float("nan")})
         with pytest.raises(ValueError, match="^vi_tol must be positive and finite$"):
             spec.resolve_params(2, 10)
-        res = run_experiment(spec)
-        assert [f["error"] for f in res.failures] == ["vi_tol must be positive and finite"]
-        assert res.raw_rows == []
+        # the grid's one point: the problem is the whole spec's, refused once
+        with pytest.raises(ValueError, match="^vi_tol must be positive and finite$"):
+            run_experiment(spec)
 
     def test_trace_rows_gated(self):
         assert run_experiment(tiny_spec()).trace_rows == []
         res = run_experiment(tiny_spec(trace=True, slots=50))
         assert len(res.trace_rows) == 50
+
+    def test_traces_file_follows_the_spec(self, tmp_path):
+        # a traced spec writes traces.csv, header only without slots; an
+        # untraced one into the same directory removes it
+        traced = write_outputs(run_experiment(tiny_spec(trace=True, slots=5)), str(tmp_path))
+        assert len((tmp_path / "traces.csv").read_text().splitlines()) == 1 + 5
+        assert traced["trace"] == str(tmp_path / "traces.csv")
+        untraced = write_outputs(run_experiment(tiny_spec(n_nodes=[3])), str(tmp_path))
+        assert "trace" not in untraced and not (tmp_path / "traces.csv").exists()
+        empty = write_outputs(run_experiment(tiny_spec(trace=True, slots=0)), str(tmp_path))
+        assert Path(empty["trace"]).read_text() == ",".join(experiments.TRACE_COLUMNS) + "\n"
 
     def test_file_headers(self, tmp_path):
         # the columns are read off RunMetrics and SlotTrace: a change to

@@ -93,7 +93,7 @@ def sure_failure_params(n_nodes=1, **kw):
 def kernel_law(p, s, node=None):
     """Row s of node `node`'s selected kernel (of U when None): the next states'
     probabilities, merged over outcomes, and the row's expected loss."""
-    model = kernel_model(p, energy_profiles(p))
+    model = kernel_model(p)
     matrix, cost = dense_kernel(model, 0 if node is None else 1 + node)
     width = p.queue_cap + 1
     idx = s.battery * width + s.queue
@@ -230,7 +230,7 @@ class TestArrivalLaw:
         increment = sum(pr * (ns.queue - s.queue) for ns, pr in law.items())
         assert increment == pytest.approx(2 * lam, abs=1e-15)
         slots = 20_000
-        m, _ = simulate_run(p, "fq", slots=slots, seed=0, profiles=energy_profiles(p))
+        m, _ = simulate_run(p, "fq", slots=slots, seed=0)
         per_node_slot = m.generated / (slots * p.n_nodes)
         # 2 * slots * n_nodes Bernoulli(lam) opportunities
         sigma = (2 * lam * (1 - lam) / (slots * p.n_nodes)) ** 0.5
@@ -413,7 +413,7 @@ class TestBuildModel:
                         channel_gain=(1.0, 0.4))
         assert p.arrivals_per_slot == round(10e-3 / period)
         profiles = energy_profiles(p)
-        model = kernel_model(p, profiles)
+        model = kernel_model(p)
         width = p.queue_cap + 1
         for j in range(p.n_nodes + 1):
             matrix, cost = dense_kernel(model, j)
@@ -510,12 +510,12 @@ class TestChoosers:
 
     def test_myopic_prefers_the_full_node(self):
         p = make_params(n_nodes=3, arrival_prob=0.2)
-        choose = MyopicChooser(p, energy_profiles(p))
+        choose = MyopicChooser(p)
         assert choose([3, 3, 3], [0, p.queue_cap, 0]) == 1
 
     def test_myopic_ties_break_to_longest_queue(self):
         p = make_params(n_nodes=3, arrival_prob=0.2)
-        choose = MyopicChooser(p, energy_profiles(p))
+        choose = MyopicChooser(p)
         # no overflow risk anywhere: all score deltas are zero
         assert choose([3, 3, 3], [1, 3, 2]) == 1
 
@@ -523,7 +523,7 @@ class TestChoosers:
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4,
                         channel_gain=(1.0, 0.7))
         res = value_iteration(build_model(p))
-        approx = MyopicChooser(p, energy_profiles(p))
+        approx = MyopicChooser(p)
         agree = 0
         total = 0
         for s in iter_joint_states(p):
@@ -548,7 +548,7 @@ class TestChoosers:
             for s in iter_joint_states(p)
         ])
         lookahead = bellman_q(build_joint_model(p), idle_loss, p.discount)
-        choose = MyopicChooser(p, profiles)
+        choose = MyopicChooser(p)
         for s, scores in zip(iter_joint_states(p), lookahead):
             tied = np.flatnonzero(scores <= scores.min() + 1e-12)
             # ties: longest queue, then lowest battery, then lowest index
@@ -561,8 +561,7 @@ class TestChoosers:
         # the score read through the sparse rows, as c_S - c_U plus omega
         # times (S_n - U) c_U, tabulated and sorted like the chooser's keys
         p = make_params(n_nodes=n, channel_gain=draw_channel_gains(n), **extra)
-        profiles = energy_profiles(p)
-        model = kernel_model(p, profiles)
+        model = kernel_model(p)
         cost = expected(model, model.reward)
         ahead = expected(model, cost[0][model.next_state])
         score = (cost[1:] - cost[0]) + p.discount * (ahead[1:] - ahead[0])
@@ -571,7 +570,7 @@ class TestChoosers:
                 for node in range(n) for s in range(p.per_node_states)]
         order = sorted(keys)
         rank = {k: r for r, k in enumerate(order)}
-        choose = MyopicChooser(p, profiles)
+        choose = MyopicChooser(p)
         assert choose.node_of == [k[3] for k in order]
         # keys run node by node, then battery, then queue, as the ranks do
         assert choose.ranks == np.reshape([rank[k] for k in keys], (n, -1, width)).tolist()

@@ -17,7 +17,6 @@ from rwsnsim.simulator import (
     EqatStrategy,
     Simulation,
     Strategy,
-    Streams,
     make_strategy,
     simulate_run,
     uniforms,
@@ -37,33 +36,41 @@ def sure_success_params(n_nodes=1, **kw):
 
 ALL_STRATEGIES = ["fq", "rs", "ehmdp", "dfq", "rc", "eqat"]
 
+# a run's substreams after the arrivals' [seed, 0], as `Simulation` opens them
+STRATEGY, BER, BACKOFF = 1, 2, 3
+
+
+def substream(seed, k):
+    """A fresh generator on substream [seed, k] of a run."""
+    return np.random.default_rng([seed, k])
+
 
 def strategy_kw(p, name, **kw):
     """Strategy `name`'s constructor keywords `kw`; ehmdp gets the myopic
     chooser of `p` unless `kw` holds a chooser, as a scenario above the state
     budget ships it."""
     if name == "ehmdp":
-        kw.setdefault("chooser", MyopicChooser(p, energy_profiles(p)))
+        kw.setdefault("chooser", MyopicChooser(p))
     return kw
 
 
 class TestBasics:
     def test_zero_slots_zero_metrics(self):
         p = make_params()
-        m, _ = simulate_run(p, "fq", slots=0, seed=1, profiles=energy_profiles(p))
+        m, _ = simulate_run(p, "fq", slots=0, seed=1)
         assert (m.generated, m.delivered, m.dropped, m.in_queue_final) == (0, 0, 0, 0)
         assert m.loss_rate == 0.0
         assert m.throughput_pps == 0.0
 
     def test_no_arrivals_all_idle(self):
         p = make_params(arrival_prob=0.0)
-        m, traces = simulate_run(p, "fq", slots=200, seed=1, trace=True, profiles=energy_profiles(p))
+        m, traces = simulate_run(p, "fq", slots=200, seed=1, trace=True)
         assert m.generated == m.delivered == m.dropped == 0
         assert all(t.outcome == "idle" for t in traces)
 
     def test_single_node_centralized_lossless(self):
         p = sure_success_params(arrival_prob=0.4)
-        m, _ = simulate_run(p, "fq", slots=5000, seed=3, profiles=energy_profiles(p))
+        m, _ = simulate_run(p, "fq", slots=5000, seed=3)
         assert m.dropped == 0
         assert m.loss_rate == 0.0
         assert m.delivered == m.generated - m.in_queue_final
@@ -72,7 +79,12 @@ class TestBasics:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             p = make_params()
-            simulate_run(p, "greedy", slots=1, seed=0, profiles=energy_profiles(p))
+            simulate_run(p, "greedy", slots=1, seed=0)
+
+    def test_strategy_names_have_one_spelling(self):
+        with pytest.raises(ValueError, match="unknown strategy 'FQ'") as exc:
+            make_strategy("FQ")
+        assert all(repr(name) in str(exc.value) for name in ALL_STRATEGIES)
 
     def test_ehmdp_needs_the_scenario_chooser(self):
         # the simulator builds no chooser of its own
@@ -93,34 +105,33 @@ class TestBasics:
         p = make_params(n_nodes=4, arrival_prob=0.2)
         for name in ALL_STRATEGIES:
             kw = strategy_kw(p, name)
-            a, _ = simulate_run(p, name, slots=500, seed=11, profiles=energy_profiles(p), **kw)
-            b, _ = simulate_run(p, name, slots=500, seed=11, profiles=energy_profiles(p), **kw)
+            a, _ = simulate_run(p, name, slots=500, seed=11, **kw)
+            b, _ = simulate_run(p, name, slots=500, seed=11, **kw)
             assert a == b, name
 
     def test_metrics_count_every_slot_stepped(self):
         # manual steps and repeated run() calls add up to one run of the sum,
         # and the metrics are current after every call
         p = make_params(n_nodes=3, arrival_prob=0.3)
-        profiles = energy_profiles(p)
         for name in ALL_STRATEGIES:
             kw = strategy_kw(p, name)
-            sim = Simulation(p, make_strategy(name, **kw), seed=2, profiles=profiles)
+            sim = Simulation(p, make_strategy(name, **kw), seed=2)
             for k in (1, 2):
                 sim.step()
-                ran, _ = simulate_run(p, name, slots=k, seed=2, profiles=profiles, **kw)
+                ran, _ = simulate_run(p, name, slots=k, seed=2, **kw)
                 assert sim.metrics == ran, (name, k)
             sim.run(100)
             m = sim.run(100)
             assert m.slots == sim.slot == 202
             assert m.throughput_pps == m.delivered / (202 * p.slot_len)
-            whole, _ = simulate_run(p, name, slots=202, seed=2, profiles=profiles, **kw)
+            whole, _ = simulate_run(p, name, slots=202, seed=2, **kw)
             assert m == whole, name
             assert m.throughput_pps == whole.throughput_pps
 
     def test_different_seed_differs(self):
         p = make_params(n_nodes=4, arrival_prob=0.2)
-        a, _ = simulate_run(p, "rs", slots=500, seed=11, profiles=energy_profiles(p))
-        b, _ = simulate_run(p, "rs", slots=500, seed=12, profiles=energy_profiles(p))
+        a, _ = simulate_run(p, "rs", slots=500, seed=11)
+        b, _ = simulate_run(p, "rs", slots=500, seed=12)
         assert a != b
 
 
@@ -167,7 +178,7 @@ class TestGoldenMetrics:
         assert p.arrivals_per_slot == 2
         exact = name == "ehmdp" and n_nodes == 3
         kw = {"chooser": PolicyChooser(golden_n3_solve)} if exact else strategy_kw(p, name)
-        m, _ = simulate_run(p, name, slots=2_500, seed=4, **kw, profiles=energy_profiles(p))
+        m, _ = simulate_run(p, name, slots=2_500, seed=4, **kw)
         got = (m.generated, m.delivered, m.dropped, m.in_queue_final)
         assert got == GOLDEN[(name, n_nodes)]
 
@@ -176,15 +187,14 @@ class TestInvariants:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_packet_conservation(self, name):
         p = make_params(n_nodes=4, arrival_prob=0.3, channel_gain=(1.3, 1.0, 0.8, 0.6))
-        m, _ = simulate_run(p, name, slots=2000, seed=7, profiles=energy_profiles(p),
+        m, _ = simulate_run(p, name, slots=2000, seed=7,
                             **strategy_kw(p, name))
         assert m.generated == m.delivered + m.dropped + m.in_queue_final
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_battery_and_queue_bounds(self, name):
         p = make_params(n_nodes=3, arrival_prob=0.4, channel_gain=(1.2, 0.9, 0.5))
-        _, traces = simulate_run(p, name, slots=1500, seed=9, trace=True,
-                                 profiles=energy_profiles(p), **strategy_kw(p, name))
+        _, traces = simulate_run(p, name, slots=1500, seed=9, trace=True, **strategy_kw(p, name))
         for t in traces:
             assert all(0 <= b <= p.battery_levels for b in t.batteries)
             assert all(0 <= q <= p.queue_cap for q in t.queues)
@@ -192,15 +202,14 @@ class TestInvariants:
     @pytest.mark.parametrize("name", ["fq", "rs", "ehmdp"])
     def test_centralized_never_collides(self, name):
         p = make_params(n_nodes=4, arrival_prob=0.5)
-        _, traces = simulate_run(p, name, slots=1500, seed=2, trace=True,
-                                 profiles=energy_profiles(p), **strategy_kw(p, name))
+        _, traces = simulate_run(p, name, slots=1500, seed=2, trace=True, **strategy_kw(p, name))
         assert all(t.outcome != "collision" for t in traces)
         assert all(len(t.transmitters) <= 1 for t in traces)
 
     def test_collision_iff_multiple_transmitters(self):
         p = make_params(n_nodes=4, arrival_prob=0.6)
         _, traces = simulate_run(p, "rc", slots=1500, seed=4, trace=True,
-                                 contention_prob=0.5, profiles=energy_profiles(p))
+                                 contention_prob=0.5)
         saw_collision = False
         for t in traces:
             assert (t.outcome == "collision") == (len(t.transmitters) >= 2)
@@ -211,7 +220,7 @@ class TestInvariants:
     def test_outcome_and_energy_dead_counters(self, name):
         p = drain_params(4)
         profiles = energy_profiles(p)
-        m, traces = simulate_run(p, name, slots=1500, seed=3, trace=True, profiles=profiles,
+        m, traces = simulate_run(p, name, slots=1500, seed=3, trace=True,
                                  **strategy_kw(p, name))
         assert (m.successes + m.ber_failures + m.collisions + m.charge_only_slots
                 + m.idle_slots) == m.slots
@@ -231,7 +240,7 @@ class TestInvariants:
 
 def brute_force_ready(sim):
     return [i for i in range(sim.params.n_nodes)
-            if sim.queues[i] >= 1 and sim.batteries[i] >= sim.profiles[i].min_tx_level]
+            if sim.queues[i] >= 1 and sim.batteries[i] >= sim.min_tx[i]]
 
 
 def shadow_controllers(strategy, n_nodes):
@@ -290,8 +299,7 @@ class TestIncrementalBookkeeping:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_powered_list_matches_brute_force_every_slot(self, name, n_nodes):
         p = drain_params(n_nodes)
-        sim = Simulation(p, make_strategy(name, **strategy_kw(p, name)), seed=3, trace=True,
-                         profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy(name, **strategy_kw(p, name)), seed=3, trace=True)
         drained = recharged = False
         for _ in range(1500):
             before = len(sim.powered)
@@ -314,7 +322,7 @@ class TestIncrementalBookkeeping:
         # a contention run never recharges a drained node, so order on
         # re-entry is checked directly
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq"), seed=0, profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("fq"), seed=0)
         for node in (2, 0, 1):
             sim._set_level(node, 0)
         assert sim.powered == []
@@ -327,9 +335,9 @@ class TestIncrementalBookkeeping:
         p = busy_params(n_nodes)
         design = TxProbDesign("exponential", rate_q=1.0, rate_e=0.05)
         strategy = EqatStrategy(design, backoff_window=4)
-        sim = Simulation(p, strategy, seed=5, trace=True, profiles=energy_profiles(p))
+        sim = Simulation(p, strategy, seed=5, trace=True)
         shadow = shadow_controllers(strategy, n_nodes)
-        shadow_backoff = Streams(5).backoff
+        shadow_backoff = substream(5, BACKOFF)
         collided = 0
         for _ in range(1500):
             sim.step()
@@ -350,6 +358,15 @@ class TestIncrementalBookkeeping:
 
 
 class TestBlockDraws:
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_substream_layout(self, seed):
+        # the strategy, BER and backoff draws are substreams 1, 2 and 3 of the seed
+        sim = Simulation(make_params(), make_strategy("fq"), seed=seed)
+        for draw, k in ((sim.strategy_uniform, STRATEGY), (sim.ber_uniform, BER),
+                        (sim.backoff_uniform, BACKOFF)):
+            shadow = uniforms(substream(seed, k))
+            assert [draw() for _ in range(BLOCK + 3)] == [shadow() for _ in range(BLOCK + 3)]
+
     def test_uniforms_equal_repeated_random(self):
         # enough draws to cross two block boundaries
         draw = uniforms(np.random.default_rng(8))
@@ -434,17 +451,16 @@ class TestSharedArrivals:
         # every loop case reads one tape in three calls of 700 slots each,
         # taking turns, so the tape grows while the other readers lag behind
         p = busy_params(n_nodes)
-        profiles = energy_profiles(p)
         tape = ArrivalTape(p, seed=3)
         cases = [(name, strategy_kw(p, name, **kw)) for name, kw in LOOP_CASES]
-        shared = [Simulation(p, make_strategy(name, **kw), seed=3, trace=True, profiles=profiles,
+        shared = [Simulation(p, make_strategy(name, **kw), seed=3, trace=True,
                              arrivals=tape) for name, kw in cases]
         for _ in range(3):
             for sim in shared:
                 sim.run(700)
         assert len(tape.slots) == -(-2100 // BLOCK) * BLOCK   # drawn once for every reader
         for sim, (name, kw) in zip(shared, cases):
-            alone = Simulation(p, make_strategy(name, **kw), seed=3, trace=True, profiles=profiles)
+            alone = Simulation(p, make_strategy(name, **kw), seed=3, trace=True)
             alone.run(2100)
             assert alone.arrivals is not tape
             assert run_state(sim) == run_state(alone), name
@@ -457,11 +473,11 @@ class TestSharedArrivals:
                   (replace(p, arrival_prob=0.4), 4), (replace(p, arrival_period=5e-3), 4)]
         for params, seed in others:
             with pytest.raises(ValueError, match=r"^arrival tape of .* not \(" + str(seed)):
-                simulate_run(params, "fq", 10, seed, profiles=energy_profiles(params),
+                simulate_run(params, "fq", 10, seed,
                              arrivals=tape)
         # what the arrivals do not depend on may differ
         scarce = replace(p, bs_power=1.0)
-        m, _ = simulate_run(scarce, "fq", 10, 4, profiles=energy_profiles(scarce), arrivals=tape)
+        m, _ = simulate_run(scarce, "fq", 10, 4, arrivals=tape)
         assert m.slots == 10
 
 
@@ -472,7 +488,7 @@ class TestOneSlotLaw:
     def test_kernel_moves_read_the_tables(self, network):
         p = SLOT_LAW_PARAMS[network]
         profiles = energy_profiles(p)
-        model = kernel_model(p, profiles)
+        model = kernel_model(p)
         width, m = p.queue_cap + 1, p.per_node_states
         for node, prof in enumerate(profiles):
             for level in range(p.battery_levels + 1):
@@ -501,8 +517,7 @@ class TestOneSlotLaw:
                     ([node, other], 1, {"collision"}, prof.after_collision),
                 ]
                 for selected, queue, outcomes, table in cases:
-                    sim = Simulation(p, ScriptedStrategy(selected), seed=level, trace=True,
-                                     profiles=profiles)
+                    sim = Simulation(p, ScriptedStrategy(selected), seed=level, trace=True)
                     sim._set_level(node, level)
                     sim.queues[node] = queue
                     sim.step()
@@ -518,12 +533,10 @@ class TestOneSlotLoop:
     def test_steps_and_one_run_leave_identical_state(self, name, kw):
         p = busy_params(4)
         kw = strategy_kw(p, name, **kw)
-        stepped = Simulation(p, make_strategy(name, **kw), seed=8, trace=True,
-                             profiles=energy_profiles(p))
+        stepped = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
         for _ in range(400):
             stepped.step()
-        whole = Simulation(p, make_strategy(name, **kw), seed=8, trace=True,
-                           profiles=energy_profiles(p))
+        whole = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
         whole.run(400)
         assert len(whole.traces) == 400
         assert run_state(stepped) == run_state(whole)
@@ -532,7 +545,7 @@ class TestOneSlotLoop:
     def test_overridden_hooks_run_once_per_slot_in_order(self):
         strategy = CountingStrategy()
         p = make_params(n_nodes=3, arrival_prob=0.3)
-        sim = Simulation(p, strategy, seed=4, profiles=energy_profiles(p))
+        sim = Simulation(p, strategy, seed=4)
         for _ in range(3):
             sim.step()
         sim.run(5)
@@ -548,12 +561,12 @@ class TestOneSlotLoop:
         monkeypatch.setattr(Strategy, "end_of_slot", called)
         p = busy_params(3)
         for name in ALL_STRATEGIES:
-            simulate_run(p, name, slots=200, seed=1, profiles=energy_profiles(p),
+            simulate_run(p, name, slots=200, seed=1,
                          **strategy_kw(p, name))
 
     def test_rebinds_what_the_caller_replaced_between_calls(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
-        sim = Simulation(p, make_strategy("fq"), seed=0, trace=True, profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("fq"), seed=0, trace=True)
         sim.step()
         sim.queues = [0, 2, 0]
         sim.traces = []
@@ -565,19 +578,19 @@ class TestOneSlotLoop:
 class TestStrategies:
     def test_fq_picks_unique_longest(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq"), seed=0, profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("fq"), seed=0)
         sim.queues = [2, 5, 3]
         assert sim.strategy.select(sim) == [1]
 
     def test_fq_ties_to_lowest_index(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("fq"), seed=0, profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("fq"), seed=0)
         sim.queues = [4, 4, 1]
         assert sim.strategy.select(sim) == [0]
 
     def test_rs_skips_empty_queues(self):
         p = make_params(n_nodes=3)
-        sim = Simulation(p, make_strategy("rs"), seed=0, profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("rs"), seed=0)
         sim.queues = [0, 0, 0]
         assert sim.strategy.select(sim) == []
         sim.queues = [0, 2, 0]
@@ -585,7 +598,7 @@ class TestStrategies:
 
     def test_rs_uniform_within_3_sigma(self):
         p = make_params(n_nodes=5)
-        sim = Simulation(p, make_strategy("rs"), seed=17, profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("rs"), seed=17)
         sim.queues = [3, 3, 0, 3, 3]
         draws = 100_000
         counts = {0: 0, 1: 0, 3: 0, 4: 0}
@@ -601,7 +614,7 @@ class TestStrategies:
         window = 5
         strategy = make_strategy("eqat", backoff_window=window)
         p = make_params(n_nodes=2)
-        sim = Simulation(p, strategy, seed=17, profiles=energy_profiles(p))
+        sim = Simulation(p, strategy, seed=17)
         counts = dict.fromkeys(range(1, window + 1), 0)
         collisions = 50_000
         for _ in range(collisions):
@@ -620,7 +633,7 @@ class TestStrategies:
         picks = []
         for lone_first in (True, False):
             p = make_params(n_nodes=3)
-            sim = Simulation(p, make_strategy("rs"), seed=11, profiles=energy_profiles(p))
+            sim = Simulation(p, make_strategy("rs"), seed=11)
             if lone_first:
                 sim.queues = [0, 2, 0]
                 assert sim.strategy.select(sim) == [1]
@@ -633,10 +646,10 @@ class TestStrategies:
         window = 8
         strategy = make_strategy("eqat", backoff_window=window)
         p = make_params(n_nodes=3)
-        sim = Simulation(p, strategy, seed=6, profiles=energy_profiles(p))
+        sim = Simulation(p, strategy, seed=6)
         strategy.on_outcome(sim, [2, 0], "collision")
         strategy.on_outcome(sim, [1, 2], "collision")
-        u = uniforms(Streams(6).backoff)
+        u = uniforms(substream(6, BACKOFF))
         first = {2: 1 + int(u() * window), 0: 1 + int(u() * window)}
         second = {1: 1 + int(u() * window), 2: 1 + int(u() * window)}
         assert strategy.backoff == [first[0], second[1], second[2]]
@@ -647,14 +660,14 @@ class TestStrategies:
         window = 2**32 + 1
         strategy = make_strategy("eqat", backoff_window=window)
         p = make_params(n_nodes=2)
-        sim = Simulation(p, strategy, seed=3, profiles=energy_profiles(p))
+        sim = Simulation(p, strategy, seed=3)
         for _ in range(100):
             strategy.on_outcome(sim, [0, 1], "collision")
             assert all(1 <= b <= window for b in strategy.backoff)
 
     def test_dfq_two_full_nodes_collide(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
-        sim = Simulation(p, make_strategy("dfq"), seed=0, profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("dfq"), seed=0)
         sim.queues = [p.queue_cap, p.queue_cap, 2]
         assert sim.strategy.select(sim) == [0, 1]
         sim.step()
@@ -664,7 +677,7 @@ class TestStrategies:
     def test_rc_certain_contention_never_delivers(self):
         p = make_params(n_nodes=2, arrival_prob=1.0)
         m, traces = simulate_run(p, "rc", slots=400, seed=5, trace=True,
-                                 contention_prob=1.0, profiles=energy_profiles(p))
+                                 contention_prob=1.0)
         assert m.delivered == 0
         assert any(t.outcome == "collision" for t in traces)
 
@@ -675,10 +688,9 @@ class TestStrategies:
                         channel_gain=(1.0, 0.7))
         res = value_iteration(build_model(p))
         m, traces = simulate_run(p, "ehmdp", slots=300, seed=6, trace=True,
-                                 chooser=PolicyChooser(res), profiles=energy_profiles(p))
+                                 chooser=PolicyChooser(res))
         # replay: every pick must match the policy at the pre-slot state
-        sim = Simulation(p, make_strategy("ehmdp", chooser=PolicyChooser(res)), seed=6,
-                         profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("ehmdp", chooser=PolicyChooser(res)), seed=6)
         for t in traces:
             expect = sim.strategy.select(sim)
             assert list(t.transmitters) in ([], expect)
@@ -691,9 +703,9 @@ class TestEqatIntegration:
         design = TxProbDesign("sigmoid")
         strategy = EqatStrategy(design, threshold=0.05)
         profiles = energy_profiles(p)
-        sim = Simulation(p, strategy, seed=21, profiles=profiles)
-        shadow_rng = Streams(21).strategy
-        shadow_backoff = Streams(21).backoff
+        sim = Simulation(p, strategy, seed=21)
+        shadow_rng = substream(21, STRATEGY)
+        shadow_backoff = substream(21, BACKOFF)
         ctls = shadow_controllers(strategy, p.n_nodes)
         for _ in range(300):
             assert (strategy.fails, strategy.backoff) == contention_state(ctls)
@@ -711,7 +723,7 @@ class TestEqatIntegration:
             # resolve the slot through the engine path
             outcome = "idle"
             if len(got) == 1 and got[0] in sim.transmit_ready():
-                outcome = "success" if sim.rng.ber.random() < sim.ps else "ber_fail"
+                outcome = "success" if sim.ber_uniform() < sim.ps else "ber_fail"
                 if outcome == "success":
                     sim.queues[got[0]] -= 1
                 sim._set_level(got[0], profiles[got[0]].after_tx[sim.batteries[got[0]]])
@@ -740,8 +752,8 @@ class TestEqatIntegration:
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)
         for seed in range(10):
             a, _ = simulate_run(p, "eqat", slots=3000, seed=seed, design=design,
-                                threshold=0.0, profiles=energy_profiles(p))
-            b, _ = simulate_run(p, "rs", slots=3000, seed=seed, profiles=energy_profiles(p))
+                                threshold=0.0)
+            b, _ = simulate_run(p, "rs", slots=3000, seed=seed)
             assert a == b, seed
 
     def test_threshold_gate_counts_every_arrival_opportunity(self):
@@ -754,9 +766,9 @@ class TestEqatIntegration:
         clean = packet_success_prob(p) * (1 - p.arrival_prob) ** 2
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)
         held, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
-                               threshold=clean * (1 + 1e-9), profiles=energy_profiles(p))
+                               threshold=clean * (1 + 1e-9))
         sent, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
-                               threshold=clean * (1 - 1e-9), profiles=energy_profiles(p))
+                               threshold=clean * (1 - 1e-9))
         assert held.generated > 0
         assert held.delivered == 0
         assert sent.delivered > 0
@@ -767,8 +779,8 @@ class TestEqatIntegration:
         # batteries, backoffs and fail counts as they are when it starts
         p = make_params(n_nodes=3)
         strategy = EqatStrategy()
-        sim = Simulation(p, strategy, seed=0, trace=True, profiles=energy_profiles(p))
-        shadow = uniforms(Streams(0).strategy)
+        sim = Simulation(p, strategy, seed=0, trace=True)
+        shadow = uniforms(substream(0, STRATEGY))
         for queues in ([p.queue_cap] * 3, [0, 2, 0], [1, 0, p.queue_cap]):
             sim.queues = list(queues)
             for _ in range(3):
@@ -786,7 +798,7 @@ class TestEqatIntegration:
         p = make_params(n_nodes=2, arrival_prob=0.9, channel_gain=(1e4, 1e4))
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)  # both contend hard
         strategy = EqatStrategy(design, threshold=0.0, backoff_window=5)
-        sim = Simulation(p, strategy, seed=13, profiles=energy_profiles(p))
+        sim = Simulation(p, strategy, seed=13)
         saw = False
         for _ in range(200):
             before = list(strategy.backoff)
@@ -809,13 +821,13 @@ class TestSelectedNodeLawFrequencies:
             0: (1 - ps) * (1 - lam) + ps * lam,
         }
         strategy = make_strategy("fq")
-        sim = Simulation(p, strategy, seed=31, profiles=energy_profiles(p))
+        sim = Simulation(p, strategy, seed=31)
         counts = {+1: 0, -1: 0, 0: 0}
         n_obs = 0
         for _ in range(120_000):
             q0 = sim.queues[0]
             b0 = sim.batteries[0]
-            interior = 1 <= q0 <= p.queue_cap - 1 and b0 >= sim.profiles[0].min_tx_level
+            interior = 1 <= q0 <= p.queue_cap - 1 and b0 >= sim.min_tx[0]
             sim.step()
             if interior:
                 counts[sim.queues[0] - q0] += 1
@@ -835,8 +847,7 @@ class TestCollidedNodeLawFrequencies:
         # runs of collisions from draining either node.
         cp = 0.5
         p = make_params(arrival_prob=0.3, battery_levels=20, channel_gain=(1e4, 1e4))
-        sim = Simulation(p, make_strategy("rc", contention_prob=cp), seed=7, trace=True,
-                         profiles=energy_profiles(p))
+        sim = Simulation(p, make_strategy("rc", contention_prob=cp), seed=7, trace=True)
         counts, expect, laws = {}, {}, {}
         n_obs = 0
         for _ in range(120_000):
@@ -870,13 +881,11 @@ class TestMonteCarloOrdering:
         from rwsnsim.mdp import build_model, value_iteration
 
         chooser = PolicyChooser(value_iteration(build_model(p)))
-        profiles = energy_profiles(p)
         loss_ehmdp = []
         loss_rs = []
         for seed in range(20):
-            a, _ = simulate_run(p, "ehmdp", slots=10_000, seed=seed, profiles=profiles,
-                                chooser=chooser)
-            b, _ = simulate_run(p, "rs", slots=10_000, seed=seed, profiles=profiles)
+            a, _ = simulate_run(p, "ehmdp", slots=10_000, seed=seed, chooser=chooser)
+            b, _ = simulate_run(p, "rs", slots=10_000, seed=seed)
             loss_ehmdp.append(a.loss_rate)
             loss_rs.append(b.loss_rate)
         assert np.mean(loss_ehmdp) <= np.mean(loss_rs)
@@ -941,9 +950,9 @@ class TestModelAgreement:
         solve = value_iteration(model)
         slots = 5_000
         predicted = closed_loop_delivered(model, solve.policy, slots)
-        profiles, chooser = energy_profiles(p), PolicyChooser(solve)
-        per_seed = [simulate_run(p, "ehmdp", slots, seed, profiles=profiles,
-                                 chooser=chooser)[0].delivered / slots for seed in range(5)]
+        chooser = PolicyChooser(solve)
+        per_seed = [simulate_run(p, "ehmdp", slots, seed, chooser=chooser)[0].delivered / slots
+                    for seed in range(5)]
         stderr = np.std(per_seed, ddof=1) / np.sqrt(len(per_seed))
         assert abs(predicted - np.mean(per_seed)) <= 3 * stderr, (predicted, per_seed)
 
@@ -957,7 +966,7 @@ class TestAbsorbingState:
     def test_a_node_below_its_cost_stays_there(self, name):
         p = make_params(n_nodes=3, channel_gain=draw_channel_gains(3))
         profiles = energy_profiles(p)
-        sim = Simulation(p, make_strategy(name), seed=7, trace=True, profiles=profiles)
+        sim = Simulation(p, make_strategy(name), seed=7, trace=True)
         node = 1
         level = profiles[node].min_tx_level - 1
         assert level >= 0
@@ -992,7 +1001,7 @@ class TestCentralizedLock:
                         channel_gain=draw_channel_gains(6))
         prof = energy_profiles(p)[0]
         assert (prof.min_tx_level, prof.delta_levels, prof.harvest_only_levels) == (2, -1, 0)
-        m, traces = simulate_run(p, "fq", 2000, 0, trace=True, profiles=energy_profiles(p))
+        m, traces = simulate_run(p, "fq", 2000, 0, trace=True)
         last = traces[-1000:]
         assert all(t.transmitters == (0,) for t in last)
         assert all(t.outcome == "idle" for t in last)
