@@ -49,10 +49,13 @@ where omega is the params' `discount`; the stopping tolerance is their
 action, so z is formed once a sweep: N products with A along the queue
 axes, the first scaled by omega, and one add of `common`; then one product
 with M_k per action. A sweep costs O(N m^(N+1)) flops. Every product reads
-its operand through a C-contiguous view (`_apply_axis`). Through a
-transposed view, 350 m-wide products at N=3 took 45-53 ms, but 1.1-1.4 s
-once the process had slept 5 s, with two BLAS threads on 2 cores; the
-contiguous forms took 49-71 ms after the same sleep.
+its operand in place, never through a transposed view, in matmul calls of
+at most BLAS_SLICE = 2^18 multiply-adds each (`_apply_axis`), the largest
+gemm OpenBLAS runs on the calling thread. A larger gemm wakes its worker
+threads, which are slow to wake once the process has idled: at N=3 the
+moves along the first and the last axis are about 3.1 M multiply-adds
+each, and as single gemms they made the first solve after 12 s asleep take
+about 1 s, with two BLAS threads on 2 cores, against under 0.1 s sliced.
 
 Stopping. The solve stops when the sup-norm of Tv - v drops below
 tol * (1 - omega) / (2 * omega), the standard test that puts the returned
@@ -77,11 +80,14 @@ also the one plain value iteration returns is not proved. With the shift
 alone it was, since a constant moves every action's Q alike; mixed
 iterates are other vectors. Tests pin it on the desk instances and at N=3.
 
-Memory. The joint-sized arrays are v, Tv, `common`, Q (N rows), two work
-rows and the mixing history, 2 * ANDERSON_DEPTH rows, 2 * depth * S * 8
-bytes. The history stays float64: float32 rounding in the iterates would
-part actions whose Q ties (see Ties). At N=3 (S = 74,088) and depth 4 the
-history is 4.7 MB; at N=4 (S = 3.11 M) about 200 MB.
+Memory. The joint-sized arrays are v, Tv, `common`, two work rows and the
+mixing history, 2 * ANDERSON_DEPTH rows: (5 + 2 * depth) * S * 8 bytes at
+any N, since each action's Q folds into Tv as it is made (`_Backup`). Only
+the stopping sweep forms the N per-action rows, for the tie rule, once the
+history is dropped. The history stays float64: float32 rounding in the
+iterates would part actions whose Q ties (see Ties). At depth 4 that is 13
+rows: 7.3 MiB at N=3 (S = 74,088), and 309 MiB at N=4 (S = 3.11 M), where
+the exact solve peaks at 344 MiB of RSS.
 
 Ties. The policy takes the lowest node index among the actions whose Q
 lies within TIE_RTOL * max(1, |min Q|) of the minimum, so actions equal up
@@ -122,6 +128,10 @@ ANDERSON_RISE = 10.0
 ANDERSON_STALL = 10
 # actions whose Q values differ by less than this, relative, count as tied
 TIE_RTOL = 1e-12
+# the most multiply-adds one matmul call of the solve does: OpenBLAS runs a
+# gemm of at most 65,536 * GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds on
+# the calling thread, so no call wakes its worker threads
+BLAS_SLICE = 2 ** 18
 
 
 class StateSpaceBudgetError(RuntimeError):
@@ -241,55 +251,77 @@ def _apply_axis(kernel: np.ndarray, x: np.ndarray, before: int, out: np.ndarray)
     """Apply a square kernel along one axis of the flat tensor x, into out.
 
     `before` is the product of the sizes of the axes before it. Both forms
-    read x through a C-contiguous view: one gemm per index of the axes
-    before, or, on the last axis, one gemm by the kernel's transpose. That
+    read x in place, never through a transposed view: the kernel times the
+    (axis, after) matrix at each index of the axes before, or, on the last
+    axis, the (before, axis) matrix times the kernel's transpose. That
     transpose is copied: through a transposed view, the (Q+1)-wide arrival
-    kernel's product runs about 3.5 times slower.
+    kernel's product runs about 3.5 times slower. Each matmul call does at
+    most BLAS_SLICE multiply-adds: a run of whole indices before the axis,
+    a block of columns of one index's matrix, or a block of rows on the
+    last axis.
     """
     k = kernel.shape[0]
     after = x.size // (before * k)
     if after == 1:
-        np.matmul(x.reshape(before, k), np.ascontiguousarray(kernel.T),
-                  out=out.reshape(before, k))
-    else:
-        np.matmul(kernel, x.reshape(before, k, after), out=out.reshape(before, k, after))
+        x, out, kernel_t = x.reshape(before, k), out.reshape(before, k), kernel.T.copy()
+        rows = max(1, BLAS_SLICE // (k * k))
+        for i in range(0, before, rows):
+            np.matmul(x[i:i + rows], kernel_t, out=out[i:i + rows])
+        return
+    x, out = x.reshape(before, k, after), out.reshape(before, k, after)
+    cols = min(after, max(1, BLAS_SLICE // (k * k)))
+    runs = max(1, BLAS_SLICE // (k * k * cols))
+    for i in range(0, before, runs):
+        for j in range(0, after, cols):
+            np.matmul(kernel, x[i:i + runs, :, j:j + cols], out=out[i:i + runs, :, j:j + cols])
 
 
 class _Backup:
     """Bellman backups of one model in factored form, into arrays it owns.
 
-    A call leaves in `q` each action's Q, M_k along axis k of z (see the
-    module docstring). Between calls the rows of `work` are free.
+    A call writes Tv, the minimum over actions of Q(., k) = M_k along axis k
+    of z (see the module docstring), folding each action's product into it
+    as it goes, and leaves z in `work[0]` for `actions`. Between calls
+    `work[1]` is free, and so is `work[0]` once `actions` is not needed.
     """
 
     def __init__(self, model: TransitionModel):
-        n = model.n_actions
         self.arrival = model.arrival
         self.discounted = model.params.discount * model.arrival
         self.common = np.zeros(1)
-        for _ in range(n):
+        for _ in range(model.n_actions):
             self.common = np.add.outer(self.common, model.loss).reshape(-1)
         self.moves = model.moves[1:]
         # sweeps write into these: allocating fresh joint-sized arrays each sweep
         # costs about as much as the kernel products themselves
-        self.q = np.empty((n, model.n_states))
         self.work = np.empty((2, model.n_states))
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        q, work = self.q, self.work
+    def __call__(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        work, n = self.work, len(self.moves)
         m = self.moves.shape[1]
         batteries = m // self.arrival.shape[0]
         # z: the slot's arrivals, the same under every action (A along each
         # queue axis, the battery axes untouched, the first product carrying
-        # the discount), plus every node's arrival-only loss
-        x = v
-        for k in range(len(q)):
-            _apply_axis(self.arrival if k else self.discounted, x, m ** k * batteries,
-                        work[k % 2])
-            x = work[k % 2]
-        x += self.common
+        # the discount), plus every node's arrival-only loss; product k
+        # writes row (n - 1 - k) % 2, so z ends in work[0]
+        z = v
+        for k in range(n):
+            row = work[(n - 1 - k) % 2]
+            _apply_axis(self.arrival if k else self.discounted, z, m ** k * batteries, row)
+            z = row
+        z += self.common
+        _apply_axis(self.moves[0], z, 1, out)
+        for k in range(1, n):
+            _apply_axis(self.moves[k], z, m ** k, work[1])
+            np.minimum(out, work[1], out=out)
+        return out
+
+    def actions(self) -> np.ndarray:
+        """Each action's Q, one row per action, from the z of the last call."""
+        m = self.moves.shape[1]
+        q = np.empty((len(self.moves), self.work.shape[1]))
         for k, move in enumerate(self.moves):
-            _apply_axis(move, x, m ** k, q[k])
+            _apply_axis(move, self.work[0], m ** k, q[k])
         return q
 
 
@@ -370,14 +402,13 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
     values and the policy's value within tol of optimal, whatever the
     iterates were. Raises ValueIterationError after MAX_SWEEPS sweeps.
 
-    The kernel products go through BLAS, whose summation order depends on
-    its thread count, so the values are reproducible only to rounding across
-    thread counts (at N=3 only the product along axis 0, the one gemm over
-    the whole tensor, differs). Mixing feeds that rounding back into the
-    iterates, so the sweep count can differ too: at N=3 and bs_power 1.0, 99
-    sweeps at one thread and 97 at two, with the same policy. Tests pin that
-    the policy agrees at 1 and 2 threads for N=3 at the defaults and at
-    bs_power 1.0, and the sweep count at the defaults (44 each).
+    The kernel products go through BLAS in calls of at most BLAS_SLICE
+    multiply-adds, which OpenBLAS runs on the calling thread whatever its
+    thread count. So the summation order does not depend on that count, and
+    neither do the values, bit for bit, nor the sweeps, which mixing would
+    otherwise part by feeding rounding back into the iterates. Tests pin the
+    values, the sweep count and the policy at 1 and 2 threads for N=3 at
+    the defaults (44 sweeps) and at bs_power 1.0 (98).
     """
     p = model.params
     w = p.discount
@@ -391,20 +422,17 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
     history: list[float] = []
     best, stale, fallbacks = np.inf, 0, 0
     for sweep in range(1, MAX_SWEEPS + 1):
-        q = backup(v)
-        # one elementwise pass per action: np.min over axis 0 is slower
-        np.minimum(q[0], q[-1], out=v_next)
-        for row in q[1:-1]:
-            np.minimum(v_next, row, out=v_next)
-        diff = np.subtract(v_next, v, out=backup.work[0])
+        backup(v, v_next)
+        # work[0] holds z until the policy is taken, so the residual goes in work[1]
+        diff = np.subtract(v_next, v, out=backup.work[1])
         lo, hi = float(diff.min()), float(diff.max())
         residual = max(-lo, hi)
         history.append(residual)
         if residual < threshold:
-            del anderson  # the policy's temporaries reuse its memory
+            del anderson  # the per-action rows and the policy's temporaries reuse its memory
             return ValueIterationResult(
-                values=v_next, policy=greedy_policy(q), sweeps=sweep, fallbacks=fallbacks,
-                residual=residual, residual_history=history, params=p,
+                values=v_next, policy=greedy_policy(backup.actions()), sweeps=sweep,
+                fallbacks=fallbacks, residual=residual, residual_history=history, params=p,
             )
         if residual < best:
             best, stale = residual, 0
@@ -416,7 +444,7 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
         shift = w / (1.0 - w) * (lo + hi) / 2.0
         v_next += shift
         diff += shift
-        anderson.mix(diff, v_next, backup.work[1])
+        anderson.mix(diff, v_next, backup.work[0])
         v, v_next = v_next, v
     raise ValueIterationError(
         f"no convergence after {MAX_SWEEPS} sweeps (last residual {history[-1]:.3e}, "
@@ -430,13 +458,14 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
 class PolicyChooser:
     """Exact mode: the solved policy's action at the joint state, by table lookup.
 
-    Holds only plain tables, so it pickles small (a list of node indices, not
-    the solve's arrays) and is built once per scenario.
+    Holds only plain tables, so it pickles small (the node indices as bytes,
+    one per joint state: an exactly solvable network has far fewer than 256
+    nodes) and is built once per scenario.
     """
 
     def __init__(self, result: ValueIterationResult):
         p = result.params
-        self.policy: list[int] = result.policy.tolist()
+        self.policy = result.policy.astype(np.uint8).tobytes()
         self.m = p.per_node_states
         self.width = p.queue_cap + 1
 
