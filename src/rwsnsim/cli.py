@@ -47,7 +47,7 @@ by its declared type):
 {_section("channel", "draw_channel_gains parameters, for the path-loss draw of the gains "
                      "when [network] gives none")}
 {_section("eqat", "EqatStrategy parameters")}
-{_section("rc", "RandomContentionStrategy parameters")}
+{_section("rc", "parameters of the rc preset, a fixed table of the EQAT loop")}
 """
 
 

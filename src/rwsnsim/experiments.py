@@ -27,14 +27,14 @@ A config file's keys are the declared names of what each section sets,
 and each value converts by its declared type: [experiment] the
 `ExperimentSpec` fields, [network] the `NetworkParams` fields but n_nodes
 and slot_len (the grid sets them), [channel] the `draw_channel_gains`
-parameters but n_nodes, [eqat] and [rc] the strategy constructors'
-parameters but eqat's design (set by designs). `ExperimentSpec.validate`
-checks a spec's every value against the same declared type, then the
-[channel], [eqat] and [rc] ranges by a draw and the constructors, and,
-when all of that holds, a `core.validate` problem of every grid point's
-parameters. It also refuses a grid size below 1, and a value repeated in
-n_nodes, t_hat, strategies, designs or seeds, which would run twice and
-count twice in its aggregate row.
+parameters but n_nodes, [eqat] and [rc] the parameters of `EqatStrategy`
+and of the `rc` preset's factory but eqat's design (set by designs).
+`ExperimentSpec.validate` checks a spec's every value against the same
+declared type, then the [channel], [eqat] and [rc] ranges by a draw and
+the constructors, and, when all of that holds, a `core.validate` problem
+of every grid point's parameters. It also refuses a grid size below 1,
+and a value repeated in n_nodes, t_hat, strategies, designs (as parsed)
+or seeds, which would run twice and count twice in its aggregate row.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ from typing import Callable
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, build_model, value_iteration
-from .simulator import (STRATEGIES, ArrivalTape, EqatStrategy, RandomContentionStrategy,
-                        RunMetrics, SlotTrace, simulate_run)
+from .simulator import STRATEGIES, ArrivalTape, EqatStrategy, RunMetrics, SlotTrace, simulate_run
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +89,7 @@ class ExperimentSpec:
     network: dict = field(default_factory=dict)   # NetworkParams field overrides
     channel: dict = field(default_factory=dict)   # draw_channel_gains overrides
     eqat: dict = field(default_factory=dict)      # EqatStrategy overrides; design from designs
-    rc: dict = field(default_factory=dict)        # RandomContentionStrategy overrides
+    rc: dict = field(default_factory=dict)        # the rc preset's overrides
 
     def validate(self) -> list[str]:
         v = _wrong_types("experiment", vars(self))
@@ -105,8 +104,17 @@ class ExperimentSpec:
             v.append("strategies must be non-empty")
         if not self.seeds:
             v.append("at least one seed is required")
+        designs: dict[TxProbDesign, list[str]] = {}   # each design's tokens
+        for d in self.designs:
+            try:
+                designs.setdefault(TxProbDesign.parse(d), []).append(d)
+            except ValueError as e:
+                v.append(str(e))
         for name in ("n_nodes", "t_hat", "strategies", "designs", "seeds"):
-            repeated = [x for x, count in Counter(getattr(self, name)).items() if count > 1]
+            if name == "designs":   # one design however spelt: name its distinct tokens
+                repeated = [t for ts in designs.values() if len(ts) > 1 for t in dict.fromkeys(ts)]
+            else:
+                repeated = [x for x, count in Counter(getattr(self, name)).items() if count > 1]
             if repeated:
                 v.append(f"repeated {name}: {repeated}")
         if self.slots < 0:
@@ -124,11 +132,6 @@ class ExperimentSpec:
             v.append(f"unknown strategies: {unknown}")
         if "eqat" in self.strategies and not self.designs:
             v.append("eqat needs at least one design")
-        for d in self.designs:
-            try:
-                TxProbDesign.parse(d)
-            except ValueError as e:
-                v.append(str(e))
         for name in ("network", "channel", "eqat", "rc"):
             overrides = getattr(self, name)
             unknown = sorted(set(overrides) - set(_SPEC_SCHEMA[name]))
@@ -247,7 +250,7 @@ _SPEC_SCHEMA = {
     "network": _declared(NetworkParams, "n_nodes", "slot_len"),
     "channel": _declared(draw_channel_gains, "n_nodes"),
     "eqat": _declared(EqatStrategy, "design"),
-    "rc": _declared(RandomContentionStrategy),
+    "rc": _declared(STRATEGIES["rc"]),
 }
 
 

@@ -39,7 +39,8 @@ Hook contract. A strategy implements `select`; it may override `bind`
 (called once, from the constructor), `on_outcome` and `end_of_slot`. The
 loop calls the last two only when the strategy's class overrides
 `Strategy`'s no-op, decided once per call; of the shipped strategies only
-`EqatStrategy` does. A strategy draws from the run's uniforms, not its own.
+`eqat` does (`rc` and `dfq` run its `select` on fixed tables and keep the
+no-ops). A strategy draws from the run's uniforms, not its own.
 
 Per-slot work scales with the nodes that can act, not with N.
 `Simulation.powered` holds the nodes whose battery affords one
@@ -329,8 +330,6 @@ class Simulation:
 class Strategy:
     """One scheduling policy; a central scheduler returns at most one node."""
 
-    name: str = "?"
-
     def bind(self, sim: Simulation):
         pass
 
@@ -347,8 +346,6 @@ class Strategy:
 class FullQueueStrategy(Strategy):
     """Schedules the longest queue; ties to the lowest node index."""
 
-    name = "fq"
-
     def select(self, sim):
         # index() finds the first maximal element, i.e. the lowest index
         queues = sim.queues
@@ -357,8 +354,6 @@ class FullQueueStrategy(Strategy):
 
 class RandomSelectionStrategy(Strategy):
     """Schedules uniformly among nodes holding at least one packet."""
-
-    name = "rs"
 
     def select(self, sim):
         # queue lengths are non-negative, so the non-zero ones are the backlogged
@@ -374,39 +369,11 @@ class EhmdpStrategy(Strategy):
     from kernels whose arrivals are `core.arrival_pmf`: `mdp.PolicyChooser` of
     the solved policy, or `mdp.MyopicChooser`, its stand-in above the budget."""
 
-    name = "ehmdp"
-
     def __init__(self, chooser: Callable[[list[int], list[int]], int]):
         self.chooser = chooser
 
     def select(self, sim):
         return [self.chooser(sim.batteries, sim.queues)]
-
-
-class DecentralizedFullQueueStrategy(Strategy):
-    """Every node whose queue is full (and can afford it) transmits."""
-
-    name = "dfq"
-
-    def select(self, sim):
-        # queue_cap >= 1, so a powered node with a full queue can transmit
-        cap, queues = sim.params.queue_cap, sim.queues
-        return [i for i in sim.powered if queues[i] >= cap]
-
-
-class RandomContentionStrategy(Strategy):
-    """Each backlogged node transmits with a fixed contention probability."""
-
-    name = "rc"
-
-    def __init__(self, contention_prob: float = 0.75):
-        if not 0.0 <= contention_prob <= 1.0:
-            raise ValueError(f"contention_prob must be in [0, 1], got {contention_prob}")
-        self.contention_prob = contention_prob
-
-    def select(self, sim):
-        uniform, p = sim.strategy_uniform, self.contention_prob
-        return [i for i in sim.transmit_ready() if uniform() < p]
 
 
 class EqatStrategy(Strategy):
@@ -437,8 +404,6 @@ class EqatStrategy(Strategy):
     ``threshold``; P(no arrival) is `core.arrival_pmf`'s first term.
     """
 
-    name = "eqat"
-
     def __init__(self, design: TxProbDesign = TxProbDesign.parse("exp:1:0.05"),
                  alpha: float = 0.5, threshold: float = 0.0, backoff_window: int = 8):
         if not alpha >= 0.0:
@@ -461,11 +426,13 @@ class EqatStrategy(Strategy):
         self.fails = [0] * p.n_nodes
         self.backoff = [0] * p.n_nodes
         self.waiting: list[int] = []
-        # design values on the (battery, queue) grid, computed once
-        self._p_table = [
-            [tx_prob(self.design, e, q, p) for q in range(p.queue_cap + 1)]
-            for e in range(p.battery_levels + 1)
-        ]
+        # f on the (battery, queue) grid, computed once
+        self._p_table = [[self.f(e, q, p) for q in range(p.queue_cap + 1)]
+                         for e in range(p.battery_levels + 1)]
+
+    def f(self, battery: int, queue: int, params: NetworkParams) -> float:
+        """The design value f(e, q) before escalation."""
+        return tx_prob(self.design, battery, queue, params)
 
     def beacons(self, sim: Simulation) -> tuple[list[int], list[float]]:
         """The contenders, in index order, and their beacon values, from the live state."""
@@ -486,12 +453,14 @@ class EqatStrategy(Strategy):
 
     def select(self, sim):
         contenders, probs = self.beacons(sim)
+        if not contenders:
+            return contenders
         uniform = sim.strategy_uniform
         # one uniform per contender, in index order
-        nominees = [k for k, p in enumerate(probs) if uniform() < p]
-        if not nominees or self.threshold <= 0.0:
+        if self.threshold <= 0.0:
             # competitor products are >= 0, so no threshold <= 0 vetoes
-            return [contenders[k] for k in nominees]
+            return [i for i, p in zip(contenders, probs) if uniform() < p]
+        nominees = [k for k, p in enumerate(probs) if uniform() < p]
         # prefix/suffix products of (1 - beacon) over the contenders
         n = len(probs)
         pre = [1.0] * (n + 1)
@@ -525,11 +494,35 @@ class EqatStrategy(Strategy):
         self.waiting = [i for i in self.waiting if backoff[i] > 0]
 
 
-# every strategy by its name, in the order a grid runs them by default
-STRATEGIES: dict[str, type[Strategy]] = {cls.name: cls for cls in (
-    EhmdpStrategy, FullQueueStrategy, RandomSelectionStrategy, EqatStrategy,
-    DecentralizedFullQueueStrategy, RandomContentionStrategy,
-)}
+class FixedTableStrategy(EqatStrategy):
+    """The EQAT loop on a fixed table `f`: no escalation, backoff or threshold."""
+
+    # nothing fails or backs off, so the slot loop skips both hooks
+    on_outcome, end_of_slot = Strategy.on_outcome, Strategy.end_of_slot
+
+    def __init__(self, f: Callable[[int, int, NetworkParams], float]):
+        self.f = f   # in place of the design's values
+        self.alpha = self.threshold = 0.0
+
+
+def random_contention(contention_prob: float = 0.75) -> FixedTableStrategy:
+    """`rc`: each backlogged node transmits with a fixed contention probability."""
+    if not 0.0 <= contention_prob <= 1.0:
+        raise ValueError(f"contention_prob must be in [0, 1], got {contention_prob}")
+    return FixedTableStrategy(lambda e, q, p: contention_prob if q >= 1 else 0.0)
+
+
+def decentralized_full_queue() -> FixedTableStrategy:
+    """`dfq`: every node whose queue is full (and can afford it) transmits."""
+    # a uniform is below 1, so every contender with a full queue transmits
+    return FixedTableStrategy(lambda e, q, p: 1.0 if q == p.queue_cap else 0.0)
+
+
+# every strategy's constructor by its name, in the order a grid runs them by default
+STRATEGIES: dict[str, Callable[..., Strategy]] = {
+    "ehmdp": EhmdpStrategy, "fq": FullQueueStrategy, "rs": RandomSelectionStrategy,
+    "eqat": EqatStrategy, "dfq": decentralized_full_queue, "rc": random_contention,
+}
 
 
 def make_strategy(name: str, **kw) -> Strategy:
@@ -538,10 +531,9 @@ def make_strategy(name: str, **kw) -> Strategy:
     `kw` are the constructor's overrides; an out-of-range value raises
     ValueError and an unknown keyword TypeError.
     """
-    cls = STRATEGIES.get(name)
-    if cls is None:
+    if name not in STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}; expected one of {tuple(STRATEGIES)}")
-    return cls(**kw)
+    return STRATEGIES[name](**kw)
 
 
 def simulate_run(params: NetworkParams, strategy_name: str, slots: int, seed: int,

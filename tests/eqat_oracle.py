@@ -18,7 +18,10 @@ strategy can be checked against it:
     contending node facing competitors at given probabilities. They check
     that this law closes (rows sum to one), collapses to the scheduled
     node's law when the competitors are silent, and matches the simulator's
-    frequencies (`TestCollidedNodeLawFrequencies`).
+    frequencies (`TestCollidedNodeLawFrequencies`);
+  * `FullQueueContention` and `FixedProbContention` are `dfq` and `rc`
+    written as their own strategies, before they became fixed tables of the
+    loop; `TestContentionPresets` checks the presets against them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from joint_oracle import Dist, NodeState, can_transmit, node_transition
 from rwsnsim.core import NetworkParams
 from rwsnsim.energy import NodeEnergyProfile, node_energy_profile, packet_success_prob
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
+from rwsnsim.simulator import Strategy
 
 
 def collision_prob(k: int, probs: list[float]) -> float:
@@ -148,3 +152,23 @@ def eqat_decide(
     if intended_mass < ctl.threshold:
         return Decision.HOLD
     return Decision.TRANSMIT
+
+
+class FullQueueContention(Strategy):
+    """`dfq` the direct way: every node whose queue is full (and can afford it) transmits."""
+
+    def select(self, sim):
+        # queue_cap >= 1, so a powered node with a full queue can transmit
+        cap, queues = sim.params.queue_cap, sim.queues
+        return [i for i in sim.powered if queues[i] >= cap]
+
+
+class FixedProbContention(Strategy):
+    """`rc` the direct way: each backlogged node transmits with a fixed contention probability."""
+
+    def __init__(self, contention_prob: float = 0.75):
+        self.contention_prob = contention_prob
+
+    def select(self, sim):
+        uniform, p = sim.strategy_uniform, self.contention_prob
+        return [i for i in sim.transmit_ready() if uniform() < p]

@@ -24,7 +24,7 @@ from rwsnsim.experiments import (
     write_outputs,
 )
 from rwsnsim.mdp import MyopicChooser
-from rwsnsim.simulator import (STRATEGIES, EqatStrategy, RandomContentionStrategy, make_strategy,
+from rwsnsim.simulator import (STRATEGIES, EqatStrategy, FixedTableStrategy, make_strategy,
                                simulate_run)
 
 
@@ -213,14 +213,14 @@ class TestRunExperiment:
         # rs, which runs after it on that tape, and every other run keep their rows
         spec = tiny_spec(strategies=["fq", "rc", "rs"], seeds=[0, 1, 2])
         clean = run_experiment(spec)
-        select = RandomContentionStrategy.select
+        select = FixedTableStrategy.select   # rc's: the EQAT loop's
 
         def flaky(self, sim):
             if sim.arrivals.key[0] == 1 and sim.slot == 100:
                 raise RuntimeError("boom")
             return select(self, sim)
 
-        monkeypatch.setattr(RandomContentionStrategy, "select", flaky)
+        monkeypatch.setattr(FixedTableStrategy, "select", flaky)
         res = run_experiment(spec)
         assert res.failures == [{"n_nodes": 2, "t_hat": 10, "design": "-", "strategy": "rc",
                                  "seed": 1, "error": "RuntimeError: boom"}]
@@ -267,6 +267,10 @@ class TestRunExperiment:
         assert spec.validate() == [
             "repeated n_nodes: [2]", "repeated t_hat: [10]", "repeated strategies: ['fq']",
             "repeated designs: ['sigmoid']", "repeated seeds: [0, 1]"]
+        # one design spelt three ways, which would run the same controller three times
+        respelt = tiny_spec(strategies=["eqat"],
+                            designs=["exp:0.05", "sigmoid", "EXP:0.05:0.05", " exp:0.05"])
+        assert respelt.validate() == ["repeated designs: ['exp:0.05', 'EXP:0.05:0.05', ' exp:0.05']"]
 
     def test_shipped_myopic_chooser_gives_the_rows_of_one_built_per_run(self):
         # two workers: the scenario's chooser crosses to them pickled
@@ -587,7 +591,7 @@ class TestSchema:
                                                                                "slot_len"}
         assert set(_SPEC_SCHEMA["channel"]) == set(declared(draw_channel_gains)) - {"n_nodes"}
         assert set(_SPEC_SCHEMA["eqat"]) == set(declared(EqatStrategy)) - {"design"}
-        assert set(_SPEC_SCHEMA["rc"]) == set(declared(RandomContentionStrategy))
+        assert set(_SPEC_SCHEMA["rc"]) == set(declared(STRATEGIES["rc"]))
 
     def test_an_undeclared_type_fails_at_once(self):
         def setting(level: "complex" = 1j):
@@ -609,7 +613,7 @@ class TestSchema:
         sections = {"network": (spec.network, declared(NetworkParams)),
                     "channel": (spec.channel, declared(draw_channel_gains)),
                     "eqat": (spec.eqat, declared(EqatStrategy)),
-                    "rc": (spec.rc, declared(RandomContentionStrategy))}
+                    "rc": (spec.rc, declared(STRATEGIES["rc"]))}
         for name, (values, decl) in sections.items():
             assert set(values) == set(_SPEC_SCHEMA[name]), name
             for key, value in values.items():
@@ -624,9 +628,12 @@ class TestSchema:
                                        if k != "channel_gain"}).resolve_params(2, 10)
         assert drawn.channel_gain == draw_channel_gains(2, **spec.channel)
         assert drawn.channel_gain != draw_channel_gains(2)
-        for name, values in (("eqat", spec.eqat), ("rc", spec.rc)):
-            strategy = make_strategy(name, **values)
-            assert {key: getattr(strategy, key) for key in values} == values, name
+        eqat = make_strategy("eqat", **spec.eqat)
+        assert {key: getattr(eqat, key) for key in spec.eqat} == spec.eqat
+        # rc's one key is its table's value wherever a node holds a packet
+        rc = make_strategy("rc", **spec.rc)
+        assert {rc.f(e, q, params) for e in range(params.battery_levels + 1)
+                for q in range(1, params.queue_cap + 1)} == {spec.rc["contention_prob"]}
 
 
 class TestReport:

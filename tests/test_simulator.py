@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eqat_oracle import Decision, EqatController, collided_transition, eqat_decide
+from eqat_oracle import (Decision, EqatController, FixedProbContention, FullQueueContention,
+                         collided_transition, eqat_decide)
 from joint_oracle import NodeState
 from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
@@ -15,6 +16,7 @@ from rwsnsim.simulator import (
     BLOCK,
     ArrivalTape,
     EqatStrategy,
+    FixedTableStrategy,
     Simulation,
     Strategy,
     make_strategy,
@@ -409,8 +411,6 @@ def run_state(sim):
 class CountingStrategy(Strategy):
     """fq's choice; records every call the loop makes, with its slot."""
 
-    name = "counting"
-
     def __init__(self):
         self.calls = []
 
@@ -428,8 +428,6 @@ class CountingStrategy(Strategy):
 
 class ScriptedStrategy(Strategy):
     """Selects the given nodes every slot, whatever their state."""
-
-    name = "scripted"
 
     def __init__(self, nodes):
         self.nodes = nodes
@@ -557,9 +555,17 @@ class TestOneSlotLoop:
         def called(*args):
             raise AssertionError("a no-op hook was called")
 
-        monkeypatch.setattr(Strategy, "on_outcome", called)
-        monkeypatch.setattr(Strategy, "end_of_slot", called)
         p = busy_params(3)
+        # the rc and dfq presets name Strategy's no-ops as their own hooks, so
+        # patching both classes alike keeps the presets' hooks Strategy's
+        hooks = ("on_outcome", "end_of_slot")
+        for name in ("rc", "dfq"):
+            cls = type(make_strategy(name))
+            assert cls is FixedTableStrategy
+            assert all(getattr(cls, hook) is getattr(Strategy, hook) for hook in hooks)
+        for cls in (Strategy, FixedTableStrategy):
+            for hook in hooks:
+                monkeypatch.setattr(cls, hook, called)
         for name in ALL_STRATEGIES:
             simulate_run(p, name, slots=200, seed=1,
                          **strategy_kw(p, name))
@@ -807,6 +813,29 @@ class TestEqatIntegration:
                 if b > before[i]:
                     saw = True
         assert saw
+
+
+# rc at its range's ends, halfway and its default, and dfq
+PRESET_CASES = [("rc", {"contention_prob": cp}) for cp in (0.0, 0.5, 0.75, 1.0)] + [("dfq", {})]
+
+
+class TestContentionPresets:
+    """`rc` and `dfq` are the EQAT loop on fixed tables; every slot plays as
+    under the direct strategies of `eqat_oracle`."""
+
+    @pytest.mark.parametrize("network", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
+    @pytest.mark.parametrize("n_nodes", [2, 3, 10, 50])
+    @pytest.mark.parametrize("name,kw", PRESET_CASES,
+                             ids=[f"{n}-{kw}" if kw else n for n, kw in PRESET_CASES])
+    def test_preset_plays_as_the_direct_strategy(self, name, kw, n_nodes, network):
+        p = make_params(n_nodes=n_nodes, channel_gain=draw_channel_gains(n_nodes), **network)
+        direct = {"rc": FixedProbContention, "dfq": FullQueueContention}[name]
+        for seed in range(3):
+            preset = Simulation(p, make_strategy(name, **kw), seed, trace=True)
+            assert type(preset.strategy).select is EqatStrategy.select
+            oracle = Simulation(p, direct(**kw), seed, trace=True)
+            assert preset.run(3000) == oracle.run(3000), seed
+            assert preset.traces == oracle.traces, seed
 
 
 class TestSelectedNodeLawFrequencies:
