@@ -67,13 +67,20 @@ class TxProbDesign:
 
     @property
     def label(self) -> str:
+        """The token `parse` reads back as this design, each value spelt ``:g``
+        where that reads back exactly, else as its float's repr."""
         if self.kind == "exponential":
             if self.rate_q == self.rate_e:
-                return f"exp:{self.rate_q:g}"
-            return f"exp:{self.rate_q:g}:{self.rate_e:g}"
+                return f"exp:{_exact(self.rate_q)}"
+            return f"exp:{_exact(self.rate_q)}:{_exact(self.rate_e)}"
         if self.kind == "gamma":
-            return f"gamma:{self.shape:g}:{self.scale:g}"
+            return f"gamma:{_exact(self.shape)}:{_exact(self.scale)}"
         return "sigmoid"
+
+
+def _exact(x: float) -> str:
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def tx_prob(design: TxProbDesign, battery: int, queue: int, params: NetworkParams) -> float:

@@ -8,7 +8,8 @@ arrivals are drawn once; a run that raises is one failure row, and the
 task goes on with the next run; each process computes a network's energy
 profiles once. Each (scenario, strategy, design, seed) run appends one raw
 row, in grid order (scenario, then strategy and design, then seed,
-whatever the tasks): the run key (`KEY_COLUMNS`), then the fields of its
+whatever the tasks): the run key (`KEY_COLUMNS`; an eqat run's design is
+the parsed design's `label`, however the spec spelt it), then the fields of its
 `simulator.RunMetrics`; with tracing, one trace row per slot: the key,
 then the fields of a `simulator.SlotTrace`, a tuple's items joined by
 ``|``. An aggregate row reduces a (scenario, strategy, design) group's
@@ -370,8 +371,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             runs = []   # (design column, strategy, constructor kwargs), in spec order
             for strategy in spec.strategies:
                 if strategy == "eqat":
-                    runs += [(token, strategy, {**spec.eqat, "design": TxProbDesign.parse(token)})
-                             for token in spec.designs]
+                    runs += [(design.label, strategy, {**spec.eqat, "design": design})
+                             for design in map(TxProbDesign.parse, spec.designs)]
                 else:
                     kw = {"ehmdp": {"chooser": chooser}, "rc": spec.rc}.get(strategy, {})
                     runs.append(("-", strategy, kw))

@@ -45,9 +45,12 @@ no-ops). A strategy draws from the run's uniforms, not its own.
 Per-slot work scales with the nodes that can act, not with N.
 `Simulation.powered` holds the nodes whose battery affords one
 transmission, in index order, and `transmit_ready` filters it by the live
-queues. Only `Simulation._set_level` changes a node's membership. A slot's
-branches pick its outcome and its move table (the per-node law, tabulated
-once in `energy`): `after_tx` or `after_charge` for a lone selected node,
+queues. EQAT's `select` (so `rc`'s and `dfq`'s) is one pass over it that
+finds each contender, computes its beacon and draws for it; with a
+threshold, the veto then reads the beacons the pass kept. Only
+`Simulation._set_level` changes a node's membership. A slot's branches
+pick its outcome and its move table (the per-node law, tabulated once in
+`energy`): `after_tx` or `after_charge` for a lone selected node,
 `after_collision` for colliders. One block, the loop's only battery write,
 then moves each transmitter by it: directly when the move leaves the node
 on the same side of its transmit cost, else through `_set_level`. So code
@@ -394,13 +397,17 @@ class EqatStrategy(Strategy):
       * ``waiting``: the nodes with ``backoff`` > 0, the only ones
         `end_of_slot` counts down.
 
-    The contenders are the `transmit_ready` nodes not backing off, in index
-    order, and their beacons are their working probabilities, both read off
-    the live state when the slot starts (`beacons`). Every other node
-    advertises exactly 0.0, so the competitor products run over the
-    contenders alone and equal the products over all N factors bit for bit.
-    A nominee is vetoed when the mass of its intended move, ps * P(no
-    arrival over the slot) * prod(1 - competitors' beacons), falls below
+    `select` makes one pass over `Simulation.powered`, in index order. A
+    contender is a node with a packet and no backoff; its beacon is its
+    working probability, from the live state when the slot starts, and it
+    draws one strategy uniform and is nominated when that is below its
+    beacon. Every other node advertises exactly 0.0 and draws nothing, so
+    the competitor products run over the contenders alone and equal the
+    products over all N factors bit for bit. With a threshold, the pass
+    also keeps every beacon and each nominee's place among them, and the
+    veto reads prefix and suffix products of (1 - beacon) around that
+    place: a nominee is vetoed when the mass of its intended move, ps *
+    P(no arrival over the slot) * prod(1 - competitors' beacons), falls below
     ``threshold``; P(no arrival) is `core.arrival_pmf`'s first term.
     """
 
@@ -434,33 +441,25 @@ class EqatStrategy(Strategy):
         """The design value f(e, q) before escalation."""
         return tx_prob(self.design, battery, queue, params)
 
-    def beacons(self, sim: Simulation) -> tuple[list[int], list[float]]:
-        """The contenders, in index order, and their beacon values, from the live state."""
-        # a node that will not contend (backoff, no packet, or battery below
-        # one transmission) honestly advertises zero and is left out;
-        # escalate(p, alpha, 0) is p exactly, so a node without fails skips it
+    def select(self, sim):
         fails, backoff, table, alpha = self.fails, self.backoff, self._p_table, self.alpha
-        batteries, queues = sim.batteries, sim.queues
-        contenders = []
-        probs = []
+        batteries, queues, uniform = sim.batteries, sim.queues, sim.strategy_uniform
+        vetoing = self.threshold > 0.0   # competitor products are >= 0: no threshold <= 0 vetoes
+        chosen, probs, places = [], [], []   # nominees; if vetoing, beacons and nominees' places
         for i in sim.powered:
             q = queues[i]
-            if q >= 1 and backoff[i] <= 0:
-                contenders.append(i)
+            if q >= 1 and backoff[i] <= 0:   # a contender
                 p = table[batteries[i]][q]
-                probs.append(escalate(p, alpha, fails[i]) if fails[i] else p)
-        return contenders, probs
-
-    def select(self, sim):
-        contenders, probs = self.beacons(sim)
-        if not contenders:
-            return contenders
-        uniform = sim.strategy_uniform
-        # one uniform per contender, in index order
-        if self.threshold <= 0.0:
-            # competitor products are >= 0, so no threshold <= 0 vetoes
-            return [i for i, p in zip(contenders, probs) if uniform() < p]
-        nominees = [k for k, p in enumerate(probs) if uniform() < p]
+                if fails[i]:   # escalate(p, alpha, 0) is p exactly
+                    p = escalate(p, alpha, fails[i])
+                if uniform() < p:
+                    chosen.append(i)
+                    if vetoing:
+                        places.append(len(probs))
+                if vetoing:
+                    probs.append(p)
+        if not (vetoing and chosen):
+            return chosen
         # prefix/suffix products of (1 - beacon) over the contenders
         n = len(probs)
         pre = [1.0] * (n + 1)
@@ -469,7 +468,7 @@ class EqatStrategy(Strategy):
         suf = [1.0] * (n + 1)
         for k in range(n - 1, -1, -1):
             suf[k] = suf[k + 1] * (1.0 - probs[k])
-        return [contenders[k] for k in nominees
+        return [i for i, k in zip(chosen, places)
                 if self._ps_clean * pre[k] * suf[k + 1] >= self.threshold]
 
     def on_outcome(self, sim, transmitters, outcome):

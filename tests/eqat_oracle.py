@@ -1,18 +1,20 @@
 """Per-node reference of the EQAT contention loop, kept as a test oracle.
 
 `rwsnsim.simulator.EqatStrategy` runs the contention loop for all nodes at
-once: per-run `fails`/`backoff` lists, contenders and beacon values read
-off the live state each slot, competitor products over the contenders only. This
-module writes the same loop the slow, direct way, one node at a time, so the
-strategy can be checked against it:
+once: per-run `fails`/`backoff` lists, one pass a slot that finds each
+contender, computes its beacon and draws for it, competitor products over
+the contenders only. This module writes the same loop the slow, direct way,
+one node at a time, so the strategy can be checked against it:
 
   * `EqatController` holds one node's fail counter and backoff clock and
     applies the events that change them; `TestIncrementalBookkeeping` and
     `TestEqatIntegration` compare the strategy's lists with a shadow set of
     controllers slot by slot;
   * `eqat_decide` is one node's decision in one slot (nomination draw, then
-    the threshold gate on the competitors' beacon values);
-    `TestEqatIntegration` checks `EqatStrategy.select` against it every slot;
+    the threshold gate on the competitors' beacon values), and `advertised`
+    every node's beacon, from the controllers and the live state;
+    `TestEqatIntegration` checks `EqatStrategy.select` against them every
+    slot;
   * `collision_prob` and `collided_transition` are the per-node collision
     law: the chance some competitor transmits, and the transition law of a
     contending node facing competitors at given probabilities. They check
@@ -152,6 +154,18 @@ def eqat_decide(
     if intended_mass < ctl.threshold:
         return Decision.HOLD
     return Decision.TRANSMIT
+
+
+def advertised(ctls: list[EqatController], batteries: list[int], queues: list[int],
+               params: NetworkParams, profiles: list[NodeEnergyProfile]) -> list[float]:
+    """Every node's beacon at the start of a slot, in index order.
+
+    A node that can transmit and is not backing off advertises its working
+    probability, escalate(f(e, q), alpha, fails); every other node 0.0.
+    """
+    return [ctl.effective_p(s, params)
+            if ctl.backoff_remaining <= 0 and can_transmit(s, profile) else 0.0
+            for ctl, s, profile in zip(ctls, map(NodeState, batteries, queues), profiles)]
 
 
 class FullQueueContention(Strategy):

@@ -133,6 +133,21 @@ class TestTxProb:
         with pytest.raises(ValueError):
             TxProbDesign.parse("bogus:1")
 
+    @pytest.mark.parametrize("design", ALL_DESIGNS + [
+        TxProbDesign("exponential", rate_q=1.0, rate_e=0.05),
+        TxProbDesign("exponential", rate_q=0.1234567, rate_e=0.1234568),
+        TxProbDesign("exponential", rate_q=0.1, rate_e=1 / 3),
+        TxProbDesign("exponential", rate_q=1e-300, rate_e=2.5e12),
+        TxProbDesign("gamma", shape=1234567.0, scale=0.1 + 0.2),
+    ], ids=repr)
+    def test_label_parses_back_to_the_design(self, design):
+        assert TxProbDesign.parse(design.label) == design
+
+    def test_label_keeps_the_short_spelling_where_it_is_exact(self):
+        for token in ("sigmoid", "exp:1:0.05", "exp:0.5", "exp:1.5:0.25", "gamma:2:0.5"):
+            assert TxProbDesign.parse(token).label == token
+        assert TxProbDesign.parse("exp:0.1234567").label == "exp:0.1234567"
+
     @pytest.mark.parametrize("token", [
         "exp:1:2:3", "gamma:1:2:3", "sigmoid:5",           # extra arguments
         "sig", "exponential", "exp", "gamma", "gamma:2",   # outside the grammar

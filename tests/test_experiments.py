@@ -64,6 +64,18 @@ class TestRunExperiment:
         rs_rows = [r for r in res.raw_rows if r["strategy"] == "rs"]
         assert len(rs_rows) == 1 and rs_rows[0]["design"] == "-"
 
+    def test_design_column_is_the_parsed_label_however_spelt(self):
+        res = run_experiment(tiny_spec(strategies=["eqat"], designs=[" EXP:1:0.05"]))
+        assert [r["design"] for r in res.raw_rows] == ["exp:1:0.05"]
+        assert [r["design"] for r in res.agg_rows] == ["exp:1:0.05"]
+
+    def test_near_designs_keep_apart(self):
+        # both print as exp:0.123457 under :g; they are two designs, so two keys
+        spec = tiny_spec(strategies=["eqat"], designs=["exp:0.1234567", "exp:0.1234568"])
+        assert spec.validate() == []
+        res = run_experiment(spec)
+        assert [r["design"] for r in res.agg_rows] == ["exp:0.1234567", "exp:0.1234568"]
+
     def test_ehmdp_exact_within_budget_and_myopic_above(self, caplog):
         spec = tiny_spec(strategies=["ehmdp"], n_nodes=[2])
         res = run_experiment(spec)

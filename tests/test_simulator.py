@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eqat_oracle import (Decision, EqatController, FixedProbContention, FullQueueContention,
-                         collided_transition, eqat_decide)
+                         advertised, collided_transition, eqat_decide)
 from joint_oracle import NodeState
 from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
@@ -263,18 +263,6 @@ def shadow_outcome(shadow, transmitters, outcome, backoff_rng):
         shadow[transmitters[0]].on_ber_failure()
 
 
-def advertised(strategy, sim):
-    """Every node's beacon probability under `EqatStrategy`, in index order.
-
-    The strategy computes values for its contenders only; every other node
-    advertises 0.0.
-    """
-    beacon = [0.0] * len(strategy.fails)
-    for i, p in zip(*strategy.beacons(sim)):
-        beacon[i] = p
-    return beacon
-
-
 def contention_state(shadow):
     """The oracle's (fails, backoff) lists, to compare with `EqatStrategy`'s."""
     return [c.fail_count for c in shadow], [c.backoff_remaining for c in shadow]
@@ -338,24 +326,25 @@ class TestIncrementalBookkeeping:
         design = TxProbDesign("exponential", rate_q=1.0, rate_e=0.05)
         strategy = EqatStrategy(design, backoff_window=4)
         sim = Simulation(p, strategy, seed=5, trace=True)
+        profiles = energy_profiles(p)
         shadow = shadow_controllers(strategy, n_nodes)
+        shadow_draw = substream(5, STRATEGY)
         shadow_backoff = substream(5, BACKOFF)
         collided = 0
         for _ in range(1500):
+            # at threshold 0 a contender transmits when its draw is below its
+            # beacon; the others (beacon 0.0) draw nothing
+            beacon = advertised(shadow, sim.batteries, sim.queues, p, profiles)
+            contenders = [i for i in brute_force_ready(sim) if shadow[i].backoff_remaining <= 0]
             sim.step()
             t = sim.traces[-1]
+            assert list(t.transmitters) == [i for i in contenders
+                                            if shadow_draw.random() < beacon[i]]
             collided += t.outcome == "collision"
             shadow_outcome(shadow, t.transmitters, t.outcome, shadow_backoff)
             for ctl in shadow:
                 ctl.tick()
             assert (strategy.fails, strategy.backoff) == contention_state(shadow)
-            ready = brute_force_ready(sim)
-            assert advertised(strategy, sim) == [
-                escalate(tx_prob(design, sim.batteries[i], sim.queues[i], p), c.alpha,
-                         c.fail_count)
-                if i in ready and c.backoff_remaining <= 0 else 0.0
-                for i, c in enumerate(shadow)
-            ]
         assert collided > 10
 
 
@@ -715,7 +704,7 @@ class TestEqatIntegration:
         ctls = shadow_controllers(strategy, p.n_nodes)
         for _ in range(300):
             assert (strategy.fails, strategy.backoff) == contention_state(ctls)
-            beacon = advertised(strategy, sim)
+            beacon = advertised(ctls, sim.batteries, sim.queues, p, profiles)
             fails_before = list(strategy.fails)
             expected = []
             for i in range(p.n_nodes):
@@ -813,6 +802,97 @@ class TestEqatIntegration:
                 if b > before[i]:
                     saw = True
         assert saw
+
+
+def recorded_draws(sim):
+    """Make `sim`'s strategy uniform record each value it hands out; returns the record."""
+    drawn = []
+    draw = sim.strategy_uniform
+
+    def record():
+        drawn.append(draw())
+        return drawn[-1]
+
+    sim.strategy_uniform = record
+    return drawn
+
+
+class TestContentionPass:
+    """`EqatStrategy.select` is one pass over the powered nodes: one strategy
+    uniform per contender, in index order, against the contender's beacon."""
+
+    @staticmethod
+    def hand_set(threshold, seed):
+        """A run before its first slot, with its oracle controllers: node 0 is
+        below its transmit cost, node 1 powered with an empty queue, node 2
+        backing off and node 3 one failed frame up; 3, 4 and 5 contend."""
+        p = make_params(n_nodes=6)
+        strategy = EqatStrategy(threshold=threshold)
+        sim = Simulation(p, strategy, seed)
+        sim.queues[:] = [2, 0, 3, 1, 2, p.queue_cap]
+        sim._set_level(0, 0)
+        strategy.backoff[2] = 3
+        strategy.waiting.append(2)
+        strategy.fails[3] = 1
+        ctls = shadow_controllers(strategy, p.n_nodes)
+        ctls[2].backoff_remaining = 3
+        ctls[3].fail_count = 1
+        return p, sim, ctls
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.05])
+    def test_one_draw_per_contender_in_index_order(self, threshold):
+        chosen = set()
+        vetoed = 0
+        for seed in range(30):
+            p, sim, ctls = self.hand_set(threshold, seed)
+            profiles = energy_profiles(p)
+            beacon = advertised(ctls, sim.batteries, sim.queues, p, profiles)
+            assert [i for i, b in enumerate(beacon) if b] == [3, 4, 5]
+            base = tx_prob(sim.strategy.design, sim.batteries[3], 1, p)
+            assert beacon[3] == escalate(base, sim.strategy.alpha, 1) > base
+            drawn = recorded_draws(sim)
+            got = sim.strategy.select(sim)
+            assert drawn == substream(seed, STRATEGY).random(3).tolist()
+            shadow = substream(seed, STRATEGY)
+            expected = []
+            for i in range(p.n_nodes):
+                s = NodeState(sim.batteries[i], sim.queues[i])
+                others = beacon[:i] + beacon[i + 1:]
+                if eqat_decide(ctls[i], s, others, p, shadow, profiles[i]) == Decision.TRANSMIT:
+                    expected.append(i)
+            assert got == expected, seed
+            chosen.update(got)
+            vetoed += sum(u < b for u, b in zip(drawn, beacon[3:])) - len(got)
+        # at 0.05 the competitors leave nominees 3 and 4 too little mass (about
+        # 0.045 and 0.036) and nominee 5 enough (0.053), whoever else nominates
+        assert chosen == ({3, 4, 5} if threshold == 0 else {5})
+        assert (vetoed > 0) == (threshold > 0)
+
+    def test_veto_reads_each_nominees_own_place(self):
+        # contenders 0 to 3 beacon 0.0, 0.5, 0.1 and 0.9 (set by queue length);
+        # node 0 draws and is never nominated. With 1 and 3 nominated and 2
+        # not, nominee 1's competitors leave it the mass c * 0.9 * 0.1 = 0.09c
+        # and nominee 3's c * 0.5 * 0.9 = 0.45c, where c = ps * P(no arrival);
+        # a threshold of 0.2c vetoes 1 and keeps 3 (nominee 3 read at nominee
+        # 1's next place would get 0.05c)
+        p = make_params(n_nodes=4)
+        beacons = {1: 0.5, 2: 0.1, 3: 0.9}
+        queues = [4, 1, 2, 3]
+        clean = packet_success_prob(p) * (1 - p.arrival_prob) ** p.arrivals_per_slot
+        seed = next(seed for seed in range(100)
+                    if [u < beacons.get(q, 0.0) for q, u in
+                        zip(queues, substream(seed, STRATEGY).random(4))]
+                    == [False, True, False, True])
+        got = []
+        for threshold in (0.0, 0.2 * clean):
+            strategy = EqatStrategy(threshold=threshold)
+            strategy.f = lambda e, q, params: beacons.get(q, 0.0)
+            sim = Simulation(p, strategy, seed)
+            sim.queues[:] = queues
+            drawn = recorded_draws(sim)
+            got.append(strategy.select(sim))
+            assert len(drawn) == 4
+        assert got == [[1, 3], [3]]
 
 
 # rc at its range's ends, halfway and its default, and dfq
