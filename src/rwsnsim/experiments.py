@@ -22,7 +22,10 @@ it also records how each ehmdp solve went (mode, and for an exact solve its
 sweep count, final residual, the sweeps that fell back from Anderson mixing
 to the plain step, and the build-plus-solve wall time, the one entry a
 rerun does not reproduce). A scenario whose parameters alone fail
-`core.validate` is reported once, as one failure, and skipped.
+`core.validate` is reported once, as one failure, and skipped. A scenario
+whose exact solve fails is one failure row too, and runs no ehmdp: no
+other chooser stands in under its name (the myopic one runs only above
+the state budget), so its ehmdp mode is None and it has no ehmdp rows.
 
 A config file's keys are the declared names of what each section sets,
 and each value converts by its declared type: [experiment] the
@@ -344,11 +347,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             # the chooser is built once here and shipped to every ehmdp task
             ehmdp_mode = vi_result = solve_s = chooser = None
             if "ehmdp" in spec.strategies:
-                ehmdp_mode = "myopic"
                 # decided here, so the benchmark's traced build_model always returns a model
                 if params.joint_state_count > spec.budget:
                     log.info("scenario N=%d T=%d: %d joint states, over the budget: ehmdp runs "
                              "in myopic mode", n, t_hat, params.joint_state_count)
+                    ehmdp_mode, chooser = "myopic", MyopicChooser(params)
                 else:
                     try:
                         solve_start = time.perf_counter()
@@ -356,11 +359,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         solve_s = time.perf_counter() - solve_start
                         chooser = PolicyChooser(vi_result)
                         ehmdp_mode = "exact"
-                    except Exception as e:
+                    except Exception as e:   # no stand-in: the scenario has no ehmdp rows
                         failures.append({"n_nodes": n, "t_hat": t_hat,
                                          "strategy": "ehmdp", "error": str(e)})
-                if chooser is None:
-                    chooser = MyopicChooser(params)
             scenarios.append({
                 "n_nodes": n, "t_hat": t_hat, "ehmdp_mode": ehmdp_mode,
                 # an exact solve's figures, else None
@@ -373,7 +374,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 if strategy == "eqat":
                     runs += [(design.label, strategy, {**spec.eqat, "design": design})
                              for design in map(TxProbDesign.parse, spec.designs)]
-                else:
+                elif strategy != "ehmdp" or chooser is not None:
                     kw = {"ehmdp": {"chooser": chooser}, "rc": spec.rc}.get(strategy, {})
                     runs.append(("-", strategy, kw))
             grid += [(n, t_hat, design, strategy, seed)

@@ -4,8 +4,8 @@ Slot order of events: the strategy picks the transmitter(s); a lone
 transmitter gets a packet-error draw and the downlink charge, two or more
 collide (losing transmit energy, no charge); the strategy is told the
 outcome (EQAT updates its fail counts and draws backoffs); then arrivals
-are applied, dropping on full queues; finally the strategy closes the slot
-(EQAT counts down its backoffs). A run is strictly sequential and
+are applied, dropping on full queues; finally the strategy may close the
+slot (no shipped strategy does). A run is strictly sequential and
 deterministic given its seed: arrivals, strategy choices, error draws, and
 backoff draws each consume their own substream (see `Simulation`), so runs
 that differ only in strategy see identical arrival processes (common random
@@ -39,15 +39,17 @@ Hook contract. A strategy implements `select`; it may override `bind`
 (called once, from the constructor), `on_outcome` and `end_of_slot`. The
 loop calls the last two only when the strategy's class overrides
 `Strategy`'s no-op, decided once per call; of the shipped strategies only
-`eqat` does (`rc` and `dfq` run its `select` on fixed tables and keep the
-no-ops). A strategy draws from the run's uniforms, not its own.
+`eqat` overrides one, `on_outcome`, since a backoff is kept as the slot it
+ends and so needs no per-slot countdown (`rc` and `dfq` run its `select` on
+fixed tables and keep both no-ops). A strategy draws from the run's
+uniforms, not its own.
 
 Per-slot work scales with the nodes that can act, not with N.
 `Simulation.powered` holds the nodes whose battery affords one
-transmission, in index order, and `transmit_ready` filters it by the live
-queues. EQAT's `select` (so `rc`'s and `dfq`'s) is one pass over it that
-finds each contender, computes its beacon and draws for it; with a
-threshold, the veto then reads the beacons the pass kept. Only
+transmission, in index order. EQAT's `select` (so `rc`'s and `dfq`'s) is
+one pass over it that finds each contender (a node with a packet, past its
+backoff), computes its beacon and draws for it; with a threshold, the veto
+then reads the beacons the pass kept. Only
 `Simulation._set_level` changes a node's membership. A slot's branches
 pick its outcome and its move table (the per-node law, tabulated once in
 `energy`): `after_tx` or `after_charge` for a lone selected node,
@@ -213,11 +215,6 @@ class Simulation:
         self.traces: list[SlotTrace] | None = [] if trace else None
         self.slot = 0
         strategy.bind(self)
-
-    def transmit_ready(self) -> list[int]:
-        """Every node with a packet and the battery for one transmission, in index order."""
-        queues = self.queues
-        return [i for i in self.powered if queues[i] >= 1]
 
     def _set_level(self, node: int, after: int):
         """Set a battery to a level of its move tables; the only write that changes `powered`."""
@@ -390,22 +387,22 @@ class EqatStrategy(Strategy):
         a success. A threshold veto transmits nothing, so it leaves
         ``fails`` alone; escalating on vetoes feeds back into everyone
         else's risk estimate and locks the whole network silent;
-      * ``backoff``: slots the node still sits out after a collision,
-        uniform on 1..backoff_window: ``1 + int(u * backoff_window)`` for
-        one uniform u of the backoff stream per transmitter, in transmitter
-        order;
-      * ``waiting``: the nodes with ``backoff`` > 0, the only ones
-        `end_of_slot` counts down.
+      * ``resume``: the first slot in which the node may contend again. A
+        collision in slot t sets it to ``t + 1 + int(u * backoff_window)``,
+        so the node sits out a number of slots uniform on 1..backoff_window,
+        for one uniform u of the backoff stream per transmitter, in
+        transmitter order. It changes only when the node collides, so
+        nothing counts down and EQAT closes no slot.
 
     `select` makes one pass over `Simulation.powered`, in index order. A
-    contender is a node with a packet and no backoff; its beacon is its
-    working probability, from the live state when the slot starts, and it
-    draws one strategy uniform and is nominated when that is below its
-    beacon. Every other node advertises exactly 0.0 and draws nothing, so
-    the competitor products run over the contenders alone and equal the
-    products over all N factors bit for bit. With a threshold, the pass
-    also keeps every beacon and each nominee's place among them, and the
-    veto reads prefix and suffix products of (1 - beacon) around that
+    contender is a node with a packet whose ``resume`` slot has come; its
+    beacon is its working probability, from the live state when the slot
+    starts, and it draws one strategy uniform and is nominated when that is
+    below its beacon. Every other node advertises exactly 0.0 and draws
+    nothing, so the competitor products run over the contenders alone and
+    equal the products over all N factors bit for bit. With a threshold, the
+    pass also keeps every beacon and each nominee's place among them, and
+    the veto reads prefix and suffix products of (1 - beacon) around that
     place: a nominee is vetoed when the mass of its intended move, ps *
     P(no arrival over the slot) * prod(1 - competitors' beacons), falls below
     ``threshold``; P(no arrival) is `core.arrival_pmf`'s first term.
@@ -431,8 +428,7 @@ class EqatStrategy(Strategy):
         p = sim.params
         self._ps_clean = sim.ps * float(arrival_pmf(p)[0])
         self.fails = [0] * p.n_nodes
-        self.backoff = [0] * p.n_nodes
-        self.waiting: list[int] = []
+        self.resume = [0] * p.n_nodes
         # f on the (battery, queue) grid, computed once
         self._p_table = [[self.f(e, q, p) for q in range(p.queue_cap + 1)]
                          for e in range(p.battery_levels + 1)]
@@ -442,13 +438,13 @@ class EqatStrategy(Strategy):
         return tx_prob(self.design, battery, queue, params)
 
     def select(self, sim):
-        fails, backoff, table, alpha = self.fails, self.backoff, self._p_table, self.alpha
-        batteries, queues, uniform = sim.batteries, sim.queues, sim.strategy_uniform
+        fails, resume, table, alpha = self.fails, self.resume, self._p_table, self.alpha
+        batteries, queues, uniform, slot = sim.batteries, sim.queues, sim.strategy_uniform, sim.slot
         vetoing = self.threshold > 0.0   # competitor products are >= 0: no threshold <= 0 vetoes
         chosen, probs, places = [], [], []   # nominees; if vetoing, beacons and nominees' places
         for i in sim.powered:
             q = queues[i]
-            if q >= 1 and backoff[i] <= 0:   # a contender
+            if q >= 1 and resume[i] <= slot:   # a contender
                 p = table[batteries[i]][q]
                 if fails[i]:   # escalate(p, alpha, 0) is p exactly
                     p = escalate(p, alpha, fails[i])
@@ -473,30 +469,23 @@ class EqatStrategy(Strategy):
 
     def on_outcome(self, sim, transmitters, outcome):
         if outcome == "collision":
-            uniform, window = sim.backoff_uniform, self.backoff_window
+            uniform, window, slot = sim.backoff_uniform, self.backoff_window, sim.slot
             for t in transmitters:
                 self.fails[t] += 1
-                self.backoff[t] = 1 + int(uniform() * window)
-            self.waiting.extend(transmitters)
+                self.resume[t] = slot + 1 + int(uniform() * window)
         elif outcome == "success":
             self.fails[transmitters[0]] = 0
         elif outcome == "ber_fail":
             # a corrupted frame is still a failed frame; no backoff, the medium was won
             self.fails[transmitters[0]] += 1
 
-    def end_of_slot(self, sim):
-        if not self.waiting:  # the common case: nobody backs off
-            return
-        backoff = self.backoff
-        for i in self.waiting:
-            backoff[i] -= 1
-        self.waiting = [i for i in self.waiting if backoff[i] > 0]
+    end_of_slot = Strategy.end_of_slot   # the no-op, named: the benchmark's tracer wraps it by name
 
 
 class FixedTableStrategy(EqatStrategy):
     """The EQAT loop on a fixed table `f`: no escalation, backoff or threshold."""
 
-    # nothing fails or backs off, so the slot loop skips both hooks
+    # nothing fails or backs off; both named, so no wrapper put on EQAT's hooks is inherited
     on_outcome, end_of_slot = Strategy.on_outcome, Strategy.end_of_slot
 
     def __init__(self, f: Callable[[int, int, NetworkParams], float]):

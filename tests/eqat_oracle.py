@@ -1,15 +1,19 @@
 """Per-node reference of the EQAT contention loop, kept as a test oracle.
 
 `rwsnsim.simulator.EqatStrategy` runs the contention loop for all nodes at
-once: per-run `fails`/`backoff` lists, one pass a slot that finds each
-contender, computes its beacon and draws for it, competitor products over
-the contenders only. This module writes the same loop the slow, direct way,
-one node at a time, so the strategy can be checked against it:
+once: per-run `fails`/`resume` lists (a backoff kept as the slot it ends),
+one pass a slot that finds each contender, computes its beacon and draws
+for it, competitor products over the contenders only. This module writes
+the same loop the slow, direct way, one node at a time, so the strategy can
+be checked against it:
 
-  * `EqatController` holds one node's fail counter and backoff clock and
-    applies the events that change them; `TestIncrementalBookkeeping` and
-    `TestEqatIntegration` compare the strategy's lists with a shadow set of
-    controllers slot by slot;
+  * `EqatController` holds one node's fail counter and backoff clock, a
+    countdown ticked every slot, and applies the events that change them;
+    `TestIncrementalBookkeeping` and `TestEqatIntegration` compare the
+    strategy's lists with a shadow set of controllers slot by slot, a
+    ``resume`` slot r standing for the countdown ``max(0, r - slot)``;
+  * `transmit_ready` lists the nodes with a packet and the battery to send
+    it, read off `Simulation.powered`;
   * `eqat_decide` is one node's decision in one slot (nomination draw, then
     the threshold gate on the competitors' beacon values), and `advertised`
     every node's beacon, from the controllers and the live state;
@@ -168,6 +172,12 @@ def advertised(ctls: list[EqatController], batteries: list[int], queues: list[in
             for ctl, s, profile in zip(ctls, map(NodeState, batteries, queues), profiles)]
 
 
+def transmit_ready(sim) -> list[int]:
+    """Every node of `sim` with a packet and the battery for one transmission, in index order."""
+    queues = sim.queues
+    return [i for i in sim.powered if queues[i] >= 1]
+
+
 class FullQueueContention(Strategy):
     """`dfq` the direct way: every node whose queue is full (and can afford it) transmits."""
 
@@ -185,4 +195,4 @@ class FixedProbContention(Strategy):
 
     def select(self, sim):
         uniform, p = sim.strategy_uniform, self.contention_prob
-        return [i for i in sim.transmit_ready() if uniform() < p]
+        return [i for i in transmit_ready(sim) if uniform() < p]

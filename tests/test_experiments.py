@@ -23,7 +23,7 @@ from rwsnsim.experiments import (
     spec_from_config,
     write_outputs,
 )
-from rwsnsim.mdp import MyopicChooser
+from rwsnsim.mdp import MyopicChooser, ValueIterationError
 from rwsnsim.simulator import (STRATEGIES, EqatStrategy, FixedTableStrategy, make_strategy,
                                simulate_run)
 
@@ -90,6 +90,26 @@ class TestRunExperiment:
         # the least valid budget (a negative one is refused) forces myopic mode
         res = run_experiment(replace(spec, budget=0))
         assert res.failures == [] and res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
+
+    def test_failed_solve_runs_no_stand_in(self, monkeypatch):
+        # N=2 is inside the budget; its solve fails, so the scenario has one
+        # failure row and no ehmdp rows, and the other strategies run as before
+        spec = tiny_spec(strategies=["ehmdp", "fq"], seeds=[0, 1])
+        clean = run_experiment(spec)
+
+        def no_solve(model):
+            raise ValueIterationError("diverged")
+
+        monkeypatch.setattr(experiments, "value_iteration", no_solve)
+        res = run_experiment(spec)
+        assert res.failures == [{"n_nodes": 2, "t_hat": 10, "strategy": "ehmdp",
+                                 "error": "diverged"}]
+        assert [r["strategy"] for r in res.raw_rows] == ["fq", "fq"]
+        assert res.raw_rows == [r for r in clean.raw_rows if r["strategy"] == "fq"]
+        (scenario,) = res.manifest["scenarios"]
+        assert scenario["ehmdp_mode"] is None and scenario["ehmdp_sweeps"] is None
+        (table,) = report(res.agg_rows)["tables"]
+        assert [entry["strategy"] for entry in table["by_throughput"]] == ["fq"]
 
     def test_infeasible_point_reported_run_continues(self):
         # 256-bit packets at order 1 and 30 kHz: t_hat=10 gives 10 ms * 30 kHz

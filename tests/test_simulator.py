@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eqat_oracle import (Decision, EqatController, FixedProbContention, FullQueueContention,
-                         advertised, collided_transition, eqat_decide)
+                         advertised, collided_transition, eqat_decide, transmit_ready)
 from joint_oracle import NodeState
 from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
@@ -264,8 +264,14 @@ def shadow_outcome(shadow, transmitters, outcome, backoff_rng):
 
 
 def contention_state(shadow):
-    """The oracle's (fails, backoff) lists, to compare with `EqatStrategy`'s."""
+    """The oracle's (fails, backoff countdown) lists, to compare with `countdowns`."""
     return [c.fail_count for c in shadow], [c.backoff_remaining for c in shadow]
+
+
+def countdowns(strategy, slot):
+    """`EqatStrategy`'s fails and, from its resume slots, the backoff each
+    node still sits out when `slot` starts, as the oracle counts it down."""
+    return strategy.fails, [max(0, r - slot) for r in strategy.resume]
 
 
 # high arrival rate and a lossy link: collisions, bit-error failures, and
@@ -294,7 +300,7 @@ class TestIncrementalBookkeeping:
         for _ in range(1500):
             before = len(sim.powered)
             sim.step()
-            assert sim.transmit_ready() == brute_force_ready(sim)
+            assert transmit_ready(sim) == brute_force_ready(sim)
             assert sim.powered == [i for i in range(n_nodes)
                                    if sim.batteries[i] >= sim.min_tx[i]]
             drained |= len(sim.powered) < before
@@ -344,7 +350,7 @@ class TestIncrementalBookkeeping:
             shadow_outcome(shadow, t.transmitters, t.outcome, shadow_backoff)
             for ctl in shadow:
                 ctl.tick()
-            assert (strategy.fails, strategy.backoff) == contention_state(shadow)
+            assert countdowns(strategy, sim.slot) == contention_state(shadow)
         assert collided > 10
 
 
@@ -393,7 +399,7 @@ def run_state(sim):
     state = (sim.traces, sim.batteries, sim.queues, sim.powered, sim.slot)
     strategy = sim.strategy
     if isinstance(strategy, EqatStrategy):
-        state += (strategy.fails, strategy.backoff, strategy.waiting)
+        state += (strategy.fails, strategy.resume)
     return state
 
 
@@ -545,19 +551,30 @@ class TestOneSlotLoop:
             raise AssertionError("a no-op hook was called")
 
         p = busy_params(3)
-        # the rc and dfq presets name Strategy's no-ops as their own hooks, so
-        # patching both classes alike keeps the presets' hooks Strategy's
+        # the rc and dfq presets name Strategy's no-ops as their own hooks,
+        # and EQAT its end_of_slot, so patching every class that names a no-op
+        # alike keeps those hooks Strategy's
         hooks = ("on_outcome", "end_of_slot")
+        noop = {hook: Strategy.__dict__[hook] for hook in hooks}   # taken before any patch
         for name in ("rc", "dfq"):
             cls = type(make_strategy(name))
             assert cls is FixedTableStrategy
-            assert all(getattr(cls, hook) is getattr(Strategy, hook) for hook in hooks)
-        for cls in (Strategy, FixedTableStrategy):
+            assert all(getattr(cls, hook) is noop[hook] for hook in hooks)
+        assert EqatStrategy.end_of_slot is noop["end_of_slot"]
+        for cls in (Strategy, EqatStrategy, FixedTableStrategy):
             for hook in hooks:
-                monkeypatch.setattr(cls, hook, called)
+                if cls.__dict__.get(hook) is noop[hook]:
+                    monkeypatch.setattr(cls, hook, called)
         for name in ALL_STRATEGIES:
             simulate_run(p, name, slots=200, seed=1,
                          **strategy_kw(p, name))
+
+    def test_no_shipped_strategy_closes_a_slot(self):
+        # an EQAT backoff is the slot it ends, so nothing counts down at a slot's end
+        p = make_params()
+        for name in ALL_STRATEGIES:
+            strategy = make_strategy(name, **strategy_kw(p, name))
+            assert type(strategy).end_of_slot is Strategy.end_of_slot, name
 
     def test_rebinds_what_the_caller_replaced_between_calls(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
@@ -614,8 +631,8 @@ class TestStrategies:
         collisions = 50_000
         for _ in range(collisions):
             strategy.on_outcome(sim, [0, 1], "collision")
-            for b in strategy.backoff:
-                counts[b] += 1
+            for r in strategy.resume:
+                counts[r - sim.slot] += 1
         draws = 2 * collisions
         expected = draws / window
         sigma = (draws * (1 / window) * (1 - 1 / window)) ** 0.5
@@ -642,12 +659,16 @@ class TestStrategies:
         strategy = make_strategy("eqat", backoff_window=window)
         p = make_params(n_nodes=3)
         sim = Simulation(p, strategy, seed=6)
+        # collisions in slots 4 and 6: each transmitter sits out 1 + int(u * window)
+        # slots from the next one, so it may contend again in slot t + 1 + int(u * window)
+        sim.slot = 4
         strategy.on_outcome(sim, [2, 0], "collision")
+        sim.slot = 6
         strategy.on_outcome(sim, [1, 2], "collision")
         u = uniforms(substream(6, BACKOFF))
         first = {2: 1 + int(u() * window), 0: 1 + int(u() * window)}
         second = {1: 1 + int(u() * window), 2: 1 + int(u() * window)}
-        assert strategy.backoff == [first[0], second[1], second[2]]
+        assert strategy.resume == [4 + first[0], 6 + second[1], 6 + second[2]]
         assert strategy.fails == [1, 1, 2]
 
     def test_eqat_backoff_window_above_2_pow_32_accepted(self):
@@ -658,7 +679,7 @@ class TestStrategies:
         sim = Simulation(p, strategy, seed=3)
         for _ in range(100):
             strategy.on_outcome(sim, [0, 1], "collision")
-            assert all(1 <= b <= window for b in strategy.backoff)
+            assert all(1 <= r - sim.slot <= window for r in strategy.resume)
 
     def test_dfq_two_full_nodes_collide(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
@@ -702,8 +723,9 @@ class TestEqatIntegration:
         shadow_rng = substream(21, STRATEGY)
         shadow_backoff = substream(21, BACKOFF)
         ctls = shadow_controllers(strategy, p.n_nodes)
-        for _ in range(300):
-            assert (strategy.fails, strategy.backoff) == contention_state(ctls)
+        for slot in range(300):
+            sim.slot = slot   # as the slot loop does, for the hooks
+            assert countdowns(strategy, slot) == contention_state(ctls)
             beacon = advertised(ctls, sim.batteries, sim.queues, p, profiles)
             fails_before = list(strategy.fails)
             expected = []
@@ -717,7 +739,7 @@ class TestEqatIntegration:
             assert got == expected
             # resolve the slot through the engine path
             outcome = "idle"
-            if len(got) == 1 and got[0] in sim.transmit_ready():
+            if len(got) == 1 and got[0] in transmit_ready(sim):
                 outcome = "success" if sim.ber_uniform() < sim.ps else "ber_fail"
                 if outcome == "success":
                     sim.queues[got[0]] -= 1
@@ -736,7 +758,6 @@ class TestEqatIntegration:
             for n in range(p.n_nodes):
                 if draws[n] < p.arrival_prob and sim.queues[n] < p.queue_cap:
                     sim.queues[n] += 1
-            strategy.end_of_slot(sim)
             for ctl in ctls:
                 ctl.tick()
 
@@ -771,7 +792,7 @@ class TestEqatIntegration:
     def test_contenders_follow_queues_the_caller_replaced(self):
         # `Simulation` lets a caller replace `queues` after construction and
         # between calls; each slot's transmitters must come from the queues,
-        # batteries, backoffs and fail counts as they are when it starts
+        # batteries, resume slots and fail counts as they are when it starts
         p = make_params(n_nodes=3)
         strategy = EqatStrategy()
         sim = Simulation(p, strategy, seed=0, trace=True)
@@ -779,7 +800,7 @@ class TestEqatIntegration:
         for queues in ([p.queue_cap] * 3, [0, 2, 0], [1, 0, p.queue_cap]):
             sim.queues = list(queues)
             for _ in range(3):
-                contenders = [i for i in brute_force_ready(sim) if strategy.backoff[i] <= 0]
+                contenders = [i for i in brute_force_ready(sim) if strategy.resume[i] <= sim.slot]
                 expected = tuple(
                     i for i in contenders
                     if shadow() < escalate(tx_prob(strategy.design, sim.batteries[i],
@@ -793,13 +814,17 @@ class TestEqatIntegration:
         p = make_params(n_nodes=2, arrival_prob=0.9, channel_gain=(1e4, 1e4))
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)  # both contend hard
         strategy = EqatStrategy(design, threshold=0.0, backoff_window=5)
-        sim = Simulation(p, strategy, seed=13)
+        sim = Simulation(p, strategy, seed=13, trace=True)
         saw = False
         for _ in range(200):
-            before = list(strategy.backoff)
+            before = list(strategy.resume)
             sim.step()
-            for i, b in enumerate(strategy.backoff):
-                if b > before[i]:
+            t = sim.traces[-1]
+            for i, r in enumerate(strategy.resume):
+                # only a collider's resume slot moves: 1..5 slots after the collision's
+                assert (r != before[i]) == (t.outcome == "collision" and i in t.transmitters)
+                if r != before[i]:
+                    assert t.slot + 1 <= r <= t.slot + 5
                     saw = True
         assert saw
 
@@ -831,8 +856,7 @@ class TestContentionPass:
         sim = Simulation(p, strategy, seed)
         sim.queues[:] = [2, 0, 3, 1, 2, p.queue_cap]
         sim._set_level(0, 0)
-        strategy.backoff[2] = 3
-        strategy.waiting.append(2)
+        strategy.resume[2] = sim.slot + 3
         strategy.fails[3] = 1
         ctls = shadow_controllers(strategy, p.n_nodes)
         ctls[2].backoff_remaining = 3
@@ -961,7 +985,7 @@ class TestCollidedNodeLawFrequencies:
         n_obs = 0
         for _ in range(120_000):
             s = NodeState(sim.batteries[0], sim.queues[0])
-            ready = sim.transmit_ready() == [0, 1] and s.queue < p.queue_cap
+            ready = transmit_ready(sim) == [0, 1] and s.queue < p.queue_cap
             sim.traces = []
             sim.step()
             if not (ready and 0 in sim.traces[-1].transmitters):
