@@ -77,7 +77,7 @@ class NetworkParams:
 def arrival_pmf(params: NetworkParams) -> np.ndarray:
     """P(X = x), x = 0..k: the packets one node receives over a slot, Binomial(k, lambda),
     k `arrivals_per_slot` draws of `arrival_prob` as the simulator makes them;
-    the law the MDP's kernels and EQAT's clean-slot mass read."""
+    the law the MDP's kernels read."""
     k, lam = params.arrivals_per_slot, params.arrival_prob
     return np.array([comb(k, x) * lam**x * (1.0 - lam) ** (k - x) for x in range(k + 1)])
 

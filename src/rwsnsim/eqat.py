@@ -3,7 +3,7 @@
 Each node nominates itself with a probability f(e, q) that grows with its
 queue and shrinks with its battery (`tx_prob`, one of the `TxProbDesign`
 families), raised by a factor (1 + alpha) per failed frame (`escalate`).
-The contention loop that uses them, with its threshold gate and backoff,
+The contention loop that uses them, with its backoff after a collision,
 runs in `simulator.EqatStrategy`; `rc` and `dfq` run the same loop on fixed
 tables in place of f (`simulator.FixedTableStrategy`).
 """

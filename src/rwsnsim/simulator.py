@@ -21,19 +21,19 @@ N=10 and 185 B at N=50 at the default arrival probability of 0.3, so 0.37 MB
 for 2,000 slots at N=50 and 18.5 MB for 100,000, where a stream drawn per
 run would hold one block.
 
-One slot loop. `Simulation.run(slots)` is the only code that plays a slot;
-`step()` is ``run(1)``. At the start of each call the loop binds to locals
-what stays fixed from slot to slot: the queue, battery and powered lists,
-the per-node transmit costs and battery-move tables, the draw functions,
-the arrival tape's slots (drawn through the call's last slot, and read by
-slot index), the strategy's bound `select` and hooks, and the trace list.
-It counts packets, slot outcomes and energy-dead node-slots in locals and,
-when the call ends, writes them to `metrics` together with `slots`,
-`in_queue_final` and the two rates, so `metrics` is current after every
-call (`slot` is kept current during the call, for the strategy). Binding
-per call, not per run, lets a caller replace `queues` or `traces` between
-calls, and lets a `select` patched onto the strategy's class after
-construction (the benchmark's tracer does this) take effect.
+One slot loop. `Simulation.run(slots)` is the only code that plays a slot.
+At the start of each call the loop binds to locals what stays fixed from
+slot to slot: the queue, battery and powered lists, the per-node transmit
+costs and battery-move tables, the draw functions, the arrival tape's slots
+(drawn through the call's last slot, and read by slot index), the
+strategy's bound `select` and hooks, and the trace list. It counts packets,
+slot outcomes and energy-dead node-slots in locals and, when the call ends,
+writes them to `metrics` together with `slots`, `in_queue_final` and the
+two rates, so `metrics` is current after every call (`slot` is kept current
+during the call, for the strategy). Binding per call, not per run, lets a
+caller replace `queues` or `traces` between calls, and lets a `select`
+patched onto the strategy's class after construction (the benchmark's
+tracer does this) take effect.
 
 Hook contract. A strategy implements `select`; it may override `bind`
 (called once, from the constructor), `on_outcome` and `end_of_slot`. The
@@ -48,16 +48,15 @@ Per-slot work scales with the nodes that can act, not with N.
 `Simulation.powered` holds the nodes whose battery affords one
 transmission, in index order. EQAT's `select` (so `rc`'s and `dfq`'s) is
 one pass over it that finds each contender (a node with a packet, past its
-backoff), computes its beacon and draws for it; with a threshold, the veto
-then reads the beacons the pass kept. Only
-`Simulation._set_level` changes a node's membership. A slot's branches
-pick its outcome and its move table (the per-node law, tabulated once in
-`energy`): `after_tx` or `after_charge` for a lone selected node,
-`after_collision` for colliders. One block, the loop's only battery write,
-then moves each transmitter by it: directly when the move leaves the node
-on the same side of its transmit cost, else through `_set_level`. So code
-may assign `queues` freely but must write `batteries` only through
-`_set_level`.
+backoff), computes its beacon and draws for it, and returns the nodes whose
+draw fell below their beacon. Only `Simulation._set_level` changes a node's
+membership. A slot's branches pick its outcome and its move table (the
+per-node law, tabulated once in `energy`): `after_tx` or `after_charge` for
+a lone selected node, `after_collision` for colliders. One block, the
+loop's only battery write, then moves each transmitter by it: directly when
+the move leaves the node on the same side of its transmit cost, else
+through `_set_level`. So code may assign `queues` freely but must write
+`batteries` only through `_set_level`.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NetworkParams, arrival_pmf
+from .core import NetworkParams
 from .energy import energy_profiles, packet_success_prob
 from .eqat import TxProbDesign, escalate, tx_prob
 
@@ -227,10 +226,6 @@ class Simulation:
             else:
                 self.powered.remove(node)
 
-    def step(self):
-        """Play one slot."""
-        self.run(1)
-
     def run(self, slots: int) -> RunMetrics:
         """Play `slots` more slots; returns `metrics`, current through the last one."""
         queues, batteries, min_tx = self.queues, self.batteries, self.min_tx
@@ -377,16 +372,14 @@ class EhmdpStrategy(Strategy):
 
 
 class EqatStrategy(Strategy):
-    """Energy-queue aware contention with threshold gate and backoff.
+    """Energy-queue aware contention: escalation on failed frames, backoff on collisions.
 
     Per-run contention state, one entry per node:
 
       * ``fails``: frames transmitted and failed (collided or corrupted)
         since the node's last success; the node's working probability is
         min(1, (1 + alpha)^fails * f(e, q)), back to the design value on
-        a success. A threshold veto transmits nothing, so it leaves
-        ``fails`` alone; escalating on vetoes feeds back into everyone
-        else's risk estimate and locks the whole network silent;
+        a success;
       * ``resume``: the first slot in which the node may contend again. A
         collision in slot t sets it to ``t + 1 + int(u * backoff_window)``,
         so the node sits out a number of slots uniform on 1..backoff_window,
@@ -399,21 +392,14 @@ class EqatStrategy(Strategy):
     beacon is its working probability, from the live state when the slot
     starts, and it draws one strategy uniform and is nominated when that is
     below its beacon. Every other node advertises exactly 0.0 and draws
-    nothing, so the competitor products run over the contenders alone and
-    equal the products over all N factors bit for bit. With a threshold, the
-    pass also keeps every beacon and each nominee's place among them, and
-    the veto reads prefix and suffix products of (1 - beacon) around that
-    place: a nominee is vetoed when the mass of its intended move, ps *
-    P(no arrival over the slot) * prod(1 - competitors' beacons), falls below
-    ``threshold``; P(no arrival) is `core.arrival_pmf`'s first term.
+    nothing. Each node decides from its own state alone: every nominee
+    transmits, and two or more collide.
     """
 
     def __init__(self, design: TxProbDesign = TxProbDesign.parse("exp:1:0.05"),
-                 alpha: float = 0.5, threshold: float = 0.0, backoff_window: int = 8):
+                 alpha: float = 0.5, backoff_window: int = 8):
         if not alpha >= 0.0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         # an integer: 1 + int(u * W) is uniform on 1..W only for a whole W
         if isinstance(backoff_window, bool) or not isinstance(backoff_window, numbers.Integral):
             raise ValueError(f"backoff_window must be an integer, got {backoff_window!r}")
@@ -421,12 +407,10 @@ class EqatStrategy(Strategy):
             raise ValueError(f"backoff_window must be >= 1, got {backoff_window}")
         self.design = design
         self.alpha = alpha
-        self.threshold = threshold
         self.backoff_window = int(backoff_window)
 
     def bind(self, sim: Simulation):
         p = sim.params
-        self._ps_clean = sim.ps * float(arrival_pmf(p)[0])
         self.fails = [0] * p.n_nodes
         self.resume = [0] * p.n_nodes
         # f on the (battery, queue) grid, computed once
@@ -440,8 +424,7 @@ class EqatStrategy(Strategy):
     def select(self, sim):
         fails, resume, table, alpha = self.fails, self.resume, self._p_table, self.alpha
         batteries, queues, uniform, slot = sim.batteries, sim.queues, sim.strategy_uniform, sim.slot
-        vetoing = self.threshold > 0.0   # competitor products are >= 0: no threshold <= 0 vetoes
-        chosen, probs, places = [], [], []   # nominees; if vetoing, beacons and nominees' places
+        chosen = []
         for i in sim.powered:
             q = queues[i]
             if q >= 1 and resume[i] <= slot:   # a contender
@@ -450,22 +433,7 @@ class EqatStrategy(Strategy):
                     p = escalate(p, alpha, fails[i])
                 if uniform() < p:
                     chosen.append(i)
-                    if vetoing:
-                        places.append(len(probs))
-                if vetoing:
-                    probs.append(p)
-        if not (vetoing and chosen):
-            return chosen
-        # prefix/suffix products of (1 - beacon) over the contenders
-        n = len(probs)
-        pre = [1.0] * (n + 1)
-        for k in range(n):
-            pre[k + 1] = pre[k] * (1.0 - probs[k])
-        suf = [1.0] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            suf[k] = suf[k + 1] * (1.0 - probs[k])
-        return [i for i, k in zip(chosen, places)
-                if self._ps_clean * pre[k] * suf[k + 1] >= self.threshold]
+        return chosen
 
     def on_outcome(self, sim, transmitters, outcome):
         if outcome == "collision":
@@ -483,14 +451,14 @@ class EqatStrategy(Strategy):
 
 
 class FixedTableStrategy(EqatStrategy):
-    """The EQAT loop on a fixed table `f`: no escalation, backoff or threshold."""
+    """The EQAT loop on a fixed table `f`: no escalation or backoff."""
 
     # nothing fails or backs off; both named, so no wrapper put on EQAT's hooks is inherited
     on_outcome, end_of_slot = Strategy.on_outcome, Strategy.end_of_slot
 
     def __init__(self, f: Callable[[int, int, NetworkParams], float]):
         self.f = f   # in place of the design's values
-        self.alpha = self.threshold = 0.0
+        self.alpha = 0.0
 
 
 def random_contention(contention_prob: float = 0.75) -> FixedTableStrategy:

@@ -14,9 +14,8 @@ be checked against it:
     ``resume`` slot r standing for the countdown ``max(0, r - slot)``;
   * `transmit_ready` lists the nodes with a packet and the battery to send
     it, read off `Simulation.powered`;
-  * `eqat_decide` is one node's decision in one slot (nomination draw, then
-    the threshold gate on the competitors' beacon values), and `advertised`
-    every node's beacon, from the controllers and the live state;
+  * `eqat_decide` is one node's decision in one slot (its nomination draw),
+    and `advertised` every node's beacon, from the controllers and the live state;
     `TestEqatIntegration` checks `EqatStrategy.select` against them every
     slot;
   * `collision_prob` and `collided_transition` are the per-node collision
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 from joint_oracle import Dist, NodeState, can_transmit, node_transition
 from rwsnsim.core import NetworkParams
-from rwsnsim.energy import NodeEnergyProfile, node_energy_profile, packet_success_prob
+from rwsnsim.energy import NodeEnergyProfile, node_energy_profile
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.simulator import Strategy
 
@@ -63,7 +62,7 @@ def collided_transition(
     When no competitor transmits, the node moves by the scheduled node's
     law. When one does, the frames collide: nothing is delivered, so the
     queue moves by arrivals only, and the battery loses one transmission's
-    cost, as in `Simulation.step`. With silent competitors this collapses
+    cost, as in `Simulation.run`. With silent competitors this collapses
     to the scheduled-node law.
     """
     if profile is None:
@@ -88,7 +87,6 @@ def collided_transition(
 
 class Decision(enum.Enum):
     TRANSMIT = "transmit"
-    HOLD = "hold"       # threshold gate vetoed the attempt
     IDLE = "idle"       # did not nominate, backing off, or nothing to send
 
 
@@ -96,13 +94,11 @@ class Decision(enum.Enum):
 class EqatController:
     """One node's contention state: escalation counter and backoff clock.
 
-    The working probability is min(1, (1 + alpha)^fails * f(e, q)); see
-    `EqatStrategy` for why a threshold veto leaves the counter alone.
+    The working probability is min(1, (1 + alpha)^fails * f(e, q)).
     """
 
     design: TxProbDesign
     alpha: float = 0.5
-    threshold: float = 0.0
     backoff_window: int = 8
     fail_count: int = 0
     backoff_remaining: int = 0
@@ -132,7 +128,6 @@ class EqatController:
 def eqat_decide(
     ctl: EqatController,
     s: NodeState,
-    p_others: list[float],
     params: NetworkParams,
     rng,
     profile: NodeEnergyProfile | None = None,
@@ -140,9 +135,8 @@ def eqat_decide(
     """One slot of the contention loop for a single node.
 
     Nodes in backoff or without an affordable packet stay idle. Otherwise
-    the node nominates itself with its escalated probability, then checks
-    the mass of its intended move (clean transmission that shortens the
-    queue) against the threshold; too risky a slot is held.
+    the node transmits with its escalated probability, from its own state
+    alone.
     """
     if profile is None:
         profile = node_energy_profile(params, node=0)
@@ -150,13 +144,6 @@ def eqat_decide(
         return Decision.IDLE
     if rng.random() >= ctl.effective_p(s, params):
         return Decision.IDLE
-    clear = 1.0
-    for p in p_others:
-        clear *= 1.0 - p
-    no_arrival = (1.0 - params.arrival_prob) ** params.arrivals_per_slot
-    intended_mass = packet_success_prob(params) * no_arrival * clear
-    if intended_mass < ctl.threshold:
-        return Decision.HOLD
     return Decision.TRANSMIT
 
 

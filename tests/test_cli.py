@@ -112,6 +112,7 @@ def test_bad_strategy_value_exits_2_once(tmp_path, capsys, section, entry):
     ("[network]\nbs_power = -1", "bs_power must be non-negative and finite"),
     ("[network]\nvi_tol = nan\nqueue_cap = 0",
      "queue_cap must be >= 1; vi_tol must be positive and finite"),
+    ("[eqat]\nthreshold = 0.05", "{cfg}: unknown config entries: [eqat] threshold"),
 ])
 def test_bad_spec_value_exits_2_once(tmp_path, capsys, entry, message):
     # a 2 x 2 grid unless the entry sets it: the value is refused once, not

@@ -239,10 +239,10 @@ class TestCollidedTransition:
 
 
 class TestController:
-    def test_vacuous_gate_transmits_when_sampled(self):
+    def test_transmits_when_sampled(self):
         p = make_params(n_nodes=1, channel_gain=(1e4,))
-        ctl = EqatController(design=TxProbDesign("sigmoid"), threshold=0.0)
-        got = eqat_decide(ctl, NodeState(3, 3), [0.99, 0.99], p, FixedRng(0.0),
+        ctl = EqatController(design=TxProbDesign("sigmoid"))
+        got = eqat_decide(ctl, NodeState(3, 3), p, FixedRng(0.0),
                           profile=node_energy_profile(p, 0))
         assert got == Decision.TRANSMIT
 
@@ -269,15 +269,10 @@ class TestController:
                           int(rng.integers(0, p.queue_cap + 1)))
             assert 0.0 <= ctl.effective_p(s, p) <= 1.0
 
-    def test_hold_leaves_counter_failures_escalate(self):
+    def test_failures_escalate_success_resets(self):
         p = make_params(n_nodes=1, channel_gain=(1e4,))
-        prof = node_energy_profile(p, 0)
-        ctl = EqatController(design=TxProbDesign("sigmoid"), threshold=0.99)
+        ctl = EqatController(design=TxProbDesign("sigmoid"))
         s = NodeState(3, 3)
-        got = eqat_decide(ctl, s, [0.5], p, FixedRng(0.0), profile=prof)
-        assert got == Decision.HOLD
-        # a veto transmits nothing, so it is not a failed frame
-        assert ctl.fail_count == 0
         ctl.on_ber_failure()
         ctl.on_collision(np.random.default_rng(1))
         assert ctl.fail_count == 2
@@ -293,8 +288,7 @@ class TestController:
         ctl.on_collision(np.random.default_rng(0))
         assert 1 <= ctl.backoff_remaining <= 4
         assert ctl.fail_count == 1
-        assert eqat_decide(ctl, NodeState(3, 3), [0.0], p, FixedRng(0.0), profile=prof) \
-            == Decision.IDLE
+        assert eqat_decide(ctl, NodeState(3, 3), p, FixedRng(0.0), profile=prof) == Decision.IDLE
         for _ in range(4):
             ctl.tick()
         assert ctl.backoff_remaining == 0
@@ -302,9 +296,8 @@ class TestController:
     def test_idle_without_packet_or_battery(self):
         p = make_params(n_nodes=1, channel_gain=(0.4,))
         prof = node_energy_profile(p, 0)
-        ctl = EqatController(design=TxProbDesign("sigmoid"), threshold=0.0)
-        assert eqat_decide(ctl, NodeState(3, 0), [0.0], p, FixedRng(0.0), profile=prof) \
-            == Decision.IDLE
+        ctl = EqatController(design=TxProbDesign("sigmoid"))
+        assert eqat_decide(ctl, NodeState(3, 0), p, FixedRng(0.0), profile=prof) == Decision.IDLE
         assert prof.min_tx_level > 1
         blocked = NodeState(prof.min_tx_level - 1, 3)
-        assert eqat_decide(ctl, blocked, [0.0], p, FixedRng(0.0), profile=prof) == Decision.IDLE
+        assert eqat_decide(ctl, blocked, p, FixedRng(0.0), profile=prof) == Decision.IDLE

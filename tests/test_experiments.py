@@ -575,7 +575,6 @@ max_dist = 40.0
 pathloss_exp = 2.5
 [eqat]
 alpha = 0.25
-threshold = 0.1
 backoff_window = 4
 [rc]
 contention_prob = 0.5

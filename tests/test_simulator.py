@@ -96,8 +96,9 @@ class TestBasics:
     @pytest.mark.parametrize("name,kw", [
         ("rc", {"contention_prob": 1.7}), ("rc", {"contention_prob": -0.1}),
         ("eqat", {"alpha": -0.5}), ("eqat", {"alpha": float("nan")}),
-        ("eqat", {"threshold": 1.5}), ("eqat", {"backoff_window": 0}),
+        ("eqat", {"backoff_window": 0}),
         ("eqat", {"backoff_window": 2.5}), ("eqat", {"backoff_window": True}),
+        ("eqat", {"backoff_window": "8"}), ("rc", {"contention_prob": float("nan")}),
     ])
     def test_out_of_range_parameter_rejected(self, name, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
@@ -112,14 +113,14 @@ class TestBasics:
             assert a == b, name
 
     def test_metrics_count_every_slot_stepped(self):
-        # manual steps and repeated run() calls add up to one run of the sum,
+        # single-slot and repeated run() calls add up to one run of the sum,
         # and the metrics are current after every call
         p = make_params(n_nodes=3, arrival_prob=0.3)
         for name in ALL_STRATEGIES:
             kw = strategy_kw(p, name)
             sim = Simulation(p, make_strategy(name, **kw), seed=2)
             for k in (1, 2):
-                sim.step()
+                sim.run(1)
                 ran, _ = simulate_run(p, name, slots=k, seed=2, **kw)
                 assert sim.metrics == ran, (name, k)
             sim.run(100)
@@ -248,7 +249,7 @@ def brute_force_ready(sim):
 def shadow_controllers(strategy, n_nodes):
     """Fresh oracle controllers with the strategy's settings, one per node."""
     return [EqatController(design=strategy.design, alpha=strategy.alpha,
-                           threshold=strategy.threshold, backoff_window=strategy.backoff_window)
+                           backoff_window=strategy.backoff_window)
             for _ in range(n_nodes)]
 
 
@@ -299,7 +300,7 @@ class TestIncrementalBookkeeping:
         drained = recharged = False
         for _ in range(1500):
             before = len(sim.powered)
-            sim.step()
+            sim.run(1)
             assert transmit_ready(sim) == brute_force_ready(sim)
             assert sim.powered == [i for i in range(n_nodes)
                                    if sim.batteries[i] >= sim.min_tx[i]]
@@ -338,11 +339,11 @@ class TestIncrementalBookkeeping:
         shadow_backoff = substream(5, BACKOFF)
         collided = 0
         for _ in range(1500):
-            # at threshold 0 a contender transmits when its draw is below its
-            # beacon; the others (beacon 0.0) draw nothing
+            # a contender transmits when its draw is below its beacon; the
+            # others (beacon 0.0) draw nothing
             beacon = advertised(shadow, sim.batteries, sim.queues, p, profiles)
             contenders = [i for i in brute_force_ready(sim) if shadow[i].backoff_remaining <= 0]
-            sim.step()
+            sim.run(1)
             t = sim.traces[-1]
             assert list(t.transmitters) == [i for i in contenders
                                             if shadow_draw.random() < beacon[i]]
@@ -389,8 +390,8 @@ class TestBlockDraws:
             assert hits == expected
 
 
-# every strategy, and EQAT once more with its threshold gate on
-LOOP_CASES = [(name, {}) for name in ALL_STRATEGIES] + [("eqat", {"threshold": 0.05})]
+# every strategy at its defaults
+LOOP_CASES = [(name, {}) for name in ALL_STRATEGIES]
 
 
 def run_state(sim):
@@ -513,7 +514,7 @@ class TestOneSlotLaw:
                     sim = Simulation(p, ScriptedStrategy(selected), seed=level, trace=True)
                     sim._set_level(node, level)
                     sim.queues[node] = queue
-                    sim.step()
+                    sim.run(1)
                     assert sim.traces[0].outcome in outcomes
                     assert sim.batteries[node] == table[level], (node, level, selected)
                     assert sim.powered == [i for i, prof_i in enumerate(profiles)
@@ -528,7 +529,7 @@ class TestOneSlotLoop:
         kw = strategy_kw(p, name, **kw)
         stepped = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
         for _ in range(400):
-            stepped.step()
+            stepped.run(1)
         whole = Simulation(p, make_strategy(name, **kw), seed=8, trace=True)
         whole.run(400)
         assert len(whole.traces) == 400
@@ -540,7 +541,7 @@ class TestOneSlotLoop:
         p = make_params(n_nodes=3, arrival_prob=0.3)
         sim = Simulation(p, strategy, seed=4)
         for _ in range(3):
-            sim.step()
+            sim.run(1)
         sim.run(5)
         sim.run(0)
         assert strategy.calls == [(hook, slot) for slot in range(8)
@@ -579,10 +580,10 @@ class TestOneSlotLoop:
     def test_rebinds_what_the_caller_replaced_between_calls(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
         sim = Simulation(p, make_strategy("fq"), seed=0, trace=True)
-        sim.step()
+        sim.run(1)
         sim.queues = [0, 2, 0]
         sim.traces = []
-        sim.step()
+        sim.run(1)
         assert sim.traces[0].transmitters == (1,)
         assert sim.metrics.in_queue_final == sum(sim.queues)
 
@@ -686,7 +687,7 @@ class TestStrategies:
         sim = Simulation(p, make_strategy("dfq"), seed=0)
         sim.queues = [p.queue_cap, p.queue_cap, 2]
         assert sim.strategy.select(sim) == [0, 1]
-        sim.step()
+        sim.run(1)
         assert sim.traces is None
         assert sim.metrics.delivered == 0
 
@@ -710,19 +711,21 @@ class TestStrategies:
         for t in traces:
             expect = sim.strategy.select(sim)
             assert list(t.transmitters) in ([], expect)
-            sim.step()
+            sim.run(1)
 
 
 class TestEqatIntegration:
     def test_matches_decide_op_slot_by_slot(self):
+        # the default design transmits at a full battery (sigmoid's f is 0 there,
+        # so a run from full batteries would never send)
         p = make_params(n_nodes=3, arrival_prob=0.3, channel_gain=(1.2, 1.0, 0.8))
-        design = TxProbDesign("sigmoid")
-        strategy = EqatStrategy(design, threshold=0.05)
+        strategy = EqatStrategy()
         profiles = energy_profiles(p)
         sim = Simulation(p, strategy, seed=21)
         shadow_rng = substream(21, STRATEGY)
         shadow_backoff = substream(21, BACKOFF)
         ctls = shadow_controllers(strategy, p.n_nodes)
+        outcomes = set()
         for slot in range(300):
             sim.slot = slot   # as the slot loop does, for the hooks
             assert countdowns(strategy, slot) == contention_state(ctls)
@@ -731,9 +734,7 @@ class TestEqatIntegration:
             expected = []
             for i in range(p.n_nodes):
                 s = NodeState(sim.batteries[i], sim.queues[i])
-                others = [beacon[j] for j in range(p.n_nodes) if j != i]
-                d = eqat_decide(ctls[i], s, others, p, shadow_rng, profile=profiles[i])
-                if d == Decision.TRANSMIT:
+                if eqat_decide(ctls[i], s, p, shadow_rng, profile=profiles[i]) == Decision.TRANSMIT:
                     expected.append(i)
             got = strategy.select(sim)
             assert got == expected
@@ -750,7 +751,8 @@ class TestEqatIntegration:
                     sim._set_level(t, profiles[t].after_collision[sim.batteries[t]])
             strategy.on_outcome(sim, got, outcome)
             shadow_outcome(ctls, got, outcome, shadow_backoff)
-            # hold escalations must agree too
+            outcomes.add(outcome)
+            # a slot with no transmitter leaves every fail count alone
             for mine, theirs in zip(strategy.fails, fails_before):
                 if outcome == "idle":
                     assert mine == theirs
@@ -760,6 +762,16 @@ class TestEqatIntegration:
                     sim.queues[n] += 1
             for ctl in ctls:
                 ctl.tick()
+        assert {"success", "collision"} <= outcomes
+
+    def test_default_run_keeps_delivering_to_its_end(self):
+        # each node decides from its own state: no other contender's beacon can
+        # hold a backlogged network silent, so every stretch of a long run delivers
+        p = make_params(n_nodes=3)
+        _, traces = simulate_run(p, "eqat", slots=5000, seed=0, trace=True)
+        delivered = [sum(t.outcome == "success" for t in traces[k:k + 500])
+                     for k in range(0, 5000, 500)]
+        assert min(delivered) > 0, delivered
 
     def test_single_node_equals_centralized_run(self):
         # a lone contender with p == 1 behaves exactly like a centrally
@@ -767,27 +779,9 @@ class TestEqatIntegration:
         p = make_params(n_nodes=1, arrival_prob=0.3, channel_gain=(1e4,))
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)
         for seed in range(10):
-            a, _ = simulate_run(p, "eqat", slots=3000, seed=seed, design=design,
-                                threshold=0.0)
+            a, _ = simulate_run(p, "eqat", slots=3000, seed=seed, design=design)
             b, _ = simulate_run(p, "rs", slots=3000, seed=seed)
             assert a == b, seed
-
-    def test_threshold_gate_counts_every_arrival_opportunity(self):
-        # a lone node that always nominates itself, at two arrival
-        # opportunities a slot: the mass of its intended move is
-        # ps * (1 - lambda)^2, so a threshold just above it vetoes every
-        # attempt and one just below lets them all through
-        p = make_params(n_nodes=1, arrival_prob=0.3, arrival_period=5e-3, channel_gain=(1e4,))
-        assert p.arrivals_per_slot == 2
-        clean = packet_success_prob(p) * (1 - p.arrival_prob) ** 2
-        design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)
-        held, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
-                               threshold=clean * (1 + 1e-9))
-        sent, _ = simulate_run(p, "eqat", slots=500, seed=2, design=design,
-                               threshold=clean * (1 - 1e-9))
-        assert held.generated > 0
-        assert held.delivered == 0
-        assert sent.delivered > 0
 
     def test_contenders_follow_queues_the_caller_replaced(self):
         # `Simulation` lets a caller replace `queues` after construction and
@@ -813,12 +807,12 @@ class TestEqatIntegration:
     def test_backoff_follows_collision(self):
         p = make_params(n_nodes=2, arrival_prob=0.9, channel_gain=(1e4, 1e4))
         design = TxProbDesign("exponential", rate_q=1000.0, rate_e=1e-12)  # both contend hard
-        strategy = EqatStrategy(design, threshold=0.0, backoff_window=5)
+        strategy = EqatStrategy(design, backoff_window=5)
         sim = Simulation(p, strategy, seed=13, trace=True)
         saw = False
         for _ in range(200):
             before = list(strategy.resume)
-            sim.step()
+            sim.run(1)
             t = sim.traces[-1]
             for i, r in enumerate(strategy.resume):
                 # only a collider's resume slot moves: 1..5 slots after the collision's
@@ -847,12 +841,12 @@ class TestContentionPass:
     uniform per contender, in index order, against the contender's beacon."""
 
     @staticmethod
-    def hand_set(threshold, seed):
+    def hand_set(seed, alpha):
         """A run before its first slot, with its oracle controllers: node 0 is
         below its transmit cost, node 1 powered with an empty queue, node 2
         backing off and node 3 one failed frame up; 3, 4 and 5 contend."""
         p = make_params(n_nodes=6)
-        strategy = EqatStrategy(threshold=threshold)
+        strategy = EqatStrategy(alpha=alpha)
         sim = Simulation(p, strategy, seed)
         sim.queues[:] = [2, 0, 3, 1, 2, p.queue_cap]
         sim._set_level(0, 0)
@@ -863,17 +857,18 @@ class TestContentionPass:
         ctls[3].fail_count = 1
         return p, sim, ctls
 
-    @pytest.mark.parametrize("threshold", [0.0, 0.05])
-    def test_one_draw_per_contender_in_index_order(self, threshold):
+    # no escalation (the fixed-table presets' alpha), a small one and the default
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5])
+    def test_one_draw_per_contender_in_index_order(self, alpha):
         chosen = set()
-        vetoed = 0
         for seed in range(30):
-            p, sim, ctls = self.hand_set(threshold, seed)
+            p, sim, ctls = self.hand_set(seed, alpha)
             profiles = energy_profiles(p)
             beacon = advertised(ctls, sim.batteries, sim.queues, p, profiles)
             assert [i for i, b in enumerate(beacon) if b] == [3, 4, 5]
             base = tx_prob(sim.strategy.design, sim.batteries[3], 1, p)
-            assert beacon[3] == escalate(base, sim.strategy.alpha, 1) > base
+            assert beacon[3] == escalate(base, alpha, 1)
+            assert (beacon[3] > base) == (alpha > 0)
             drawn = recorded_draws(sim)
             got = sim.strategy.select(sim)
             assert drawn == substream(seed, STRATEGY).random(3).tolist()
@@ -881,42 +876,11 @@ class TestContentionPass:
             expected = []
             for i in range(p.n_nodes):
                 s = NodeState(sim.batteries[i], sim.queues[i])
-                others = beacon[:i] + beacon[i + 1:]
-                if eqat_decide(ctls[i], s, others, p, shadow, profiles[i]) == Decision.TRANSMIT:
+                if eqat_decide(ctls[i], s, p, shadow, profiles[i]) == Decision.TRANSMIT:
                     expected.append(i)
             assert got == expected, seed
             chosen.update(got)
-            vetoed += sum(u < b for u, b in zip(drawn, beacon[3:])) - len(got)
-        # at 0.05 the competitors leave nominees 3 and 4 too little mass (about
-        # 0.045 and 0.036) and nominee 5 enough (0.053), whoever else nominates
-        assert chosen == ({3, 4, 5} if threshold == 0 else {5})
-        assert (vetoed > 0) == (threshold > 0)
-
-    def test_veto_reads_each_nominees_own_place(self):
-        # contenders 0 to 3 beacon 0.0, 0.5, 0.1 and 0.9 (set by queue length);
-        # node 0 draws and is never nominated. With 1 and 3 nominated and 2
-        # not, nominee 1's competitors leave it the mass c * 0.9 * 0.1 = 0.09c
-        # and nominee 3's c * 0.5 * 0.9 = 0.45c, where c = ps * P(no arrival);
-        # a threshold of 0.2c vetoes 1 and keeps 3 (nominee 3 read at nominee
-        # 1's next place would get 0.05c)
-        p = make_params(n_nodes=4)
-        beacons = {1: 0.5, 2: 0.1, 3: 0.9}
-        queues = [4, 1, 2, 3]
-        clean = packet_success_prob(p) * (1 - p.arrival_prob) ** p.arrivals_per_slot
-        seed = next(seed for seed in range(100)
-                    if [u < beacons.get(q, 0.0) for q, u in
-                        zip(queues, substream(seed, STRATEGY).random(4))]
-                    == [False, True, False, True])
-        got = []
-        for threshold in (0.0, 0.2 * clean):
-            strategy = EqatStrategy(threshold=threshold)
-            strategy.f = lambda e, q, params: beacons.get(q, 0.0)
-            sim = Simulation(p, strategy, seed)
-            sim.queues[:] = queues
-            drawn = recorded_draws(sim)
-            got.append(strategy.select(sim))
-            assert len(drawn) == 4
-        assert got == [[1, 3], [3]]
+        assert chosen == {3, 4, 5}
 
 
 # rc at its range's ends, halfway and its default, and dfq
@@ -961,7 +925,7 @@ class TestSelectedNodeLawFrequencies:
             q0 = sim.queues[0]
             b0 = sim.batteries[0]
             interior = 1 <= q0 <= p.queue_cap - 1 and b0 >= sim.min_tx[0]
-            sim.step()
+            sim.run(1)
             if interior:
                 counts[sim.queues[0] - q0] += 1
                 n_obs += 1
@@ -987,7 +951,7 @@ class TestCollidedNodeLawFrequencies:
             s = NodeState(sim.batteries[0], sim.queues[0])
             ready = transmit_ready(sim) == [0, 1] and s.queue < p.queue_cap
             sim.traces = []
-            sim.step()
+            sim.run(1)
             if not (ready and 0 in sim.traces[-1].transmitters):
                 continue
             if s not in laws:
@@ -1107,7 +1071,7 @@ class TestAbsorbingState:
         for _ in range(300):
             below = [i for i, prof in enumerate(profiles) if sim.batteries[i] < prof.min_tx_level]
             dead = sim.metrics.energy_dead_node_slots
-            sim.step()
+            sim.run(1)
             assert node in below
             assert sim.metrics.energy_dead_node_slots - dead == len(below)
         assert all(node not in t.transmitters for t in sim.traces)
