@@ -386,10 +386,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     raw_rows: list[dict] = []
     trace_rows: list[dict] = []
-    if spec.workers > 1:
+    # a fork pool starts all its workers at the first submit, so none beyond the tasks
+    if (workers := min(spec.workers, len(tasks))) > 1:
         from concurrent.futures import ProcessPoolExecutor   # only a pool needs the import
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, [a for _, a in tasks]))
     else:
         outcomes = [_run_one(a) for _, a in tasks]
@@ -507,10 +508,10 @@ def read_agg_csv(path: str) -> list[dict]:
 def report(agg_rows: list[dict]) -> dict:
     """Ordering tables per scenario and monotone-trend flags per strategy.
 
-    Two strategies whose means differ by less than one joint standard error
-    are reported as tied rather than silently ordered. Each entry also gives
-    the charge-only, collision and idle shares of its slots (the five outcome
-    means summed) and the energy-dead share of its node-slots; 0.0 without slots.
+    Two strategies whose means are equal or differ by less than one joint
+    standard error are reported as tied, not silently ordered. Each entry also
+    gives the charge-only, collision and idle shares of its slots (the five
+    outcome means summed) and the energy-dead share of its node-slots; 0.0 without slots.
     """
     scenarios: dict[tuple, list[dict]] = {}
     for row in agg_rows:
@@ -532,8 +533,9 @@ def report(agg_rows: list[dict]) -> dict:
             tie = False
             if i > 0:
                 prev = by_tp[i - 1]
+                gap = abs(prev["throughput_pps_mean"] - r["throughput_pps_mean"])
                 se = math.hypot(r["throughput_pps_stderr"], prev["throughput_pps_stderr"])
-                tie = abs(prev["throughput_pps_mean"] - r["throughput_pps_mean"]) < se
+                tie = gap == 0 or gap < se   # equal means tie whatever their errors
             ranking.append({
                 "strategy": label(r),
                 "throughput_pps": r["throughput_pps_mean"],

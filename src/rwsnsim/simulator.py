@@ -4,8 +4,7 @@ Slot order of events: the strategy picks the transmitter(s); a lone
 transmitter gets a packet-error draw and the downlink charge, two or more
 collide (losing transmit energy, no charge); the strategy is told the
 outcome (EQAT updates its fail counts and draws backoffs); then arrivals
-are applied, dropping on full queues; finally the strategy may close the
-slot (no shipped strategy does). A run is strictly sequential and
+are applied, dropping on full queues. A run is strictly sequential and
 deterministic given its seed: arrivals, strategy choices, error draws, and
 backoff draws each consume their own substream (see `Simulation`), so runs
 that differ only in strategy see identical arrival processes (common random
@@ -35,14 +34,13 @@ caller replace `queues` or `traces` between calls, and lets a `select`
 patched onto the strategy's class after construction (the benchmark's
 tracer does this) take effect.
 
-Hook contract. A strategy implements `select`; it may override `bind`
-(called once, from the constructor), `on_outcome` and `end_of_slot`. The
-loop calls the last two only when the strategy's class overrides
-`Strategy`'s no-op, decided once per call; of the shipped strategies only
-`eqat` overrides one, `on_outcome`, since a backoff is kept as the slot it
-ends and so needs no per-slot countdown (`rc` and `dfq` run its `select` on
-fixed tables and keep both no-ops). A strategy draws from the run's
-uniforms, not its own.
+Hook contract. A strategy implements `select`; its optional hooks, `bind`
+(called once, from the constructor) and `on_outcome` (called after the
+slot's moves), are None until it defines them, and the engine calls only
+those that are not None. Only `eqat` defines `on_outcome`, since a slot's
+outcome is all that changes its fail counts and backoffs (`rc` and `dfq`
+run its `select` on fixed tables and set it back to None). A strategy draws
+from the run's uniforms, not its own.
 
 Per-slot work scales with the nodes that can act, not with N.
 `Simulation.powered` holds the nodes whose battery affords one
@@ -213,7 +211,8 @@ class Simulation:
         self.metrics = RunMetrics()
         self.traces: list[SlotTrace] | None = [] if trace else None
         self.slot = 0
-        strategy.bind(self)
+        if strategy.bind is not None:
+            strategy.bind(self)
 
     def _set_level(self, node: int, after: int):
         """Set a battery to a level of its move tables; the only write that changes `powered`."""
@@ -235,10 +234,7 @@ class Simulation:
         ps, ber = self.ps, self.ber_uniform
         cap, set_level, traces = self.params.queue_cap, self._set_level, self.traces
         strategy = self.strategy
-        select = strategy.select
-        cls = type(strategy)
-        on_outcome = strategy.on_outcome if cls.on_outcome is not Strategy.on_outcome else None
-        end_of_slot = strategy.end_of_slot if cls.end_of_slot is not Strategy.end_of_slot else None
+        select, on_outcome = strategy.select, strategy.on_outcome
         m = self.metrics
         generated, delivered, dropped = m.generated, m.delivered, m.dropped
         successes, ber_failures, collisions = m.successes, m.ber_failures, m.collisions
@@ -299,9 +295,6 @@ class Simulation:
                 else:
                     queues[n] += 1
 
-            if end_of_slot is not None:
-                end_of_slot(self)
-
             if traces is not None:
                 # a lone transmitter's move is the one charged; a collision charges none
                 energy = after - before if len(transmitters) == 1 else 0
@@ -325,17 +318,11 @@ class Simulation:
 class Strategy:
     """One scheduling policy; a central scheduler returns at most one node."""
 
-    def bind(self, sim: Simulation):
-        pass
+    # optional hooks, None until defined: bind(sim), on_outcome(sim, transmitters, outcome)
+    bind = on_outcome = None
 
     def select(self, sim: Simulation) -> list[int]:
         raise NotImplementedError
-
-    def on_outcome(self, sim: Simulation, transmitters: list[int], outcome: str):
-        pass
-
-    def end_of_slot(self, sim: Simulation):
-        pass
 
 
 class FullQueueStrategy(Strategy):
@@ -385,7 +372,7 @@ class EqatStrategy(Strategy):
         so the node sits out a number of slots uniform on 1..backoff_window,
         for one uniform u of the backoff stream per transmitter, in
         transmitter order. It changes only when the node collides, so
-        nothing counts down and EQAT closes no slot.
+        nothing counts down.
 
     `select` makes one pass over `Simulation.powered`, in index order. A
     contender is a node with a packet whose ``resume`` slot has come; its
@@ -447,14 +434,14 @@ class EqatStrategy(Strategy):
             # a corrupted frame is still a failed frame; no backoff, the medium was won
             self.fails[transmitters[0]] += 1
 
-    end_of_slot = Strategy.end_of_slot   # the no-op, named: the benchmark's tracer wraps it by name
+    # never called: only the benchmark's tracer wraps a hook of this name (ROADMAP item 7)
+    end_of_slot = None
 
 
 class FixedTableStrategy(EqatStrategy):
     """The EQAT loop on a fixed table `f`: no escalation or backoff."""
 
-    # nothing fails or backs off; both named, so no wrapper put on EQAT's hooks is inherited
-    on_outcome, end_of_slot = Strategy.on_outcome, Strategy.end_of_slot
+    on_outcome = None   # nothing fails or backs off
 
     def __init__(self, f: Callable[[int, int, NetworkParams], float]):
         self.f = f   # in place of the design's values

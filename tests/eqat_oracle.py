@@ -3,9 +3,8 @@
 `rwsnsim.simulator.EqatStrategy` runs the contention loop for all nodes at
 once: per-run `fails`/`resume` lists (a backoff kept as the slot it ends),
 one pass a slot that finds each contender, computes its beacon and draws
-for it, competitor products over the contenders only. This module writes
-the same loop the slow, direct way, one node at a time, so the strategy can
-be checked against it:
+for it. This module writes the same loop the slow, direct way, one node at
+a time, so the strategy can be checked against it:
 
   * `EqatController` holds one node's fail counter and backoff clock, a
     countdown ticked every slot, and applies the events that change them;

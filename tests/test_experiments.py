@@ -1,5 +1,6 @@
 """Grid runner, CSV/manifest determinism, and the report op."""
 
+import concurrent.futures
 import inspect
 import json
 from dataclasses import fields, is_dataclass, replace
@@ -239,6 +240,31 @@ class TestRunExperiment:
             (n, s) for n in (2, 3) for s in strategies}
         assert serial.failures == pooled.failures == []
         assert serial.raw_rows == pooled.raw_rows
+
+    def test_pool_never_outgrows_its_tasks(self, monkeypatch):
+        # a fake pool that maps in process and records its size: no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        two = run_experiment(tiny_spec(seeds=[0, 1], workers=64))   # one task per seed
+        assert sizes == [2]
+        assert two.manifest["spec"]["workers"] == 64
+        one = run_experiment(tiny_spec(workers=4))
+        assert sizes == [2]   # one task runs in process
+        assert one.raw_rows == run_experiment(tiny_spec()).raw_rows
 
     def test_a_run_that_raises_fails_alone_in_its_group(self, monkeypatch):
         # rc raises halfway through seed 1, after the group's tape was drawn;
@@ -675,19 +701,22 @@ class TestReport:
         assert rep["tables"][0]["by_throughput"][0]["strategy"] == "rs"
         assert "scenario N=2" in rep["text"]
 
-    def test_equal_metrics_reported_as_tie(self):
+    @pytest.mark.parametrize("stderr", [0.5, 0.0])
+    def test_equal_metrics_reported_as_tie(self, stderr):
+        # equal means tie whatever their errors, one seed's 0.0 included;
         # every aggregate column, the unnamed ones 0.0 (the report reads them all)
         rows = [
             {**{col: 0.0 for col in AGG_COLUMNS},
              "n_nodes": 2, "t_hat": 10, "design": "-", "strategy": name, "n_seeds": 2,
              "generated_mean": 1.0, "delivered_mean": 1.0, "dropped_mean": 0.0,
-             "throughput_pps_mean": 5.0, "throughput_pps_stderr": 0.5,
+             "throughput_pps_mean": 5.0, "throughput_pps_stderr": stderr,
              "loss_rate_mean": 0.1, "loss_rate_stderr": 0.01}
             for name in ("a", "b")
         ]
         rep = report(rows)
         ranking = rep["tables"][0]["by_throughput"]
         assert ranking[1]["tied_with_previous"] is True
+        assert rep["text"].splitlines()[2].lstrip().startswith("= b")
 
     def test_slot_shares_match_the_raw_rows(self):
         # contention at N=3 spends slots on every outcome and leaves nodes energy-dead

@@ -16,7 +16,6 @@ from rwsnsim.simulator import (
     BLOCK,
     ArrivalTape,
     EqatStrategy,
-    FixedTableStrategy,
     Simulation,
     Strategy,
     make_strategy,
@@ -537,6 +536,8 @@ class TestOneSlotLoop:
         assert stepped.metrics == whole.metrics
 
     def test_overridden_hooks_run_once_per_slot_in_order(self):
+        # the loop calls select then on_outcome each slot, and never end_of_slot,
+        # though the strategy defines one
         strategy = CountingStrategy()
         p = make_params(n_nodes=3, arrival_prob=0.3)
         sim = Simulation(p, strategy, seed=4)
@@ -545,37 +546,17 @@ class TestOneSlotLoop:
         sim.run(5)
         sim.run(0)
         assert strategy.calls == [(hook, slot) for slot in range(8)
-                                  for hook in ("select", "on_outcome", "end_of_slot")]
+                                  for hook in ("select", "on_outcome")]
 
-    def test_no_op_hooks_are_not_called(self, monkeypatch):
-        def called(*args):
-            raise AssertionError("a no-op hook was called")
-
-        p = busy_params(3)
-        # the rc and dfq presets name Strategy's no-ops as their own hooks,
-        # and EQAT its end_of_slot, so patching every class that names a no-op
-        # alike keeps those hooks Strategy's
-        hooks = ("on_outcome", "end_of_slot")
-        noop = {hook: Strategy.__dict__[hook] for hook in hooks}   # taken before any patch
-        for name in ("rc", "dfq"):
-            cls = type(make_strategy(name))
-            assert cls is FixedTableStrategy
-            assert all(getattr(cls, hook) is noop[hook] for hook in hooks)
-        assert EqatStrategy.end_of_slot is noop["end_of_slot"]
-        for cls in (Strategy, EqatStrategy, FixedTableStrategy):
-            for hook in hooks:
-                if cls.__dict__.get(hook) is noop[hook]:
-                    monkeypatch.setattr(cls, hook, called)
-        for name in ALL_STRATEGIES:
-            simulate_run(p, name, slots=200, seed=1,
-                         **strategy_kw(p, name))
-
-    def test_no_shipped_strategy_closes_a_slot(self):
-        # an EQAT backoff is the slot it ends, so nothing counts down at a slot's end
+    def test_no_op_hooks_are_not_called(self):
+        # a hook a strategy leaves undefined is None, which the loop skips;
+        # rc and dfq set EQAT's on_outcome back to None
         p = make_params()
         for name in ALL_STRATEGIES:
             strategy = make_strategy(name, **strategy_kw(p, name))
-            assert type(strategy).end_of_slot is Strategy.end_of_slot, name
+            assert (strategy.on_outcome is None) == (name != "eqat"), name
+            if name in ("fq", "rs", "ehmdp"):
+                assert strategy.bind is None, name
 
     def test_rebinds_what_the_caller_replaced_between_calls(self):
         p = make_params(n_nodes=3, arrival_prob=0.0)
