@@ -20,9 +20,10 @@ the spec and every resolved scenario, so a rerun of
 ``ExperimentSpec(**manifest["spec"])`` reproduces the CSVs byte for byte;
 it also records how each ehmdp solve went (mode, and for an exact solve its
 sweep count, final residual, the sweeps that fell back from Anderson mixing
-to the plain step, and the build-plus-solve wall time, the one entry a
-rerun does not reproduce). A scenario whose parameters alone fail
-`core.validate` is reported once, as one failure, and skipped. A scenario
+to the plain step, the joint states it held, and the build-plus-solve wall
+time, the one entry a rerun does not reproduce). A scenario whose
+parameters alone fail `core.validate` is reported once, as one failure, and
+skipped. A scenario
 whose exact solve fails is one failure row too, and runs no ehmdp: no
 other chooser stands in under its name (the myopic one runs only above
 the state budget), so its ehmdp mode is None and it has no ehmdp rows.
@@ -58,7 +59,8 @@ from typing import Callable
 
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
-from .mdp import DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, build_model, value_iteration
+from .mdp import (DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, build_model, reachable,
+                  value_iteration)
 from .simulator import STRATEGIES, ArrivalTape, EqatStrategy, RunMetrics, SlotTrace, simulate_run
 
 log = logging.getLogger(__name__)
@@ -355,7 +357,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 else:
                     try:
                         solve_start = time.perf_counter()
-                        vi_result = value_iteration(build_model(params, budget=spec.budget))
+                        model = reachable(build_model(params, budget=spec.budget))
+                        vi_result = value_iteration(model)
                         solve_s = time.perf_counter() - solve_start
                         chooser = PolicyChooser(vi_result)
                         ehmdp_mode = "exact"
@@ -367,6 +370,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 # an exact solve's figures, else None
                 **{f"ehmdp_{key}": getattr(vi_result, key, None)
                    for key in ("sweeps", "residual", "fallbacks")},
+                "ehmdp_states": None if vi_result is None else vi_result.values.size,
                 "ehmdp_solve_s": solve_s, "params": asdict(params),
             })
             runs = []   # (design column, strategy, constructor kwargs), in spec order

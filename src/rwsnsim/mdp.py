@@ -80,14 +80,25 @@ also the one plain value iteration returns is not proved. With the shift
 alone it was, since a constant moves every action's Q alike; mixed
 iterates are other vectors. Tests pin it on the desk instances and at N=3.
 
+Reachable levels. `reachable` restricts a model to B x {0..Q} per node, B
+the least set of battery levels that holds `initial_battery` and that every
+kernel's move keeps, read off M. That set of joint states is closed under
+every action: an unselected node's battery does not move, a selected one
+moves within B, and arrivals move queues alone. A closed set is a sub-MDP
+with the same Bellman equation on its states (Puterman, 1994), so its solve
+is exact on every state a run, which starts there with empty queues, can
+visit. At the defaults both moves from a full battery end full: B = {K},
+and N=3 solves 343 states, not 74,088.
+
 Memory. The joint-sized arrays are v, Tv, `common`, two work rows and the
 mixing history, 2 * ANDERSON_DEPTH rows: (5 + 2 * depth) * S * 8 bytes at
-any N, since each action's Q folds into Tv as it is made (`_Backup`). Only
-the stopping sweep forms the N per-action rows, for the tie rule, once the
-history is dropped. The history stays float64: float32 rounding in the
-iterates would part actions whose Q ties (see Ties). At depth 4 that is 13
-rows: 7.3 MiB at N=3 (S = 74,088), and 309 MiB at N=4 (S = 3.11 M), where
-the exact solve peaks at 344 MiB of RSS.
+any N, S the joint states solved, since each action's Q folds into Tv as it
+is made (`_Backup`). Only the stopping sweep forms the N per-action rows,
+for the tie rule, once the history is dropped. The history stays float64:
+float32 rounding in the iterates would part actions whose Q ties (see
+Ties). At depth 4 that is 13 rows: 7.3 MiB for the full N=3 model
+(S = 74,088), and 309 MiB for the full N=4 model (S = 3.11 M), whose solve
+peaks at 344 MiB of RSS.
 
 Ties. The policy takes the lowest node index among the actions whose Q
 lies within TIE_RTOL * max(1, |min Q|) of the minimum, so actions equal up
@@ -95,8 +106,10 @@ to rounding do not get ordered by summation order.
 
 Budget. `build_model` refuses a joint state count m^N above its budget
 (200,000 states by default: N=3 has 74,088 at the defaults, N=4 has
-3.1 M). `kernel_model` itself has none: O(N m^2) at any N (0.72 MB at
-N=50).
+3.1 M). It counts the full space, not the reachable one: that count picks
+a scenario's mode, exact or myopic, and the reachable one would solve N=4
+to 6 at the defaults exactly, which moves their ehmdp rows. `kernel_model`
+itself has none: O(N m^2) at any N (0.72 MB at N=50).
 
 Boundary conventions (the interior cases follow the law above; the
 boundaries need explicit choices):
@@ -149,24 +162,27 @@ class ValueIterationError(RuntimeError):
 
 @dataclass
 class TransitionModel:
-    """The per-node kernels U, S_0, ..., S_{N-1}, kernel j = M_j (I x A), in the
-    factors the solve reads: `arrival` A, (Q+1) x (Q+1); `moves` M, per kernel
-    the dense m x m move of the battery and the departure (M_0 = I); `loss`
-    rU, U's expected loss per local state. The sparse rows are derived from
-    M and the arrival law, for the benchmark and the test oracles: row
-    r = j * m + local state spans entries [row_ptr[r], row_ptr[r+1]) of
-    (local next state, probability, packets dropped), one per nonzero of M
-    and arrival count. Sizes are `params`'.
+    """The per-node kernels U, S_0, ..., S_{N-1}, kernel j = M_j (I x A), over the
+    battery `levels` it holds (0..K for `kernel_model`), every queue length at
+    each: local state i * (Q+1) + q is level levels[i] with q packets, and m
+    counts them. In the factors the solve reads: `arrival` A, (Q+1) x (Q+1);
+    `moves` M, per kernel the dense m x m move of the battery and the
+    departure (M_0 = I); `loss` rU, U's expected loss per local state. The
+    sparse rows are derived from M and the arrival law, for the benchmark and
+    the test oracles: row r = j * m + local state spans entries
+    [row_ptr[r], row_ptr[r+1]) of (local next state, probability, packets
+    dropped), one per nonzero of M and arrival count.
     """
 
     params: NetworkParams
+    levels: np.ndarray
+    arrival: np.ndarray
+    moves: np.ndarray
+    loss: np.ndarray
     row_ptr: np.ndarray
     next_state: np.ndarray
     prob: np.ndarray
     reward: np.ndarray
-    arrival: np.ndarray
-    moves: np.ndarray
-    loss: np.ndarray
 
     @property
     def n_actions(self) -> int:
@@ -174,7 +190,7 @@ class TransitionModel:
 
     @property
     def n_states(self) -> int:
-        return self.params.joint_state_count
+        return self.moves.shape[1] ** self.n_actions
 
 
 def kernel_model(params: NetworkParams) -> TransitionModel:
@@ -208,24 +224,23 @@ def kernel_model(params: NetworkParams) -> TransitionModel:
     # rU: U's expected overflow per queue length, the arrivals summed in order
     over = np.maximum(length + np.arange(pmf.size) - Q, 0)
     loss = np.tile(np.add.accumulate(over * pmf, axis=1)[:, -1], params.battery_levels + 1)
-    # the rows, for the benchmark and the oracles: each nonzero of M times each
-    # arrival count, then the queue capped at Q and the overflow dropped
+    return TransitionModel(params, np.arange(params.battery_levels + 1), arrival, moves, loss,
+                           *_rows(moves, pmf, Q))
+
+
+def _rows(moves: np.ndarray, pmf: np.ndarray, Q: int) -> tuple[np.ndarray, ...]:
+    """The sparse rows of kernels with moves M, for the benchmark and the oracles:
+    each nonzero of M times each arrival count, then the queue capped at Q and
+    the overflow dropped."""
     j, s, mid = np.nonzero(moves)
     prob = moves[j, s, mid][:, None] * pmf
     level = (mid % (Q + 1))[:, None] + np.arange(pmf.size)
     nxt = (mid - mid % (Q + 1))[:, None] + np.minimum(level, Q)
     keep = prob > 0.0
-    rows = np.repeat(j * m + s, keep.sum(axis=1))
-    return TransitionModel(
-        params=params,
-        row_ptr=np.searchsorted(rows, np.arange(len(after) * m + 1)).astype(np.int64),
-        next_state=nxt[keep].astype(np.int64),
-        prob=prob[keep],
-        reward=np.maximum(level - Q, 0)[keep].astype(np.float64),
-        arrival=arrival,
-        moves=moves,
-        loss=loss,
-    )
+    rows = np.repeat(j * moves.shape[1] + s, keep.sum(axis=1))
+    row_ptr = np.searchsorted(rows, np.arange(moves.shape[0] * moves.shape[1] + 1))
+    return (row_ptr.astype(np.int64), nxt[keep].astype(np.int64), prob[keep],
+            np.maximum(level - Q, 0)[keep].astype(np.float64))
 
 
 def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> TransitionModel:
@@ -234,6 +249,28 @@ def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> Tr
     if params.joint_state_count > budget:
         raise StateSpaceBudgetError(params.joint_state_count, budget)
     return kernel_model(params)
+
+
+def reachable(model: TransitionModel) -> TransitionModel:
+    """`model` on B, the least set of battery levels that holds `initial_battery`
+    and that no kernel's move leaves, with every queue length at each (see
+    Reachable levels); `model` itself when B holds every level."""
+    p = model.params
+    width, batteries = p.queue_cap + 1, p.battery_levels + 1
+    # step[b, c]: some kernel moves some state at level b to level c
+    step = model.moves.reshape(-1, batteries, width, batteries, width).any(axis=(0, 2, 4))
+    kept = np.arange(batteries) == p.initial_battery
+    for _ in range(p.battery_levels):  # a pass that changes `kept` adds a level, K at most
+        kept = kept | step[kept].any(axis=0)
+    if kept.all():
+        return model
+    levels = np.flatnonzero(kept)
+    local = (levels[:, None] * width + np.arange(width)).reshape(-1)
+    # C-contiguous: a fancy-indexed copy has other strides, which send BLAS down
+    # another summation path and part actions whose Q ties to rounding
+    moves = np.ascontiguousarray(model.moves[:, local][:, :, local])
+    return TransitionModel(p, levels, model.arrival, moves, model.loss[local],
+                           *_rows(moves, arrival_pmf(p), p.queue_cap))
 
 
 @dataclass
@@ -245,6 +282,7 @@ class ValueIterationResult:
     residual: float
     residual_history: list[float]
     params: NetworkParams
+    levels: np.ndarray            # the model's battery levels, as local states count them
 
 
 def _apply_axis(kernel: np.ndarray, x: np.ndarray, before: int, out: np.ndarray) -> None:
@@ -433,6 +471,7 @@ def value_iteration(model: TransitionModel) -> ValueIterationResult:
             return ValueIterationResult(
                 values=v_next, policy=greedy_policy(backup.actions()), sweeps=sweep,
                 fallbacks=fallbacks, residual=residual, residual_history=history, params=p,
+                levels=model.levels,
             )
         if residual < best:
             best, stale = residual, 0
@@ -460,20 +499,22 @@ class PolicyChooser:
 
     Holds only plain tables, so it pickles small (the node indices as bytes,
     one per joint state: an exactly solvable network has far fewer than 256
-    nodes) and is built once per scenario.
+    nodes) and is built once per scenario. A battery level the solve did not
+    hold raises KeyError.
     """
 
     def __init__(self, result: ValueIterationResult):
-        p = result.params
+        width = result.params.queue_cap + 1
         self.policy = result.policy.astype(np.uint8).tobytes()
-        self.m = p.per_node_states
-        self.width = p.queue_cap + 1
+        self.m = len(result.levels) * width
+        # the first local state of each level
+        self.base = {int(b): i * width for i, b in enumerate(result.levels)}
 
     def __call__(self, batteries: list[int], queues: list[int]) -> int:
-        m, width = self.m, self.width
+        m, base = self.m, self.base
         idx = 0
         for b, q in zip(batteries, queues):
-            idx = idx * m + b * width + q
+            idx = idx * m + base[b] + q
         return self.policy[idx]
 
 

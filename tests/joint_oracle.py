@@ -335,13 +335,13 @@ def expected(model: TransitionModel, values: np.ndarray) -> np.ndarray:
     """Per kernel (rows) and local state (columns), the mean of per-entry `values`."""
     rows = np.repeat(np.arange(model.row_ptr.size - 1), np.diff(model.row_ptr))
     sums = np.bincount(rows, weights=model.prob * values, minlength=model.row_ptr.size - 1)
-    return sums.reshape(-1, model.params.per_node_states)
+    return sums.reshape(-1, model.moves.shape[1])
 
 
 def dense_kernel(model: TransitionModel, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Kernel j of `model` as a dense m x m matrix, m the local states, with
     its expected loss per row."""
-    m = model.params.per_node_states
+    m = model.moves.shape[1]
     ptr = model.row_ptr[j * m:(j + 1) * m + 1]
     lo, hi = ptr[0], ptr[-1]
     rows = np.repeat(np.arange(m), np.diff(ptr))

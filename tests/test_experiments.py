@@ -109,6 +109,7 @@ class TestRunExperiment:
         assert res.raw_rows == [r for r in clean.raw_rows if r["strategy"] == "fq"]
         (scenario,) = res.manifest["scenarios"]
         assert scenario["ehmdp_mode"] is None and scenario["ehmdp_sweeps"] is None
+        assert scenario["ehmdp_states"] is None
         (table,) = report(res.agg_rows)["tables"]
         assert [entry["strategy"] for entry in table["by_throughput"]] == ["fq"]
 
@@ -135,9 +136,12 @@ class TestRunExperiment:
         assert isinstance(exact["ehmdp_fallbacks"], int)
         assert 0 <= exact["ehmdp_fallbacks"] < exact["ehmdp_sweeps"]
         assert isinstance(exact["ehmdp_solve_s"], float) and exact["ehmdp_solve_s"] > 0.0
+        # the solve holds the battery levels a run reaches: only the full one here
+        assert exact["ehmdp_states"] == 3 ** 2
         assert myopic["ehmdp_mode"] == "myopic"
         assert myopic["ehmdp_sweeps"] is None and myopic["ehmdp_residual"] is None
         assert myopic["ehmdp_fallbacks"] is None and myopic["ehmdp_solve_s"] is None
+        assert myopic["ehmdp_states"] is None
         # deterministic: a rerun reproduces the manifest, all but the wall time
         rerun = run_experiment(spec).manifest
         for manifest in (rerun, res.manifest):

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ from rwsnsim.mdp import (
     build_model,
     greedy_policy,
     kernel_model,
+    reachable,
     value_iteration,
 )
 from rwsnsim.simulator import simulate_run
@@ -308,7 +310,7 @@ class TestJointTransition:
 
 def kernel_rows(model: TransitionModel, kernel: int):
     """Per local state, the (next local state, probability, reward) entries of one kernel."""
-    m = model.params.per_node_states
+    m = model.moves.shape[1]
     out = []
     for r in range(kernel * m, (kernel + 1) * m):
         lo, hi = model.row_ptr[r], model.row_ptr[r + 1]
@@ -329,7 +331,7 @@ def assert_kernel_rows_stochastic(model: TransitionModel):
 def product_row(model: TransitionModel, state: int, action: int) -> dict[int, tuple[float, float]]:
     """Joint row of (state, action) composed from the kernels, merged by next
     state: next -> (probability, probability-weighted drops)."""
-    m, n = model.params.per_node_states, model.n_actions
+    m, n = model.moves.shape[1], model.n_actions
     digits = [(state // m ** (n - 1 - i)) % m for i in range(n)]
     acc = [(0, 1.0, 0.0)]
     for i, d in enumerate(digits):
@@ -595,15 +597,22 @@ def n3_oracle():
     return p, joint, joint_value_iteration(joint, p.discount, p.vi_tol)
 
 
-@pytest.mark.parametrize("p", [
-    *(desk_params(*nkq) for nkq in DESK),
-    pipeline_n3_params(), pipeline_n3_params(bs_power=1.0), pipeline_n3_params(**TWO_ARRIVALS),
-], ids=[*(f"desk{n}{k}{q}" for n, k, q in DESK), "n3", "n3-scarce", "n3-k2"])
-def test_kernels_are_the_moves_then_the_arrivals(p):
-    # the solver's stored factors against the sparse rows: U = I x A, S_k = M_k (I x A)
-    model = build_model(p)
-    arrival, moves, m = model.arrival, model.moves, p.per_node_states
-    queue_only = np.kron(np.eye(p.battery_levels + 1), arrival)
+KERNEL_CASES = {
+    **{f"desk{n}{k}{q}": desk_params(n, k, q) for n, k, q in DESK},
+    "n3": pipeline_n3_params(), "n3-scarce": pipeline_n3_params(bs_power=1.0),
+    "n3-k2": pipeline_n3_params(**TWO_ARRIVALS),
+}
+
+
+@pytest.mark.parametrize("p,restrict", [(p, False) for p in KERNEL_CASES.values()]
+                         + [(p, True) for p in KERNEL_CASES.values()],
+                         ids=[*KERNEL_CASES, *(f"{name}-reachable" for name in KERNEL_CASES)])
+def test_kernels_are_the_moves_then_the_arrivals(p, restrict):
+    # the solver's stored factors against the sparse rows: U = I x A, S_k = M_k (I x A),
+    # on the full model and on the battery levels a run reaches
+    model = reachable(build_model(p)) if restrict else build_model(p)
+    arrival, moves, m = model.arrival, model.moves, model.moves.shape[1]
+    queue_only = np.kron(np.eye(len(model.levels)), arrival)
     assert arrival.shape == (p.queue_cap + 1, p.queue_cap + 1)
     assert np.max(np.abs(queue_only - dense_kernel(model, 0)[0])) <= 1e-15
     assert moves.shape == (p.n_nodes + 1, m, m)
@@ -618,6 +627,92 @@ def test_kernels_are_the_moves_then_the_arrivals(p):
     for k in range(p.n_nodes):
         assert np.max(np.abs(moves[1 + k] @ queue_only - dense_kernel(model, 1 + k)[0])) <= 1e-15
         assert np.max(np.abs(moves[1 + k] @ cost[0] - cost[1 + k])) <= 1e-15
+
+
+def kept_states(model):
+    """The full model's index of each of `model`'s joint states, in `model`'s order."""
+    p = model.params
+    width = p.queue_cap + 1
+    local = (model.levels[:, None] * width + np.arange(width)).reshape(-1)
+    grid = np.ix_(*(local,) * p.n_nodes)
+    return np.ravel_multi_index(grid, (p.per_node_states,) * p.n_nodes).reshape(-1)
+
+
+# networks whose runs reach some battery levels only: N=3 at the defaults
+# keeps the full level, the scarce network every level but 0, and a desk
+# instance that starts empty levels 0, 4 and 5
+DROPS_LEVELS = {"n3": pipeline_n3_params(), "n3-scarce": pipeline_n3_params(bs_power=1.0),
+                "desk256-empty": replace(desk_params(2, 5, 6), initial_battery=0)}
+
+
+@pytest.fixture(scope="module")
+def full_and_reachable():
+    """Per DROPS_LEVELS instance, the full model and its solve, and the same of
+    the model on the reachable levels."""
+    def solve(name):
+        full = build_model(DROPS_LEVELS[name])
+        kept = reachable(full)
+        return full, value_iteration(full), kept, value_iteration(kept)
+    return functools.cache(solve)
+
+
+class TestReachable:
+    """The solve on the battery levels a run can reach, against the full solve."""
+
+    def test_levels_of_the_n3_networks(self, full_and_reachable):
+        _, _, kept, _ = full_and_reachable("n3")
+        assert kept.levels.tolist() == [5] and kept.n_states == 343
+        _, _, kept, _ = full_and_reachable("n3-scarce")
+        assert kept.levels.tolist() == [1, 2, 3, 4, 5] and kept.n_states == 35 ** 3
+
+    @pytest.mark.parametrize("name", DROPS_LEVELS)
+    def test_kept_set_is_closed(self, name, full_and_reachable):
+        full, _, kept, _ = full_and_reachable(name)
+        local = np.isin(np.arange(full.moves.shape[1]) // (full.params.queue_cap + 1),
+                        kept.levels)
+        assert 0 < local.sum() < local.size
+        # no move of a kept state puts mass outside the kept states, and the
+        # kept rows, as stored, each sum to 1
+        assert (full.moves[:, local][:, :, ~local] == 0.0).all()
+        assert np.max(np.abs(kept.moves.sum(axis=2) - 1.0)) <= 1e-12
+        assert (kept.loss == full.loss[local]).all()
+
+    def test_every_level_reachable_keeps_the_model(self):
+        model = build_model(replace(desk_params(2, 2, 2), bs_power=0.5))
+        assert model.levels.tolist() == [0, 1, 2]
+        assert reachable(model) is model
+
+    @pytest.mark.parametrize("name", DROPS_LEVELS)
+    def test_moves_are_c_contiguous(self, name, full_and_reachable):
+        # a fancy-indexed copy has other strides, and BLAS sums those in
+        # another order: a copy of the full model so made, at bs_power 0.5
+        # and N=2, parted 30 states' actions whose Q ties to rounding
+        _, _, kept, _ = full_and_reachable(name)
+        assert kept.moves.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", DROPS_LEVELS)
+    def test_same_policy_as_the_full_solve(self, name, full_and_reachable):
+        full, full_res, kept, kept_res = full_and_reachable(name)
+        states = kept_states(kept)
+        assert (kept_res.levels == kept.levels).all() and kept_res.values.size == states.size
+        assert (full_res.policy[states] == kept_res.policy).all()
+        assert np.max(np.abs(full_res.values[states] - kept_res.values)) <= full.params.vi_tol
+
+    @pytest.mark.parametrize("name", DROPS_LEVELS)
+    def test_chooser_picks_the_full_choosers_node(self, name, full_and_reachable):
+        full, full_res, kept, kept_res = full_and_reachable(name)
+        p = full.params
+        exact, restricted = PolicyChooser(full_res), PolicyChooser(kept_res)
+        width, n = p.queue_cap + 1, p.n_nodes
+        local = np.unravel_index(kept_states(kept), (p.per_node_states,) * n)
+        batteries, queues = (np.transpose(part).tolist() for part in np.divmod(local, width))
+        assert [restricted(b, q) for b, q in zip(batteries, queues)] == \
+            [exact(b, q) for b, q in zip(batteries, queues)]
+        # a level the solve did not hold is refused, not read as another state
+        missing = min(set(range(p.battery_levels + 1)) - set(kept.levels.tolist()))
+        with pytest.raises(KeyError):
+            restricted([missing] * n, [0] * n)
+        assert exact([missing] * n, [0] * n) in range(n)
 
 
 class TestTieRule:

@@ -980,8 +980,8 @@ def _push(kernel, x, before):
 
 def closed_loop_delivered(model, policy, slots, tol=1e-9):
     """Expected packets delivered per slot over the first `slots` slots of the
-    closed-loop chain of `policy`, from full batteries and empty queues, as
-    the simulator starts.
+    closed-loop chain of `policy` on `model`'s states, from `initial_battery`
+    and empty queues, as the simulator starts.
 
     The joint distribution moves through the stored factors alone: the mass
     of the states where the policy selects node k by M_k along node k's axis,
@@ -992,21 +992,22 @@ def closed_loop_delivered(model, policy, slots, tol=1e-9):
     has reached.
     """
     p = model.params
-    n, m, width = p.n_nodes, p.per_node_states, p.queue_cap + 1
+    n, m, width = p.n_nodes, model.moves.shape[1], p.queue_cap + 1
     queue = np.arange(m) % width
     departs = (model.moves[1:] * (queue[:, None] - queue)).sum(axis=2)
     local = np.indices((m,) * n).reshape(n, -1)
     delivered = departs[policy, local[policy, np.arange(policy.size)]]
     selects = [policy == k for k in range(n)]
     pi = np.zeros(policy.size)
-    pi[np.ravel_multi_index((p.initial_battery * width,) * n, (m,) * n)] = 1.0
+    start = list(model.levels).index(p.initial_battery) * width
+    pi[np.ravel_multi_index((start,) * n, (m,) * n)] = 1.0
     total = 0.0
     for step in range(1, slots + 1):
         total += pi @ delivered
         nxt = sum(_push(model.moves[1 + k], np.where(selects[k], pi, 0.0), m ** k)
                   for k in range(n))
         for k in range(n):
-            nxt = _push(model.arrival, nxt, m ** k * (p.battery_levels + 1))
+            nxt = _push(model.arrival, nxt, m ** k * len(model.levels))
         change = np.abs(nxt - pi).sum()
         pi = nxt
         if change < tol:
@@ -1017,14 +1018,15 @@ def closed_loop_delivered(model, policy, slots, tol=1e-9):
 class TestModelAgreement:
     """The model and the simulator agree at the policy level: the exact N=3
     policy's closed-loop chain, pushed through A and the M_k, predicts the
-    delivered per slot that the simulator measures."""
+    delivered per slot that the simulator measures. The solve is the one
+    `run_experiment` runs, on the battery levels a run reaches."""
 
     @pytest.mark.parametrize("network", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
     def test_predicted_delivery_within_3_stderr_of_simulation(self, network):
-        from rwsnsim.mdp import build_model, value_iteration
+        from rwsnsim.mdp import build_model, reachable, value_iteration
 
         p = make_params(n_nodes=3, channel_gain=draw_channel_gains(3), **network)
-        model = build_model(p)
+        model = reachable(build_model(p))
         solve = value_iteration(model)
         slots = 5_000
         predicted = closed_loop_delivered(model, solve.policy, slots)
