@@ -122,6 +122,7 @@ boundaries need explicit choices):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
 import numpy as np
 
@@ -532,6 +533,17 @@ class MyopicChooser:
     are distinct (each carries its node), so one sort turns them into
     integer ranks, and a choice is the node of the least rank among N
     lookups.
+
+    Rows per battery vector. A call reads node n's rank at its queue from
+    ``rows[n]``, the node's rank list at its battery. The rows are read at
+    one battery vector, kept as a copy in ``levels`` (the simulator passes
+    its own list and changes it in place), and read again only when a
+    call's batteries differ from it. Such a call copies the vector and makes
+    N more lookups, so it costs about twice a call that reuses the rows and
+    up to a quarter more than one fresh lookup per node. At the defaults no
+    battery moves off its start level, so the rows are read once per run;
+    on the scarce network about 9 % of calls at N=10 and 1 % at N=50 read
+    them again.
     """
 
     def __init__(self, params: NetworkParams):
@@ -548,7 +560,10 @@ class MyopicChooser:
         rank = {k: r for r, k in enumerate(order)}
         self.node_of = [k[3] for k in order]
         self.ranks = [[[rank[k] for k in row] for row in table] for table in keys]
+        self.levels = self.rows = None   # the battery vector and the rows read at it
 
     def __call__(self, batteries: list[int], queues: list[int]) -> int:
-        return self.node_of[min([table[e][q]
-                                 for table, e, q in zip(self.ranks, batteries, queues)])]
+        if batteries != self.levels:
+            self.levels = list(batteries)
+            self.rows = list(map(getitem, self.ranks, batteries))
+        return self.node_of[min(map(getitem, self.rows, queues))]

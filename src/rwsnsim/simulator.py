@@ -25,8 +25,12 @@ At the start of each call the loop binds to locals what stays fixed from
 slot to slot: the queue, battery and powered lists, the per-node transmit
 costs and battery-move tables, the draw functions, the arrival tape's slots
 (drawn through the call's last slot, and read by slot index), the
-strategy's bound `select` and hooks, and the trace list. It counts packets,
-slot outcomes and energy-dead node-slots in locals and, when the call ends,
+strategy's bound `select` and hooks, and the trace list. It counts packets
+and slot outcomes in locals, slot by slot, except two counts that it keeps
+per call: `generated`, summed once over the tape's slots of the call, and
+the energy-dead node-slots, which change only when a move crosses a
+transmit cost, so each crossing adds the current count times the slots
+since the last one, and the call's end adds the rest. When the call ends it
 writes them to `metrics` together with `slots`, `in_queue_final` and the
 two rates, so `metrics` is current after every call (`slot` is kept current
 during the call, for the strategy). Binding per call, not per run, lets a
@@ -50,11 +54,12 @@ backoff), computes its beacon and draws for it, and returns the nodes whose
 draw fell below their beacon. Only `Simulation._set_level` changes a node's
 membership. A slot's branches pick its outcome and its move table (the
 per-node law, tabulated once in `energy`): `after_tx` or `after_charge` for
-a lone selected node, `after_collision` for colliders. One block, the
-loop's only battery write, then moves each transmitter by it: directly when
-the move leaves the node on the same side of its transmit cost, else
-through `_set_level`. So code may assign `queues` freely but must write
-`batteries` only through `_set_level`.
+a lone selected node, `after_collision` for colliders. The loop writes
+batteries in two places, the lone transmitter's branch and the colliders'
+loop, and each moves a node by its table: directly when the move leaves the
+node on the same side of its transmit cost, else through `_set_level`. So
+code may assign `queues` freely but must write `batteries` only through
+`_set_level`.
 """
 
 from __future__ import annotations
@@ -242,15 +247,18 @@ class Simulation:
         start = self.slot
         stop = start + max(slots, 0)
         arrivals = self.arrivals.upto(stop)
-        dead_now = n_nodes - len(powered)   # changes only when a move crosses a transmit cost
+        generated += sum(map(len, arrivals[start:stop]))
+        # the energy-dead count changes only when a move crosses a transmit cost;
+        # its slots since the last crossing are added there and when the call ends
+        dead_now, since = n_nodes - len(powered), start
 
         for slot in range(start, stop):
             self.slot = slot   # the slot being played, for the strategy's hooks
-            dead += dead_now
             transmitters = select(self)
             if len(transmitters) == 1:
                 t = transmitters[0]
-                if batteries[t] >= min_tx[t] and queues[t] >= 1:
+                before, need = batteries[t], min_tx[t]
+                if before >= need and queues[t] >= 1:
                     if ber() < ps:
                         outcome = "success"
                         successes += 1
@@ -260,36 +268,40 @@ class Simulation:
                         outcome = "ber_fail"
                         ber_failures += 1
                     # downlink charges the node either way, net of transmit cost
-                    moves = after_tx
+                    after = after_tx[t][before]
                 else:
                     # a centrally selected node without a packet (or battery)
                     # gets the whole slot as charge
                     outcome = "idle"
                     charge_only += 1
-                    moves = after_charge
-            elif transmitters:
-                outcome = "collision"
-                collisions += 1
-                moves = after_collision
-            else:
-                outcome = "idle"
-                idle += 1
-            for t in transmitters:   # the one battery write, by the branch's table
-                before, need = batteries[t], min_tx[t]
-                after = moves[t][before]
+                    after = after_charge[t][before]
                 if (after >= need) == (before >= need):
                     batteries[t] = after
                 else:
                     set_level(t, after)
-                    dead_now = n_nodes - len(powered)
+                    dead += dead_now * (slot + 1 - since)
+                    dead_now, since = n_nodes - len(powered), slot + 1
+            elif transmitters:
+                outcome = "collision"
+                collisions += 1
+                for t in transmitters:
+                    before, need = batteries[t], min_tx[t]
+                    after = after_collision[t][before]
+                    if (after >= need) == (before >= need):
+                        batteries[t] = after
+                    else:
+                        set_level(t, after)
+                        dead += dead_now * (slot + 1 - since)
+                        dead_now, since = n_nodes - len(powered), slot + 1
+            else:
+                outcome = "idle"
+                idle += 1
 
             if on_outcome is not None:
                 on_outcome(self, transmitters, outcome)
 
             # the slot's arrivals, opportunity by opportunity
-            hits = arrivals[slot]
-            generated += len(hits)
-            for n in hits:
+            for n in arrivals[slot]:
                 if queues[n] >= cap:
                     dropped += 1
                 else:
@@ -302,6 +314,7 @@ class Simulation:
                                         tuple(batteries), tuple(queues)))
 
         self.slot = stop
+        dead += dead_now * (stop - since)
         m.generated, m.delivered, m.dropped = generated, delivered, dropped
         m.successes, m.ber_failures, m.collisions = successes, ber_failures, collisions
         m.charge_only_slots, m.idle_slots, m.energy_dead_node_slots = charge_only, idle, dead

@@ -431,46 +431,93 @@ class TestRunExperiment:
         assert [list(row) for row in rows] == [list(AGG_COLUMNS)] * 2
 
 
-# Every raw row of `GOLDEN_SPEC`, columns 1-12. A change that moves a number
+# Every raw row of `GOLDEN_SPEC`, every column. A change that moves a number
 # must change these rows on purpose.
 GOLDEN_SPEC = dict(n_nodes=[2, 10], t_hat=[10], slots=300, seeds=[0, 1])
-GOLDEN_COLUMNS = RAW_COLUMNS[:12]
 GOLDEN_ROWS = [
-    (2, 10, "-", "ehmdp", 0, 300, 160, 159, 0, 1, 53.0, 0.0),
-    (2, 10, "-", "ehmdp", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0),
-    (2, 10, "-", "fq", 0, 300, 160, 159, 0, 1, 53.0, 0.0),
-    (2, 10, "-", "fq", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0),
-    (2, 10, "-", "rs", 0, 300, 160, 159, 0, 1, 53.0, 0.0),
-    (2, 10, "-", "rs", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0),
-    (2, 10, "exp:1:0.05", "eqat", 0, 300, 160, 87, 67, 6, 29.0, 0.41875),
-    (2, 10, "exp:1:0.05", "eqat", 1, 300, 182, 96, 80, 6, 32.0, 0.43956043956043955),
-    (2, 10, "-", "dfq", 0, 300, 160, 75, 74, 11, 25.0, 0.4625),
-    (2, 10, "-", "dfq", 1, 300, 182, 85, 86, 11, 28.333333333333332, 0.4725274725274725),
-    (2, 10, "-", "rc", 0, 300, 160, 83, 71, 6, 27.666666666666668, 0.44375),
-    (2, 10, "-", "rc", 1, 300, 182, 99, 77, 6, 33.0, 0.4230769230769231),
-    (10, 10, "-", "ehmdp", 0, 300, 894, 272, 564, 58, 90.66666666666667, 0.6308724832214765),
-    (10, 10, "-", "ehmdp", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882),
-    (10, 10, "-", "fq", 0, 300, 894, 272, 564, 58, 90.66666666666667, 0.6308724832214765),
-    (10, 10, "-", "fq", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882),
-    (10, 10, "-", "rs", 0, 300, 894, 272, 565, 57, 90.66666666666667, 0.6319910514541387),
-    (10, 10, "-", "rs", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882),
-    (10, 10, "exp:1:0.05", "eqat", 0, 300, 894, 94, 746,
-     54, 31.333333333333332, 0.8344519015659956),
-    (10, 10, "exp:1:0.05", "eqat", 1, 300, 919, 95, 769,
-     55, 31.666666666666668, 0.8367791077257889),
-    (10, 10, "-", "dfq", 0, 300, 894, 91, 743, 60, 30.333333333333332, 0.831096196868009),
-    (10, 10, "-", "dfq", 1, 300, 919, 88, 771, 60, 29.333333333333332, 0.8389553862894451),
-    (10, 10, "-", "rc", 0, 300, 894, 85, 754, 55, 28.333333333333332, 0.843400447427293),
-    (10, 10, "-", "rc", 1, 300, 919, 88, 776, 55, 29.333333333333332, 0.8443960826985855),
+    (2, 10, "-", "ehmdp", 0, 300, 160, 159, 0, 1, 53.0, 0.0, 159, 12, 0, 129, 0, 0),
+    (2, 10, "-", "ehmdp", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0, 181, 27, 0, 92, 0, 0),
+    (2, 10, "-", "fq", 0, 300, 160, 159, 0, 1, 53.0, 0.0, 159, 12, 0, 129, 0, 0),
+    (2, 10, "-", "fq", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0, 181, 27, 0, 92, 0, 0),
+    (2, 10, "-", "rs", 0, 300, 160, 159, 0, 1, 53.0, 0.0, 159, 12, 0, 0, 129, 0),
+    (2, 10, "-", "rs", 1, 300, 182, 181, 0, 1, 60.333333333333336, 0.0, 181, 27, 0, 0, 92, 0),
+    (2, 10, "exp:1:0.05", "eqat", 0, 300, 160, 87, 67, 6, 29.0, 0.41875, 87, 5, 3, 0, 205, 258),
+    (2, 10, "exp:1:0.05", "eqat", 1, 300, 182, 96, 80, 6, 32.0, 0.43956043956043955,
+     96, 14, 3, 0, 187, 276),
+    (2, 10, "-", "dfq", 0, 300, 160, 75, 74, 11, 25.0, 0.4625, 75, 5, 2, 0, 218, 268),
+    (2, 10, "-", "dfq", 1, 300, 182, 85, 86, 11, 28.333333333333332, 0.4725274725274725,
+     85, 13, 2, 0, 200, 270),
+    (2, 10, "-", "rc", 0, 300, 160, 83, 71, 6, 27.666666666666668, 0.44375, 83, 5, 2, 0, 210, 286),
+    (2, 10, "-", "rc", 1, 300, 182, 99, 77, 6, 33.0, 0.4230769230769231, 99, 15, 2, 0, 184, 271),
+    (10, 10, "-", "ehmdp", 0, 300, 894, 272, 564, 58, 90.66666666666667, 0.6308724832214765,
+     272, 27, 0, 1, 0, 0),
+    (10, 10, "-", "ehmdp", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882,
+     263, 36, 0, 1, 0, 0),
+    (10, 10, "-", "fq", 0, 300, 894, 272, 564, 58, 90.66666666666667, 0.6308724832214765,
+     272, 27, 0, 1, 0, 0),
+    (10, 10, "-", "fq", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882,
+     263, 36, 0, 1, 0, 0),
+    (10, 10, "-", "rs", 0, 300, 894, 272, 565, 57, 90.66666666666667, 0.6319910514541387,
+     272, 27, 0, 0, 1, 0),
+    (10, 10, "-", "rs", 1, 300, 919, 263, 598, 58, 87.66666666666667, 0.6507072905331882,
+     263, 36, 0, 0, 1, 0),
+    (10, 10, "exp:1:0.05", "eqat", 0, 300, 894, 94, 746, 54, 31.333333333333332, 0.8344519015659956,
+     94, 5, 11, 0, 190, 2586),
+    (10, 10, "exp:1:0.05", "eqat", 1, 300, 919, 95, 769, 55, 31.666666666666668, 0.8367791077257889,
+     95, 14, 11, 0, 180, 2580),
+    (10, 10, "-", "dfq", 0, 300, 894, 91, 743, 60, 30.333333333333332, 0.831096196868009,
+     91, 5, 9, 0, 195, 2449),
+    (10, 10, "-", "dfq", 1, 300, 919, 88, 771, 60, 29.333333333333332, 0.8389553862894451,
+     88, 13, 8, 0, 191, 2472),
+    (10, 10, "-", "rc", 0, 300, 894, 85, 754, 55, 28.333333333333332, 0.843400447427293,
+     85, 5, 7, 0, 203, 2641),
+    (10, 10, "-", "rc", 1, 300, 919, 88, 776, 55, 29.333333333333332, 0.8443960826985855,
+     88, 13, 7, 0, 192, 2647),
 ]
+
+# A traced run on the scarce network at N=2, where lone transmitters cross
+# their transmit cost both ways: its raw rows, and per strategy each slot's
+# outcome (first letter) and the trace's energy_levels.
+TRACED_SPEC = dict(n_nodes=[2], t_hat=[10], strategies=["ehmdp", "fq", "eqat"], slots=60,
+                   seeds=[0], trace=True, network={"bs_power": 1.0})
+TRACED_RAW_ROWS = [
+    (2, 10, "-", "ehmdp", 0, 60, 32, 31, 0, 1, 51.66666666666667, 0.0,
+     31, 1, 0, 28, 0, 2),
+    (2, 10, "-", "fq", 0, 60, 32, 29, 0, 3, 48.333333333333336, 0.0,
+     29, 1, 0, 30, 0, 41),
+    (2, 10, "exp:1:0.05", "eqat", 0, 60, 32, 19, 7, 6, 31.666666666666668, 0.21875,
+     19, 0, 0, 0, 41, 51),
+]
+TRACED_SLOTS = {
+    "ehmdp": ("issiissssiissiisisiiiiiisssssississsiisiisiiisisisisisissbss",
+              [0, -1, -1, 1, 1, 0, -1, -1, -1, 1, 1, -1, 0, 1, 1, 0, 0, 0, 0, 0,
+               0, 0, 0, 0, 0, 0, -1, -1, -1, 1, -1, -1, 1, 0, 0, -1, 1, 1, 0, 1,
+               1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, -1, -1, -1, -1]),
+    "fq": ("isssiississsisiiisiiiiiissisisissssisissisiiisisisiissisisib",
+           [0, -1, 0, -1, 0, 0, -1, -1, 1, -1, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1, 0, 0, 0, 1, -1, 1, -1, 0,
+            1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 1, -1, 1, -1]),
+    "eqat": ("iiisssississiiiiiiisiiiiissiiisisissiiiiiiiiiissisiiisiiisii",
+             [0, 0, 0, -1, 0, -1, 0, -1, -1] + [0] * 51),
+}
 
 
 class TestGoldenRows:
     def test_raw_rows_pinned(self):
         res = run_experiment(ExperimentSpec(**GOLDEN_SPEC))
         assert res.failures == []
-        assert GOLDEN_COLUMNS[-1] == "loss_rate"
-        assert [tuple(row[c] for c in GOLDEN_COLUMNS) for row in res.raw_rows] == GOLDEN_ROWS
+        assert [tuple(row[c] for c in RAW_COLUMNS) for row in res.raw_rows] == GOLDEN_ROWS
+
+    def test_traced_run_pinned(self):
+        res = run_experiment(ExperimentSpec(**TRACED_SPEC))
+        assert res.failures == []
+        assert [tuple(row[c] for c in RAW_COLUMNS) for row in res.raw_rows] == TRACED_RAW_ROWS
+
+        def slots(strategy):
+            rows = [row for row in res.trace_rows if row["strategy"] == strategy]
+            return "".join(row["outcome"][0] for row in rows), [row["energy_levels"] for row in rows]
+
+        assert {s: slots(s) for s in TRACED_SPEC["strategies"]} == TRACED_SLOTS
 
 
 class TestDeterminism:

@@ -50,7 +50,7 @@ from rwsnsim.mdp import (
     reachable,
     value_iteration,
 )
-from rwsnsim.simulator import simulate_run
+from rwsnsim.simulator import EhmdpStrategy, Simulation, simulate_run
 
 
 def make_params(**kw):
@@ -562,6 +562,37 @@ class TestChoosers:
             # ties: longest queue, then lowest battery, then lowest index
             expect = min(tied, key=lambda n: (-s[n].queue, s[n].battery, n))
             assert choose([ns.battery for ns in s], [ns.queue for ns in s]) == expect, s
+
+    def test_myopic_rows_follow_batteries_changed_in_place(self):
+        # the chooser against the min over fresh rank lookups, call by call,
+        # on a scarce N=10 run whose batteries move: the simulator passes its
+        # own lists, which it changes in place between calls
+        p = make_params(n_nodes=10, channel_gain=draw_channel_gains(10), bs_power=1.0)
+        choose = MyopicChooser(p)
+
+        def fresh(batteries, queues):
+            return choose.node_of[min(table[e][q]
+                                      for table, e, q in zip(choose.ranks, batteries, queues))]
+
+        calls, moved, last = 0, 0, None
+
+        def checked(batteries, queues):
+            nonlocal calls, moved, last
+            got = choose(batteries, queues)
+            assert got == fresh(batteries, queues), (calls, batteries, queues)
+            calls += 1
+            moved += last is not None and batteries != last
+            last = list(batteries)
+            return got
+
+        sim = Simulation(p, EhmdpStrategy(checked), seed=0)
+        sim.run(5000)
+        assert calls == 5000 and moved >= 100
+        # one list, a battery lowered in place between two calls
+        batteries, queues = [p.battery_levels] * 10, [p.queue_cap] * 10
+        first = choose(batteries, queues)
+        batteries[first] = 0
+        assert choose(batteries, queues) == fresh(batteries, queues) != first
 
     @pytest.mark.parametrize("n", [10, 50])
     @pytest.mark.parametrize("extra", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
