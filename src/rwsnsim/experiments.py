@@ -59,8 +59,7 @@ from typing import Callable
 
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
-from .mdp import (DEFAULT_STATE_BUDGET, MyopicChooser, PolicyChooser, build_model, reachable,
-                  value_iteration)
+from .mdp import MyopicChooser, PolicyChooser, build_model, reachable, value_iteration
 from .simulator import STRATEGIES, ArrivalTape, EqatStrategy, RunMetrics, SlotTrace, simulate_run
 
 log = logging.getLogger(__name__)
@@ -89,7 +88,11 @@ class ExperimentSpec:
     slots: int = 10_000
     seeds: list[int] = field(default_factory=lambda: list(range(20)))
     minislot_len: float = 1e-3
-    budget: int = DEFAULT_STATE_BUDGET
+    # the most joint states, m^N over every battery level and not only the
+    # reachable ones, at which ehmdp solves exactly; above it, myopic mode
+    # (N=3 has 74,088 at the defaults, N=4 3.1 M; counting the reachable
+    # states would solve N=4 to 6 exactly there and move their ehmdp rows)
+    budget: int = 200_000
     workers: int = 1
     trace: bool = False
     network: dict = field(default_factory=dict)   # NetworkParams field overrides
@@ -349,15 +352,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             # the chooser is built once here and shipped to every ehmdp task
             ehmdp_mode = vi_result = solve_s = chooser = None
             if "ehmdp" in spec.strategies:
-                # decided here, so the benchmark's traced build_model always returns a model
                 if params.joint_state_count > spec.budget:
-                    log.info("scenario N=%d T=%d: %d joint states, over the budget: ehmdp runs "
-                             "in myopic mode", n, t_hat, params.joint_state_count)
+                    log.info("scenario N=%d T=%d: %d joint states, over the budget of %d: ehmdp "
+                             "runs in myopic mode", n, t_hat, params.joint_state_count, spec.budget)
                     ehmdp_mode, chooser = "myopic", MyopicChooser(params)
                 else:
                     try:
                         solve_start = time.perf_counter()
-                        model = reachable(build_model(params, budget=spec.budget))
+                        model = reachable(build_model(params))
                         vi_result = value_iteration(model)
                         solve_s = time.perf_counter() - solve_start
                         chooser = PolicyChooser(vi_result)

@@ -5,7 +5,7 @@ the selected node (modulation is pre-folded, see the energy module). The
 cost of a slot is the number of packets dropped to buffer overflow, so the
 solved value function reads as expected discounted packet loss.
 
-The per-node law, applied once in `kernel_model` to the battery moves that
+The per-node law, applied once in `build_model` to the battery moves that
 `energy` tabulates and the simulator reads. Over a slot a node receives
 X ~ Binomial(k, lambda) packets (`core.arrival_pmf`: k = `arrivals_per_slot`
 opportunities of probability `arrival_prob` each, as the simulator draws
@@ -24,7 +24,7 @@ m = (K+1)(Q+1) local states. The arrivals come after the departure and
 touch the queue alone, so the kernels factor further: U = I x A and
 S_k = M_k (I x A), where A is the (Q+1) x (Q+1) arrival kernel of one
 queue, I spans the K+1 battery levels and M_k is node k's battery move and
-departure. `kernel_model` applies the tables once, assembling A and the
+departure. `build_model` applies the tables once, assembling A and the
 M_k, and derives the rest from the M_k and the arrival law: rU (below),
 and the sparse rows, one entry per (nonzero of M_k, arrival count X) with
 the packets it drops as its reward. The solve and the myopic chooser read
@@ -104,12 +104,9 @@ Ties. The policy takes the lowest node index among the actions whose Q
 lies within TIE_RTOL * max(1, |min Q|) of the minimum, so actions equal up
 to rounding do not get ordered by summation order.
 
-Budget. `build_model` refuses a joint state count m^N above its budget
-(200,000 states by default: N=3 has 74,088 at the defaults, N=4 has
-3.1 M). It counts the full space, not the reachable one: that count picks
-a scenario's mode, exact or myopic, and the reachable one would solve N=4
-to 6 at the defaults exactly, which moves their ehmdp rows. `kernel_model`
-itself has none: O(N m^2) at any N (0.72 MB at N=50).
+Budget. Callers decide whether a joint space is small enough to solve;
+Memory gives what a solve holds, and `build_model` alone is O(N m^2) at
+any N (0.72 MB at N=50).
 
 Boundary conventions (the interior cases follow the law above; the
 boundaries need explicit choices):
@@ -129,7 +126,6 @@ import numpy as np
 from .core import NetworkParams, arrival_pmf
 from .energy import energy_profiles, packet_success_prob
 
-DEFAULT_STATE_BUDGET = 200_000
 # value_iteration raises ValueIterationError after this many sweeps
 MAX_SWEEPS = 100_000
 # Anderson mixing in value_iteration: the sweeps mixed, the ridge weight
@@ -148,15 +144,6 @@ TIE_RTOL = 1e-12
 BLAS_SLICE = 2 ** 18
 
 
-class StateSpaceBudgetError(RuntimeError):
-    def __init__(self, count: int, budget: int):
-        super().__init__(
-            f"joint state space has {count} states, exceeding the budget of {budget}"
-        )
-        self.count = count
-        self.budget = budget
-
-
 class ValueIterationError(RuntimeError):
     pass
 
@@ -164,7 +151,7 @@ class ValueIterationError(RuntimeError):
 @dataclass
 class TransitionModel:
     """The per-node kernels U, S_0, ..., S_{N-1}, kernel j = M_j (I x A), over the
-    battery `levels` it holds (0..K for `kernel_model`), every queue length at
+    battery `levels` it holds (0..K for `build_model`), every queue length at
     each: local state i * (Q+1) + q is level levels[i] with q packets, and m
     counts them. In the factors the solve reads: `arrival` A, (Q+1) x (Q+1);
     `moves` M, per kernel the dense m x m move of the battery and the
@@ -194,7 +181,7 @@ class TransitionModel:
         return self.moves.shape[1] ** self.n_actions
 
 
-def kernel_model(params: NetworkParams) -> TransitionModel:
+def build_model(params: NetworkParams) -> TransitionModel:
     """The kernels U, S_0, ..., S_{N-1} of the per-node law, from the energy
     profiles of `params`, in factors and as rows; O(N * per-node states^2)."""
     Q, m = params.queue_cap, params.per_node_states
@@ -242,14 +229,6 @@ def _rows(moves: np.ndarray, pmf: np.ndarray, Q: int) -> tuple[np.ndarray, ...]:
     row_ptr = np.searchsorted(rows, np.arange(moves.shape[0] * moves.shape[1] + 1))
     return (row_ptr.astype(np.int64), nxt[keep].astype(np.int64), prob[keep],
             np.maximum(level - Q, 0)[keep].astype(np.float64))
-
-
-def build_model(params: NetworkParams, budget: int = DEFAULT_STATE_BUDGET) -> TransitionModel:
-    """The kernels of an exactly solvable model; raises StateSpaceBudgetError
-    for a joint state space above `budget`."""
-    if params.joint_state_count > budget:
-        raise StateSpaceBudgetError(params.joint_state_count, budget)
-    return kernel_model(params)
 
 
 def reachable(model: TransitionModel) -> TransitionModel:
@@ -547,7 +526,7 @@ class MyopicChooser:
     """
 
     def __init__(self, params: NetworkParams):
-        model = kernel_model(params)
+        model = build_model(params)
         loss, width = model.loss, params.queue_cap + 1
         y = loss + params.discount * (loss.reshape(-1, width) @ model.arrival.T).reshape(-1)
         score = model.moves[1:] @ y - y

@@ -87,7 +87,10 @@ class TestRunExperiment:
         with caplog.at_level(logging.INFO, logger="rwsnsim.experiments"):
             res = run_experiment(spec)
         assert res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
-        assert any("myopic" in m for m in caplog.messages)
+        # the line names the joint state count and the budget it exceeds
+        count = spec.resolve_params(2, spec.t_hat[0]).joint_state_count
+        assert any(f"{count} joint states, over the budget of 5: ehmdp runs in myopic mode" in m
+                   for m in caplog.messages)
         # the least valid budget (a negative one is refused) forces myopic mode
         res = run_experiment(replace(spec, budget=0))
         assert res.failures == [] and res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"

@@ -41,12 +41,10 @@ from rwsnsim.mdp import (
     TIE_RTOL,
     MyopicChooser,
     PolicyChooser,
-    StateSpaceBudgetError,
     TransitionModel,
     ValueIterationError,
     build_model,
     greedy_policy,
-    kernel_model,
     reachable,
     value_iteration,
 )
@@ -98,7 +96,7 @@ def sure_failure_params(n_nodes=1, **kw):
 def kernel_law(p, s, node=None):
     """Row s of node `node`'s selected kernel (of U when None): the next states'
     probabilities, merged over outcomes, and the row's expected loss."""
-    model = kernel_model(p)
+    model = build_model(p)
     matrix, cost = dense_kernel(model, 0 if node is None else 1 + node)
     width = p.queue_cap + 1
     idx = s.battery * width + s.queue
@@ -376,12 +374,6 @@ class TestBuildModel:
                 assert (probs >= 0).all()
                 assert (rewards >= 0).all()
 
-    def test_budget_error_names_count(self):
-        p = make_params(n_nodes=8)
-        with pytest.raises(StateSpaceBudgetError) as ei:
-            build_model(p)
-        assert str(p.joint_state_count) in str(ei.value)
-
     def test_rewards_match_transition_reward(self):
         # the kernel products reproduce each joint row: next states,
         # probabilities, and the summed per-node expected drops
@@ -418,7 +410,7 @@ class TestBuildModel:
                         channel_gain=(1.0, 0.4))
         assert p.arrivals_per_slot == round(10e-3 / period)
         profiles = energy_profiles(p)
-        model = kernel_model(p)
+        model = build_model(p)
         width = p.queue_cap + 1
         for j in range(p.n_nodes + 1):
             matrix, cost = dense_kernel(model, j)
@@ -600,7 +592,7 @@ class TestChoosers:
         # the score read through the sparse rows, as c_S - c_U plus omega
         # times (S_n - U) c_U, tabulated and sorted like the chooser's keys
         p = make_params(n_nodes=n, channel_gain=draw_channel_gains(n), **extra)
-        model = kernel_model(p)
+        model = build_model(p)
         cost = expected(model, model.reward)
         ahead = expected(model, cost[0][model.next_state])
         score = (cost[1:] - cost[0]) + p.discount * (ahead[1:] - ahead[0])

@@ -11,7 +11,7 @@ from joint_oracle import NodeState
 from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
-from rwsnsim.mdp import MyopicChooser, PolicyChooser, kernel_model
+from rwsnsim.mdp import MyopicChooser, PolicyChooser, build_model
 from rwsnsim.simulator import (
     BLOCK,
     ArrivalTape,
@@ -168,7 +168,7 @@ def golden_params(n_nodes):
 
 @pytest.fixture(scope="module")
 def golden_n3_solve():
-    from rwsnsim.mdp import build_model, value_iteration
+    from rwsnsim.mdp import value_iteration
 
     return value_iteration(build_model(golden_params(3)))
 
@@ -481,7 +481,7 @@ class TestOneSlotLaw:
     def test_kernel_moves_read_the_tables(self, network):
         p = SLOT_LAW_PARAMS[network]
         profiles = energy_profiles(p)
-        model = kernel_model(p)
+        model = build_model(p)
         width, m = p.queue_cap + 1, p.per_node_states
         for node, prof in enumerate(profiles):
             for level in range(p.battery_levels + 1):
@@ -680,7 +680,7 @@ class TestStrategies:
         assert any(t.outcome == "collision" for t in traces)
 
     def test_ehmdp_exact_uses_policy(self):
-        from rwsnsim.mdp import build_model, value_iteration
+        from rwsnsim.mdp import value_iteration
 
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.3,
                         channel_gain=(1.0, 0.7))
@@ -956,7 +956,7 @@ class TestMonteCarloOrdering:
     def test_exact_policy_not_worse_than_random_selection(self):
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.6,
                         channel_gain=(1.0, 0.7))
-        from rwsnsim.mdp import build_model, value_iteration
+        from rwsnsim.mdp import value_iteration
 
         chooser = PolicyChooser(value_iteration(build_model(p)))
         loss_ehmdp = []
@@ -1023,7 +1023,7 @@ class TestModelAgreement:
 
     @pytest.mark.parametrize("network", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
     def test_predicted_delivery_within_3_stderr_of_simulation(self, network):
-        from rwsnsim.mdp import build_model, reachable, value_iteration
+        from rwsnsim.mdp import reachable, value_iteration
 
         p = make_params(n_nodes=3, channel_gain=draw_channel_gains(3), **network)
         model = reachable(build_model(p))
@@ -1090,3 +1090,32 @@ class TestCentralizedLock:
         assert m.idle_slots == 0
         assert m.charge_only_slots == sum(t.outcome == "idle" for t in traces) >= len(last)
         assert m.energy_dead_node_slots >= len(last)
+
+
+class TestLowestIndexTie:
+    """A modelling artefact, pinned until ties among full queues rotate (ROADMAP item 23).
+
+    At defaults N=10 the network is overloaded, so every queue sits near Q
+    and the tie rule picks the node. `fq` takes the lowest index among the
+    longest queues and the myopic chooser breaks its ties by index last, so
+    both starve the high indices alike; `rs` spreads its deliveries evenly.
+    Every policy that serves a packet in every slot drops the same, so
+    throughput and loss do not show it.
+    """
+
+    @staticmethod
+    def delivered_per_node(p, name, **kw):
+        _, traces = simulate_run(p, name, 5000, 0, trace=True, **kw)
+        counts = [0] * p.n_nodes
+        for t in traces:
+            if t.outcome == "success":
+                counts[t.transmitters[0]] += 1
+        return counts
+
+    def test_fq_and_myopic_ehmdp_starve_the_high_indices_and_rs_does_not(self):
+        p = make_params(n_nodes=10, channel_gain=draw_channel_gains(10))
+        fq = self.delivered_per_node(p, "fq")
+        assert self.delivered_per_node(p, "ehmdp", chooser=MyopicChooser(p)) == fq
+        assert fq[-1] < 0.01 * fq[0]
+        rs = self.delivered_per_node(p, "rs")
+        assert min(rs) > 0.5 * max(rs)
