@@ -59,7 +59,7 @@ from typing import Callable
 
 from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
-from .mdp import MyopicChooser, PolicyChooser, build_model, reachable, value_iteration
+from .mdp import MyopicChooser, PolicyChooser, build_model, value_iteration
 from .simulator import STRATEGIES, ArrivalTape, EqatStrategy, RunMetrics, SlotTrace, simulate_run
 
 log = logging.getLogger(__name__)
@@ -270,31 +270,30 @@ def _wrong_types(section: str, values: dict) -> list[str]:
             for key, value in values.items() if key in declared and not declared[key].holds(value)]
 
 
-def read_config(path: str, schema: dict[str, dict[str, _Type]]) -> dict[str, dict]:
+def read_config(path: str) -> dict[str, dict]:
     """The converted values of an INI file, by section: {section: {key: value}}.
 
-    `schema` maps every allowed section to its keys' declared types, of
-    which only the converters are used; each of its sections is in the
-    result, empty when the file leaves it out. Raises FileNotFoundError for
-    a missing file, and one ValueError naming every section and key the
-    schema does not know, or else the first value that does not convert.
+    Every section of `_SPEC_SCHEMA` is in the result, empty when the file
+    leaves it out. Raises FileNotFoundError for a missing file, and one
+    ValueError naming every section and key the schema does not know, or
+    else the first value that does not convert.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise FileNotFoundError(path)
     unknown = ["[DEFAULT]"] if cp.defaults() else []
     for name in cp.sections():
-        if name not in schema:
+        if name not in _SPEC_SCHEMA:
             unknown.append(f"[{name}]")
         else:
-            unknown += [f"[{name}] {key}" for key in cp.options(name) if key not in schema[name]]
+            unknown += [f"[{name}] {key}" for key in cp.options(name) if key not in _SPEC_SCHEMA[name]]
     if unknown:
         raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
-    out: dict[str, dict] = {name: {} for name in schema}
+    out: dict[str, dict] = {name: {} for name in _SPEC_SCHEMA}
     for name in cp.sections():
         for key, text in cp.items(name):
             try:
-                out[name][key] = schema[name][key].convert(text)
+                out[name][key] = _SPEC_SCHEMA[name][key].convert(text)
             except ValueError as e:
                 raise ValueError(f"{path}: [{name}] {key} = {text!r}: {e}") from None
     return out
@@ -305,7 +304,7 @@ def spec_from_config(path: str) -> ExperimentSpec:
 
     An unknown section or key is an error (see `read_config`).
     """
-    cfg = read_config(path, _SPEC_SCHEMA)
+    cfg = read_config(path)
     return ExperimentSpec(**cfg.pop("experiment"), **cfg)
 
 
@@ -355,12 +354,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 if params.joint_state_count > spec.budget:
                     log.info("scenario N=%d T=%d: %d joint states, over the budget of %d: ehmdp "
                              "runs in myopic mode", n, t_hat, params.joint_state_count, spec.budget)
-                    ehmdp_mode, chooser = "myopic", MyopicChooser(params)
+                    ehmdp_mode, chooser = "myopic", MyopicChooser(build_model(params))
                 else:
                     try:
                         solve_start = time.perf_counter()
-                        model = reachable(build_model(params))
-                        vi_result = value_iteration(model)
+                        vi_result = value_iteration(build_model(params))
                         solve_s = time.perf_counter() - solve_start
                         chooser = PolicyChooser(vi_result)
                         ehmdp_mode = "exact"

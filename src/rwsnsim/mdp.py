@@ -25,10 +25,10 @@ touch the queue alone, so the kernels factor further: U = I x A and
 S_k = M_k (I x A), where A is the (Q+1) x (Q+1) arrival kernel of one
 queue, I spans the K+1 battery levels and M_k is node k's battery move and
 departure. `build_model` applies the tables once, assembling A and the
-M_k, and derives the rest from the M_k and the arrival law: rU (below),
-and the sparse rows, one entry per (nonzero of M_k, arrival count X) with
-the packets it drops as its reward. The solve and the myopic chooser read
-A, the M_k and rU; only the benchmark and the test oracles read the rows.
+M_k, and derives rU (below) from the arrival law. The solve and both
+choosers read A, the M_k and rU. The sparse rows, one entry per (nonzero
+of M_k, arrival count X) with the packets it drops as its reward, are
+derived from the M_k on first read, for the benchmark and the test oracles.
 
 Every drop is a packet that arrives after the slot's departure and battery
 move and finds the queue full. So a selected node's expected loss is its
@@ -80,13 +80,14 @@ also the one plain value iteration returns is not proved. With the shift
 alone it was, since a constant moves every action's Q alike; mixed
 iterates are other vectors. Tests pin it on the desk instances and at N=3.
 
-Reachable levels. `reachable` restricts a model to B x {0..Q} per node, B
-the least set of battery levels that holds `initial_battery` and that every
-kernel's move keeps, read off M. That set of joint states is closed under
-every action: an unselected node's battery does not move, a selected one
-moves within B, and arrivals move queues alone. A closed set is a sub-MDP
-with the same Bellman equation on its states (Puterman, 1994), so its solve
-is exact on every state a run, which starts there with empty queues, can
+Reachable levels. `build_model` holds B x {0..Q} per node, B the least
+set of battery levels that holds `initial_battery` and that every kernel's
+move keeps, read off the M of every level; when B drops a level, it builds
+the kernels again on B. That set of joint states is closed under every
+action: an unselected node's battery does not move, a selected one moves
+within B, and arrivals move queues alone. A closed set is a sub-MDP with
+the same Bellman equation on its states (Puterman, 1994), so its solve is
+exact on every state a run, which starts there with empty queues, can
 visit. At the defaults both moves from a full battery end full: B = {K},
 and N=3 solves 343 states, not 74,088.
 
@@ -119,6 +120,7 @@ boundaries need explicit choices):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import getitem
 
 import numpy as np
@@ -151,15 +153,14 @@ class ValueIterationError(RuntimeError):
 @dataclass
 class TransitionModel:
     """The per-node kernels U, S_0, ..., S_{N-1}, kernel j = M_j (I x A), over the
-    battery `levels` it holds (0..K for `build_model`), every queue length at
-    each: local state i * (Q+1) + q is level levels[i] with q packets, and m
-    counts them. In the factors the solve reads: `arrival` A, (Q+1) x (Q+1);
-    `moves` M, per kernel the dense m x m move of the battery and the
-    departure (M_0 = I); `loss` rU, U's expected loss per local state. The
-    sparse rows are derived from M and the arrival law, for the benchmark and
-    the test oracles: row r = j * m + local state spans entries
-    [row_ptr[r], row_ptr[r+1]) of (local next state, probability, packets
-    dropped), one per nonzero of M and arrival count.
+    battery `levels` it holds, every queue length at each: local state
+    i * (Q+1) + q is level levels[i] with q packets, and m counts them. In the
+    factors the solve reads: `arrival` A, (Q+1) x (Q+1); `moves` M, per kernel
+    the dense m x m move of the battery and the departure (M_0 = I); `loss`
+    rU, U's expected loss per local state. In the sparse `rows`, derived on
+    first read, row r = j * m + local state spans entries [row_ptr[r],
+    row_ptr[r+1]) of (local next state, probability, packets dropped), one
+    per nonzero of M and arrival count.
     """
 
     params: NetworkParams
@@ -167,10 +168,6 @@ class TransitionModel:
     arrival: np.ndarray
     moves: np.ndarray
     loss: np.ndarray
-    row_ptr: np.ndarray
-    next_state: np.ndarray
-    prob: np.ndarray
-    reward: np.ndarray
 
     @property
     def n_actions(self) -> int:
@@ -180,19 +177,53 @@ class TransitionModel:
     def n_states(self) -> int:
         return self.moves.shape[1] ** self.n_actions
 
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """(row_ptr, next_state, prob, reward), for the benchmark and the test oracles:
+        each nonzero of M times each arrival count, then the queue capped at Q."""
+        moves, pmf, Q = self.moves, arrival_pmf(self.params), self.params.queue_cap
+        j, s, mid = np.nonzero(moves)
+        prob = moves[j, s, mid][:, None] * pmf
+        level = (mid % (Q + 1))[:, None] + np.arange(pmf.size)
+        nxt = (mid - mid % (Q + 1))[:, None] + np.minimum(level, Q)
+        keep = prob > 0.0
+        rows = np.repeat(j * moves.shape[1] + s, keep.sum(axis=1))
+        row_ptr = np.searchsorted(rows, np.arange(moves.shape[0] * moves.shape[1] + 1))
+        return (row_ptr.astype(np.int64), nxt[keep].astype(np.int64), prob[keep],
+                np.maximum(level - Q, 0)[keep].astype(np.float64))
+
+    row_ptr = property(lambda self: self.rows[0])
+    next_state = property(lambda self: self.rows[1])
+    prob = property(lambda self: self.rows[2])
+    reward = property(lambda self: self.rows[3])
+
 
 def build_model(params: NetworkParams) -> TransitionModel:
     """The kernels U, S_0, ..., S_{N-1} of the per-node law, from the energy
-    profiles of `params`, in factors and as rows; O(N * per-node states^2)."""
-    Q, m = params.queue_cap, params.per_node_states
-    battery, queue = np.divmod(np.arange(m), Q + 1)
+    profiles of `params`, on the battery levels a run can be in (see Reachable
+    levels); O(N * per-node states^2)."""
+    width, batteries = params.queue_cap + 1, params.battery_levels + 1
+    model = _build(params, np.arange(batteries))
+    # step[b, c]: some kernel moves some state at level b to level c
+    step = model.moves.reshape(-1, batteries, width, batteries, width).any(axis=(0, 2, 4))
+    kept = np.arange(batteries) == params.initial_battery
+    for _ in range(params.battery_levels):  # a pass that changes `kept` adds a level, K at most
+        kept = kept | step[kept].any(axis=0)
+    return model if kept.all() else _build(params, np.flatnonzero(kept))
+
+
+def _build(params: NetworkParams, levels: np.ndarray) -> TransitionModel:
+    """The kernels on the battery `levels`, a set that every move keeps."""
+    Q, m = params.queue_cap, len(levels) * (params.queue_cap + 1)
+    level, queue = np.divmod(np.arange(m), Q + 1)
+    battery = levels[level]
     ps = packet_success_prob(params)
-    # per kernel and local state: the battery after the slot, and P(D = 1)
-    after, departs = [battery], [np.zeros(m)]
+    # per kernel and local state: the level after the slot, and P(D = 1)
+    after, departs = [level], [np.zeros(m)]
     for prof in energy_profiles(params):
         tx = (queue >= 1) & (battery >= prof.min_tx_level)
-        after.append(np.where(tx, np.take(prof.after_tx, battery),
-                              np.take(prof.after_charge, battery)))
+        after.append(np.searchsorted(levels, np.where(tx, np.take(prof.after_tx, battery),
+                                                      np.take(prof.after_charge, battery))))
         departs.append(np.where(tx, ps, 0.0))
     after, departs = np.array(after), np.array(departs)
     pmf = arrival_pmf(params)
@@ -211,46 +242,8 @@ def build_model(params: NetworkParams) -> TransitionModel:
             raise AssertionError(f"a row of {name} sums to 1 +- {off.max()!r}")
     # rU: U's expected overflow per queue length, the arrivals summed in order
     over = np.maximum(length + np.arange(pmf.size) - Q, 0)
-    loss = np.tile(np.add.accumulate(over * pmf, axis=1)[:, -1], params.battery_levels + 1)
-    return TransitionModel(params, np.arange(params.battery_levels + 1), arrival, moves, loss,
-                           *_rows(moves, pmf, Q))
-
-
-def _rows(moves: np.ndarray, pmf: np.ndarray, Q: int) -> tuple[np.ndarray, ...]:
-    """The sparse rows of kernels with moves M, for the benchmark and the oracles:
-    each nonzero of M times each arrival count, then the queue capped at Q and
-    the overflow dropped."""
-    j, s, mid = np.nonzero(moves)
-    prob = moves[j, s, mid][:, None] * pmf
-    level = (mid % (Q + 1))[:, None] + np.arange(pmf.size)
-    nxt = (mid - mid % (Q + 1))[:, None] + np.minimum(level, Q)
-    keep = prob > 0.0
-    rows = np.repeat(j * moves.shape[1] + s, keep.sum(axis=1))
-    row_ptr = np.searchsorted(rows, np.arange(moves.shape[0] * moves.shape[1] + 1))
-    return (row_ptr.astype(np.int64), nxt[keep].astype(np.int64), prob[keep],
-            np.maximum(level - Q, 0)[keep].astype(np.float64))
-
-
-def reachable(model: TransitionModel) -> TransitionModel:
-    """`model` on B, the least set of battery levels that holds `initial_battery`
-    and that no kernel's move leaves, with every queue length at each (see
-    Reachable levels); `model` itself when B holds every level."""
-    p = model.params
-    width, batteries = p.queue_cap + 1, p.battery_levels + 1
-    # step[b, c]: some kernel moves some state at level b to level c
-    step = model.moves.reshape(-1, batteries, width, batteries, width).any(axis=(0, 2, 4))
-    kept = np.arange(batteries) == p.initial_battery
-    for _ in range(p.battery_levels):  # a pass that changes `kept` adds a level, K at most
-        kept = kept | step[kept].any(axis=0)
-    if kept.all():
-        return model
-    levels = np.flatnonzero(kept)
-    local = (levels[:, None] * width + np.arange(width)).reshape(-1)
-    # C-contiguous: a fancy-indexed copy has other strides, which send BLAS down
-    # another summation path and part actions whose Q ties to rounding
-    moves = np.ascontiguousarray(model.moves[:, local][:, :, local])
-    return TransitionModel(p, levels, model.arrival, moves, model.loss[local],
-                           *_rows(moves, arrival_pmf(p), p.queue_cap))
+    loss = np.tile(np.add.accumulate(over * pmf, axis=1)[:, -1], len(levels))
+    return TransitionModel(params, levels, arrival, moves, loss)
 
 
 @dataclass
@@ -501,17 +494,20 @@ class PolicyChooser:
 class MyopicChooser:
     """Approximate mode for joint spaces too large to enumerate.
 
-    One-step lookahead on the factors, rU the expected loss of U: selecting
-    node n rather than leaving it to U moves it by M_n first, which changes
-    this slot's expected loss plus the discounted loss of the next, every
-    node then left to U, by ((M_n - I) y)(s), y = rU + omega * (I x A) rU;
-    every other node's terms cancel out of the argmin. Documented heuristic
-    stand-in for the exact policy; ties go to the longest queue, then the
-    lowest battery, then the lowest index. A score depends only on the node
-    and its own (battery, queue), so the sort keys are tabulated once. They
-    are distinct (each carries its node), so one sort turns them into
-    integer ranks, and a choice is the node of the least rank among N
-    lookups.
+    One-step lookahead on the factors of `build_model`'s model, rU the
+    expected loss of U: selecting node n rather than leaving it to U moves it
+    by M_n first, which changes this slot's expected loss plus the discounted
+    loss of the next, every node then left to U, by ((M_n - I) y)(s),
+    y = rU + omega * (I x A) rU; every other node's terms cancel out of the
+    argmin. Documented heuristic stand-in for the exact policy; ties go to
+    the longest queue, then the lowest battery, then the lowest index. rU
+    and A see the queue alone, and so does y: the score sums M_n's battery
+    part out and applies its queue part to y in order, so states whose queue
+    parts are equal tie, whichever levels they move to. A score depends only
+    on the node and its own (battery, queue), so the sort keys are tabulated
+    once, on the model's levels (any other level raises KeyError). They are
+    distinct (each carries its node), so one sort turns them into integer
+    ranks, and a choice is the node of the least rank among N lookups.
 
     Rows per battery vector. A call reads node n's rank at its queue from
     ``rows[n]``, the node's rank list at its battery. The rows are read at
@@ -525,24 +521,25 @@ class MyopicChooser:
     them again.
     """
 
-    def __init__(self, params: NetworkParams):
-        model = build_model(params)
-        loss, width = model.loss, params.queue_cap + 1
-        y = loss + params.discount * (loss.reshape(-1, width) @ model.arrival.T).reshape(-1)
-        score = model.moves[1:] @ y - y
-        keys = [
-            [[(float(score[n, e * width + q]), -q, e, n) for q in range(width)]
-             for e in range(params.battery_levels + 1)]
-            for n in range(params.n_nodes)
-        ]
-        order = sorted(k for table in keys for row in table for k in row)
-        rank = {k: r for r, k in enumerate(order)}
-        self.node_of = [k[3] for k in order]
-        self.ranks = [[[rank[k] for k in row] for row in table] for table in keys]
+    def __init__(self, model: TransitionModel):
+        p, levels = model.params, model.levels.tolist()
+        n, width = p.n_nodes, p.queue_cap + 1
+        loss = model.loss[:width]   # the same at every level
+        y = loss + p.discount * (model.arrival @ loss)
+        queue_part = model.moves[1:].reshape(n, len(levels), width, len(levels), width).sum(axis=3)
+        score = np.add.accumulate(queue_part * y, axis=-1)[..., -1] - y
+        keys = [[[(float(score[k, i, q]), -q, b, k) for q in range(width)]
+                 for i, b in enumerate(levels)] for k in range(n)]
+        order = sorted(key for table in keys for row in table for key in row)
+        rank = {key: r for r, key in enumerate(order)}
+        self.node_of = [key[3] for key in order]
+        # per node, its rank list at each level the model holds
+        self.ranks = [{b: [rank[key] for key in row] for b, row in zip(levels, table)}
+                      for table in keys]
         self.levels = self.rows = None   # the battery vector and the rows read at it
 
     def __call__(self, batteries: list[int], queues: list[int]) -> int:
         if batteries != self.levels:
-            self.levels = list(batteries)
             self.rows = list(map(getitem, self.ranks, batteries))
+            self.levels = list(batteries)
         return self.node_of[min(map(getitem, self.rows, queues))]

@@ -13,7 +13,9 @@ This module writes the law the slow, direct way instead:
   * the node state (`NodeState`, range-checked by `check_node_state`) and
     the joint state indexing (`state_index`, `iter_joint_states`, ...) that
     enumeration needs; the solver itself only ever indexes local states;
-  * `expected`, the mean of a per-entry quantity over each of the solver's
+  * `full_model`, the solver's kernels on every battery level, where
+    `build_model` keeps those a run can be in, to check the law everywhere;
+    `expected`, the mean of a per-entry quantity over each of the solver's
     sparse rows, and `dense_kernel`, one of its per-node kernels read off
     those rows into a matrix, to check the rows against the law and the
     stored factors.
@@ -27,6 +29,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from rwsnsim import mdp
 from rwsnsim.core import NetworkParams
 from rwsnsim.energy import NodeEnergyProfile, energy_profiles, packet_success_prob
 from rwsnsim.mdp import TIE_RTOL, TransitionModel
@@ -329,6 +332,11 @@ def backward_induction(model: JointModel, omega: float, horizon: int):
                 best, best_a = q, a
         policy[s] = best_a
     return v, policy
+
+
+def full_model(params: NetworkParams) -> TransitionModel:
+    """The solver's kernels on every battery level 0..K, reachable or not."""
+    return mdp._build(params, np.arange(params.battery_levels + 1))
 
 
 def expected(model: TransitionModel, values: np.ndarray) -> np.ndarray:

@@ -7,9 +7,7 @@ import pytest
 
 from joint_oracle import NodeState, iter_joint_states, state_index, state_unindex
 from rwsnsim.core import NetworkParams, draw_channel_gains, validate
-from rwsnsim.experiments import _SPEC_SCHEMA, read_config
-
-NETWORK_FILE_SCHEMA = {name: _SPEC_SCHEMA[name] for name in ("network", "channel")}
+from rwsnsim.experiments import read_config
 
 
 def make_params(**kw):
@@ -149,24 +147,26 @@ class TestConfigFile:
             "[channel]\n"
             "seed = 11\n"
         )
-        cfg = read_config(str(cfg), NETWORK_FILE_SCHEMA)
-        assert cfg == {
+        cfg = read_config(str(cfg))
+        # every section of the schema, empty unless the file sets it
+        assert {name: values for name, values in cfg.items() if values} == {
             "network": {"queue_cap": 3, "arrival_prob": 0.25, "battery_quantum": 2e-3,
                         "channel_gain": (1.0, 0.5, 0.25)},
             "channel": {"seed": 11},
         }
+        assert set(cfg) == {"experiment", "network", "channel", "eqat", "rc"}
         assert type(cfg["network"]["queue_cap"]) is int
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
-            read_config("/nonexistent/net.ini", NETWORK_FILE_SCHEMA)
+            read_config("/nonexistent/net.ini")
 
     def test_every_unknown_section_and_key_named_in_one_error(self, tmp_path):
         cfg = tmp_path / "net.ini"
         cfg.write_text("[network]\nqueue_cap = 3\narival_prob = 0.2\n\n"
                        "[netwrok]\nqueue_cap = 4\n\n[channel]\nsede = 3\n")
         with pytest.raises(ValueError) as exc:
-            read_config(str(cfg), NETWORK_FILE_SCHEMA)
+            read_config(str(cfg))
         msg = str(exc.value)
         assert "[network] arival_prob" in msg
         assert "[netwrok]" in msg
@@ -176,7 +176,7 @@ class TestConfigFile:
         cfg = tmp_path / "net.ini"
         cfg.write_text("[network]\nqueue_cap = three\n")
         with pytest.raises(ValueError, match=r"\[network\] queue_cap"):
-            read_config(str(cfg), NETWORK_FILE_SCHEMA)
+            read_config(str(cfg))
 
 
 class TestArrivalsPerSlot:

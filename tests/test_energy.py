@@ -16,7 +16,7 @@ from rwsnsim.energy import (
     transfer_power,
     transmit_power,
 )
-from rwsnsim.mdp import MyopicChooser
+from rwsnsim.mdp import MyopicChooser, build_model
 
 # ln(0.2 / 5e-4) / 3, evaluated at 40 digits
 PD_RHO1_UNIT_GAIN = 1.997154849035994
@@ -241,7 +241,7 @@ class TestProfiles:
         assert exact.slot_len * exact.bandwidth * exact.max_modulation == exact.packet_bits
         assert validate(exact) == []
         assert [prof.order for prof in energy_profiles(exact)] == [1, 1]
-        MyopicChooser(exact)
+        MyopicChooser(build_model(exact))
         # a few ulps either side of the defaults' edge, where the product rounds
         below = above = edge = 256 / (5 * 250e3)
         slot_lens = [edge]
@@ -254,5 +254,5 @@ class TestProfiles:
             verdicts.add(validate(p) == [])
             if validate(p) == []:
                 assert len(energy_profiles(p)) == 2
-                MyopicChooser(p)
+                MyopicChooser(build_model(p))
         assert verdicts == {True, False}

@@ -24,7 +24,7 @@ from rwsnsim.experiments import (
     spec_from_config,
     write_outputs,
 )
-from rwsnsim.mdp import MyopicChooser, ValueIterationError
+from rwsnsim.mdp import MyopicChooser, ValueIterationError, build_model
 from rwsnsim.simulator import (STRATEGIES, EqatStrategy, FixedTableStrategy, make_strategy,
                                simulate_run)
 
@@ -345,7 +345,7 @@ class TestRunExperiment:
         params = spec.resolve_params(3, 10)
         for row in res.raw_rows:
             m, _ = simulate_run(params, "ehmdp", spec.slots, row["seed"],
-                                chooser=MyopicChooser(params))
+                                chooser=MyopicChooser(build_model(params)))
             assert (row["generated"], row["delivered"], row["dropped"]) == (
                 m.generated, m.delivered, m.dropped)
 

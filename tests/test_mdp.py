@@ -22,6 +22,7 @@ from joint_oracle import (
     build_joint_model,
     dense_kernel,
     expected,
+    full_model,
     iter_joint_states,
     joint_transition,
     joint_value_iteration,
@@ -35,7 +36,7 @@ from joint_oracle import (
     transition_reward,
 )
 from rwsnsim import mdp
-from rwsnsim.core import NetworkParams, draw_channel_gains
+from rwsnsim.core import NetworkParams, draw_channel_gains, validate
 from rwsnsim.energy import energy_profiles, packet_success_prob
 from rwsnsim.mdp import (
     TIE_RTOL,
@@ -45,7 +46,6 @@ from rwsnsim.mdp import (
     ValueIterationError,
     build_model,
     greedy_policy,
-    reachable,
     value_iteration,
 )
 from rwsnsim.simulator import EhmdpStrategy, Simulation, simulate_run
@@ -96,7 +96,7 @@ def sure_failure_params(n_nodes=1, **kw):
 def kernel_law(p, s, node=None):
     """Row s of node `node`'s selected kernel (of U when None): the next states'
     probabilities, merged over outcomes, and the row's expected loss."""
-    model = build_model(p)
+    model = full_model(p)
     matrix, cost = dense_kernel(model, 0 if node is None else 1 + node)
     width = p.queue_cap + 1
     idx = s.battery * width + s.queue
@@ -346,7 +346,7 @@ def product_row(model: TransitionModel, state: int, action: int) -> dict[int, tu
 class TestBuildModel:
     def test_minimal_space(self):
         p = make_params(n_nodes=1, battery_levels=1, queue_cap=1)
-        m = build_model(p)
+        m = full_model(p)
         assert m.n_states == 4
         assert m.n_actions == 1
         assert m.row_ptr.size == 2 * 4 + 1  # kernels U and S_0, four local states each
@@ -362,7 +362,7 @@ class TestBuildModel:
     )
     def test_row_sums_on_desk_instances(self, n, k, q, expected):
         p = desk_params(n, k, q)
-        m = build_model(p)
+        m = full_model(p)
         assert m.n_states == expected
         assert_kernel_rows_stochastic(m)
         joint = build_joint_model(p)
@@ -379,7 +379,7 @@ class TestBuildModel:
         # probabilities, and the summed per-node expected drops
         for extra in ({}, TWO_ARRIVALS):
             p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.3, **extra)
-            m = build_model(p)
+            m = full_model(p)
             rng = np.random.default_rng(5)
             for _ in range(50):
                 s = int(rng.integers(m.n_states))
@@ -395,7 +395,7 @@ class TestBuildModel:
 
     def test_stores_one_kernel_per_node_plus_the_arrival_kernel(self):
         p = make_params(n_nodes=3)
-        m = build_model(p)
+        m = full_model(p)
         assert p.per_node_states == 42
         assert m.row_ptr.size == 4 * 42 + 1
         # one entry per (departure, arrivals) outcome: at most 2 x 2 a row
@@ -410,7 +410,7 @@ class TestBuildModel:
                         channel_gain=(1.0, 0.4))
         assert p.arrivals_per_slot == round(10e-3 / period)
         profiles = energy_profiles(p)
-        model = build_model(p)
+        model = full_model(p)
         width = p.queue_cap + 1
         for j in range(p.n_nodes + 1):
             matrix, cost = dense_kernel(model, j)
@@ -427,7 +427,7 @@ class TestBuildModel:
 class TestValueIteration:
     def test_zero_rewards_give_zero_values(self):
         p = make_params(n_nodes=2, battery_levels=1, queue_cap=1, arrival_prob=0.0, discount=0.9)
-        m = build_model(p)
+        m = full_model(p)
         res = value_iteration(m)
         assert np.allclose(res.values, 0.0)
 
@@ -437,7 +437,7 @@ class TestValueIteration:
         # one from the next slot
         p = sure_failure_params(arrival_prob=1.0, battery_levels=1, queue_cap=1,
                                 discount=0.9, vi_tol=1e-10)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         full, empty = res.values[1::2], res.values[0::2]
         assert full == pytest.approx([1 / 0.1] * 2, rel=1e-9)
         assert empty == pytest.approx([0.9 / 0.1] * 2, rel=1e-9)
@@ -447,7 +447,7 @@ class TestValueIteration:
             n_nodes=2, battery_levels=2, queue_cap=2, max_modulation=2,
             arrival_prob=0.3, channel_gain=(1.0, 0.7), discount=0.9, vi_tol=1e-9,
         )
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         v_ref, pol_ref = backward_induction(build_joint_model(p), omega=p.discount, horizon=400)
         assert np.allclose(res.values, v_ref, atol=1e-6)
         assert list(res.policy) == pol_ref
@@ -459,13 +459,13 @@ class TestValueIteration:
         # depth's residual rises once in 24 sweeps), so mixing is off here
         monkeypatch.setattr(mdp, "ANDERSON_DEPTH", 0)
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4, discount=0.9)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         h = res.residual_history
         assert all(a >= b - 1e-15 for a, b in zip(h, h[1:]))
 
     def test_no_convergence_within_max_sweeps_raises(self, monkeypatch):
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4)
-        model = build_model(p)
+        model = full_model(p)
         assert value_iteration(model).sweeps > 2
         monkeypatch.setattr(mdp, "MAX_SWEEPS", 2)
         with pytest.raises(ValueIterationError, match="after 2 sweeps"):
@@ -473,7 +473,7 @@ class TestValueIteration:
 
     def test_values_non_negative_and_finite(self):
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.5)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         assert np.isfinite(res.values).all()
         assert (res.values >= -1e-15).all()
 
@@ -481,7 +481,7 @@ class TestValueIteration:
         # more backlog should never reduce expected loss, batteries held fixed
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4,
                         channel_gain=(1.0, 0.7), vi_tol=1e-9)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         violations = []
         for s in iter_joint_states(p):
             for n in range(p.n_nodes):
@@ -495,11 +495,19 @@ class TestValueIteration:
         assert violations == []
 
 
+def gathered_score(model):
+    """The myopic score per (node, local state) read through the sparse rows,
+    as c_S - c_U plus omega times (S_n - U) c_U."""
+    cost = expected(model, model.reward)
+    ahead = expected(model, cost[0][model.next_state])
+    return (cost[1:] - cost[0]) + model.params.discount * (ahead[1:] - ahead[0])
+
+
 class TestChoosers:
     def test_exact_chooser_is_table_lookup(self):
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.3,
                         channel_gain=(1.0, 0.7))
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         choose = PolicyChooser(res)
         for s in iter_joint_states(p):
             got = choose([ns.battery for ns in s], [ns.queue for ns in s])
@@ -510,20 +518,20 @@ class TestChoosers:
 
     def test_myopic_prefers_the_full_node(self):
         p = make_params(n_nodes=3, arrival_prob=0.2)
-        choose = MyopicChooser(p)
+        choose = MyopicChooser(full_model(p))
         assert choose([3, 3, 3], [0, p.queue_cap, 0]) == 1
 
     def test_myopic_ties_break_to_longest_queue(self):
         p = make_params(n_nodes=3, arrival_prob=0.2)
-        choose = MyopicChooser(p)
+        choose = MyopicChooser(full_model(p))
         # no overflow risk anywhere: all score deltas are zero
         assert choose([3, 3, 3], [1, 3, 2]) == 1
 
     def test_myopic_agreement_with_exact_policy_recorded(self, capsys):
         p = make_params(n_nodes=2, battery_levels=2, queue_cap=2, arrival_prob=0.4,
                         channel_gain=(1.0, 0.7))
-        res = value_iteration(build_model(p))
-        approx = MyopicChooser(p)
+        res = value_iteration(full_model(p))
+        approx = MyopicChooser(full_model(p))
         agree = 0
         total = 0
         for s in iter_joint_states(p):
@@ -548,7 +556,7 @@ class TestChoosers:
             for s in iter_joint_states(p)
         ])
         lookahead = bellman_q(build_joint_model(p), idle_loss, p.discount)
-        choose = MyopicChooser(p)
+        choose = MyopicChooser(full_model(p))
         for s, scores in zip(iter_joint_states(p), lookahead):
             tied = np.flatnonzero(scores <= scores.min() + 1e-12)
             # ties: longest queue, then lowest battery, then lowest index
@@ -560,7 +568,7 @@ class TestChoosers:
         # on a scarce N=10 run whose batteries move: the simulator passes its
         # own lists, which it changes in place between calls
         p = make_params(n_nodes=10, channel_gain=draw_channel_gains(10), bs_power=1.0)
-        choose = MyopicChooser(p)
+        choose = MyopicChooser(full_model(p))
 
         def fresh(batteries, queues):
             return choose.node_of[min(table[e][q]
@@ -589,22 +597,80 @@ class TestChoosers:
     @pytest.mark.parametrize("n", [10, 50])
     @pytest.mark.parametrize("extra", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
     def test_myopic_ranks_match_the_gather_through_the_rows(self, n, extra):
-        # the score read through the sparse rows, as c_S - c_U plus omega
-        # times (S_n - U) c_U, tabulated and sorted like the chooser's keys
+        # the score read through the sparse rows, tabulated and sorted like
+        # the chooser's keys
         p = make_params(n_nodes=n, channel_gain=draw_channel_gains(n), **extra)
-        model = build_model(p)
-        cost = expected(model, model.reward)
-        ahead = expected(model, cost[0][model.next_state])
-        score = (cost[1:] - cost[0]) + p.discount * (ahead[1:] - ahead[0])
+        model = full_model(p)
+        score = gathered_score(model)
         width = p.queue_cap + 1
         keys = [(float(score[node, s]), -(s % width), s // width, node)
                 for node in range(n) for s in range(p.per_node_states)]
         order = sorted(keys)
         rank = {k: r for r, k in enumerate(order)}
-        choose = MyopicChooser(p)
+        choose = MyopicChooser(model)
         assert choose.node_of == [k[3] for k in order]
-        # keys run node by node, then battery, then queue, as the ranks do
-        assert choose.ranks == np.reshape([rank[k] for k in keys], (n, -1, width)).tolist()
+        # keys run node by node, then battery, then queue, as the rank rows do
+        assert [[table[b] for b in model.levels.tolist()] for table in choose.ranks] == \
+            np.reshape([rank[k] for k in keys], (n, -1, width)).tolist()
+
+    def test_myopic_ties_do_not_depend_on_the_columns_a_move_lands_in(self):
+        # N=4 at the defaults but ber_target 1e-3, over the default budget,
+        # so ehmdp runs this chooser: nodes 0 and 1 at battery 2 with full
+        # queues, node 0's transmission costing 1 level and node 1's 2, so
+        # their moves land in other columns of M. Both send from the same
+        # queue with the same success probability: a tie, which the lowest
+        # index takes. Scored on the whole move, node 1 won by an ulp
+        p = make_params(n_nodes=4, channel_gain=draw_channel_gains(4), ber_target=1e-3)
+        assert [prof.min_tx_level for prof in energy_profiles(p)][:2] == [1, 2]
+        model = full_model(p)
+        choose = MyopicChooser(model)
+        Q = p.queue_cap
+        assert choose([2, 2, 5, 5], [Q, Q, 0, 0]) == 0
+        # every set of states whose moves have equal queue parts, at equal
+        # queues, ranks by the tie keys: lowest battery, then lowest index
+        width = Q + 1
+        part = model.moves[1:].reshape(p.n_nodes, -1, width, len(model.levels), width).sum(axis=3)
+        tied = {}
+        for k, b, q in np.ndindex(part.shape[:3]):
+            tied.setdefault((part[k, b, q].tobytes(), q), []).append((b, k))
+        assert max(map(len, tied.values())) > 1
+        for (_, q), states in tied.items():
+            ranks = [choose.ranks[k][b][q] for b, k in sorted(states)]
+            assert ranks == sorted(ranks), (q, states)
+
+    @pytest.mark.parametrize("extra", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
+    def test_myopic_score_sees_only_nodes_that_can_send_from_a_nearly_full_queue(self, extra):
+        # on the README networks (one arrival per slot, Q = 6) no packet can
+        # drop within two slots from 4 packets or fewer, and a node that
+        # cannot transmit only charges: its score is exactly 0, and so the
+        # tie keys alone choose among such states
+        p = make_params(n_nodes=10, channel_gain=draw_channel_gains(10), **extra)
+        assert (p.arrivals_per_slot, p.queue_cap) == (1, 6)
+        score = gathered_score(full_model(p)).reshape(p.n_nodes, p.battery_levels + 1, -1)
+        cost = [prof.min_tx_level for prof in energy_profiles(p)]
+        sends = np.array([[[b >= cost[k] and q >= 5 for q in range(7)]
+                           for b in range(p.battery_levels + 1)] for k in range(p.n_nodes)])
+        assert (score != 0.0).tolist() == sends.tolist()
+        # the same two values at q = 5 and q = 6 for every node that can send
+        assert np.abs(score[sends].reshape(-1, 2) - [-0.0752, -0.4395]).max() < 5e-5
+
+    def test_myopic_ties_select_a_node_that_cannot_transmit(self):
+        # an artefact of that blindness, on the scarce N=10 network: node 0 at
+        # battery 1, below its cost of 2, with 5 packets, against node 1 at
+        # battery 5 with 4. Both score 0, the longer queue takes the tie, and
+        # the slot is charge-only although node 1 could deliver; with 4
+        # packets each the lower battery takes it, node 0 again
+        p = make_params(n_nodes=10, channel_gain=draw_channel_gains(10), bs_power=1.0)
+        model = build_model(p)
+        assert model.levels.tolist() == [1, 2, 3, 4, 5]
+        assert [prof.min_tx_level for prof in energy_profiles(p)][:2] == [2, 2]
+        choose = MyopicChooser(model)
+        rest = [5] * 8, [0] * 8
+        assert choose([1, 5, *rest[0]], [5, 4, *rest[1]]) == 0
+        assert choose([1, 5, *rest[0]], [4, 4, *rest[1]]) == 0
+        # and a level the model does not hold is refused, as PolicyChooser does
+        with pytest.raises(KeyError):
+            choose([0, 5, *rest[0]], [4, 4, *rest[1]])
 
 
 def pipeline_n3_params(**kw):
@@ -632,8 +698,8 @@ KERNEL_CASES = {
                          ids=[*KERNEL_CASES, *(f"{name}-reachable" for name in KERNEL_CASES)])
 def test_kernels_are_the_moves_then_the_arrivals(p, restrict):
     # the solver's stored factors against the sparse rows: U = I x A, S_k = M_k (I x A),
-    # on the full model and on the battery levels a run reaches
-    model = reachable(build_model(p)) if restrict else build_model(p)
+    # on every battery level and on the levels a run reaches
+    model = build_model(p) if restrict else full_model(p)
     arrival, moves, m = model.arrival, model.moves, model.moves.shape[1]
     queue_only = np.kron(np.eye(len(model.levels)), arrival)
     assert arrival.shape == (p.queue_cap + 1, p.queue_cap + 1)
@@ -668,13 +734,41 @@ DROPS_LEVELS = {"n3": pipeline_n3_params(), "n3-scarce": pipeline_n3_params(bs_p
                 "desk256-empty": replace(desk_params(2, 5, 6), initial_battery=0)}
 
 
+def sliced(full, levels):
+    """`full` sliced to the battery `levels` with every queue length at each,
+    the model the solve read before `build_model` built those levels itself."""
+    width = full.params.queue_cap + 1
+    local = (levels[:, None] * width + np.arange(width)).reshape(-1)
+    return TransitionModel(full.params, levels, full.arrival,
+                           np.ascontiguousarray(full.moves[:, local][:, :, local]), full.loss[local])
+
+
+def random_networks(count, seed=0):
+    """`count` valid networks of 1-3 nodes with drawn sizes, supply, load,
+    channel and start battery."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n, k = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        p = make_params(
+            n_nodes=n, battery_levels=k, queue_cap=int(rng.integers(2, 8)),
+            bs_power=float(rng.choice([0.3, 0.5, 0.77, 1.0, 1.5, 3.0])),
+            arrival_prob=float(rng.uniform(0.05, 0.9)),
+            arrival_period=float(rng.choice([10e-3, 5e-3, 10e-3 / 3])),
+            ber_target=float(rng.choice([5e-4, 1e-3, 1e-2])),
+            initial_battery=int(rng.integers(0, k + 1)) if rng.random() < 0.5 else None,
+            channel_gain=draw_channel_gains(n, seed=int(rng.integers(100))))
+        if not validate(p):
+            out.append(p)
+    return out
+
+
 @pytest.fixture(scope="module")
 def full_and_reachable():
-    """Per DROPS_LEVELS instance, the full model and its solve, and the same of
-    the model on the reachable levels."""
+    """Per DROPS_LEVELS instance, the model on every level and its solve, and the
+    same of `build_model`'s, on the reachable levels."""
     def solve(name):
-        full = build_model(DROPS_LEVELS[name])
-        kept = reachable(full)
+        full, kept = full_model(DROPS_LEVELS[name]), build_model(DROPS_LEVELS[name])
         return full, value_iteration(full), kept, value_iteration(kept)
     return functools.cache(solve)
 
@@ -700,10 +794,37 @@ class TestReachable:
         assert np.max(np.abs(kept.moves.sum(axis=2) - 1.0)) <= 1e-12
         assert (kept.loss == full.loss[local]).all()
 
+    def test_build_model_is_every_level_sliced_to_its_levels(self):
+        # bit for bit: the factors, and the rows derived from them
+        networks = [*DROPS_LEVELS.values(), *random_networks(60)]
+        dropped = 0
+        for p in networks:
+            model, full = build_model(p), full_model(p)
+            reference = sliced(full, model.levels)
+            for name in ("levels", "arrival", "moves", "loss",
+                         "row_ptr", "next_state", "prob", "reward"):
+                got, want = getattr(model, name), getattr(reference, name)
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes()), (p, name)
+            # the kept levels hold the start and are closed under every move
+            width = p.queue_cap + 1
+            local = np.isin(np.arange(full.moves.shape[1]) // width, model.levels)
+            assert p.initial_battery in model.levels.tolist()
+            assert (full.moves[:, local][:, :, ~local] == 0.0).all()
+            dropped += model.levels.size < p.battery_levels + 1
+        assert 20 < dropped < len(networks)
+
+    def test_rows_are_derived_only_when_read(self):
+        # the solve and both choosers read the factors alone
+        model = build_model(pipeline_n3_params(bs_power=1.0))
+        MyopicChooser(model)
+        value_iteration(model)
+        assert "rows" not in vars(model)
+        assert model.prob.size == model.row_ptr[-1] and "rows" in vars(model)
+
     def test_every_level_reachable_keeps_the_model(self):
-        model = build_model(replace(desk_params(2, 2, 2), bs_power=0.5))
-        assert model.levels.tolist() == [0, 1, 2]
-        assert reachable(model) is model
+        p = replace(desk_params(2, 2, 2), bs_power=0.5)
+        assert build_model(p).levels.tolist() == full_model(p).levels.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("name", DROPS_LEVELS)
     def test_moves_are_c_contiguous(self, name, full_and_reachable):
@@ -761,7 +882,7 @@ class TestTieRule:
         # rows: the solver's choice must be the first action within the tie
         # tolerance of that backup's minimum, whatever the summation order
         p, joint, _ = n3_oracle
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         q = bellman_q(joint, res.values, p.discount)
         assert (res.policy == tie_policy(q)).all()
         # and the tolerance only merges rounding ties: real gaps are far above it
@@ -789,13 +910,13 @@ class TestOracleParity:
     @pytest.mark.parametrize("n,k,q", DESK_N4)
     def test_desk_instances(self, n, k, q, desk_joint):
         p = desk_params(n, k, q)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         self.assert_same_solve(res, joint_value_iteration(desk_joint(n, k, q), p.discount,
                                                           p.vi_tol))
 
     def test_n3_defaults(self, n3_oracle):
         p, _, oracle = n3_oracle
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         self.assert_same_solve(res, oracle)
         assert res.residual == pytest.approx(oracle[3][-1], rel=1e-6)
 
@@ -813,23 +934,23 @@ class TestMacQueenStop:
     @pytest.mark.parametrize("n,k,q", DESK)
     def test_policy_of_plain_vi_on_desk_instances(self, n, k, q):
         p = desk_params(n, k, q)
-        self.assert_policy_of_plain_vi(value_iteration(build_model(p)), build_joint_model(p), p)
+        self.assert_policy_of_plain_vi(value_iteration(full_model(p)), build_joint_model(p), p)
 
     def test_policy_of_plain_vi_at_n3_defaults(self, n3_oracle):
         p, joint, _ = n3_oracle
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         assert res.sweeps < self.assert_policy_of_plain_vi(res, joint, p)
 
     def test_policy_of_plain_vi_at_n3_low_power(self):
         p = pipeline_n3_params(bs_power=1.0)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         assert res.sweeps < self.assert_policy_of_plain_vi(res, build_joint_model(p), p)
 
     @pytest.mark.parametrize("n,k,q", DESK)
     def test_within_tolerance_of_the_optimum(self, n, k, q):
         p = desk_params(n, k, q)
         joint = build_joint_model(p)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         v_star = optimal_values(joint, p.discount)
         # v* is the Bellman fixed point to rounding
         assert np.max(np.abs(bellman_q(joint, v_star, p.discount).min(axis=1) - v_star)) < 1e-10
@@ -843,15 +964,16 @@ class TestMacQueenStop:
         # the summation order, and with it every bit of the values, the sweep
         # count and the policy, is the same at one thread and at two
         code = ("import hashlib; from rwsnsim.core import NetworkParams, draw_channel_gains; "
-                "from rwsnsim.mdp import build_model, value_iteration; "
+                "from joint_oracle import full_model; from rwsnsim.mdp import value_iteration; "
                 f"p = NetworkParams(n_nodes=3, channel_gain=draw_channel_gains(3){extra}); "
-                "r = value_iteration(build_model(p)); "
+                "r = value_iteration(full_model(p)); "
                 "print(r.sweeps, hashlib.sha256(r.policy.tobytes()).hexdigest(), "
                 "hashlib.sha256(r.values.tobytes()).hexdigest())")
-        src = str(Path(rwsnsim.__file__).resolve().parents[1])
+        path = os.pathsep.join([str(Path(rwsnsim.__file__).resolve().parents[1]),
+                                str(Path(__file__).resolve().parent)])
         outs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
             done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                   text=True, timeout=120)
             assert done.returncode == 0, done.stderr
@@ -876,25 +998,25 @@ class TestAnderson:
         p = desk_params(n, k, q)
         v = np.random.default_rng(n * k * q).uniform(0.0, 10.0, p.joint_state_count)
         expect = bellman_q(desk_joint(n, k, q), v, p.discount)
-        assert np.max(np.abs(self.backup_q(build_model(p), v) - expect)) <= 1e-12
+        assert np.max(np.abs(self.backup_q(full_model(p), v) - expect)) <= 1e-12
 
     def test_backup_is_the_joint_bellman_operator_at_n3(self, n3_oracle):
         p, joint, _ = n3_oracle
         v = np.random.default_rng(3).uniform(0.0, 10.0, p.joint_state_count)
         expect = bellman_q(joint, v, p.discount)
-        assert np.max(np.abs(self.backup_q(build_model(p), v) - expect)) <= 1e-12
+        assert np.max(np.abs(self.backup_q(full_model(p), v) - expect)) <= 1e-12
 
     @pytest.mark.parametrize("n,k,q", DESK)
     def test_policy_of_the_oracle_solve_on_desk_instances(self, n, k, q):
         p = desk_params(n, k, q)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         _, policy, sweeps, _ = joint_value_iteration(build_joint_model(p), p.discount, p.vi_tol)
         assert (res.policy == policy).all()
         assert res.sweeps < sweeps
 
     def test_policy_of_the_oracle_solve_at_n3_defaults(self, n3_oracle):
         p, _, (_, policy, sweeps, _) = n3_oracle
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         assert (res.policy == policy).all()
         assert res.residual < p.vi_tol * (1 - p.discount) / (2 * p.discount)
         assert 4 * res.sweeps < sweeps
@@ -905,7 +1027,7 @@ class TestAnderson:
         # the mixed iterates must stay inside the tie tolerance
         gains = draw_channel_gains(3)
         p = make_params(n_nodes=3, channel_gain=(gains[0], gains[0], gains[2]))
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         m = p.per_node_states
         state = np.arange(p.joint_state_count)
         symmetric = res.policy[state // m ** 2 == (state // m) % m]
@@ -919,7 +1041,7 @@ class TestAnderson:
         # those of the shifted oracle
         p = desk_params(2, 5, 6)
         monkeypatch.setattr(mdp, "ANDERSON_RISE", 0.0)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         values, policy, sweeps, _ = joint_value_iteration(build_joint_model(p), p.discount,
                                                           p.vi_tol)
         assert res.sweeps == sweeps
@@ -933,7 +1055,7 @@ class TestAnderson:
         p = desk_params(2, 5, 6)
         joint = build_joint_model(p)
         monkeypatch.setattr(mdp, "ANDERSON_RISE", 1.0)
-        res = value_iteration(build_model(p))
+        res = value_iteration(full_model(p))
         assert res.fallbacks > 0
         assert res.residual < p.vi_tol * (1 - p.discount) / (2 * p.discount)
         v_star = optimal_values(joint, p.discount)
@@ -948,7 +1070,7 @@ class TestBlasSlices:
     @pytest.mark.parametrize("p", [pipeline_n3_params(), desk_params(4, 2, 2)],
                              ids=["n3", "desk422"])
     def test_every_matmul_of_a_backup_is_one_slice(self, p, monkeypatch):
-        model = build_model(p)
+        model = full_model(p)
         backup = mdp._Backup(model)
         v = np.random.default_rng(1).uniform(0.0, 10.0, p.joint_state_count)
         calls = []
@@ -988,7 +1110,7 @@ class TestBlasSlices:
 def test_solve_holds_the_same_joint_rows_at_any_node_count(p):
     # v, Tv, common, two work rows and 2 * ANDERSON_DEPTH history rows, and no
     # row per action: at the end, the per-action rows reuse the history's memory
-    model = build_model(p)
+    model = full_model(p)
     tracemalloc.start()
     try:
         value_iteration(model)

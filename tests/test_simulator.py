@@ -7,7 +7,7 @@ import pytest
 
 from eqat_oracle import (Decision, EqatController, FixedProbContention, FullQueueContention,
                          advertised, collided_transition, eqat_decide, transmit_ready)
-from joint_oracle import NodeState
+from joint_oracle import NodeState, full_model
 from rwsnsim.core import NetworkParams, draw_channel_gains
 from rwsnsim.eqat import TxProbDesign, escalate, tx_prob
 from rwsnsim.energy import energy_profiles, packet_success_prob
@@ -51,7 +51,7 @@ def strategy_kw(p, name, **kw):
     chooser of `p` unless `kw` holds a chooser, as a scenario above the state
     budget ships it."""
     if name == "ehmdp":
-        kw.setdefault("chooser", MyopicChooser(p))
+        kw.setdefault("chooser", MyopicChooser(build_model(p)))
     return kw
 
 
@@ -481,7 +481,7 @@ class TestOneSlotLaw:
     def test_kernel_moves_read_the_tables(self, network):
         p = SLOT_LAW_PARAMS[network]
         profiles = energy_profiles(p)
-        model = build_model(p)
+        model = full_model(p)
         width, m = p.queue_cap + 1, p.per_node_states
         for node, prof in enumerate(profiles):
             for level in range(p.battery_levels + 1):
@@ -1023,10 +1023,10 @@ class TestModelAgreement:
 
     @pytest.mark.parametrize("network", [{}, {"bs_power": 1.0}], ids=["defaults", "scarce"])
     def test_predicted_delivery_within_3_stderr_of_simulation(self, network):
-        from rwsnsim.mdp import reachable, value_iteration
+        from rwsnsim.mdp import value_iteration
 
         p = make_params(n_nodes=3, channel_gain=draw_channel_gains(3), **network)
-        model = reachable(build_model(p))
+        model = build_model(p)
         solve = value_iteration(model)
         slots = 5_000
         predicted = closed_loop_delivered(model, solve.policy, slots)
@@ -1115,7 +1115,7 @@ class TestLowestIndexTie:
     def test_fq_and_myopic_ehmdp_starve_the_high_indices_and_rs_does_not(self):
         p = make_params(n_nodes=10, channel_gain=draw_channel_gains(10))
         fq = self.delivered_per_node(p, "fq")
-        assert self.delivered_per_node(p, "ehmdp", chooser=MyopicChooser(p)) == fq
+        assert self.delivered_per_node(p, "ehmdp", chooser=MyopicChooser(build_model(p))) == fq
         assert fq[-1] < 0.01 * fq[0]
         rs = self.delivered_per_node(p, "rs")
         assert min(rs) > 0.5 * max(rs)
