@@ -22,11 +22,11 @@ it also records how each ehmdp solve went (mode, and for an exact solve its
 sweep count, final residual, the sweeps that fell back from Anderson mixing
 to the plain step, the joint states it held, and the build-plus-solve wall
 time, the one entry a rerun does not reproduce). A scenario whose
-parameters alone fail `core.validate` is reported once, as one failure, and
-skipped. A scenario
-whose exact solve fails is one failure row too, and runs no ehmdp: no
-other chooser stands in under its name (the myopic one runs only above
-the state budget), so its ehmdp mode is None and it has no ehmdp rows.
+parameters alone fail `core.validate` is reported once, as one failure,
+and skipped. A scenario whose model build or solve fails, in either mode,
+is one failure row too, and runs no ehmdp: no other chooser stands in
+under its name (the myopic one runs only above the state budget), so its
+ehmdp mode is None and it has no ehmdp rows.
 
 A config file's keys are the declared names of what each section sets,
 and each value converts by its declared type: [experiment] the
@@ -351,20 +351,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             # the chooser is built once here and shipped to every ehmdp task
             ehmdp_mode = vi_result = solve_s = chooser = None
             if "ehmdp" in spec.strategies:
-                if params.joint_state_count > spec.budget:
-                    log.info("scenario N=%d T=%d: %d joint states, over the budget of %d: ehmdp "
-                             "runs in myopic mode", n, t_hat, params.joint_state_count, spec.budget)
-                    ehmdp_mode, chooser = "myopic", MyopicChooser(build_model(params))
-                else:
-                    try:
-                        solve_start = time.perf_counter()
-                        vi_result = value_iteration(build_model(params))
+                try:
+                    solve_start = time.perf_counter()
+                    model = build_model(params)
+                    if params.joint_state_count <= spec.budget:
+                        vi_result = value_iteration(model)
                         solve_s = time.perf_counter() - solve_start
-                        chooser = PolicyChooser(vi_result)
-                        ehmdp_mode = "exact"
-                    except Exception as e:   # no stand-in: the scenario has no ehmdp rows
-                        failures.append({"n_nodes": n, "t_hat": t_hat,
-                                         "strategy": "ehmdp", "error": str(e)})
+                        ehmdp_mode, chooser = "exact", PolicyChooser(vi_result)
+                    else:
+                        log.info("scenario N=%d T=%d: %d joint states, over the budget of %d: "
+                                 "ehmdp runs in myopic mode", n, t_hat, params.joint_state_count,
+                                 spec.budget)
+                        ehmdp_mode, chooser = "myopic", MyopicChooser(model)
+                except Exception as e:   # no stand-in: the scenario has no ehmdp rows
+                    failures.append({"n_nodes": n, "t_hat": t_hat,
+                                     "strategy": "ehmdp", "error": str(e)})
             scenarios.append({
                 "n_nodes": n, "t_hat": t_hat, "ehmdp_mode": ehmdp_mode,
                 # an exact solve's figures, else None

@@ -80,16 +80,16 @@ also the one plain value iteration returns is not proved. With the shift
 alone it was, since a constant moves every action's Q alike; mixed
 iterates are other vectors. Tests pin it on the desk instances and at N=3.
 
-Reachable levels. `build_model` holds B x {0..Q} per node, B the least
-set of battery levels that holds `initial_battery` and that every kernel's
-move keeps, read off the M of every level; when B drops a level, it builds
-the kernels again on B. That set of joint states is closed under every
-action: an unselected node's battery does not move, a selected one moves
-within B, and arrivals move queues alone. A closed set is a sub-MDP with
-the same Bellman equation on its states (Puterman, 1994), so its solve is
-exact on every state a run, which starts there with empty queues, can
-visit. At the defaults both moves from a full battery end full: B = {K},
-and N=3 solves 343 states, not 74,088.
+Reachable levels. `build_model` builds its kernels once, on B x {0..Q} per
+node, B the least set of battery levels that holds `initial_battery` and
+that every move keeps, read off the energy tables: from a level in B a
+selected node moves by `after_charge`, and by `after_tx` when the level
+affords a transmission; an unselected node and the arrivals leave batteries
+alone. These joint states are closed under every action, a sub-MDP with the
+same Bellman equation on its states (Puterman, 1994), so the solve is exact
+on every state a run, starting there with empty queues, can visit. At the
+defaults both moves from a full battery end full: B = {K}, and N=3 solves
+343 states, not 74,088.
 
 Memory. The joint-sized arrays are v, Tv, `common`, two work rows and the
 mixing history, 2 * ANDERSON_DEPTH rows: (5 + 2 * depth) * S * 8 bytes at
@@ -99,15 +99,14 @@ for the tie rule, once the history is dropped. The history stays float64:
 float32 rounding in the iterates would part actions whose Q ties (see
 Ties). At depth 4 that is 13 rows: 7.3 MiB for the full N=3 model
 (S = 74,088), and 309 MiB for the full N=4 model (S = 3.11 M), whose solve
-peaks at 344 MiB of RSS.
+peaks at 344 MiB of RSS. Callers decide whether a joint space is small
+enough to solve (the budget). The model alone, `build_model`, costs
+O(N K + N m^2) at any N, m the local states kept: about 20 KB at N=50 and
+the defaults.
 
 Ties. The policy takes the lowest node index among the actions whose Q
 lies within TIE_RTOL * max(1, |min Q|) of the minimum, so actions equal up
 to rounding do not get ordered by summation order.
-
-Budget. Callers decide whether a joint space is small enough to solve;
-Memory gives what a solve holds, and `build_model` alone is O(N m^2) at
-any N (0.72 MB at N=50).
 
 Boundary conventions (the interior cases follow the law above; the
 boundaries need explicit choices):
@@ -201,15 +200,14 @@ class TransitionModel:
 def build_model(params: NetworkParams) -> TransitionModel:
     """The kernels U, S_0, ..., S_{N-1} of the per-node law, from the energy
     profiles of `params`, on the battery levels a run can be in (see Reachable
-    levels); O(N * per-node states^2)."""
-    width, batteries = params.queue_cap + 1, params.battery_levels + 1
-    model = _build(params, np.arange(batteries))
-    # step[b, c]: some kernel moves some state at level b to level c
-    step = model.moves.reshape(-1, batteries, width, batteries, width).any(axis=(0, 2, 4))
-    kept = np.arange(batteries) == params.initial_battery
-    for _ in range(params.battery_levels):  # a pass that changes `kept` adds a level, K at most
-        kept = kept | step[kept].any(axis=0)
-    return model if kept.all() else _build(params, np.flatnonzero(kept))
+    levels): O(N K) for those, then O(N m^2) on their m local states."""
+    profiles, kept, todo = energy_profiles(params), set(), [params.initial_battery]
+    while todo:
+        if (b := todo.pop()) not in kept:
+            kept.add(b)
+            todo += [prof.after_charge[b] for prof in profiles]
+            todo += [prof.after_tx[b] for prof in profiles if b >= prof.min_tx_level]
+    return _build(params, np.array(sorted(kept)))
 
 
 def _build(params: NetworkParams, levels: np.ndarray) -> TransitionModel:

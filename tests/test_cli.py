@@ -31,6 +31,22 @@ def test_run_then_report(tmp_path, capsys):
     assert "trend fq N=2 over T=[10, 20]" in text
 
 
+@pytest.mark.parametrize("n_nodes", [3, 4], ids=["exact", "myopic"])
+def test_unbuildable_model_fails_its_scenario_once(tmp_path, capsys, n_nodes):
+    # valid params, but 2,000 arrival opportunities per slot: the arrival law
+    # overflows a float, so no ehmdp model can be built, whichever mode the
+    # budget picks; the fq rows are still written
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(f"[experiment]\nn_nodes = {n_nodes}\nstrategies = ehmdp, fq\nslots = 2\n"
+                   "seeds = 0\n[network]\narrival_period = 5e-6\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), str(out)]) == 1
+    failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed: ")]
+    assert len(failed) == 1 and "'strategy': 'ehmdp'" in failed[0], failed
+    rows = (out / "raw.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["fq"]
+
+
 def test_invalid_input_exits_with_one_message(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[experiment]\nstrategies = fq, greedy\n")

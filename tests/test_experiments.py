@@ -116,6 +116,19 @@ class TestRunExperiment:
         (table,) = report(res.agg_rows)["tables"]
         assert [entry["strategy"] for entry in table["by_throughput"]] == ["fq"]
 
+        # myopic mode: a model that cannot be built fails its scenario the same
+        # way, once, rather than the whole grid
+        def no_model(params):
+            raise OverflowError("too many arrivals")
+
+        monkeypatch.setattr(experiments, "build_model", no_model)
+        res = run_experiment(replace(spec, budget=0))
+        assert res.failures == [{"n_nodes": 2, "t_hat": 10, "strategy": "ehmdp",
+                                 "error": "too many arrivals"}]
+        assert res.raw_rows == [r for r in clean.raw_rows if r["strategy"] == "fq"]
+        (scenario,) = res.manifest["scenarios"]
+        assert scenario["ehmdp_mode"] is None and scenario["ehmdp_states"] is None
+
     def test_infeasible_point_reported_run_continues(self):
         # 256-bit packets at order 1 and 30 kHz: t_hat=10 gives 10 ms * 30 kHz
         # = 300 bits per slot and fits; t_hat=1 gives 30 bits and cannot fit

@@ -743,6 +743,19 @@ def sliced(full, levels):
                            np.ascontiguousarray(full.moves[:, local][:, :, local]), full.loss[local])
 
 
+def closure_of_moves(full):
+    """The least set of levels that holds `initial_battery` and that every move of
+    `full`, the model on every level, keeps: the levels read off the kernels."""
+    p = full.params
+    width, batteries = p.queue_cap + 1, p.battery_levels + 1
+    # step[b, c]: some kernel moves some state at level b to level c
+    step = full.moves.reshape(-1, batteries, width, batteries, width).any(axis=(0, 2, 4))
+    kept = np.arange(batteries) == p.initial_battery
+    for _ in range(p.battery_levels):  # a pass that changes `kept` adds a level, K at most
+        kept = kept | step[kept].any(axis=0)
+    return np.flatnonzero(kept)
+
+
 def random_networks(count, seed=0):
     """`count` valid networks of 1-3 nodes with drawn sizes, supply, load,
     channel and start battery."""
@@ -795,11 +808,13 @@ class TestReachable:
         assert (kept.loss == full.loss[local]).all()
 
     def test_build_model_is_every_level_sliced_to_its_levels(self):
-        # bit for bit: the factors, and the rows derived from them
+        # bit for bit: the factors, and the rows derived from them, on the
+        # levels that the every-level model's moves keep
         networks = [*DROPS_LEVELS.values(), *random_networks(60)]
         dropped = 0
         for p in networks:
             model, full = build_model(p), full_model(p)
+            assert model.levels.tolist() == closure_of_moves(full).tolist(), p
             reference = sliced(full, model.levels)
             for name in ("levels", "arrival", "moves", "loss",
                          "row_ptr", "next_state", "prob", "reward"):
@@ -825,6 +840,27 @@ class TestReachable:
     def test_every_level_reachable_keeps_the_model(self):
         p = replace(desk_params(2, 2, 2), bs_power=0.5)
         assert build_model(p).levels.tolist() == full_model(p).levels.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("p,levels", [
+        *((p, None) for p in DROPS_LEVELS.values()),
+        (replace(desk_params(2, 2, 2), bs_power=0.5), [0, 1, 2]),
+        # the defaults at N=50 on a fine grid: every level would be 51 kernels
+        # of 707^2 entries; from a full battery both moves end full
+        (NetworkParams(n_nodes=50, battery_levels=100), [100]),
+    ], ids=[*DROPS_LEVELS, "every-level", "n50-k100"])
+    def test_builds_the_kernels_once_on_the_levels_it_returns(self, monkeypatch, p, levels):
+        calls = []
+        build = mdp._build
+
+        def counted(params, kept):
+            calls.append(kept.tolist())
+            return build(params, kept)
+
+        monkeypatch.setattr(mdp, "_build", counted)
+        model = build_model(p)
+        assert calls == [model.levels.tolist()]
+        if levels is not None:
+            assert model.levels.tolist() == levels
 
     @pytest.mark.parametrize("name", DROPS_LEVELS)
     def test_moves_are_c_contiguous(self, name, full_and_reachable):
