@@ -77,9 +77,15 @@ class NetworkParams:
 def arrival_pmf(params: NetworkParams) -> np.ndarray:
     """P(X = x), x = 0..k: the packets one node receives over a slot, Binomial(k, lambda),
     k `arrivals_per_slot` draws of `arrival_prob` as the simulator makes them;
-    the law the MDP's kernels read."""
+    the law the MDP's kernels read. Raises ValueError above k = 1,029, whose
+    binomial coefficients overflow a float."""
     k, lam = params.arrivals_per_slot, params.arrival_prob
-    return np.array([comb(k, x) * lam**x * (1.0 - lam) ** (k - x) for x in range(k + 1)])
+    try:
+        return np.array([comb(k, x) * lam**x * (1.0 - lam) ** (k - x) for x in range(k + 1)])
+    except OverflowError:
+        raise ValueError(f"arrivals_per_slot = {k} (slot_len {params.slot_len} / arrival_period "
+                         f"{params.arrival_period}) is above 1029, the most whose arrival law "
+                         "fits a float") from None
 
 
 def validate(params: NetworkParams) -> list[str]:

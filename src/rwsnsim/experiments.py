@@ -6,27 +6,29 @@ network). One task, in process or on the worker pool, plays every run of a
 (scenario, seed) in spec order on one `simulator.ArrivalTape`, so the seed's
 arrivals are drawn once; a run that raises is one failure row, and the
 task goes on with the next run; each process computes a network's energy
-profiles once. Each (scenario, strategy, design, seed) run appends one raw
-row, in grid order (scenario, then strategy and design, then seed,
-whatever the tasks): the run key (`KEY_COLUMNS`; an eqat run's design is
-the parsed design's `label`, however the spec spelt it), then the fields of its
-`simulator.RunMetrics`; with tracing, one trace row per slot: the key,
-then the fields of a `simulator.SlotTrace`, a tuple's items joined by
-``|``. An aggregate row reduces a (scenario, strategy, design) group's
-seeds: its key, its seed count, ``<field>_mean`` of each `RunMetrics` field
-but slots (the run length), and ``<field>_stderr`` of each float field as
-well (the sample standard error, 0.0 for one seed). The manifest captures
-the spec and every resolved scenario, so a rerun of
+profiles once. A scenario's tasks are consecutive, one per seed, so each
+run's outcome is found by its place, and each (scenario, strategy, design,
+seed) run appends one raw row in grid order (scenario, then strategy and
+design, then seed), in process or not: the run key (`KEY_COLUMNS`; an eqat
+run's design is the parsed design's `label`, however the spec spelt it),
+then the fields of its `simulator.RunMetrics`; with tracing, one trace row
+per slot: the key, then the fields of a `simulator.SlotTrace`, a tuple's
+items joined by ``|``. An aggregate row reduces a (scenario, strategy,
+design) group's seeds: its key, its seed count, ``<field>_mean`` of each
+`RunMetrics` field but slots (the run length), and ``<field>_stderr`` of
+each float field as well (the sample standard error, 0.0 for one seed).
+The manifest captures the spec and every resolved scenario, so a rerun of
 ``ExperimentSpec(**manifest["spec"])`` reproduces the CSVs byte for byte;
-it also records how each ehmdp solve went (mode, and for an exact solve its
-sweep count, final residual, the sweeps that fell back from Anderson mixing
-to the plain step, the joint states it held, and the build-plus-solve wall
-time, the one entry a rerun does not reproduce). A scenario whose
-parameters alone fail `core.validate` is reported once, as one failure,
-and skipped. A scenario whose model build or solve fails, in either mode,
-is one failure row too, and runs no ehmdp: no other chooser stands in
-under its name (the myopic one runs only above the state budget), so its
-ehmdp mode is None and it has no ehmdp rows.
+it also records how each ehmdp solve went (its mode, which nothing else
+records, and for an exact solve its sweep count, final residual, the
+sweeps that fell back from Anderson mixing to the plain step, the joint
+states it held, and the build-plus-solve wall time, the one entry a rerun
+does not reproduce). A scenario whose parameters alone fail
+`core.validate` is reported once, as one failure, and skipped. A scenario
+whose model build or solve fails, in either mode, is one failure row too,
+and runs no ehmdp: no other chooser stands in under its name (the myopic
+one runs only above the state budget), so its ehmdp mode is None and it
+has no ehmdp rows.
 
 A config file's keys are the declared names of what each section sets,
 and each value converts by its declared type: [experiment] the
@@ -47,7 +49,6 @@ from __future__ import annotations
 import configparser
 import inspect
 import json
-import logging
 import math
 import time
 from collections import Counter
@@ -61,8 +62,6 @@ from .core import NetworkParams, draw_channel_gains, validate
 from .eqat import TxProbDesign
 from .mdp import MyopicChooser, PolicyChooser, build_model, value_iteration
 from .simulator import STRATEGIES, ArrivalTape, EqatStrategy, RunMetrics, SlotTrace, simulate_run
-
-log = logging.getLogger(__name__)
 
 KEY_COLUMNS = ["n_nodes", "t_hat", "design", "strategy", "seed"]
 RAW_COLUMNS = KEY_COLUMNS + [f.name for f in fields(RunMetrics)]
@@ -319,7 +318,7 @@ class ExperimentResult:
 
 def _run_one(args):
     """One task: every run of one (scenario, seed), in spec order, on one arrival
-    tape; each run's (metrics, traces), or ("error", message) for a run that raised."""
+    tape; each run's (metrics, traces), or (None, message) for a run that raised."""
     params, seed, slots, trace, runs = args
     arrivals = ArrivalTape(params, seed)
     outcomes = []
@@ -329,7 +328,7 @@ def _run_one(args):
             outcomes.append(simulate_run(params, strategy, slots, seed, trace,
                                          arrivals=arrivals, **kw))
         except Exception as e:  # reported per run; the grid keeps running
-            outcomes.append(("error", f"{type(e).__name__}: {e}"))
+            outcomes.append((None, f"{type(e).__name__}: {e}"))
     return outcomes
 
 
@@ -337,8 +336,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if problems := spec.validate():
         raise ValueError("; ".join(problems))
 
-    grid = []        # every run's key, in grid order, the order of the raw rows
-    tasks = []       # (run keys, args) per (scenario, seed)
+    groups = []      # (n, t_hat, [(design, strategy) per run], its first task) per scenario
+    tasks = []       # the `_run_one` arguments, per (scenario, seed)
     scenarios = []
     failures: list[dict] = []
     for n in spec.n_nodes:
@@ -359,9 +358,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         solve_s = time.perf_counter() - solve_start
                         ehmdp_mode, chooser = "exact", PolicyChooser(vi_result)
                     else:
-                        log.info("scenario N=%d T=%d: %d joint states, over the budget of %d: "
-                                 "ehmdp runs in myopic mode", n, t_hat, params.joint_state_count,
-                                 spec.budget)
                         ehmdp_mode, chooser = "myopic", MyopicChooser(model)
                 except Exception as e:   # no stand-in: the scenario has no ehmdp rows
                     failures.append({"n_nodes": n, "t_hat": t_hat,
@@ -382,36 +378,34 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 elif strategy != "ehmdp" or chooser is not None:
                     kw = {"ehmdp": {"chooser": chooser}, "rc": spec.rc}.get(strategy, {})
                     runs.append(("-", strategy, kw))
-            grid += [(n, t_hat, design, strategy, seed)
-                     for design, strategy, _ in runs for seed in spec.seeds]
-            for seed in spec.seeds:
-                tasks.append(([(n, t_hat, design, strategy, seed) for design, strategy, _ in runs],
-                              (params, seed, spec.slots, spec.trace,
-                               [(strategy, kw) for _, strategy, kw in runs])))
+            groups.append((n, t_hat, [(design, strategy) for design, strategy, _ in runs],
+                           len(tasks)))
+            tasks += [(params, seed, spec.slots, spec.trace,
+                       [(strategy, kw) for _, strategy, kw in runs]) for seed in spec.seeds]
 
-    raw_rows: list[dict] = []
-    trace_rows: list[dict] = []
     # a fork pool starts all its workers at the first submit, so none beyond the tasks
     if (workers := min(spec.workers, len(tasks))) > 1:
         from concurrent.futures import ProcessPoolExecutor   # only a pool needs the import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, [a for _, a in tasks]))
+            outcomes = list(pool.map(_run_one, tasks))
     else:
-        outcomes = [_run_one(a) for _, a in tasks]
+        outcomes = [_run_one(args) for args in tasks]
 
-    # keys are unique, as validate refuses repeated grid values
-    outcome_of = {key: out for (keys, _), outs in zip(tasks, outcomes)
-                  for key, out in zip(keys, outs)}
-    for key in grid:
-        metrics, traces = outcome_of[key]
-        key = dict(zip(KEY_COLUMNS, key))
-        if metrics == "error":
-            failures.append({**key, "error": traces})
-            continue
-        raw_rows.append({**key, **asdict(metrics)})
-        if traces:
-            trace_rows.extend({**key, **vars(t)} for t in traces)
+    raw_rows: list[dict] = []
+    trace_rows: list[dict] = []
+    # run r of a scenario's i-th seed is item r of its task first + i
+    for n, t_hat, runs, first in groups:
+        for r, (design, strategy) in enumerate(runs):
+            for i, seed in enumerate(spec.seeds):
+                metrics, traces = outcomes[first + i][r]
+                key = dict(zip(KEY_COLUMNS, (n, t_hat, design, strategy, seed)))
+                if metrics is None:
+                    failures.append({**key, "error": traces})
+                    continue
+                raw_rows.append({**key, **asdict(metrics)})
+                if traces:
+                    trace_rows.extend({**key, **vars(t)} for t in traces)
 
     manifest = {
         "format": "rwsnsim-experiment-2",

@@ -59,7 +59,8 @@ batteries in two places, the lone transmitter's branch and the colliders'
 loop, and each moves a node by its table: directly when the move leaves the
 node on the same side of its transmit cost, else through `_set_level`. So
 code may assign `queues` freely but must write `batteries` only through
-`_set_level`.
+`_set_level`. A traced run records each slot's end-of-slot batteries, so
+consecutive `SlotTrace.batteries` carry every move, colliders' included.
 """
 
 from __future__ import annotations
@@ -111,16 +112,15 @@ class RunMetrics:
 
 @dataclass(frozen=True)
 class SlotTrace:
-    """End-of-slot snapshot; energy_levels is the battery change applied to
-    the charged node (net of transmit cost, after clamping). Its fields, in
-    order, are the columns of a trace CSV row after the run key. The
-    outcome ``idle`` covers a charge-only slot as well as a slot with no
-    node selected; `RunMetrics` counts the two apart."""
+    """End-of-slot snapshot. Its fields, in order, are the columns of a trace
+    CSV row after the run key. The outcome ``idle`` covers a charge-only slot
+    as well as a slot with no node selected; `RunMetrics` counts the two
+    apart. A slot's battery moves are the change from the previous slot's
+    `batteries` (from ``initial_battery`` before the first), colliders' too."""
 
     slot: int
     outcome: str  # success | ber_fail | collision | idle
     transmitters: tuple[int, ...]
-    energy_levels: int
     batteries: tuple[int, ...]
     queues: tuple[int, ...]
 
@@ -308,9 +308,7 @@ class Simulation:
                     queues[n] += 1
 
             if traces is not None:
-                # a lone transmitter's move is the one charged; a collision charges none
-                energy = after - before if len(transmitters) == 1 else 0
-                traces.append(SlotTrace(slot, outcome, tuple(transmitters), energy,
+                traces.append(SlotTrace(slot, outcome, tuple(transmitters),
                                         tuple(batteries), tuple(queues)))
 
         self.slot = stop

@@ -35,7 +35,7 @@ def test_run_then_report(tmp_path, capsys):
 def test_unbuildable_model_fails_its_scenario_once(tmp_path, capsys, n_nodes):
     # valid params, but 2,000 arrival opportunities per slot: the arrival law
     # overflows a float, so no ehmdp model can be built, whichever mode the
-    # budget picks; the fq rows are still written
+    # budget picks; the failure names the cause, and the fq rows are still written
     cfg = tmp_path / "grid.ini"
     cfg.write_text(f"[experiment]\nn_nodes = {n_nodes}\nstrategies = ehmdp, fq\nslots = 2\n"
                    "seeds = 0\n[network]\narrival_period = 5e-6\n")
@@ -43,6 +43,7 @@ def test_unbuildable_model_fails_its_scenario_once(tmp_path, capsys, n_nodes):
     assert main(["run", str(cfg), str(out)]) == 1
     failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed: ")]
     assert len(failed) == 1 and "'strategy': 'ehmdp'" in failed[0], failed
+    assert "arrivals_per_slot = 2000" in failed[0], failed
     rows = (out / "raw.csv").read_text().splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == ["fq"]
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from joint_oracle import NodeState, iter_joint_states, state_index, state_unindex
-from rwsnsim.core import NetworkParams, draw_channel_gains, validate
+from rwsnsim.core import NetworkParams, arrival_pmf, draw_channel_gains, validate
 from rwsnsim.experiments import read_config
 
 
@@ -193,3 +193,14 @@ class TestArrivalsPerSlot:
         # and 4.5 -> 4, so the offered load per second jumps along the sweep
         got = [make_params(slot_len=t_hat * 1e-3).arrivals_per_slot for t_hat in (15, 25, 35, 45)]
         assert got == [2, 2, 4, 4]
+
+    def test_arrival_law_past_1029_opportunities_names_its_cause(self):
+        # comb(1030, 515) overflows a float, though validate accepts the params
+        fits = make_params(arrival_period=10e-3 / 1029)
+        assert fits.arrivals_per_slot == 1029 and validate(fits) == []
+        assert arrival_pmf(fits).sum() == pytest.approx(1.0, abs=1e-12)
+        over = make_params(arrival_period=10e-3 / 1030)
+        assert over.arrivals_per_slot == 1030 and validate(over) == []
+        with pytest.raises(ValueError, match=r"^arrivals_per_slot = 1030 \(slot_len 0\.01 / "
+                                             r"arrival_period 9\.7\d*e-06\) is above 1029"):
+            arrival_pmf(over)

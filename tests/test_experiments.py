@@ -77,20 +77,14 @@ class TestRunExperiment:
         res = run_experiment(spec)
         assert [r["design"] for r in res.agg_rows] == ["exp:0.1234567", "exp:0.1234568"]
 
-    def test_ehmdp_exact_within_budget_and_myopic_above(self, caplog):
+    def test_ehmdp_exact_within_budget_and_myopic_above(self):
+        # the manifest is the mode's one record
         spec = tiny_spec(strategies=["ehmdp"], n_nodes=[2])
         res = run_experiment(spec)
         assert res.manifest["scenarios"][0]["ehmdp_mode"] == "exact"
-        spec = tiny_spec(strategies=["ehmdp"], n_nodes=[2], budget=5)
-        import logging
-
-        with caplog.at_level(logging.INFO, logger="rwsnsim.experiments"):
-            res = run_experiment(spec)
+        res = run_experiment(replace(spec, budget=5))
         assert res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
-        # the line names the joint state count and the budget it exceeds
-        count = spec.resolve_params(2, spec.t_hat[0]).joint_state_count
-        assert any(f"{count} joint states, over the budget of 5: ehmdp runs in myopic mode" in m
-                   for m in caplog.messages)
+        assert res.manifest["scenarios"][0]["ehmdp_states"] is None
         # the least valid budget (a negative one is refused) forces myopic mode
         res = run_experiment(replace(spec, budget=0))
         assert res.failures == [] and res.manifest["scenarios"][0]["ehmdp_mode"] == "myopic"
@@ -286,11 +280,13 @@ class TestRunExperiment:
         assert sizes == [2]   # one task runs in process
         assert one.raw_rows == run_experiment(tiny_spec()).raw_rows
 
-    def test_a_run_that_raises_fails_alone_in_its_group(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_that_raises_fails_alone_in_its_group(self, monkeypatch, workers):
         # rc raises halfway through seed 1, after the group's tape was drawn;
-        # rs, which runs after it on that tape, and every other run keep their rows
-        spec = tiny_spec(strategies=["fq", "rc", "rs"], seeds=[0, 1, 2])
-        clean = run_experiment(spec)
+        # rs, which runs after it on that tape, and every other run keep their
+        # rows, in grid order, whether the tasks ran in process or on the pool
+        spec = tiny_spec(strategies=["fq", "rc", "rs"], seeds=[0, 1, 2], workers=workers)
+        clean = run_experiment(replace(spec, workers=1))
         select = FixedTableStrategy.select   # rc's: the EQAT loop's
 
         def flaky(self, sim):
@@ -408,7 +404,7 @@ class TestRunExperiment:
                              "collisions_mean,charge_only_slots_mean,idle_slots_mean,"
                              "energy_dead_node_slots_mean",
             "traces.csv": "n_nodes,t_hat,design,strategy,seed,slot,outcome,transmitters,"
-                          "energy_levels,batteries,queues",
+                          "batteries,queues",
         }
 
     def test_aggregate_is_the_mean_and_sample_stderr_over_seeds(self):
@@ -493,7 +489,7 @@ GOLDEN_ROWS = [
 
 # A traced run on the scarce network at N=2, where lone transmitters cross
 # their transmit cost both ways: its raw rows, and per strategy each slot's
-# outcome (first letter) and the trace's energy_levels.
+# outcome (first letter).
 TRACED_SPEC = dict(n_nodes=[2], t_hat=[10], strategies=["ehmdp", "fq", "eqat"], slots=60,
                    seeds=[0], trace=True, network={"bs_power": 1.0})
 TRACED_RAW_ROWS = [
@@ -505,16 +501,9 @@ TRACED_RAW_ROWS = [
      19, 0, 0, 0, 41, 51),
 ]
 TRACED_SLOTS = {
-    "ehmdp": ("issiissssiissiisisiiiiiisssssississsiisiisiiisisisisisissbss",
-              [0, -1, -1, 1, 1, 0, -1, -1, -1, 1, 1, -1, 0, 1, 1, 0, 0, 0, 0, 0,
-               0, 0, 0, 0, 0, 0, -1, -1, -1, 1, -1, -1, 1, 0, 0, -1, 1, 1, 0, 1,
-               1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, -1, -1, -1, -1]),
-    "fq": ("isssiississsisiiisiiiiiissisisissssisissisiiisisisiissisisib",
-           [0, -1, 0, -1, 0, 0, -1, -1, 1, -1, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1, 0, 0, 0, 1, -1, 1, -1, 0,
-            1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 1, -1, 1, -1]),
-    "eqat": ("iiisssississiiiiiiisiiiiissiiisisissiiiiiiiiiissisiiisiiisii",
-             [0, 0, 0, -1, 0, -1, 0, -1, -1] + [0] * 51),
+    "ehmdp": "issiissssiissiisisiiiiiisssssississsiisiisiiisisisisisissbss",
+    "fq": "isssiississsisiiisiiiiiissisisissssisissisiiisisisiissisisib",
+    "eqat": "iiisssississiiiiiiisiiiiissiiisisissiiiiiiiiiissisiiisiiisii",
 }
 
 
@@ -530,8 +519,8 @@ class TestGoldenRows:
         assert [tuple(row[c] for c in RAW_COLUMNS) for row in res.raw_rows] == TRACED_RAW_ROWS
 
         def slots(strategy):
-            rows = [row for row in res.trace_rows if row["strategy"] == strategy]
-            return "".join(row["outcome"][0] for row in rows), [row["energy_levels"] for row in rows]
+            return "".join(row["outcome"][0] for row in res.trace_rows
+                           if row["strategy"] == strategy)
 
         assert {s: slots(s) for s in TRACED_SPEC["strategies"]} == TRACED_SLOTS
 

@@ -238,6 +238,16 @@ class TestInvariants:
         assert m.energy_dead_node_slots == sum(
             b < prof.min_tx_level for levels in starts for b, prof in zip(levels, profiles))
         assert m.energy_dead_node_slots > 0
+        # consecutive batteries carry every move, each by its node's table: a
+        # lone transmitter's after_tx, a charge-only node's after_charge, each
+        # collider's after_collision; every other node stays
+        table = {"success": "after_tx", "ber_fail": "after_tx", "idle": "after_charge",
+                 "collision": "after_collision"}
+        for before, t in zip(starts, traces):
+            expect = list(before)
+            for i in t.transmitters:
+                expect[i] = getattr(profiles[i], table[t.outcome])[before[i]]
+            assert t.batteries == tuple(expect), t.slot
 
 
 def brute_force_ready(sim):
